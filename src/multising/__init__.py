@@ -1,8 +1,8 @@
 """Exact multisingularity calculus.
 
 Residue polynomials of multisingularity classes, mechanical verification of
-the defining identities on stable germ prototypes, and enumeration of
-4-secant planes to smooth projective varieties.  All arithmetic is exact
+the defining identities on stable germ prototypes, and Schur calculus on
+Grassmannians with the line-in-subbundle fibration.  All arithmetic is exact
 rational; floating point is never used.
 """
 

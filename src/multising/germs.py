@@ -21,6 +21,7 @@ c-series in symbols a, b and degree-capped series symbols d_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -312,7 +313,6 @@ def _specialization_for(form: GradedPoly):
     """Solve a linear form for its last variable: returns (symbol, image)."""
     form = form.compress()
     var = form.vars[-1]
-    key = tuple(1 if v is var else 0 for v in form.vars)
     coeff = form.terms.get(tuple(
         1 if i == len(form.vars) - 1 else 0 for i in range(len(form.vars))
     ))
@@ -320,19 +320,17 @@ def _specialization_for(form: GradedPoly):
     return ((var.family, var.index), (-rest) * (1 / rat(coeff)))
 
 
-def verify_quadruple(ell: int, root_budget: Optional[int] = None) -> Report:
+def verify_quadruple(ell: int) -> Report:
     """The four defining identities of the quadruple-point residue.
 
     Prototypes of relative dimension ell-1 are instantiated, materializing
-    ell-1 beta symbols (the minimum; root_budget only validates the cap).
+    ell-1 beta symbols, the minimum.
     For ell = 1 the III_{2,2} identity degenerates: no prototype of relative
     dimension 0 exists, so the residue is evaluated on the ell = 1 germ and
     certified divisible by its n_1 factor alpha_1 + alpha_2 instead.
     """
     if ell < 1:
         raise PolyError("the quadruple identities need ell >= 1")
-    if root_budget is not None and root_budget < ell - 1:
-        raise PolyError(f"root budget {root_budget} < required {ell - 1}")
     residue = residue_A0r(4, ell)
     maxdeg = 3 * ell
     checks = []
@@ -398,14 +396,7 @@ def verify_quadruple(ell: int, root_budget: Optional[int] = None) -> Report:
 # -- divisibility suite -------------------------------------------------------------------
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def verify_divisibility(g: GermPrototype, r: int, ell: Optional[int] = None) -> Report:
+def verify_divisibility(g: GermPrototype, r: int) -> Report:
     """Certify that the reduced r-fold class of a prototype differs from the
     substituted residue term by a multiple of n_1.
 
@@ -413,10 +404,7 @@ def verify_divisibility(g: GermPrototype, r: int, ell: Optional[int] = None) -> 
     the specialization killing each linear factor of n_1; the exactness of
     the Euler quotient itself is reported as the first check.
     """
-    if ell is None:
-        ell = g.ell
-    if ell != g.ell:
-        raise PolyError("prototype relative dimension does not match ell")
+    ell = g.ell
     checks = []
     try:
         quotient = n1(g)
@@ -443,7 +431,7 @@ def verify_divisibility(g: GermPrototype, r: int, ell: Optional[int] = None) -> 
         return Report(suite="divisibility", ell=ell, checks=tuple(checks))
 
     m_class = multiple_point_class(g, r)
-    residue = residue_A0r(r, ell) * rat(1, _factorial(r - 1))
+    residue = residue_A0r(r, ell) * rat(1, math.factorial(r - 1))
     substituted = chern_substitute(residue, chern_total(g, (r - 1) * ell))
     difference = m_class - substituted
     for f in g.n1_factors:

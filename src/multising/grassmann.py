@@ -163,7 +163,7 @@ class GrassClass:
             if other.ring != self.ring:
                 raise RingMismatch("classes live on different Grassmannians")
             return other
-        if isinstance(other, (int, Rat)) or type(other).__name__ == "mpq":
+        if isinstance(other, (int, Rat)):
             return GrassClass(self.ring, {(): rat(other)})
         return None
 
@@ -193,7 +193,7 @@ class GrassClass:
     def __mul__(self, other) -> "GrassClass":
         if isinstance(other, GrassClass):
             return class_mul(self, other)
-        if isinstance(other, (int, Rat)) or type(other).__name__ == "mpq":
+        if isinstance(other, (int, Rat)):
             c = rat(other)
             return GrassClass(
                 self.ring, {lam: c * v for lam, v in self.coeffs.items()}
@@ -225,6 +225,8 @@ class GrassClass:
         return self.coeffs == rhs.coeffs
 
     def __hash__(self) -> int:
+        if set(self.coeffs) <= {()}:
+            return hash(self.coeffs.get((), 0))  # equal scalars hash alike
         return hash((self.ring, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self) -> str:
@@ -435,7 +437,7 @@ class FiberClass:
             return other
         if isinstance(other, GrassClass):
             return FiberClass.lift(other)
-        if isinstance(other, (int, Rat)) or type(other).__name__ == "mpq":
+        if isinstance(other, (int, Rat)):
             return FiberClass(self.ring, {0: GrassClass(self.ring, {(): rat(other)})})
         return None
 

@@ -19,10 +19,23 @@ integrand, so its coefficients are computed here, never hard-coded there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .poly import GradedPoly, PolyError, Rat, constant, one, rat, to_latex, to_text
+from .poly import (
+    GradedPoly,
+    PolyError,
+    Rat,
+    constant,
+    one,
+    rat,
+    rat_str,
+    render_sum,
+    to_json_dict,
+    to_latex,
+    to_text,
+)
 from .thom import (
     ThomSeries,
     multisingularity_codim,
@@ -39,20 +52,13 @@ class MissingResidue(PolyError):
     """A required residue polynomial is not present in the table."""
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _multiset_aut(names: Sequence[str]) -> int:
     counts: Dict[str, int] = {}
     for name in names:
         counts[name] = counts.get(name, 0) + 1
     out = 1
     for k in counts.values():
-        out *= _factorial(k)
+        out *= math.factorial(k)
     return out
 
 
@@ -335,8 +341,6 @@ def expansion_to_text(expansion: FormalExpansion) -> str:
 
 
 def _render_expansion(expansion, namer, power_mark) -> str:
-    if not expansion:
-        return "0"
     items = sorted(
         expansion.items(), key=lambda kv: (len(kv[0]), kv[0])
     )
@@ -349,18 +353,8 @@ def _render_expansion(expansion, namer, power_mark) -> str:
             namer(label) + (f"{power_mark}{e}" if e > 1 else "")
             for label, e in sorted(powers.items(), key=lambda kv: len(kv[0]))
         )
-        num, den = coeff.numerator, coeff.denominator
-        sign = "-" if num < 0 else "+"
-        mag = -num if num < 0 else num
-        mag_s = "" if (mag == 1 and den == 1) else (
-            str(mag) if den == 1 else f"{mag}/{den}"
-        )
-        pieces.append((sign, f"{mag_s}{body}"))
-    first_sign, first = pieces[0]
-    out = first if first_sign == "+" else f"-{first}"
-    for sign, piece in pieces[1:]:
-        out += f" {sign} {piece}"
-    return out
+        pieces.append((coeff, body))
+    return render_sum(pieces, "")
 
 
 def _render_source(expansion: SourceExpansion, poly_renderer, latex: bool) -> str:
@@ -395,8 +389,6 @@ def _render_source(expansion: SourceExpansion, poly_renderer, latex: bool) -> st
 
 
 def source_expansion_json(expansion: SourceExpansion) -> dict:
-    from .poly import to_json_dict
-
     return {
         "multisingularity": expansion.multi.label(),
         "ell": expansion.ell,
@@ -417,7 +409,7 @@ def expansion_json(expansion: FormalExpansion) -> dict:
         "terms": [
             {
                 "symbols": [list(label) for label in mono],
-                "coeff": f"{c.numerator}/{c.denominator}",
+                "coeff": rat_str(c),
             }
             for mono, c in items
         ]

@@ -15,8 +15,9 @@ Conventions used throughout the package:
     then descending lexicographic on the exponent vector;
   * c_0 = 1 and c_i = 0 for i < 0 wherever index-shifted Chern variables are
     requested (see cvar);
-  * coefficients are gmpy2.mpq when available, fractions.Fraction otherwise;
-    floating point never enters.
+  * coefficients are fractions.Fraction (exported as Rat); floating point
+    never enters, and rat() is the one place where outside scalars become
+    coefficients.
 
 Values are immutable after construction; all operations are pure and return
 new polynomials.
@@ -26,25 +27,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence, Tuple, Union
 
-try:
-    from gmpy2 import mpq as _mpq_ctor
+Rat = Fraction
 
-    def _as_rat(value) -> "Rat":
-        return _mpq_ctor(value)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _mpq_ctor
-
-    def _as_rat(value) -> "Rat":
-        return _mpq_ctor(value)
-
-
-Rat = type(_mpq_ctor(1))
-
-_ZERO = _as_rat(0)
-_ONE = _as_rat(1)
+_ZERO = Rat(0)
+_ONE = Rat(1)
 
 
 class PolyError(ValueError):
@@ -59,23 +48,32 @@ class NonExactDivision(PolyError):
     """Raised when a requested exact polynomial division leaves a remainder."""
 
 
-def rat(numerator: Union[int, str, Rat], denominator: int = 1) -> Rat:
-    """Exact rational from ints, a "p/q" string, or an existing rational."""
+def rat(numerator: Union[int, str, Rat], denominator: Union[int, Rat] = 1) -> Rat:
+    """Exact rational from ints, a "p/q" string, or an existing rational.
+
+    Anything else (a float, a malformed string, a zero denominator) raises
+    PolyError.
+    """
     if isinstance(numerator, str):
         if denominator != 1:
             raise PolyError("string rationals carry their own denominator")
-        if "/" in numerator:
-            p, q = numerator.split("/", 1)
-            return _as_rat(int(p)) / _as_rat(int(q))
-        return _as_rat(int(numerator))
-    if denominator == 1:
-        return _as_rat(numerator)
-    return _as_rat(numerator) / _as_rat(denominator)
+        p, _, q = numerator.partition("/")
+        try:
+            numerator, denominator = int(p), int(q or 1)
+        except ValueError:
+            raise PolyError(f"malformed rational {numerator!r}") from None
+    if not isinstance(numerator, (int, Rat)) or not isinstance(denominator, (int, Rat)):
+        raise PolyError(f"not an exact rational: {numerator!r}/{denominator!r}")
+    if denominator == 0:
+        raise PolyError(f"zero denominator in {numerator}/0")
+    if denominator != 1:
+        return Rat(numerator, denominator)
+    return numerator if type(numerator) is Rat else Rat(numerator)
 
 
 def rat_str(value: Rat) -> str:
     """Canonical "p/q" rendering, denominator always present and positive."""
-    value = _as_rat(value)
+    value = rat(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -132,7 +130,7 @@ class GradedPoly:
                     raise IncompatibleVariables(f"conflicting weights for {key}")
                 seen[key] = v.weight
             terms = {
-                exps: _as_rat(c)
+                exps: rat(c)
                 for exps, c in terms.items()
                 if c != 0 and (trunc is None or _wdeg(vars, exps) <= trunc)
             }
@@ -249,7 +247,7 @@ class GradedPoly:
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (int, str)) or isinstance(other, Rat):
-            scalar = _as_rat(other if not isinstance(other, str) else rat(other))
+            scalar = rat(other)
             if scalar == 0:
                 return GradedPoly(self.vars, {}, self.trunc, _checked=True)
             return GradedPoly(
@@ -310,6 +308,8 @@ class GradedPoly:
 
     def __hash__(self):
         p = self.compress()
+        if not p.vars:
+            return hash(p.constant_term())  # equal scalars hash alike
         return hash((p.vars, frozenset((e, c) for e, c in p.terms.items())))
 
     def __repr__(self) -> str:
@@ -368,7 +368,7 @@ def _remap(p: GradedPoly, vars_: tuple) -> Terms:
 
 
 def constant(value) -> GradedPoly:
-    value = _as_rat(value)
+    value = rat(value)
     terms = {(): value} if value != 0 else {}
     return GradedPoly((), terms, None, _checked=True)
 
@@ -416,14 +416,6 @@ def monomial(coeff, factors: Mapping[SymbolLike, int], weights=None) -> GradedPo
 
 
 # -- spec-named operations ----------------------------------------------------
-
-
-def add(p: GradedPoly, q: GradedPoly) -> GradedPoly:
-    return p + q
-
-
-def mul(p: GradedPoly, q: GradedPoly) -> GradedPoly:
-    return p * q
 
 
 def series_inverse(g: GradedPoly, maxdeg: int) -> GradedPoly:
@@ -564,64 +556,49 @@ def schur3(i: int, j: int, k: int) -> GradedPoly:
 def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
     """Exact quotient p / form for a homogeneous linear form.
 
-    Raises NonExactDivision when the division leaves a remainder; this is the
-    certified-failure path for malformed Euler-class quotients.
+    One synthetic division in the form's first variable v: writing
+    form = a*v + rest and p = sum_k p_k v^k, the quotient coefficients are
+    q_{k-1} = (p_k - rest*q_k)/a from the top down, and p_0 - rest*q_0 is the
+    remainder, which equals p at v = -rest/a.  Raises NonExactDivision when
+    the remainder is nonzero; this is the certified-failure path for
+    malformed Euler-class quotients.
     """
     form = form.compress()
-    if form.is_zero() or form.weighted_degree() != 1 or not form.is_homogeneous():
+    if form.is_zero() or any(
+        sum(exps) != 1 or _wdeg(form.vars, exps) != 1 for exps in form.terms
+    ):
         raise PolyError("divisor must be a nonzero homogeneous linear form")
-    lead_var = form.vars[0]
-    lead_key = tuple(1 if i == 0 else 0 for i in range(len(form.vars)))
-    lead_coeff = form.terms[lead_key] if lead_key in form.terms else None
-    if lead_coeff is None:
-        # first table variable absent; fall back to any present variable
-        for idx, v in enumerate(form.vars):
-            key = tuple(1 if i == idx else 0 for i in range(len(form.vars)))
-            if key in form.terms:
-                lead_var, lead_key, lead_coeff = v, key, form.terms[key]
-                break
-    rest = form - variable(lead_var.family, lead_var.index, lead_var.weight) * lead_coeff
-    # v = (form - rest)/lead_coeff; substitute v -> -rest/lead_coeff for the
-    # remainder, then reconstruct the quotient from the Horner expansion.
-    w = (-rest) * (1 / _as_rat(lead_coeff))
-    remainder = substitute(p, {(lead_var.family, lead_var.index): w})
+    lead = form.vars[0]
+    a, f, vars_ = _aligned(p, form)
+    pos = vars_.index(lead)
+    inv_lead = 1 / f[tuple(int(i == pos) for i in range(len(vars_)))]
+    rest = GradedPoly(
+        vars_, {e: c for e, c in f.items() if not e[pos]}, None, _checked=True
+    )
+    slices: dict = {}
+    for exps, c in a.items():
+        slices.setdefault(exps[pos], {})[exps[:pos] + (0,) + exps[pos + 1:]] = c
+
+    def p_slice(k: int) -> GradedPoly:
+        return GradedPoly(vars_, slices.get(k, {}), None, _checked=True)
+
+    quotient: Terms = {}
+    carry = GradedPoly(vars_, {}, None, _checked=True)
+    for k in range(max(slices, default=0), 0, -1):
+        carry = (p_slice(k) - rest * carry) * inv_lead
+        for exps, c in carry.terms.items():
+            quotient[exps[:pos] + (k - 1,) + exps[pos + 1:]] = c
+    remainder = p_slice(0) - rest * carry
     if not remainder.is_zero():
         raise NonExactDivision(
             f"remainder {to_text(remainder)} dividing by {to_text(form)}"
         )
-    # p = sum_k p_k v^k with remainder 0; quotient = sum_k p_k
-    # (v^k - w^k)/(v - w) / lead_coeff, expanded as sum_j v^j w^{k-1-j}.
-    v_poly = variable(lead_var.family, lead_var.index, lead_var.weight)
-    by_vdeg: dict = {}
-    a, _, vars_ = _aligned(p, form)
-    pos = next(
-        i
-        for i, v in enumerate(vars_)
-        if (v.family, v.index) == (lead_var.family, lead_var.index)
-    )
-    for exps, c in a.items():
-        k = exps[pos]
-        reduced = tuple(e if i != pos else 0 for i, e in enumerate(exps))
-        by_vdeg.setdefault(k, {})[reduced] = c
-    quotient = zero()
-    inv_lead = 1 / _as_rat(lead_coeff)
-    w_pows = [one()]
-    for k in sorted(by_vdeg):
-        if k == 0:
-            continue
-        while len(w_pows) < k:
-            w_pows.append(w_pows[-1] * w)
-        p_k = GradedPoly(vars_, by_vdeg[k], None, _checked=True)
-        geom = zero()
-        for j in range(k):
-            geom = geom + v_poly ** j * w_pows[k - 1 - j]
-        quotient = quotient + p_k * geom * inv_lead
-    return quotient
+    return GradedPoly(vars_, quotient, None, _checked=True)
 
 
 def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly], unit=1) -> GradedPoly:
     """Divide p by unit * prod(factors) of linear forms, exactly."""
-    result = p * (1 / _as_rat(unit))
+    result = p * (1 / rat(unit))
     for form in factors:
         result = divide_by_linear(result, form)
     return result
@@ -669,6 +646,8 @@ def from_json_dict(payload: Mapping) -> GradedPoly:
     for entry in payload["terms"]:
         exps = [0] * len(vars_)
         for ref, e in entry["exps"]:
+            if not isinstance(ref, int) or not 0 <= ref < len(vars_):
+                raise PolyError(f"exponent ref {ref!r} outside the variable table")
             exps[ref] = e
         terms[tuple(exps)] = rat(entry["coeff"])
     return GradedPoly(vars_, terms)
@@ -699,10 +678,27 @@ def _var_text(v: Var) -> str:
     return f"{v.family}{v.index}" if v.index else v.family
 
 
+def render_sum(terms: Iterable[Tuple[Rat, str]], times: str) -> str:
+    """Signed sum of (coefficient, monomial text) pairs in the given order.
+
+    A unit coefficient is elided before a nonempty monomial, a fractional one
+    prints as p/q, times separates coefficient and monomial, and the empty
+    sum is "0".  Polynomials and formal expansions both render through it.
+    """
+    out = []
+    for coeff, body in terms:
+        mag = abs(coeff)
+        mag_s = "" if mag == 1 and body else str(mag)
+        piece = f"{mag_s}{times}{body}" if mag_s and body else mag_s or body
+        if out:
+            out.append(f" {'-' if coeff < 0 else '+'} {piece}")
+        else:
+            out.append(f"-{piece}" if coeff < 0 else piece)
+    return "".join(out) or "0"
+
+
 def _render(p: GradedPoly, var_namer: Callable[[Var], str], times: str) -> str:
     p = p.compress()
-    if p.is_zero():
-        return "0"
     pieces = []
     for exps, coeff in sorted_terms(p):
         factors = []
@@ -711,24 +707,8 @@ def _render(p: GradedPoly, var_namer: Callable[[Var], str], times: str) -> str:
                 continue
             name = var_namer(v)
             factors.append(name if e == 1 else f"{name}^{e}" if e < 10 else f"{name}^{{{e}}}")
-        body = times.join(factors)
-        num, den = coeff.numerator, coeff.denominator
-        sign = "-" if num < 0 else "+"
-        mag_num = -num if num < 0 else num
-        if den == 1:
-            mag = "" if mag_num == 1 and body else str(mag_num)
-        else:
-            mag = f"{mag_num}/{den}"
-        if body and mag:
-            piece = f"{mag}{times}{body}" if times else f"{mag}{body}"
-        else:
-            piece = body or mag or "1"
-        pieces.append((sign, piece))
-    first_sign, first = pieces[0]
-    out = (first if first_sign == "+" else f"-{first}")
-    for sign, piece in pieces[1:]:
-        out += f" {sign} {piece}"
-    return out
+        pieces.append((coeff, times.join(factors)))
+    return render_sum(pieces, times)
 
 
 def to_latex(p: GradedPoly) -> str:

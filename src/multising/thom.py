@@ -19,6 +19,7 @@ closed formulas in Chern variables and Schur determinants.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -242,13 +243,6 @@ def thom_polynomial(series: ThomSeries, ell: int) -> GradedPoly:
 # -- residue polynomials ---------------------------------------------------------
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def residue_A0r(r: int, ell: int, series: Optional[ThomSeries] = None) -> GradedPoly:
     """Residue polynomial of the r-fold point multisingularity A_0^r.
 
@@ -270,7 +264,7 @@ def residue_A0r(r: int, ell: int, series: Optional[ThomSeries] = None) -> Graded
             f"series arity mismatch: A_0^{r} needs delta {r}, got {series.delta}"
         )
     sign = 1 if (r - 1) % 2 == 0 else -1
-    scale = rat(sign * _factorial(r - 1))
+    scale = rat(sign * math.factorial(r - 1))
     return _substitute_shift(series.terms(ell), ell) * scale
 
 

@@ -105,6 +105,14 @@ def test_dual_partition():
     assert R37.dual((4, 2, 1)) == (3, 2)
 
 
+def test_scalar_classes_hash_like_their_value():
+    for value in (3, rat(1, 2), 0):
+        assert GrassClass(R36, {(): value}) == value
+        assert hash(GrassClass(R36, {(): value})) == hash(value)
+    with pytest.raises(PolyError):
+        GrassClass(R36, {(1,): 0.1})
+
+
 def test_ring_mismatch_rejected():
     with pytest.raises(RingMismatch):
         class_mul(schur(R24, (1,)), schur(R36, (1,)))

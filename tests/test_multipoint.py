@@ -13,7 +13,9 @@ from multising.multipoint import (
     emit_quadruple_formula,
     expand_m,
     expand_n,
+    expansion_json,
     expansion_to_latex,
+    expansion_to_text,
     source_expansion_json,
 )
 from multising.poly import PolyError, cvar, one, rat, zero
@@ -101,6 +103,29 @@ def test_expand_n_latex():
         expansion_to_latex(expand_n(A0(4)))
         == "s_4 + 4s_1s_3 + 3s_2^2 + 6s_1^2s_2 + s_1^4"
     )
+
+
+def test_expansion_rendering_signs_units_and_fractions():
+    expansion = {
+        (("A0",),): rat(1),
+        (("A0",), ("A0",)): rat(-1),
+        (("A0", "A0"),): rat(3, 2),
+        (("A0",), ("A0", "III22")): rat(-2, 3),
+        (("A1",), ("A1",), ("A1",)): rat(-4),
+    }
+    assert (
+        expansion_to_text(expansion)
+        == "s1 + 3/2s2 - s1^2 - 2/3s1S[A0,III22] - 4S[A1]^3"
+    )
+    assert (
+        expansion_to_latex(expansion)
+        == "s_1 + 3/2s_2 - s_1^2 - 2/3s_1S_{A_0III_{2,2}} - 4S_{A_1}^3"
+    )
+    assert expansion_to_text({(("A0",), ("A0",)): rat(-1)}) == "-s1^2"
+    assert expansion_to_text({}) == "0"
+    assert [t["coeff"] for t in expansion_json(expansion)["terms"]] == [
+        "1/1", "3/2", "-1/1", "-2/3", "-4/1"
+    ]
 
 
 # -- source expansion -------------------------------------------------------------------

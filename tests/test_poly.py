@@ -58,6 +58,24 @@ def test_rat_string_with_denominator_rejected():
         rat("1/2", 3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rat("1.5"),
+        lambda: rat("1/0"),
+        lambda: rat(1, 0),
+        lambda: rat(0.1),
+        lambda: constant(0.1),
+        lambda: GradedPoly((Var("c", 1, 1),), {(1,): 0.1}),
+    ],
+    ids=["decimal-string", "zero-denominator-string", "zero-denominator",
+         "float", "float-constant", "float-term"],
+)
+def test_malformed_scalars_raise_poly_error(make):
+    with pytest.raises(PolyError):
+        make()
+
+
 # -- construction invariants ---------------------------------------------------
 
 
@@ -88,6 +106,13 @@ def test_scalar_comparison():
     assert one() == 1
     assert constant(rat(3, 4)) == rat(3, 4)
     assert C1 != 0
+
+
+@pytest.mark.parametrize("value", [3, rat(1, 2), 0])
+def test_constant_hashes_like_its_value(value):
+    assert constant(value) == value
+    assert hash(constant(value)) == hash(value)
+    assert hash(constant(value) + C1 - C1) == hash(value)
 
 
 # -- hypothesis strategies ------------------------------------------------------
@@ -309,6 +334,34 @@ def test_divide_by_linear_remainder_raises():
         divide_by_linear(prod, BETA - 3 * ALPHA)
 
 
+linear_forms = st.lists(
+    st.tuples(st.sampled_from(VARS[:3]), coeffs.filter(lambda c: c != 0)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda vc: vc[0],
+).map(lambda pairs: sum((c * variable(v.family, v.index) for v, c in pairs), zero()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), linear_forms)
+def test_divide_by_linear_matches_evaluation(p, form):
+    # the quotient of a multiple is the cofactor; otherwise the reported
+    # remainder is p evaluated on the hyperplane form = 0
+    assert divide_by_linear(p * form, form) == p
+    lead = form.compress().vars[0]
+    a = form.coefficient({lead: 1})
+    image = (variable(lead.family, lead.index) * a - form) * (1 / a)
+    remainder = substitute(p, {lead: image})
+    if remainder.is_zero():
+        assert divide_by_linear(p, form) * form == p
+    else:
+        with pytest.raises(NonExactDivision) as err:
+            divide_by_linear(p, form)
+        assert str(err.value) == (
+            f"remainder {to_text(remainder)} dividing by {to_text(form)}"
+        )
+
+
 def test_divide_by_linear_rejects_nonlinear():
     with pytest.raises(PolyError):
         divide_by_linear(C2, C2)
@@ -337,6 +390,19 @@ def test_json_round_trip(p):
     assert from_json(to_json(p)) == p
 
 
+@pytest.mark.parametrize("ref", [2, -1])
+def test_json_rejects_out_of_range_ref(ref):
+    payload = {
+        "vars": [
+            {"family": "a", "index": 0, "weight": 1},
+            {"family": "b", "index": 0, "weight": 1},
+        ],
+        "terms": [{"coeff": "1/1", "exps": [[ref, 2]]}],
+    }
+    with pytest.raises(PolyError):
+        from_json(json.dumps(payload))
+
+
 def test_json_canonical_term_order():
     p = C3 + C1 + C2 * C1
     coeff_degrees = []
@@ -362,3 +428,14 @@ def test_text_rendering():
     p = C1 * C2 - constant(rat(1, 2)) * C3
     assert to_text(p) == "c1*c2 - 1/2*c3"
     assert to_text(root_var("alpha") ** 2) == "alpha^2"
+
+
+def test_rendering_signs_units_and_fractions():
+    beta12 = root_var("beta", 12)
+    p = -C1 ** 12 + rat(3, 2) * C1 * C2 - C3 + rat(-5, 7) * ALPHA * beta12 + rat(1, 2)
+    assert to_text(p) == "1/2 - 5/7*alpha*beta12 + 3/2*c1*c2 - c3 - c1^{12}"
+    assert to_latex(p) == r"1/2 - 5/7\alpha\beta_{12} + 3/2c_1c_2 - c_3 - c_1^{12}"
+    assert to_text(-one()) == to_latex(-one()) == "-1"
+    assert to_text(constant(rat(-1, 3))) == "-1/3"
+    assert to_latex(beta12 - ALPHA) == r"-\alpha + \beta_{12}"
+    assert to_text(rat(2, 5) * C2) == "2/5*c2"
