@@ -22,8 +22,8 @@ c-series in symbols a, b and degree-capped series symbols d_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from .poly import (
     GradedPoly,
@@ -31,7 +31,6 @@ from .poly import (
     PolyError,
     chern_substitute,
     constant,
-    cvar,
     divide_by_linear,
     dvar,
     one,
@@ -45,10 +44,9 @@ from .poly import (
     substitute,
     to_json_dict,
     to_text,
-    vanishes_under,
     zero,
 )
-from .thom import residue_A0r, residue_III22A0, singularity_info
+from .thom import residue_A0r, residue_III22A0
 
 
 class UnsupportedPrototype(PolyError):
@@ -361,13 +359,14 @@ def verify_quadruple(ell: int) -> Report:
     else:
         germ = germ_III22(1)
         value = chern_substitute(residue, chern_total(germ, maxdeg + 1))
-        spec = _specialization_for(germ.n1_factors[0])
-        divisible = vanishes_under(value, [spec])
+        sym, image = _specialization_for(germ.n1_factors[0])
+        specialized = substitute(value, {sym: image})
+        divisible = specialized.is_zero()
         checks.append(
             CheckResult(
                 name="q3",
                 holds=divisible,
-                residual=None if divisible else substitute(value, dict([spec])),
+                residual=None if divisible else specialized,
                 detail=(
                     "degenerate case: no III22 prototype of relative dimension 0; "
                     "the residue on the ell=1 germ is divisible by alpha_1+alpha_2"

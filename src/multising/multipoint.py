@@ -10,25 +10,22 @@ first element.  Two formal expansions drive everything downstream:
     f*(n) of target classes of complements, one term per subset of the
     points containing the distinguished one.
 
-Reduced (barred) classes divide by the automorphism counts; the source
-expansions are stated internally in barred form with exact rational
-prefactors and converted at the boundary.  The A_0^r specialization of the
-target expansion supplies the coefficient pattern of the secant-plane
-integrand, so its coefficients are computed here, never hard-coded there.
+Every residue R comes from thom.residue.  Reduced (barred) classes divide
+by the automorphism counts; the source expansions are stated internally in
+barred form with exact rational prefactors and converted at the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .poly import (
     GradedPoly,
     PolyError,
     Rat,
     constant,
-    one,
     rat,
     rat_str,
     render_sum,
@@ -37,19 +34,11 @@ from .poly import (
     to_text,
 )
 from .thom import (
-    ThomSeries,
     multisingularity_codim,
     parse_multisingularity,
-    residue_A0A1,
-    residue_A0r,
-    residue_III22,
-    residue_III22A0,
+    residue,
     singularity_info,
 )
-
-
-class MissingResidue(PolyError):
-    """A required residue polynomial is not present in the table."""
 
 
 def _multiset_aut(names: Sequence[str]) -> int:
@@ -96,14 +85,6 @@ class MultiSingularity:
 
     def label(self) -> str:
         return "".join(self.parts)
-
-
-def codim(multi: MultiSingularity, ell: int) -> int:
-    return multi.codim(ell)
-
-
-def aut_count(multi: MultiSingularity) -> int:
-    return multi.aut_count()
 
 
 # -- target-class expansion into S symbols ---------------------------------------
@@ -164,52 +145,6 @@ def a0_partition_coefficients(r: int) -> Dict[Tuple[int, ...], Rat]:
     return out
 
 
-# -- residue tables ------------------------------------------------------------------
-
-
-class ResidueTable:
-    """Map from a sorted multisingularity label to a residue generator.
-
-    Residue polynomials do not depend on which element is distinguished, so
-    lookups canonicalize to the sorted multiset.
-    """
-
-    def __init__(self, generators: Mapping[Tuple[str, ...], Callable[[int], GradedPoly]]):
-        self._generators = {tuple(sorted(k)): v for k, v in generators.items()}
-
-    def residue(self, parts: Sequence[str], ell: int) -> GradedPoly:
-        key = tuple(sorted(parts))
-        gen = self._generators.get(key)
-        if gen is None:
-            raise MissingResidue(f"no residue entry for {''.join(key)}")
-        return gen(ell)
-
-    def has(self, parts: Sequence[str]) -> bool:
-        return tuple(sorted(parts)) in self._generators
-
-
-def default_residue_table(
-    extra_series: Optional[Mapping[int, ThomSeries]] = None,
-) -> ResidueTable:
-    """Built-in residues: single point, A_0^r for r = 2..4, A_0A_1,
-    III_{2,2} and III_{2,2}A_0; extra_series adds A_0^r for r = 5..7."""
-    generators: Dict[Tuple[str, ...], Callable[[int], GradedPoly]] = {
-        ("A0",): lambda ell: one(),
-        ("A0", "A0"): lambda ell: residue_A0r(2, ell),
-        ("A0",) * 3: lambda ell: residue_A0r(3, ell),
-        ("A0",) * 4: lambda ell: residue_A0r(4, ell),
-        ("A0", "A1"): residue_A0A1,
-        ("III22",): residue_III22,
-        ("A0", "III22"): residue_III22A0,
-    }
-    if extra_series:
-        for r, series in extra_series.items():
-            generators[("A0",) * r] = (
-                lambda ell, r=r, s=series: residue_A0r(r, ell, series=s)
-            )
-    return ResidueTable(generators)
-
-
 # -- source-class expansion with resolved residues -------------------------------------
 
 
@@ -229,9 +164,7 @@ class SourceTerm:
     def fn_degree(self, ell: int) -> int:
         if not self.complement:
             return 0
-        return len(self.complement) * ell + sum(
-            singularity_info(t).codim(ell) for t in self.complement
-        )
+        return multisingularity_codim(self.complement, ell) + ell
 
 
 @dataclass(frozen=True)
@@ -258,7 +191,6 @@ class SourceExpansion:
 def expand_m(
     multi: MultiSingularity,
     ell: int,
-    table: Optional[ResidueTable] = None,
     barred: bool = True,
 ) -> SourceExpansion:
     """Source class of a multisingularity with residues resolved.
@@ -268,8 +200,6 @@ def expand_m(
     before merging.  Barred form divides by the automorphisms fixing the
     distinguished point and rewrites pullbacks in reduced classes.
     """
-    if table is None:
-        table = default_residue_table()
     tokens = multi.parts
     r = len(tokens)
     merged: Dict[Tuple[str, ...], GradedPoly] = {}
@@ -279,7 +209,7 @@ def expand_m(
         complement = tuple(
             sorted(tokens[p] for p in rest if p not in picked)
         )
-        residue_poly = table.residue([tokens[p] for p in picked], ell)
+        residue_poly = residue(tuple(tokens[p] for p in picked), ell)
         if complement in merged:
             merged[complement] = merged[complement] + residue_poly
         else:
@@ -299,7 +229,7 @@ def expand_m(
     return SourceExpansion(multi=multi, ell=ell, barred=barred, terms=terms)
 
 
-def emit_quadruple_formula(ell: int, table: Optional[ResidueTable] = None) -> SourceExpansion:
+def emit_quadruple_formula(ell: int) -> SourceExpansion:
     """The general quadruple point formula at relative dimension ell.
 
     m_4 = f*(n_3) - 3 c_ell f*(n_2) + 3 R_{A_0^3} f*(n_1) + R_{A_0^4},
@@ -307,9 +237,7 @@ def emit_quadruple_formula(ell: int, table: Optional[ResidueTable] = None) -> So
     """
     if ell < 1:
         raise PolyError("the quadruple point formula needs ell >= 1")
-    return expand_m(
-        MultiSingularity(("A0",) * 4), ell, table=table, barred=False
-    )
+    return expand_m(MultiSingularity(("A0",) * 4), ell, barred=False)
 
 
 # -- rendering ----------------------------------------------------------------------
@@ -365,7 +293,7 @@ def _render_source(expansion: SourceExpansion, poly_renderer, latex: bool) -> st
         if term.complement:
             k = len(term.complement)
             if all(t == "A0" for t in term.complement):
-                sub = str(k) if not latex else str(k)
+                sub = str(k)
             else:
                 sub = (
                     "".join(_TOKEN_LATEX.get(t, t) for t in term.complement)

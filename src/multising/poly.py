@@ -246,7 +246,7 @@ class GradedPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "GradedPoly":
-        if isinstance(other, (int, str)) or isinstance(other, Rat):
+        if isinstance(other, (int, Rat)):
             scalar = rat(other)
             if scalar == 0:
                 return GradedPoly(self.vars, {}, self.trunc, _checked=True)
@@ -299,8 +299,8 @@ class GradedPoly:
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, str)) or isinstance(other, Rat):
-            other = constant(other if not isinstance(other, str) else rat(other))
+        if isinstance(other, (int, Rat)):
+            other = constant(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         a, b, _ = _aligned(self.compress(), other.compress())
@@ -598,7 +598,7 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
 
 def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly], unit=1) -> GradedPoly:
     """Divide p by unit * prod(factors) of linear forms, exactly."""
-    result = p * (1 / rat(unit))
+    result = p * rat(1, unit)
     for form in factors:
         result = divide_by_linear(result, form)
     return result

@@ -18,10 +18,12 @@ closed formulas in Chern variables and Schur determinants.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .poly import (
     GradedPoly,
@@ -49,30 +51,22 @@ class UnsupportedMultisingularity(PolyError):
 
 # -- the a_{i,j} coefficient triangle ------------------------------------------
 
-_A_SERIES_CACHE: dict = {"maxdeg": -1, "series": None}
-
-
+@functools.cache
 def _a_series(maxdeg: int) -> GradedPoly:
     """Bivariate series (u(1-u)/(1-3u) + v(1-v)/(1-3v)) / (1-u-v)."""
-    if _A_SERIES_CACHE["maxdeg"] >= maxdeg:
-        return _A_SERIES_CACHE["series"]
     u = root_var("u")
     v = root_var("v")
     inv_u = series_inverse(one() - 3 * u, maxdeg)
     inv_v = series_inverse(one() - 3 * v, maxdeg)
     numerator = (u * (one() - u) * inv_u + v * (one() - v) * inv_v).truncate(maxdeg)
-    series = (numerator * series_inverse(one() - u - v, maxdeg)).truncate(maxdeg)
-    _A_SERIES_CACHE["maxdeg"] = maxdeg
-    _A_SERIES_CACHE["series"] = series
-    return series
+    return (numerator * series_inverse(one() - u - v, maxdeg)).truncate(maxdeg)
 
 
 def a_coeff(i: int, j: int) -> Rat:
     """Coefficient a_{i,j} in the three-point part of the A_3 series."""
     if i < 0 or j < 0:
         return rat(0)
-    series = _a_series(i + j)
-    return series.coefficient({("u", 0): i, ("v", 0): j})
+    return _a_series(i + j).coefficient({("u", 0): i, ("v", 0): j})
 
 
 def a_triangle(rows: int) -> list:
@@ -107,11 +101,12 @@ def _terms_A3(shift: int):
     for i in range(1, shift + 1):
         for j in range(1, shift + 1):
             terms.append((rat(2 ** i * 3 ** j, 3), (-i, -j, i + j)))
+    series = _a_series(shift)
     for i in range(0, shift + 1):
         for j in range(0, shift + 1 - i):
             if i == 0 and j == 0:
                 continue
-            c = a_coeff(i, j)
+            c = series.coefficient({("u", 0): i, ("v", 0): j})
             if c != 0:
                 terms.append((c / 2, (-i - j, i, j)))
     return terms
@@ -398,14 +393,20 @@ def parse_multisingularity(text: str) -> tuple:
 
 
 def residue(
-    name: str, ell: int, series: Optional[ThomSeries] = None
+    multi: Union[str, Sequence[str]],
+    ell: int,
+    series: Optional[ThomSeries] = None,
 ) -> GradedPoly:
-    """Residue polynomial of a named multisingularity at relative dimension ell."""
-    tokens = parse_multisingularity(name)
-    counts: dict = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
+    """Residue polynomial of a multisingularity at relative dimension ell.
+
+    multi is a name such as A0^4 or a sequence of tokens.  Residues do not
+    depend on which point is distinguished; a lone A0 has residue 1.
+    """
+    tokens = parse_multisingularity(multi) if isinstance(multi, str) else tuple(multi)
+    counts = Counter(tokens)
     if set(counts) == {"A0"}:
+        if counts["A0"] == 1:
+            return one()
         return residue_A0r(counts["A0"], ell, series=series)
     if counts == {"A0": 1, "A1": 1}:
         return residue_A0A1(ell)
@@ -414,7 +415,7 @@ def residue(
     if counts == {"III22": 1, "A0": 1}:
         return residue_III22A0(ell)
     raise UnsupportedMultisingularity(
-        f"no residue formula for multisingularity {name!r}"
+        f"no residue formula for multisingularity {''.join(tokens)!r}"
     )
 
 

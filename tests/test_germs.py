@@ -7,7 +7,6 @@ from multising.germs import (
     UnsupportedPrototype,
     blowup_control_report,
     chern_total,
-    euler_class,
     factorization_check,
     genotype_series,
     germ_A,
@@ -27,14 +26,11 @@ from multising.poly import (
     NonExactDivision,
     PolyError,
     chern_substitute,
-    cvar,
-    dvar,
     one,
     one_plus,
     root_var,
     series_quotient,
     substitute,
-    zero,
 )
 from multising.thom import residue_A0r
 

@@ -1,15 +1,12 @@
-"""Multisingularity combinatorics: codimension, expansions, residue tables."""
+"""Multisingularity combinatorics: codimension, expansions, residue dispatch."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multising.multipoint import (
-    MissingResidue,
     MultiSingularity,
-    ResidueTable,
     a0_partition_coefficients,
-    default_residue_table,
     emit_quadruple_formula,
     expand_m,
     expand_n,
@@ -18,14 +15,14 @@ from multising.multipoint import (
     expansion_to_text,
     source_expansion_json,
 )
-from multising.poly import PolyError, cvar, one, rat, zero
+from multising.poly import PolyError, cvar, one, rat
 from multising.thom import (
+    UnsupportedMultisingularity,
+    residue,
     residue_A0A1,
     residue_A0r,
     residue_III22,
     residue_III22A0,
-    series_from_terms,
-    thom_series_A,
 )
 
 C = cvar
@@ -175,39 +172,25 @@ def test_expand_m_homogeneity(ell):
 
 
 def test_expand_m_mixed_with_table():
-    table = default_residue_table()
-    exp = expand_m(MultiSingularity(("III22", "A0")), 1, table=table, barred=False)
+    exp = expand_m(MultiSingularity(("III22", "A0")), 1, barred=False)
     assert exp.coefficient_of(()) == residue_III22A0(1)
     assert exp.coefficient_of(("A0",)) == residue_III22(1)
 
-    exp2 = expand_m(MultiSingularity(("A0", "A1")), 2, table=table, barred=False)
+    exp2 = expand_m(MultiSingularity(("A0", "A1")), 2, barred=False)
     assert exp2.coefficient_of(()) == residue_A0A1(2)
     assert exp2.coefficient_of(("A1",)) == one()
 
 
 def test_missing_residue_raises():
-    empty = ResidueTable({})
-    with pytest.raises(MissingResidue):
-        expand_m(A0(2), 1, table=empty)
-    # A1A1 has no residue formula in the default table
-    with pytest.raises(MissingResidue):
+    with pytest.raises(UnsupportedMultisingularity):
         expand_m(MultiSingularity(("A1", "A1")), 1)
 
 
 def test_residue_table_order_insensitive():
-    table = default_residue_table()
-    assert table.residue(("A0", "III22"), 1) == table.residue(("III22", "A0"), 1)
-    assert table.has(("A1", "A0"))
-    assert not table.has(("A2", "A2"))
-
-
-def test_residue_table_plugin_extension():
-    explicit = series_from_terms(
-        "A3x", thom_series_A(3).terms(2), max_degree=6
-    )
-    # register the quadruple series under r=4 via the extension hook
-    table = default_residue_table(extra_series={4: explicit})
-    assert table.residue(("A0",) * 4, 2) == residue_A0r(4, 2)
+    assert residue(("A0", "III22"), 1) == residue(("III22", "A0"), 1)
+    assert residue(("A1", "A0"), 1) == residue_A0A1(1)
+    with pytest.raises(UnsupportedMultisingularity):
+        residue(("A2", "A2"), 1)
 
 
 # -- the quadruple point formula ----------------------------------------------------------

@@ -115,6 +115,16 @@ def test_constant_hashes_like_its_value(value):
     assert hash(constant(value) + C1 - C1) == hash(value)
 
 
+def test_strings_are_not_polynomial_scalars():
+    # equality with "3" would break the eq/hash contract, since hash("3") differs
+    assert constant(3) != "3"
+    assert C1 != "1/2"
+    with pytest.raises(PolyError):
+        C1 * "2"
+    with pytest.raises(PolyError):
+        C1 + "2"
+
+
 # -- hypothesis strategies ------------------------------------------------------
 
 VARS = (
@@ -324,6 +334,11 @@ def test_divide_by_linear_exact():
         BETA - 3 * ALPHA
     )
     assert exact_quotient(prod, [BETA - ALPHA, BETA - 3 * ALPHA]) == BETA - 2 * ALPHA
+
+
+def test_exact_quotient_rejects_zero_unit():
+    with pytest.raises(PolyError):
+        exact_quotient(one(), [], unit=0)
 
 
 def test_divide_by_linear_remainder_raises():

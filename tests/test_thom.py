@@ -288,6 +288,8 @@ def test_residue_dispatch():
     assert residue("A1A0", 2) == residue_A0A1(2)
     assert residue("III22", 1) == residue_III22(1)
     assert residue("III22A0", 2) == residue_III22A0(2)
+    for ell in (1, 2, 3):
+        assert residue(("A0",), ell) == 1
     with pytest.raises(UnsupportedMultisingularity):
         residue("A1^2", 1)
 
