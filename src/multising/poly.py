@@ -21,13 +21,24 @@ Conventions used throughout the package:
 
 Values are immutable after construction; all operations are pure and return
 new polynomials.
+
+The product kernel packs each exponent vector into one int for the duration
+of one multiplication, in radix 1 + the largest per-variable exponent sum of
+the two operands, and multiplies int numerators over a common denominator;
+the stored terms stay a dict from exponent tuples to Fraction.  Packing is
+only sound because every exponent is a nonnegative int, so the checking
+constructor and from_json_dict reject anything else.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence, Tuple, Union
 
 Rat = Fraction
@@ -112,6 +123,19 @@ class GradedPoly:
 
     def __init__(self, vars: tuple, terms: Terms, trunc=None, _checked=False):
         if not _checked:
+            seen = {}
+            for v in vars:
+                key = (v.family, v.index)
+                if key in seen:
+                    if seen[key] != v.weight:
+                        raise IncompatibleVariables(f"conflicting weights for {key}")
+                    raise PolyError(f"variable {key} repeats in the table")
+                seen[key] = v.weight
+            for exps in terms:
+                if not isinstance(exps, tuple) or len(exps) != len(vars):
+                    raise PolyError(f"exponent vector {exps!r} does not match {len(vars)} variables")
+                if not all(map(_is_exponent, exps)):
+                    raise PolyError(f"exponents {exps!r} must be nonnegative ints")
             order = sorted(range(len(vars)), key=lambda i: vars[i].sort_key())
             if order != list(range(len(vars))):
                 remap = {old: new for new, old in enumerate(order)}
@@ -123,12 +147,6 @@ class GradedPoly:
                         new_exps[remap[old]] = e
                     moved[tuple(new_exps)] = coeff
                 terms = moved
-            seen = {}
-            for v in vars:
-                key = (v.family, v.index)
-                if key in seen and seen[key] != v.weight:
-                    raise IncompatibleVariables(f"conflicting weights for {key}")
-                seen[key] = v.weight
             terms = {
                 exps: rat(c)
                 for exps, c in terms.items()
@@ -259,33 +277,13 @@ class GradedPoly:
         other = _coerce(other)
         a, b, vars_ = _aligned(self, other)
         trunc = _min_trunc(self.trunc, other.trunc)
-        weights = tuple(v.weight for v in vars_)
-        terms: Terms = {}
-        if trunc is not None:
-            deg_a = {e: sum(x * w for x, w in zip(e, weights)) for e in a}
-            deg_b = {e: sum(x * w for x, w in zip(e, weights)) for e in b}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                if trunc is not None and deg_a[ea] + deg_b[eb] > trunc:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = prod
-                else:
-                    acc = acc + prod
-                    if acc == 0:
-                        del terms[key]
-                    else:
-                        terms[key] = acc
-        return GradedPoly(vars_, terms, trunc, _checked=True)
+        return GradedPoly(vars_, _mul_terms(a, b, vars_, trunc), trunc, _checked=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GradedPoly":
-        if exponent < 0:
-            raise PolyError("negative powers are not defined")
+        if not _is_exponent(exponent):
+            raise PolyError(f"power {exponent!r} is not a nonnegative int")
         result = constant(1)
         base = self
         n = exponent
@@ -318,6 +316,54 @@ class GradedPoly:
 
 def _wdeg(vars_: tuple, exps: Exponents) -> int:
     return sum(e * v.weight for e, v in zip(exps, vars_))
+
+
+def _is_exponent(e) -> bool:
+    return isinstance(e, int) and not isinstance(e, bool) and e >= 0
+
+
+def _mul_terms(a: Terms, b: Terms, vars_: tuple, trunc) -> Terms:
+    """Terms of the product of two term dicts aligned with vars_.
+
+    Exponent vectors are packed into ints in radix 1 + the largest
+    per-variable exponent sum, so no digit of a product carries and a
+    monomial product is one int addition.  Each operand is cleared to int
+    numerators over its common denominator.  The right operand is sorted by
+    weighted degree, so the pairs above trunc are never visited.
+    """
+    if not a or not b:
+        return {}
+    radix = 1 + max(map(add, map(max, zip(*a)), map(max, zip(*b))), default=0)
+    places = [radix ** i for i in range(len(vars_) - 1, -1, -1)]
+    weights = [v.weight for v in vars_]
+
+    def cleared(terms: Terms):
+        den = lcm(*(c.denominator for c in terms.values()))
+        rows = [
+            (sum(map(mul, e, weights)), sum(map(mul, e, places)),
+             c.numerator * (den // c.denominator))
+            for e, c in terms.items()
+        ]
+        return rows, den
+
+    left, den_a = cleared(a)
+    right, den_b = cleared(b)
+    right.sort(key=itemgetter(0))
+    right_degrees = [row[0] for row in right]
+    right = [row[1:] for row in right]
+    acc: dict = {}
+    get = acc.get
+    for deg_a, key_a, c_a in left:
+        stop = len(right) if trunc is None else bisect_right(right_degrees, trunc - deg_a)
+        for key_b, c_b in islice(right, stop):
+            key = key_a + key_b
+            acc[key] = get(key, 0) + c_a * c_b
+    den = den_a * den_b
+    terms: Terms = {}
+    for key, c in acc.items():
+        if c:
+            terms[tuple([key // place % radix for place in places])] = Rat(c, den)
+    return terms
 
 
 def _min_trunc(a, b):
@@ -471,35 +517,56 @@ def substitute(
 ) -> GradedPoly:
     """Ring-morphism substitution; unassigned variables map to themselves.
 
-    With strict=True every variable occurring in p must be assigned.
+    With strict=True every variable occurring in p must be assigned.  The
+    evaluation is Horner-style over the assigned variables: p is sliced by
+    the exponent of one of them, each slice is substituted recursively and
+    multiplied by a power of that image, so unassigned variables are never
+    multiplied.
     """
     images = {}
     for sym, value in assignment.items():
         images[_resolve_symbol(sym)] = _coerce(value)
-    power_cache: dict = {}
+    if strict:
+        for v in p.used_vars():
+            if (v.family, v.index) not in images:
+                raise PolyError(f"no assignment for {(v.family, v.index)}")
+    powers: dict = {}
 
-    def image_power(var: Var, e: int) -> GradedPoly:
-        key = (var.family, var.index)
-        img = images.get(key)
-        if img is None:
-            if strict:
-                raise PolyError(f"no assignment for {key}")
-            img = variable(var.family, var.index, var.weight)
-            images[key] = img
-        cache_key = (key, e)
-        got = power_cache.get(cache_key)
+    def image_power(key: tuple, e: int) -> GradedPoly:
+        got = powers.get((key, e))
         if got is None:
-            got = img ** e
-            power_cache[cache_key] = got
+            got = images[key] if e == 1 else image_power(key, e - 1) * images[key]
+            powers[(key, e)] = got
         return got
 
+    positions = [
+        i for i, v in enumerate(p.vars) if (v.family, v.index) in images
+    ]
+    return _substitute_slices(p.terms, p.vars, positions[::-1], image_power)
+
+
+def _substitute_slices(
+    terms: Terms, vars_: tuple, positions: list, image_power: Callable
+) -> GradedPoly:
+    """Substitute into terms over vars_ at the assigned positions (descending).
+
+    The first position's variable is dropped from the table of its slices, so
+    the remaining, smaller positions keep their meaning.
+    """
+    if not positions:
+        return GradedPoly(vars_, terms, None, _checked=True)
+    pos, rest = positions[0], positions[1:]
+    var = vars_[pos]
+    inner_vars = vars_[:pos] + vars_[pos + 1:]
+    slices: dict = {}
+    for exps, c in terms.items():
+        slices.setdefault(exps[pos], {})[exps[:pos] + exps[pos + 1:]] = c
     total = zero()
-    for exps, coeff in p.terms.items():
-        term = constant(coeff)
-        for var, e in zip(p.vars, exps):
-            if e:
-                term = term * image_power(var, e)
-        total = total + term
+    for e, part in slices.items():
+        value = _substitute_slices(part, inner_vars, rest, image_power)
+        if e:
+            value = value * image_power((var.family, var.index), e)
+        total = total + value
     return total
 
 
@@ -509,12 +576,18 @@ def chern_substitute(
     """Substitute each variable (family, i) by the weight-i part of series.
 
     This is the "p evaluated at a total Chern class" operation: the degree-i
-    part of the series plays the role of c_i.
+    part of the series plays the role of c_i.  The series is bucketed by
+    weighted degree in one pass.
     """
-    needed = sorted(
-        {v.index for v in p.used_vars() if v.family == family}
-    )
-    assignment = {(family, i): series.homogeneous_part(i) for i in needed}
+    parts = {v.index: {} for v in p.used_vars() if v.family == family}
+    for exps, c in series.terms.items():
+        part = parts.get(_wdeg(series.vars, exps))
+        if part is not None:
+            part[exps] = c
+    assignment = {
+        (family, i): GradedPoly(series.vars, parts[i], None, _checked=True)
+        for i in sorted(parts)
+    }
     return substitute(p, assignment)
 
 
@@ -638,18 +711,39 @@ def to_json(p: GradedPoly, indent=None) -> str:
     return json.dumps(to_json_dict(p), indent=indent)
 
 
+def _json_field(payload, key: str, kind=object):
+    if not isinstance(payload, Mapping) or key not in payload:
+        raise PolyError(f"JSON polynomial: {payload!r} has no {key!r} field")
+    value = payload[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise PolyError(f"JSON polynomial: {key!r} is {value!r}, not {kind.__name__}")
+    return value
+
+
 def from_json_dict(payload: Mapping) -> GradedPoly:
+    """Inverse of to_json_dict; any malformed payload raises PolyError."""
     vars_ = tuple(
-        Var(v["family"], v["index"], v["weight"]) for v in payload["vars"]
+        Var(_json_field(v, "family", str), _json_field(v, "index", int),
+            _json_field(v, "weight", int))
+        for v in _json_field(payload, "vars", list)
     )
     terms: Terms = {}
-    for entry in payload["terms"]:
+    for entry in _json_field(payload, "terms", list):
         exps = [0] * len(vars_)
-        for ref, e in entry["exps"]:
-            if not isinstance(ref, int) or not 0 <= ref < len(vars_):
+        seen = set()
+        for pair in _json_field(entry, "exps", list):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise PolyError(f"exponent entry {pair!r} is not a [ref, exponent] pair")
+            ref, e = pair
+            if not _is_exponent(ref) or ref >= len(vars_):
                 raise PolyError(f"exponent ref {ref!r} outside the variable table")
+            if ref in seen:
+                raise PolyError(f"exponent ref {ref} repeats within one term")
+            seen.add(ref)
             exps[ref] = e
-        terms[tuple(exps)] = rat(entry["coeff"])
+        if tuple(exps) in terms:
+            raise PolyError(f"monomial {exps} appears in two terms")
+        terms[tuple(exps)] = rat(_json_field(entry, "coeff"))
     return GradedPoly(vars_, terms)
 
 

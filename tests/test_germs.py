@@ -1,5 +1,8 @@
 """Germ prototypes, Euler quotients, and the verification suites."""
 
+import hashlib
+import json
+
 import pytest
 
 from multising.germs import (
@@ -32,6 +35,7 @@ from multising.poly import (
     series_quotient,
     substitute,
 )
+from multising.multipoint import emit_quadruple_formula
 from multising.thom import residue_A0r
 
 ALPHA = root_var("alpha")
@@ -337,3 +341,56 @@ def test_report_records_residual_on_failure():
     report = verify_divisibility(germ_blowup(), 2)
     assert not report.ok
     assert report.checks[0].name == "n1-exactness"
+
+
+# -- golden digests -------------------------------------------------------------------------
+
+# sha256 of each suite's json.dumps(report.to_json_dict(), sort_keys=True) and
+# of emit_quadruple_formula(ell).to_latex(), recorded before the packed-int
+# multiply and the Horner substitution replaced the Fraction loops; any change
+# to a report or rendering byte shows here.
+GOLDEN_DIGESTS = {
+    "quadruple-1": "b7acb32779a7ce56561ee8ab2e8e1941ec0391f81a637ac169bfd11747ebc55d",
+    "quadruple-2": "0c15e75afefb0d6067082eb348e8269b45973f778df4b8adbf2ed10b2dc013e9",
+    "quadruple-3": "5a0eca39a3f59da63915d1715ac7f37a0e1faebad517a5306c2dea733f003629",
+    "quadruple-4": "15d1640e9816f910a02d4b52f1cb777d232cff2ab0dcf941e6a4c11f9648d6c7",
+    "divisibility-1": "befd50ac3585dcb5ea09b536fcb92e22152b062ccfd807d4d1289786581ff037",
+    "divisibility-2": "6dd9bc8f05b6116b1760e0a58a9a6363a481803529eac959e12da3c278cabb33",
+    "divisibility-3": "5acb5a08ae889a78e975486262764ea1e0b1ab3b810f9820fe3c8279bdea4323",
+    "divisibility-4": "bdc54c87b2086aecf61415de250a187489f6408f62b4d13f2ac1bedd8f0f0fb1",
+    "III22A0-1": "3c2de17825da957f71c81966f8b8b1239d0406ce9b9a5f80aa68d0754940b930",
+    "III22A0-2": "182f2ba8c41bc9c9926cebec980bd75d3cd88ddfdca9b636019dc6811b3c24a8",
+    "III22A0-3": "312b771db0bf4ec612919b601cbae8144179b244755e4ee9c2c90b0ae540579f",
+    "tpA1-1": "32d8045f157bc7253b4b3f3a1bfcfd48ef4a1cf8382e9fc1fb14cad48aa14ffe",
+    "tpA1-2": "2d077298fdf932b9dc1acb737dc695eee97d2120ddedff4ee6bbe674b88dd90e",
+    "tpA1-3": "9416157b399761a34c3de886f5712c96de8ad0b8e24c580dbddc8e6ec7000a34",
+    "blowup": "6229810dd2a45814973df2e196261e6205006fca38d9b7263b4d04d15adbbfe4",
+    "formula-1": "9d3b154f1ba5348109e7308b614c5e90ba0d0b735d2a7396875a617b4443f728",
+    "formula-2": "5f56adf96445726bd6e41aed0326e2d89b1337ee06f9190d5ad39f3ba13c7139",
+    "formula-3": "3439f205f45e73f2381fb2a79a40481241eb9ae710eafa6607d68ec9a5d988a1",
+    "formula-4": "57bc9657c7aee5fdf9aecde5655a539ba7100fe6f188c6cd137f921856eb5ed0",
+}
+
+_GOLDEN_SOURCES = {
+    "quadruple": verify_quadruple,
+    "divisibility": verify_divisibility_suite,
+    "III22A0": verify_III22A0,
+    "tpA1": verify_tpA1,
+}
+
+
+def _golden_text(name):
+    if name == "blowup":
+        report = blowup_control_report()
+    else:
+        kind, ell = name.rsplit("-", 1)
+        if kind == "formula":
+            return emit_quadruple_formula(int(ell)).to_latex()
+        report = _GOLDEN_SOURCES[kind](int(ell))
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_reports_and_formulas_match_golden_digests(name):
+    digest = hashlib.sha256(_golden_text(name).encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[name]

@@ -79,6 +79,33 @@ def test_malformed_scalars_raise_poly_error(make):
 # -- construction invariants ---------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "vars_, terms",
+    [
+        ((Var("x", 0, 1), Var("y", 0, 1)), {(-1, 2): 1}),
+        ((Var("x", 0, 1),), {(1.0,): 1}),
+        ((Var("x", 0, 1),), {(True,): 1}),
+        ((Var("x", 0, 1),), {("1",): 1}),
+        ((Var("x", 0, 1), Var("y", 0, 1)), {(1,): 1}),
+        ((Var("x", 0, 1), Var("y", 0, 1)), {(1, 0, 0): 1}),
+        ((Var("x", 0, 1),), {1: 1}),
+        ((Var("x", 0, 1), Var("x", 0, 1)), {(1, 0): 1}),
+    ],
+    ids=["negative", "float", "bool", "string", "short", "long", "not-a-tuple",
+         "repeated-variable"],
+)
+def test_constructor_rejects_malformed_exponents_and_tables(vars_, terms):
+    # packed products are only sound for nonnegative int exponents over a
+    # table without repeats; x^-1*y^2 would otherwise multiply into garbage
+    with pytest.raises(PolyError):
+        GradedPoly(vars_, terms)
+
+
+def test_constructor_rejects_conflicting_weights_in_one_table():
+    with pytest.raises(IncompatibleVariables):
+        GradedPoly((Var("x", 0, 1), Var("x", 0, 2)), {(1, 0): 1})
+
+
 def test_zero_coefficients_dropped():
     p = C1 - C1
     assert p.is_zero()
@@ -194,6 +221,140 @@ def test_homogeneous_decomposition(p):
     assert total == p
 
 
+# -- independent oracles for the product and substitution kernels ---------------
+
+# Naive reference arithmetic on plain {exponent tuple: Fraction} dicts over
+# VARS, written without any packing, slicing or power caching.
+
+
+def _wdeg_ref(exps):
+    return sum(e * v.weight for e, v in zip(exps, VARS))
+
+
+def naive_mul(a, b, trunc=None):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if trunc is None or _wdeg_ref(exps) <= trunc:
+                out[exps] = out.get(exps, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def naive_substitute(terms, images):
+    """images maps a position of VARS to the terms of its image."""
+    unit = lambda i: {tuple(int(j == i) for j in range(len(VARS))): rat(1)}
+    out = {}
+    for exps, c in terms.items():
+        acc = {(0,) * len(VARS): c}
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                acc = naive_mul(acc, images.get(i, unit(i)))
+        for key, value in acc.items():
+            out[key] = out.get(key, 0) + value
+    return {e: c for e, c in out.items() if c != 0}
+
+
+mixed_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12).map(
+    lambda f: rat(f.numerator, f.denominator)
+)
+
+
+def term_dicts(max_exp, max_terms=6):
+    exps = st.tuples(*[st.integers(0, max_exp) for _ in VARS])
+    return st.dictionaries(exps, mixed_coeffs, max_size=max_terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts(12), term_dicts(12))
+def test_mul_matches_naive_product(a, b):
+    # exponents up to 12 make the packed digits carry if the radix is too small
+    prod = GradedPoly(VARS, a) * GradedPoly(VARS, b)
+    assert prod.vars == VARS
+    assert prod.terms == naive_mul(
+        {e: c for e, c in a.items() if c}, {e: c for e, c in b.items() if c}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts(4), term_dicts(4))
+def test_mul_cancels_to_zero_like_naive_product(s, t):
+    # (s + t)(s - t) = s^2 - t^2: the cross terms cancel inside the kernel
+    p, q = GradedPoly(VARS, s) + GradedPoly(VARS, t), GradedPoly(VARS, s) - GradedPoly(VARS, t)
+    prod = p * q
+    assert prod.terms == naive_mul(dict(p.terms), dict(q.terms))
+    assert prod == GradedPoly(VARS, s) ** 2 - GradedPoly(VARS, t) ** 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts(6), term_dicts(6), st.integers(0, 12))
+def test_truncated_mul_matches_naive_product(a, b, trunc):
+    p = GradedPoly(VARS, a).truncate(trunc)
+    for prod in (p * GradedPoly(VARS, b), GradedPoly(VARS, b) * p):
+        assert prod.trunc == trunc
+        assert prod.terms == naive_mul(dict(p.terms), dict(GradedPoly(VARS, b).terms), trunc)
+
+
+@st.composite
+def assignments(draw):
+    """Images for a subset of VARS; some contain their own variable."""
+    images = {}
+    for i in draw(st.sets(st.integers(0, len(VARS) - 1))):
+        image = draw(term_dicts(2, max_terms=3))
+        if draw(st.booleans()):
+            own = tuple(int(j == i) for j in range(len(VARS)))
+            image[own] = image.get(own, 0) + draw(mixed_coeffs)
+        images[i] = {e: c for e, c in image.items() if c}
+    return images
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts(3), assignments())
+def test_substitute_matches_naive_substitution(terms, images):
+    p = GradedPoly(VARS, terms)
+    assignment = {
+        (VARS[i].family, VARS[i].index): GradedPoly(VARS, image)
+        for i, image in images.items()
+    }
+    want = GradedPoly(VARS, naive_substitute(dict(p.terms), images))
+    assert substitute(p, assignment) == want
+
+
+def test_substitute_image_containing_its_own_variable():
+    # the shape of the degree-cap rewriting d_i -> d_i - (a+b) d_{i-1}
+    d1, d2, e1 = variable("d", 1, 1), variable("d", 2, 2), ALPHA + BETA
+    p = d1 ** 3 + 2 * d1 * d2 + d2 ** 2
+    got = substitute(p, {("d", 1): d1 - e1, ("d", 2): d2 - e1 * d1})
+    want = (d1 - e1) ** 3 + 2 * (d1 - e1) * (d2 - e1 * d1) + (d2 - e1 * d1) ** 2
+    assert got == want
+
+
+def test_substitute_strict_checks_used_variables_only():
+    # c3 sits in the table with exponent 0 everywhere, so strict mode ignores it
+    p = GradedPoly(VARS + (Var("c", 3, 3),), {(1, 0, 2, 0, 0): rat(1)})
+    got = substitute(p, {("alpha", 0): BETA, ("c", 1): ALPHA}, strict=True)
+    assert got == BETA * ALPHA ** 2
+    with pytest.raises(PolyError):
+        substitute(p, {("alpha", 0): BETA}, strict=True)
+
+
+c_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda e: (0, 0) + e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(c_monomials, mixed_coeffs, max_size=6), term_dicts(2, max_terms=8))
+def test_chern_substitute_matches_naive_graded_parts(terms, series_terms):
+    # c1 -> the weight-1 part of the series, c2 -> its weight-2 part
+    p = GradedPoly(VARS, terms)
+    series = GradedPoly(VARS, series_terms)
+    parts = {
+        pos: {e: c for e, c in series.terms.items() if _wdeg_ref(e) == weight}
+        for pos, weight in ((2, 1), (3, 2))
+    }
+    want = GradedPoly(VARS, naive_substitute(dict(p.terms), parts))
+    assert chern_substitute(p, series) == want
+
+
 # -- truncation -----------------------------------------------------------------
 
 
@@ -298,6 +459,12 @@ def test_vanishes_under_linear_factors():
 
 
 # -- Schur determinants ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("exponent", [2.0, "2", -1])
+def test_pow_rejects_non_int_exponent(exponent):
+    with pytest.raises(PolyError):
+        variable("x") ** exponent
 
 
 def test_schur2_examples():
@@ -414,6 +581,36 @@ def test_json_rejects_out_of_range_ref(ref):
         ],
         "terms": [{"coeff": "1/1", "exps": [[ref, 2]]}],
     }
+    with pytest.raises(PolyError):
+        from_json(json.dumps(payload))
+
+
+_JSON_VARS = [{"family": "c", "index": 1, "weight": 1}, {"family": "c", "index": 2, "weight": 2}]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        "c1",
+        {"terms": []},
+        {"vars": _JSON_VARS},
+        {"vars": [{"family": "c", "index": 1, "weight": "1"}], "terms": []},
+        {"vars": [{"family": "c", "index": 1, "weight": 1.0}], "terms": []},
+        {"vars": [{"family": "c", "index": 1}], "terms": []},
+        {"vars": _JSON_VARS, "terms": [{"coeff": "1/1", "exps": [[0, -2]]}]},
+        {"vars": _JSON_VARS, "terms": [{"coeff": "1/1", "exps": [[0, 1.5]]}]},
+        {"vars": _JSON_VARS, "terms": [{"coeff": "1/1", "exps": [[0, 1], [0, 2]]}]},
+        {"vars": _JSON_VARS, "terms": [{"coeff": "1/1", "exps": [[1, 1]]},
+                                       {"coeff": "2/1", "exps": [[1, 1]]}]},
+        {"vars": _JSON_VARS, "terms": [{"coeff": "1/1", "exps": [[0]]}]},
+        {"vars": _JSON_VARS, "terms": [{"exps": [[0, 1]]}]},
+    ],
+    ids=["list", "string", "no-vars", "no-terms", "string-weight", "float-weight",
+         "no-weight", "negative-exponent", "float-exponent", "repeated-ref",
+         "repeated-monomial", "short-pair", "no-coeff"],
+)
+def test_json_rejects_malformed_payload(payload):
     with pytest.raises(PolyError):
         from_json(json.dumps(payload))
 
