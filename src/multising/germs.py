@@ -39,7 +39,6 @@ from .poly import (
     root_var,
     schur2,
     schur3,
-    series_inverse,
     series_quotient,
     substitute,
     to_json_dict,
@@ -68,7 +67,6 @@ class GermPrototype:
     name: str
     ell: int
     delta: int
-    root_symbols: Tuple[Tuple[str, int], ...]
     source_weights: Tuple[GradedPoly, ...]
     target_weights: Tuple[GradedPoly, ...]
     n1_scalar: int = 1
@@ -101,12 +99,10 @@ def germ_A(k: int, ell: int) -> GermPrototype:
         source.extend(b - s * alpha for s in range(1, k + 1))
         target.append(b)
         target.extend(b - s * alpha for s in range(1, k + 1))
-    roots = (("alpha", 0),) + tuple(("beta", i) for i in range(1, ell + 1))
     return GermPrototype(
         name=f"A{k}",
         ell=ell,
         delta=k + 1,
-        root_symbols=roots,
         source_weights=tuple(source),
         target_weights=tuple(target),
         n1_scalar=k + 1,
@@ -126,14 +122,10 @@ def germ_III22(ell: int) -> GermPrototype:
     for b in betas:
         source.extend([b - a1, b - a2])
         target.extend([b, b - a1, b - a2])
-    roots = (("alpha", 1), ("alpha", 2)) + tuple(
-        ("beta", i) for i in range(1, ell)
-    )
     return GermPrototype(
         name="III22",
         ell=ell,
         delta=3,
-        root_symbols=roots,
         source_weights=tuple(source),
         target_weights=tuple(target),
         n1_scalar=4,
@@ -150,7 +142,6 @@ def germ_blowup() -> GermPrototype:
         name="blowup",
         ell=0,
         delta=1,
-        root_symbols=(("alpha", 0), ("beta", 1)),
         source_weights=(alpha, beta),
         target_weights=(alpha, alpha + beta),
     )
@@ -510,28 +501,17 @@ def genotype_series(kind: str, ell: int, maxdeg: int, r: int = 1) -> GradedPoly:
     a = root_var("a")
     b = root_var("b")
     if kind == "aichern":
-        series = (one() - (r + 1) * a) * series_inverse(one() - a, maxdeg)
-        dpoly = _d_polynomial(ell)
+        numer = [one() - (r + 1) * a, _d_polynomial(ell)]
+        denom = [one() - a]
     elif kind == "i22chern":
-        series = (
-            (one() - 2 * a)
-            * (one() - 2 * b)
-            * series_inverse(one() - a, maxdeg)
-            * series_inverse(one() - b, maxdeg)
-        )
-        dpoly = _d_polynomial(ell)
+        numer = [one() - 2 * a, one() - 2 * b, _d_polynomial(ell)]
+        denom = [one() - a, one() - b]
     elif kind == "iii22chern":
-        series = (
-            (one() - 2 * a)
-            * (one() - 2 * b)
-            * (one() - (a + b))
-            * series_inverse(one() - a, maxdeg)
-            * series_inverse(one() - b, maxdeg)
-        )
-        dpoly = _d_polynomial(ell - 1)
+        numer = [one() - 2 * a, one() - 2 * b, one() - (a + b), _d_polynomial(ell - 1)]
+        denom = [one() - a, one() - b]
     else:
         raise PolyError(f"unknown genotype series {kind!r}")
-    return (series.truncate(maxdeg) * dpoly).truncate(maxdeg)
+    return series_quotient(numer, denom, maxdeg)
 
 
 def _triangular_substitution(value: GradedPoly, ell: int) -> GradedPoly:

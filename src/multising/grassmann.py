@@ -10,12 +10,18 @@ they appear, which is safe because containment only grows along a Pieri chain.
 On top of the base ring the module models the projectivization of the
 universal subbundle S for k = 3: classes are polynomials in the fiberwise
 hyperplane class xi with Schur-class coefficients, kept in raw powers of xi.
-The degree-three relation satisfied by xi, the Chern classes of the fiberwise
-twist bundle kappa, and the pushforward rule xi^w -> c_{w-2}(Q) each carry a
-sign ambiguity that the written sources do not pin down consistently, so all
-three are grouped into named orientation settings.  Exactly one setting is
-meant to survive the planar four-secant calibration; the others stay
-available for the negative controls.
+The degree-three relation satisfied by xi, the Chern classes of the relative
+tangent bundle kappa = T_{P(S)/G}, and the pushforward rule
+xi^w -> c_{w-2}(Q) are grouped into named orientation settings:
+
+  * dual-line is Grothendieck's convention: xi = zeta = c_1(O(1)),
+    zeta^3 + c_1 zeta^2 + c_2 zeta + c_3 = 0 with c_i = c_i(S), and
+    pi_* zeta^{2+i} = c_i(Q);
+  * signed-push is the same calculus written in xi = -zeta, so it gives the
+    same integrals as dual-line and no enumerative count can separate them;
+  * tautological-line, still the default argument, pairs signed-push's
+    relation with dual-line's pushforward signs and contradicts its own
+    relation; it stays only as a negative control.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import PolyError, Rat, rat, rat_str
+from .poly import PolyError, Rat, json_field, rat, rat_str
 
 Partition = Tuple[int, ...]
 
@@ -81,7 +87,9 @@ def _strip_zeros(lam: Sequence[int]) -> Partition:
 
 
 def _validate_partition(lam: Sequence[int]) -> Partition:
-    parts = tuple(int(p) for p in lam)
+    parts = tuple(lam)
+    if not all(type(p) is int for p in parts):
+        raise PolyError(f"partition parts must be ints: {parts!r}")
     if any(p < 0 for p in parts):
         raise PolyError(f"negative part in partition {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -254,10 +262,11 @@ def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
 
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
+    """Inverse of GrassClass.to_json_list; malformed entries raise PolyError."""
     coeffs: Dict[Partition, Rat] = {}
     for entry in payload:
-        lam = _validate_partition(entry["partition"])
-        coeffs[lam] = coeffs.get(lam, rat(0)) + rat(entry["coeff"])
+        lam = _validate_partition(json_field(entry, "partition", list))
+        coeffs[lam] = coeffs.get(lam, rat(0)) + rat(json_field(entry, "coeff"))
     return GrassClass(ring, coeffs)
 
 

@@ -159,7 +159,6 @@ class SourceTerm:
 
     coefficient: GradedPoly
     complement: Tuple[str, ...]
-    barred: bool
 
     def fn_degree(self, ell: int) -> int:
         if not self.complement:
@@ -221,7 +220,7 @@ def expand_m(
             for comp, poly in merged.items()
         }
     terms = tuple(
-        SourceTerm(coefficient=poly, complement=comp, barred=barred)
+        SourceTerm(coefficient=poly, complement=comp)
         for comp, poly in sorted(
             merged.items(), key=lambda kv: (-len(kv[0]), kv[0])
         )

@@ -5,7 +5,10 @@ coefficients.  Every variable carries a (family, index, weight) triple:
 Chern-type variables c_i have weight i, root symbols (alpha, beta_i, a, b)
 have weight 1, and series symbols d_i get their weight at construction time.
 The weighted degree of a monomial is the exponent-weighted sum, and all
-truncation is by weighted degree.
+truncation is by weighted degree.  Truncation is explicit: a polynomial is
+a plain value that carries no precision, so its products and sums are
+always exact, and only truncate(), series_inverse() and series_quotient()
+drop terms above a degree they are given.
 
 Conventions used throughout the package:
 
@@ -119,9 +122,9 @@ def _resolve_symbol(sym: SymbolLike) -> tuple:
 class GradedPoly:
     """Immutable sparse polynomial; see module docstring for conventions."""
 
-    __slots__ = ("vars", "terms", "trunc")
+    __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple, terms: Terms, trunc=None, _checked=False):
+    def __init__(self, vars: tuple, terms: Terms, *, _checked=False):
         if not _checked:
             seen = {}
             for v in vars:
@@ -147,14 +150,9 @@ class GradedPoly:
                         new_exps[remap[old]] = e
                     moved[tuple(new_exps)] = coeff
                 terms = moved
-            terms = {
-                exps: rat(c)
-                for exps, c in terms.items()
-                if c != 0 and (trunc is None or _wdeg(vars, exps) <= trunc)
-            }
+            terms = {exps: rat(c) for exps, c in terms.items() if c != 0}
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "trunc", trunc)
 
     def __setattr__(self, *args):
         raise AttributeError("GradedPoly is immutable")
@@ -184,17 +182,16 @@ class GradedPoly:
             for exps, c in self.terms.items()
             if _wdeg(self.vars, exps) == degree
         }
-        return GradedPoly(self.vars, terms, None, _checked=True)
+        return GradedPoly(self.vars, terms, _checked=True)
 
-    def truncate(self, maxdeg) -> "GradedPoly":
-        if maxdeg is None:
-            return GradedPoly(self.vars, dict(self.terms), None, _checked=True)
+    def truncate(self, maxdeg: int) -> "GradedPoly":
+        """The terms of weighted degree at most maxdeg."""
         terms = {
             exps: c
             for exps, c in self.terms.items()
             if _wdeg(self.vars, exps) <= maxdeg
         }
-        return GradedPoly(self.vars, terms, maxdeg, _checked=True)
+        return GradedPoly(self.vars, terms, _checked=True)
 
     def used_vars(self) -> tuple:
         used = [False] * len(self.vars)
@@ -213,7 +210,7 @@ class GradedPoly:
         terms = {
             tuple(exps[i] for i in positions): c for exps, c in self.terms.items()
         }
-        return GradedPoly(keep, terms, self.trunc, _checked=True)
+        return GradedPoly(keep, terms, _checked=True)
 
     def coefficient(self, monomial: Mapping[SymbolLike, int]) -> Rat:
         """Coefficient of the monomial given as {symbol: exponent}."""
@@ -229,17 +226,11 @@ class GradedPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(
-            self.vars,
-            {e: -c for e, c in self.terms.items()},
-            self.trunc,
-            _checked=True,
-        )
+        return GradedPoly(self.vars, {e: -c for e, c in self.terms.items()}, _checked=True)
 
     def __add__(self, other) -> "GradedPoly":
         other = _coerce(other)
         a, b, vars_ = _aligned(self, other)
-        trunc = _min_trunc(self.trunc, other.trunc)
         terms = dict(a)
         for exps, c in b.items():
             acc = terms.get(exps)
@@ -251,9 +242,7 @@ class GradedPoly:
                     del terms[exps]
                 else:
                     terms[exps] = acc
-        if trunc is not None:
-            terms = {e: c for e, c in terms.items() if _wdeg(vars_, e) <= trunc}
-        return GradedPoly(vars_, terms, trunc, _checked=True)
+        return GradedPoly(vars_, terms, _checked=True)
 
     __radd__ = __add__
 
@@ -267,17 +256,11 @@ class GradedPoly:
         if isinstance(other, (int, Rat)):
             scalar = rat(other)
             if scalar == 0:
-                return GradedPoly(self.vars, {}, self.trunc, _checked=True)
+                return GradedPoly(self.vars, {}, _checked=True)
             return GradedPoly(
-                self.vars,
-                {e: c * scalar for e, c in self.terms.items()},
-                self.trunc,
-                _checked=True,
+                self.vars, {e: c * scalar for e, c in self.terms.items()}, _checked=True
             )
-        other = _coerce(other)
-        a, b, vars_ = _aligned(self, other)
-        trunc = _min_trunc(self.trunc, other.trunc)
-        return GradedPoly(vars_, _mul_terms(a, b, vars_, trunc), trunc, _checked=True)
+        return _mul_upto(self, _coerce(other), None)
 
     __rmul__ = __mul__
 
@@ -366,12 +349,10 @@ def _mul_terms(a: Terms, b: Terms, vars_: tuple, trunc) -> Terms:
     return terms
 
 
-def _min_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _mul_upto(p: GradedPoly, q: GradedPoly, maxdeg) -> GradedPoly:
+    """p * q without the terms above weighted degree maxdeg (None: none cut)."""
+    a, b, vars_ = _aligned(p, q)
+    return GradedPoly(vars_, _mul_terms(a, b, vars_, maxdeg), _checked=True)
 
 
 def _coerce(value) -> GradedPoly:
@@ -416,7 +397,7 @@ def _remap(p: GradedPoly, vars_: tuple) -> Terms:
 def constant(value) -> GradedPoly:
     value = rat(value)
     terms = {(): value} if value != 0 else {}
-    return GradedPoly((), terms, None, _checked=True)
+    return GradedPoly((), terms, _checked=True)
 
 
 def zero() -> GradedPoly:
@@ -429,7 +410,7 @@ def one() -> GradedPoly:
 
 def variable(family: str, index: int = 0, weight: int = 1) -> GradedPoly:
     v = Var(family, index, weight)
-    return GradedPoly((v,), {(1,): _ONE}, None, _checked=True)
+    return GradedPoly((v,), {(1,): _ONE}, _checked=True)
 
 
 def cvar(i: int) -> GradedPoly:
@@ -465,23 +446,18 @@ def monomial(coeff, factors: Mapping[SymbolLike, int], weights=None) -> GradedPo
 
 
 def series_inverse(g: GradedPoly, maxdeg: int) -> GradedPoly:
-    """Inverse of a series with constant term 1, truncated by weighted degree."""
+    """Inverse of a series with constant term 1, truncated by weighted degree.
+
+    Newton iteration: if inv is right up to degree k, inv * (2 - g * inv) is
+    right up to degree 2k + 1, so the steps cut at 1, 3, 7, ... maxdeg.
+    """
     if g.constant_term() != 1:
         raise PolyError("series inverse requires constant term 1")
-    g = g.truncate(maxdeg)
-    parts = [g.homogeneous_part(d) for d in range(maxdeg + 1)]
-    inv = [one()]
-    for d in range(1, maxdeg + 1):
-        acc = zero()
-        for e in range(1, d + 1):
-            if parts[e].is_zero():
-                continue
-            acc = acc + parts[e] * inv[d - e]
-        inv.append((-acc).homogeneous_part(d))
-    total = zero()
-    for piece in inv:
-        total = total + piece
-    return total.truncate(maxdeg)
+    inv, prec = one().truncate(maxdeg), 0
+    while prec < maxdeg:
+        prec = min(2 * prec + 1, maxdeg)
+        inv = _mul_upto(inv, 2 - _mul_upto(g, inv, prec), prec)
+    return inv
 
 
 def series_quotient(
@@ -493,17 +469,17 @@ def series_quotient(
 
     Every factor must have constant term 1 (a total-Chern-class factor 1 + w).
     """
-    numer = one().truncate(maxdeg)
-    for f in numerator_factors:
-        if f.constant_term() != 1:
-            raise PolyError("factors must have constant term 1")
-        numer = numer * f.truncate(maxdeg)
-    denom = one().truncate(maxdeg)
-    for f in denominator_factors:
-        if f.constant_term() != 1:
-            raise PolyError("factors must have constant term 1")
-        denom = denom * f.truncate(maxdeg)
-    return (numer * series_inverse(denom, maxdeg)).truncate(maxdeg)
+
+    def product(factors: Sequence[GradedPoly]) -> GradedPoly:
+        total = one()
+        for f in factors:
+            if f.constant_term() != 1:
+                raise PolyError("factors must have constant term 1")
+            total = _mul_upto(total, f, maxdeg)
+        return total
+
+    numer = product(numerator_factors)
+    return _mul_upto(numer, series_inverse(product(denominator_factors), maxdeg), maxdeg)
 
 
 def one_plus(form: GradedPoly) -> GradedPoly:
@@ -554,7 +530,7 @@ def _substitute_slices(
     the remaining, smaller positions keep their meaning.
     """
     if not positions:
-        return GradedPoly(vars_, terms, None, _checked=True)
+        return GradedPoly(vars_, terms, _checked=True)
     pos, rest = positions[0], positions[1:]
     var = vars_[pos]
     inner_vars = vars_[:pos] + vars_[pos + 1:]
@@ -585,7 +561,7 @@ def chern_substitute(
         if part is not None:
             part[exps] = c
     assignment = {
-        (family, i): GradedPoly(series.vars, parts[i], None, _checked=True)
+        (family, i): GradedPoly(series.vars, parts[i], _checked=True)
         for i in sorted(parts)
     }
     return substitute(p, assignment)
@@ -646,17 +622,17 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
     pos = vars_.index(lead)
     inv_lead = 1 / f[tuple(int(i == pos) for i in range(len(vars_)))]
     rest = GradedPoly(
-        vars_, {e: c for e, c in f.items() if not e[pos]}, None, _checked=True
+        vars_, {e: c for e, c in f.items() if not e[pos]}, _checked=True
     )
     slices: dict = {}
     for exps, c in a.items():
         slices.setdefault(exps[pos], {})[exps[:pos] + (0,) + exps[pos + 1:]] = c
 
     def p_slice(k: int) -> GradedPoly:
-        return GradedPoly(vars_, slices.get(k, {}), None, _checked=True)
+        return GradedPoly(vars_, slices.get(k, {}), _checked=True)
 
     quotient: Terms = {}
-    carry = GradedPoly(vars_, {}, None, _checked=True)
+    carry = GradedPoly(vars_, {}, _checked=True)
     for k in range(max(slices, default=0), 0, -1):
         carry = (p_slice(k) - rest * carry) * inv_lead
         for exps, c in carry.terms.items():
@@ -666,7 +642,7 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
         raise NonExactDivision(
             f"remainder {to_text(remainder)} dividing by {to_text(form)}"
         )
-    return GradedPoly(vars_, quotient, None, _checked=True)
+    return GradedPoly(vars_, quotient, _checked=True)
 
 
 def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly], unit=1) -> GradedPoly:
@@ -711,27 +687,32 @@ def to_json(p: GradedPoly, indent=None) -> str:
     return json.dumps(to_json_dict(p), indent=indent)
 
 
-def _json_field(payload, key: str, kind=object):
+def json_field(payload, key: str, kind=object):
+    """payload[key] of a JSON object, checked to be a kind (int excludes bool).
+
+    A payload that is not a mapping, a missing key or a value of another
+    kind raises PolyError; every JSON reader of the package goes through it.
+    """
     if not isinstance(payload, Mapping) or key not in payload:
-        raise PolyError(f"JSON polynomial: {payload!r} has no {key!r} field")
+        raise PolyError(f"JSON: {payload!r} has no {key!r} field")
     value = payload[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise PolyError(f"JSON polynomial: {key!r} is {value!r}, not {kind.__name__}")
+        raise PolyError(f"JSON: {key!r} is {value!r}, not {kind.__name__}")
     return value
 
 
 def from_json_dict(payload: Mapping) -> GradedPoly:
     """Inverse of to_json_dict; any malformed payload raises PolyError."""
     vars_ = tuple(
-        Var(_json_field(v, "family", str), _json_field(v, "index", int),
-            _json_field(v, "weight", int))
-        for v in _json_field(payload, "vars", list)
+        Var(json_field(v, "family", str), json_field(v, "index", int),
+            json_field(v, "weight", int))
+        for v in json_field(payload, "vars", list)
     )
     terms: Terms = {}
-    for entry in _json_field(payload, "terms", list):
+    for entry in json_field(payload, "terms", list):
         exps = [0] * len(vars_)
         seen = set()
-        for pair in _json_field(entry, "exps", list):
+        for pair in json_field(entry, "exps", list):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise PolyError(f"exponent entry {pair!r} is not a [ref, exponent] pair")
             ref, e = pair
@@ -743,7 +724,7 @@ def from_json_dict(payload: Mapping) -> GradedPoly:
             exps[ref] = e
         if tuple(exps) in terms:
             raise PolyError(f"monomial {exps} appears in two terms")
-        terms[tuple(exps)] = rat(_json_field(entry, "coeff"))
+        terms[tuple(exps)] = rat(json_field(entry, "coeff"))
     return GradedPoly(vars_, terms)
 
 

@@ -31,12 +31,13 @@ from .poly import (
     Rat,
     constant,
     cvar,
+    json_field,
     one,
     rat,
     root_var,
     schur2,
     schur3,
-    series_inverse,
+    series_quotient,
     zero,
 )
 
@@ -54,12 +55,13 @@ class UnsupportedMultisingularity(PolyError):
 @functools.cache
 def _a_series(maxdeg: int) -> GradedPoly:
     """Bivariate series (u(1-u)/(1-3u) + v(1-v)/(1-3v)) / (1-u-v)."""
-    u = root_var("u")
-    v = root_var("v")
-    inv_u = series_inverse(one() - 3 * u, maxdeg)
-    inv_v = series_inverse(one() - 3 * v, maxdeg)
-    numerator = (u * (one() - u) * inv_u + v * (one() - v) * inv_v).truncate(maxdeg)
-    return (numerator * series_inverse(one() - u - v, maxdeg)).truncate(maxdeg)
+    if maxdeg < 1:
+        return zero()
+    u, v = root_var("u"), root_var("v")
+    return sum(
+        x * series_quotient([one() - x], [one() - 3 * x, one() - u - v], maxdeg - 1)
+        for x in (u, v)
+    )
 
 
 def a_coeff(i: int, j: int) -> Rat:
@@ -187,7 +189,8 @@ def series_from_json(payload) -> ThomSeries:
 
     Accepts either a list mixing term objects {"coeff": "p/q",
     "dIndices": [...]} with one {"validUpToDegree": D} marker, or a dict
-    {"name"?, "validUpToDegree", "terms": [...]}.
+    {"name"?, "validUpToDegree", "terms": [...]}.  D and every index must be
+    ints; any malformed payload raises PolyError.
     """
     if isinstance(payload, str):
         payload = json.loads(payload)
@@ -196,18 +199,25 @@ def series_from_json(payload) -> ThomSeries:
     raw_terms = []
     if isinstance(payload, dict):
         name = payload.get("name", name)
-        max_degree = payload.get("validUpToDegree")
-        raw_terms = payload["terms"]
-    else:
+        max_degree = json_field(payload, "validUpToDegree", int)
+        raw_terms = json_field(payload, "terms", list)
+    elif isinstance(payload, list):
         for entry in payload:
-            if "validUpToDegree" in entry:
-                max_degree = entry["validUpToDegree"]
+            if isinstance(entry, dict) and "validUpToDegree" in entry:
+                max_degree = json_field(entry, "validUpToDegree", int)
             else:
                 raw_terms.append(entry)
+    else:
+        raise PolyError(f"explicit series must be a JSON object or list, not {payload!r}")
     if max_degree is None:
         raise PolyError("explicit series must declare validUpToDegree")
-    terms = [(rat(t["coeff"]), tuple(t["dIndices"])) for t in raw_terms]
-    return series_from_terms(name, terms, int(max_degree))
+    terms = []
+    for entry in raw_terms:
+        indices = json_field(entry, "dIndices", list)
+        if not all(type(i) is int for i in indices):
+            raise PolyError(f"dIndices {indices!r} must be ints")
+        terms.append((rat(json_field(entry, "coeff")), tuple(indices)))
+    return series_from_terms(name, terms, max_degree)
 
 
 def _substitute_shift(terms, shift: int) -> GradedPoly:

@@ -93,7 +93,6 @@ def test_weight_count_invariant_enforced():
             name="bad",
             ell=2,
             delta=2,
-            root_symbols=(("alpha", 0),),
             source_weights=(ALPHA,),
             target_weights=(2 * ALPHA,),
         )

@@ -43,7 +43,7 @@ def test_empty_multisingularity_rejected():
         MultiSingularity(())
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.integers(1, 6))
 def test_codim_examples(ell):
     assert A0(4).codim(ell) == 3 * ell

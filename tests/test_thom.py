@@ -266,6 +266,26 @@ def test_series_validation():
         series_from_json([{"coeff": "1/1", "dIndices": [0]}])  # no validity
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"validUpToDegree": 4},  # no terms
+        [{"coeff": "1/1"}, {"validUpToDegree": 4}],  # no dIndices
+        [{"dIndices": [0]}, {"validUpToDegree": 4}],  # no coeff
+        [{"coeff": "1/1", "dIndices": 5}, {"validUpToDegree": 4}],
+        [{"coeff": "1/1", "dIndices": [0]}, {"validUpToDegree": 2.7}],
+        {"validUpToDegree": True, "terms": [{"coeff": "1/1", "dIndices": [0]}]},
+        [{"coeff": "1/1", "dIndices": [0.5, -0.5]}, {"validUpToDegree": 4}],
+        [{"coeff": "1/1", "dIndices": [True, -1]}, {"validUpToDegree": 4}],
+        ["A1", {"validUpToDegree": 4}],
+        5,
+    ],
+)
+def test_series_json_rejects_malformed_payload(payload):
+    with pytest.raises(PolyError):
+        series_from_json(payload)
+
+
 # -- names and bookkeeping --------------------------------------------------------------
 
 
@@ -308,7 +328,7 @@ def test_singularity_info():
     assert i22.codim(2) == 10
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(1, 5))
 def test_multisingularity_codim(ell):
     assert multisingularity_codim(("A0",) * 4, ell) == 3 * ell
