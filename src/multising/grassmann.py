@@ -2,10 +2,12 @@
 
 The cohomology of Gr_k(C^n) is modelled in the basis of Schur classes s_lam
 indexed by partitions inside the k x (n-k) box, normalized so that the class
-of a point (the full box) integrates to 1.  Products are computed by the
-Jacobi-Trudi expansion of one factor into complete homogeneous slices followed
-by iterated Pieri steps; partitions leaving the box are dropped as soon as
-they appear, which is safe because containment only grows along a Pieri chain.
+of a point (the full box) integrates to 1.  Basis products follow the
+Littlewood-Richardson rule: the rows of the smaller partition are added as
+labelled horizontal strips inside the box, and each filling with a lattice
+reading word counts once, so the multiplicities come with no cancellation.
+class_mul clears each factor to int numerators over the lcm of its
+denominators, sums the products as ints and builds one rational per output.
 
 On top of the base ring the module models the projectivization of the
 universal subbundle S for k = 3: classes are polynomials in the fiberwise
@@ -26,9 +28,9 @@ xi^w -> c_{w-2}(Q) are grouped into named orientation settings:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .poly import PolyError, Rat, json_field, rat, rat_str
@@ -48,8 +50,8 @@ class GrassRing:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.k < self.n:
-            raise PolyError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+        if type(self.k) is not int or type(self.n) is not int or not 0 < self.k < self.n:
+            raise PolyError(f"need ints 0 < k < n, got k={self.k!r}, n={self.n!r}")
 
     @property
     def cols(self) -> int:
@@ -119,7 +121,11 @@ class GrassClass:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
+    def __init__(self, ring: GrassRing, coeffs: Mapping[Sequence[int], object], *, _checked=False):
+        if _checked:  # internal results: box partitions mapped to nonzero Rats
+            object.__setattr__(self, "ring", ring)
+            object.__setattr__(self, "coeffs", coeffs)
+            return
         clean: Dict[Partition, Rat] = {}
         for raw, value in coeffs.items():
             lam = _validate_partition(raw)
@@ -211,8 +217,7 @@ class GrassClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GrassClass":
-        if exponent < 0:
-            raise PolyError("negative powers are not defined")
+        _check_power(exponent)
         out = schur(self.ring, ())
         base = self
         e = exponent
@@ -256,9 +261,15 @@ class GrassClass:
         ]
 
 
+def _check_power(e) -> None:
+    if type(e) is not int or e < 0:
+        raise PolyError(f"power {e!r} is not a nonnegative int")
+
+
 def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
     """The Schur basis class s_lam (zero if lam leaves the box)."""
-    return GrassClass(ring, {tuple(lam): 1})
+    lam = _validate_partition(lam)
+    return GrassClass(ring, {lam: Rat(1)} if ring.contains(lam) else {}, _checked=True)
 
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
@@ -273,79 +284,67 @@ def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
 # -- products ------------------------------------------------------------------
 
 
-def _pieri(lam: Partition, strip: int, rows: int, cols: int) -> Tuple[Partition, ...]:
-    """Partitions in the box obtained from lam by adding a horizontal strip."""
-    padded = list(lam) + [0] * (rows - len(lam))
-    results: List[Partition] = []
-
-    # interlacing: nu_i >= lam_i and nu_{i+1} <= lam_i keeps the strip horizontal
-    def place(i: int, remaining: int, bound: int, acc: List[int]) -> None:
-        if i == rows:
-            if remaining == 0:
-                results.append(_strip_zeros(tuple(acc)))
-            return
-        old = padded[i]
-        upper = min(cols, bound, old + remaining)
-        for new in range(old, upper + 1):
-            acc.append(new)
-            place(i + 1, remaining - (new - old), old, acc)
-            acc.pop()
-
-    place(0, strip, cols, [])
-    return tuple(results)
-
-
 @lru_cache(maxsize=None)
 def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
-    """Boxed expansion of s_lam * s_mu with integer multiplicities."""
-    if len(mu) > len(lam):
+    """Boxed expansion of s_lam * s_mu with integer multiplicities.
+
+    Littlewood-Richardson rule: row i of the smaller partition is added as a
+    horizontal strip of cells labelled i, and a filling counts once when its
+    reading word is a lattice word, that is when the label-i cells in rows
+    <= r never outnumber the label-(i-1) cells in rows < r.  No cell is
+    placed outside the k x (n-k) box, which is safe because shapes only grow.
+    """
+    if sum(mu) > sum(lam):
         lam, mu = mu, lam
-    rows, cols = k, n - k
     if not mu:
         return ((lam, 1),)
-    m = len(mu)
+    cols = n - k
     acc: Dict[Partition, int] = {}
-    for sigma in itertools.permutations(range(m)):
-        sign = _permutation_sign(sigma)
-        strips = [mu[i] - i + sigma[i] for i in range(m)]
-        if any(s < 0 for s in strips):
-            continue
-        frontier: Dict[Partition, int] = {lam: sign}
-        for strip in strips:
-            if strip == 0:
-                continue
-            grown: Dict[Partition, int] = {}
-            for base, mult in frontier.items():
-                for nu in _pieri(base, strip, rows, cols):
-                    grown[nu] = grown.get(nu, 0) + mult
-            frontier = grown
-            if not frontier:
-                break
-        for nu, mult in frontier.items():
-            acc[nu] = acc.get(nu, 0) + mult
-    return tuple(sorted((nu, m_) for nu, m_ in acc.items() if m_))
 
+    # old: the shape before strip i; new: its rows r' < r after the strip;
+    # limits[r]: label-(i-1) cells in rows < r; above: the same for label i
+    def strip(i: int, r: int, left: int, old: tuple, new: tuple, limits: tuple, above: tuple) -> None:
+        if r == k:
+            if left:
+                return
+            if i + 1 < len(mu):
+                strip(i + 1, 0, mu[i + 1], new, (), above, ())
+            else:
+                nu = _strip_zeros(new)
+                acc[nu] = acc.get(nu, 0) + 1
+            return
+        done = mu[i] - left
+        room = (old[r - 1] if r else cols) - old[r]
+        most = min(room, left, limits[r] - done)
+        for c in range(left if r == k - 1 else 0, most + 1):  # the last row takes the rest
+            strip(i, r + 1, left - c, old, new + (old[r] + c,), limits, above + (done,))
 
-def _permutation_sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
+    strip(0, 0, mu[0], tuple(lam) + (0,) * (k - len(lam)), (), (mu[0],) * k, ())
+    return tuple(sorted(acc.items()))
 
 
 def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
+    """The product in the Schur basis, summed as int numerators over the
+    product of the operands' common denominators."""
     if x.ring != y.ring:
         raise RingMismatch("classes live on different Grassmannians")
-    ring = x.ring
-    out: Dict[Partition, Rat] = {}
-    for lam, a in x.coeffs.items():
-        for mu, b in y.coeffs.items():
-            scale = a * b
-            for nu, mult in _mul_basis(ring.k, ring.n, lam, mu):
-                out[nu] = out.get(nu, rat(0)) + scale * mult
-    return GrassClass(ring, out)
+    k, n = x.ring.k, x.ring.n
+    left, den_x = _cleared(x)
+    right, den_y = _cleared(y)
+    den = den_x * den_y
+    acc: Dict[Partition, int] = {}
+    get = acc.get
+    for lam, a in left:
+        for mu, b in right:
+            ab = a * b
+            for nu, mult in _mul_basis(k, n, lam, mu):
+                acc[nu] = get(nu, 0) + ab * mult
+    return GrassClass(x.ring, {nu: Rat(c, den) for nu, c in acc.items() if c}, _checked=True)
+
+
+def _cleared(x: GrassClass) -> Tuple[List[Tuple[Partition, int]], int]:
+    den = lcm(*(c.denominator for c in x.coeffs.values()))
+    return [(lam, c.numerator * (den // c.denominator)) for lam, c in x.coeffs.items()], den
 
 
 def integrate(x: GrassClass) -> Rat:
@@ -409,12 +408,13 @@ class FiberClass:
     def __init__(self, ring: GrassRing, parts: Mapping[int, GrassClass]):
         clean: Dict[int, GrassClass] = {}
         for w, g in parts.items():
-            if w < 0:
-                raise PolyError("negative xi-powers are not defined")
+            _check_power(w)
+            if not isinstance(g, GrassClass):
+                raise PolyError(f"xi^{w} coefficient {g!r} is not a GrassClass")
             if g.ring != ring:
                 raise RingMismatch("coefficient lives on a different Grassmannian")
             if not g.is_zero():
-                clean[int(w)] = g
+                clean[w] = g
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "parts", clean)
 
@@ -487,8 +487,7 @@ class FiberClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "FiberClass":
-        if exponent < 0:
-            raise PolyError("negative powers are not defined")
+        _check_power(exponent)
         out = FiberClass(self.ring, {0: schur(self.ring, ())})
         for _ in range(exponent):
             out = out * self

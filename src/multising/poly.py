@@ -701,6 +701,14 @@ def json_field(payload, key: str, kind=object):
     return value
 
 
+def json_loads(text: str):
+    """json.loads at the package's boundary: text that does not parse raises PolyError."""
+    try:
+        return json.loads(text)
+    except ValueError as err:  # json.JSONDecodeError and undecodable bytes
+        raise PolyError(f"JSON: {err}") from None
+
+
 def from_json_dict(payload: Mapping) -> GradedPoly:
     """Inverse of to_json_dict; any malformed payload raises PolyError."""
     vars_ = tuple(
@@ -729,7 +737,7 @@ def from_json_dict(payload: Mapping) -> GradedPoly:
 
 
 def from_json(text: str) -> GradedPoly:
-    return from_json_dict(json.loads(text))
+    return from_json_dict(json_loads(text))
 
 
 _LATEX_FAMILIES = {

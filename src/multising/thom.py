@@ -19,7 +19,6 @@ closed formulas in Chern variables and Schur determinants.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .poly import (
     constant,
     cvar,
     json_field,
+    json_loads,
     one,
     rat,
     root_var,
@@ -193,7 +193,7 @@ def series_from_json(payload) -> ThomSeries:
     ints; any malformed payload raises PolyError.
     """
     if isinstance(payload, str):
-        payload = json.loads(payload)
+        payload = json_loads(payload)
     name = "explicit"
     max_degree = None
     raw_terms = []

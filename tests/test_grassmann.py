@@ -1,10 +1,12 @@
 """Schur-basis Grassmannian cohomology against a brute-force polynomial oracle."""
 
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multising.grassmann import (
@@ -16,6 +18,7 @@ from multising.grassmann import (
     GrassClass,
     GrassRing,
     RingMismatch,
+    _mul_basis,
     chern_Q,
     chern_S,
     class_from_json,
@@ -25,7 +28,7 @@ from multising.grassmann import (
     pushforward_P_S,
     schur,
 )
-from multising.poly import PolyError, rat
+from multising.poly import PolyError, rat, rat_str
 
 R24 = GrassRing(2, 4)
 R36 = GrassRing(3, 6)
@@ -77,6 +80,56 @@ def _oracle_mul(lam, mu, cols):
     return {nu: c for nu, c in out.items() if not nu or nu[0] <= cols}
 
 
+# -- reference product: Jacobi-Trudi expansion into iterated Pieri steps ---------------
+
+
+@functools.cache
+def _pieri(lam, strip, rows, cols):
+    """Partitions in the box obtained from lam by adding a horizontal strip."""
+    padded = list(lam) + [0] * (rows - len(lam))
+    results = []
+
+    # interlacing: nu_i >= lam_i and nu_{i+1} <= lam_i keeps the strip horizontal
+    def place(i, remaining, bound, acc):
+        if i == rows:
+            if remaining == 0:
+                results.append(tuple(p for p in acc if p))
+            return
+        old = padded[i]
+        for new in range(old, min(cols, bound, old + remaining) + 1):
+            acc.append(new)
+            place(i + 1, remaining - (new - old), old, acc)
+            acc.pop()
+
+    place(0, strip, cols, [])
+    return tuple(results)
+
+
+def _jacobi_trudi_mul(k, n, lam, mu):
+    """s_lam * s_mu as det(h_{mu_i - i + j}) applied to s_lam by Pieri steps.
+
+    Boxed terms are dropped as soon as they appear, which is safe because
+    containment only grows along a Pieri chain.
+    """
+    acc = {}
+    m = len(mu)
+    for sigma in itertools.permutations(range(m)):
+        sign = (-1) ** sum(sigma[i] > sigma[j] for i in range(m) for j in range(i + 1, m))
+        strips = [mu[i] - i + sigma[i] for i in range(m)]
+        if any(s < 0 for s in strips):
+            continue
+        frontier = {lam: sign}
+        for strip in strips:
+            grown = {}
+            for base, mult in frontier.items():
+                for nu in _pieri(base, strip, k, n - k):
+                    grown[nu] = grown.get(nu, 0) + mult
+            frontier = grown
+        for nu, mult in frontier.items():
+            acc[nu] = acc.get(nu, 0) + mult
+    return {nu: c for nu, c in acc.items() if c}
+
+
 # -- ring and class normalization ------------------------------------------------------
 
 
@@ -87,6 +140,9 @@ def test_ring_invariants():
         GrassRing(4, 4)
     assert R37.dim == 12
     assert R37.box == (4, 4, 4)
+    for k in (3.0, True, "3"):
+        with pytest.raises(PolyError):
+            GrassRing(k, 6)
 
 
 def test_partition_normalization():
@@ -148,6 +204,66 @@ def test_products_match_oracle_through_degree_six():
         assert set(got.coeffs) == set(want), (lam, mu)
         for nu, c in want.items():
             assert sympy.Rational(str(got.coeffs[nu])) == c, (lam, mu, nu)
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5)])
+def test_lr_product_matches_jacobi_trudi(k, n):
+    # ordered pairs: equal-sized partitions swap their content role
+    basis = list(GrassRing(k, n).partitions())
+    for lam, mu in itertools.combinations_with_replacement(basis, 2):
+        want = _jacobi_trudi_mul(k, n, lam, mu)
+        assert dict(_mul_basis.__wrapped__(k, n, lam, mu)) == want, (lam, mu)
+        assert dict(_mul_basis.__wrapped__(k, n, mu, lam)) == want, (mu, lam)
+
+
+_R313_BASIS = sorted(GrassRing(3, 13).partitions())
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_R313_BASIS), st.sampled_from(_R313_BASIS))
+def test_lr_product_matches_jacobi_trudi_on_gr_3_13(lam, mu):
+    assert dict(_mul_basis.__wrapped__(3, 13, lam, mu)) == _jacobi_trudi_mul(3, 13, lam, mu)
+
+
+_COEFFS = st.builds(rat, st.integers(-12, 12), st.integers(1, 12))
+
+
+def _classes(ring):
+    return st.dictionaries(st.sampled_from(sorted(ring.partitions())), _COEFFS, max_size=5).map(
+        lambda coeffs: GrassClass(ring, coeffs)
+    )
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([R24, R36]).flatmap(lambda ring: st.tuples(_classes(ring), _classes(ring))))
+@example((schur(R24, (1,)), rat(1, 3) * schur(R24, (2,)) - rat(1, 3) * schur(R24, (1, 1))))
+def test_class_mul_matches_fraction_double_loop(pair):
+    x, y = pair
+    want = {}
+    for lam, a in x.coeffs.items():
+        for mu, b in y.coeffs.items():
+            for nu, mult in _mul_basis(x.ring.k, x.ring.n, lam, mu):
+                want[nu] = want.get(nu, Fraction(0)) + a * b * mult
+    got = class_mul(x, y)
+    assert got.coeffs == {nu: c for nu, c in want.items() if c}
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+def test_products_keep_eq_hash_contract():
+    half = rat(1, 2)
+    cases = [
+        (GrassClass(R36, {(): half}), GrassClass(R36, {(): 4}), 2),
+        (GrassClass(R36, {(): half}), GrassClass(R36, {(): -2}), -1),
+        (schur(R36, (1,)), schur(R36, (3, 3, 3)), 0),  # leaves the box
+        (half * schur(R36, (1,)), rat(2, 3) * schur(R36, (2, 1)), None),
+    ]
+    for x, y, scalar in cases:
+        product = class_mul(x, y)
+        checked = GrassClass(R36, {lam: rat_str(c) for lam, c in product.coeffs.items()})
+        assert product == checked and hash(product) == hash(checked)
+        assert len({product, checked}) == 1
+        if scalar is not None:
+            assert product == scalar and hash(product) == hash(scalar)
 
 
 @settings(max_examples=60)
@@ -304,6 +420,26 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
     assert len(signed) == 167
     assert signed == integrals(DUAL_LINE)
     assert any(signed.values())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: schur(R37, (1,)) ** 2.0,
+        lambda: schur(R37, (1,)) ** True,
+        lambda: FiberClass.xi(R37) ** 2.0,
+        lambda: FiberClass.xi(R37, 1.5),
+        lambda: FiberClass(R37, {1.5: schur(R37, ())}),
+        lambda: FiberClass(R37, {True: schur(R37, ())}),
+        lambda: FiberClass(R37, {"2": schur(R37, ())}),
+        lambda: FiberClass(R37, {1: 3}),
+    ],
+    ids=["float-power", "bool-power", "fiber-float-power", "float-xi", "float-key",
+         "bool-key", "string-key", "scalar-coefficient"],
+)
+def test_non_integer_powers_raise_poly_error(make):
+    with pytest.raises(PolyError):
+        make()
 
 
 def test_reduce_requires_k3():

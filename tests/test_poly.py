@@ -596,8 +596,8 @@ _JSON_VARS = [{"family": "c", "index": 1, "weight": 1}, {"family": "c", "index":
 
 
 @pytest.mark.parametrize(
-    "payload",
-    [
+    "text",
+    [json.dumps(payload) for payload in [
         [],
         "c1",
         {"terms": []},
@@ -612,14 +612,14 @@ _JSON_VARS = [{"family": "c", "index": 1, "weight": 1}, {"family": "c", "index":
                                        {"coeff": "2/1", "exps": [[1, 1]]}]},
         {"vars": _JSON_VARS, "terms": [{"coeff": "1/1", "exps": [[0]]}]},
         {"vars": _JSON_VARS, "terms": [{"exps": [[0, 1]]}]},
-    ],
+    ]] + ['{"vars": '],
     ids=["list", "string", "no-vars", "no-terms", "string-weight", "float-weight",
          "no-weight", "negative-exponent", "float-exponent", "repeated-ref",
-         "repeated-monomial", "short-pair", "no-coeff"],
+         "repeated-monomial", "short-pair", "no-coeff", "unparsable"],
 )
-def test_json_rejects_malformed_payload(payload):
+def test_json_rejects_malformed_payload(text):
     with pytest.raises(PolyError):
-        from_json(json.dumps(payload))
+        from_json(text)
 
 
 def test_json_canonical_term_order():

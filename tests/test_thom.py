@@ -279,6 +279,7 @@ def test_series_validation():
         [{"coeff": "1/1", "dIndices": [True, -1]}, {"validUpToDegree": 4}],
         ["A1", {"validUpToDegree": 4}],
         5,
+        "[{",  # text that does not parse
     ],
 )
 def test_series_json_rejects_malformed_payload(payload):
