@@ -100,7 +100,8 @@ def _validate_partition(lam: Sequence[int]) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _box_partitions(rows: int, cols: int) -> Tuple[Partition, ...]:
+def _box_partitions(rows: int, cols: int) -> Dict[Partition, Partition]:
+    """Each box partition mapped to itself: schur() and _mul_basis share its tuples."""
     acc: List[Partition] = []
 
     def grow(prefix: List[int], bound: int, depth: int) -> None:
@@ -113,7 +114,7 @@ def _box_partitions(rows: int, cols: int) -> Tuple[Partition, ...]:
             prefix.pop()
 
     grow([], cols, 0)
-    return tuple(dict.fromkeys(acc))
+    return {p: p for p in acc}
 
 
 class GrassClass:
@@ -268,8 +269,8 @@ def _check_power(e) -> None:
 
 def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
     """The Schur basis class s_lam (zero if lam leaves the box)."""
-    lam = _validate_partition(lam)
-    return GrassClass(ring, {lam: Rat(1)} if ring.contains(lam) else {}, _checked=True)
+    lam = _box_partitions(ring.k, ring.cols).get(_validate_partition(lam))
+    return GrassClass(ring, {} if lam is None else {lam: Rat(1)}, _checked=True)
 
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
@@ -299,18 +300,18 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
     if not mu:
         return ((lam, 1),)
     cols = n - k
+    canon = _box_partitions(k, cols)
     acc: Dict[Partition, int] = {}
 
     # old: the shape before strip i; new: its rows r' < r after the strip;
     # limits[r]: label-(i-1) cells in rows < r; above: the same for label i
-    def strip(i: int, r: int, left: int, old: tuple, new: tuple, limits: tuple, above: tuple) -> None:
-        if r == k:
-            if left:
-                return
+    def strip(i: int, r: int, left: int, old: Partition, new: Partition,
+              limits: Tuple[int, ...], above: Tuple[int, ...]) -> None:
+        if r == k:  # the last row took every cell left
             if i + 1 < len(mu):
                 strip(i + 1, 0, mu[i + 1], new, (), above, ())
             else:
-                nu = _strip_zeros(new)
+                nu = canon[_strip_zeros(new)]
                 acc[nu] = acc.get(nu, 0) + 1
             return
         done = mu[i] - left
@@ -319,7 +320,7 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
         for c in range(left if r == k - 1 else 0, most + 1):  # the last row takes the rest
             strip(i, r + 1, left - c, old, new + (old[r] + c,), limits, above + (done,))
 
-    strip(0, 0, mu[0], tuple(lam) + (0,) * (k - len(lam)), (), (mu[0],) * k, ())
+    strip(0, 0, mu[0], lam + (0,) * (k - len(lam)), (), (mu[0],) * k, ())
     return tuple(sorted(acc.items()))
 
 
