@@ -208,7 +208,7 @@ def test_products_match_oracle_through_degree_six():
 
 @pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5)])
 def test_lr_product_matches_jacobi_trudi(k, n):
-    # ordered pairs: equal-sized partitions swap their content role
+    # both orders: for partitions of equal size the argument order picks the content
     basis = list(GrassRing(k, n).partitions())
     for lam, mu in itertools.combinations_with_replacement(basis, 2):
         want = _jacobi_trudi_mul(k, n, lam, mu)
@@ -437,7 +437,7 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
     ids=["float-power", "bool-power", "fiber-float-power", "float-xi", "float-key",
          "bool-key", "string-key", "scalar-coefficient"],
 )
-def test_non_integer_powers_raise_poly_error(make):
+def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
     with pytest.raises(PolyError):
         make()
 
