@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import PolyError, Rat, json_field, rat, rat_str
+from .poly import PolyError, Rat, is_scalar, json_field, rat, rat_str
 
 Partition = Tuple[int, ...]
 
@@ -178,7 +178,7 @@ class GrassClass:
             if other.ring != self.ring:
                 raise RingMismatch("classes live on different Grassmannians")
             return other
-        if isinstance(other, (int, Rat)):
+        if is_scalar(other):
             return GrassClass(self.ring, {(): rat(other)})
         return None
 
@@ -188,13 +188,17 @@ class GrassClass:
             return NotImplemented
         merged = dict(self.coeffs)
         for lam, c in rhs.coeffs.items():
-            merged[lam] = merged.get(lam, rat(0)) + c
-        return GrassClass(self.ring, merged)
+            total = merged.get(lam, 0) + c
+            if total:
+                merged[lam] = total
+            else:
+                del merged[lam]
+        return GrassClass(self.ring, merged, _checked=True)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GrassClass":
-        return GrassClass(self.ring, {lam: -c for lam, c in self.coeffs.items()})
+        return GrassClass(self.ring, {lam: -c for lam, c in self.coeffs.items()}, _checked=True)
 
     def __sub__(self, other) -> "GrassClass":
         rhs = self._coerce(other)
@@ -208,11 +212,10 @@ class GrassClass:
     def __mul__(self, other) -> "GrassClass":
         if isinstance(other, GrassClass):
             return class_mul(self, other)
-        if isinstance(other, (int, Rat)):
+        if is_scalar(other):
             c = rat(other)
-            return GrassClass(
-                self.ring, {lam: c * v for lam, v in self.coeffs.items()}
-            )
+            coeffs = {lam: c * v for lam, v in self.coeffs.items()} if c else {}
+            return GrassClass(self.ring, coeffs, _checked=True)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -338,7 +341,9 @@ def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
     for lam, a in left:
         for mu, b in right:
             ab = a * b
-            for nu, mult in _mul_basis(k, n, lam, mu):
+            # one cache entry per unordered pair: s_lam * s_mu = s_mu * s_lam
+            pair = (lam, mu) if lam >= mu else (mu, lam)
+            for nu, mult in _mul_basis(k, n, *pair):
                 acc[nu] = get(nu, 0) + ab * mult
     return GrassClass(x.ring, {nu: Rat(c, den) for nu, c in acc.items() if c}, _checked=True)
 
@@ -447,7 +452,7 @@ class FiberClass:
             return other
         if isinstance(other, GrassClass):
             return FiberClass.lift(other)
-        if isinstance(other, (int, Rat)):
+        if is_scalar(other):
             return FiberClass(self.ring, {0: GrassClass(self.ring, {(): rat(other)})})
         return None
 

@@ -25,12 +25,18 @@ Conventions used throughout the package:
 Values are immutable after construction; all operations are pure and return
 new polynomials.
 
-The product kernel packs each exponent vector into one int for the duration
-of one multiplication, in radix 1 + the largest per-variable exponent sum of
-the two operands, and multiplies int numerators over a common denominator;
-the stored terms stay a dict from exponent tuples to Fraction.  Packing is
-only sound because every exponent is a nonnegative int, so the checking
-constructor and from_json_dict reject anything else.
+Products and substitutions run in one packed int kernel (the packed exponent
+vectors of Monagan and Pearce): for the duration of one call each exponent
+vector is one int in a radix larger than any exponent the call can reach,
+and each operand is cleared to int numerators over its common denominator,
+so a monomial product is one int addition and a Fraction is built only for
+each nonzero output term.  A product takes its radix from the two operands'
+exponent sums.  substitute() fixes one radix for the whole Horner evaluation,
+from p's largest exponents and its images' largest exponents, and keeps
+every slice, image power and partial sum packed until the end.  The stored
+terms stay a dict from exponent tuples to Fraction.  Packing is only sound
+because every exponent is a nonnegative int, so the checking constructor
+and from_json_dict reject anything else.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence, Tuple, Union
 
 Rat = Fraction
@@ -65,8 +71,8 @@ class NonExactDivision(PolyError):
 def rat(numerator: Union[int, str, Rat], denominator: Union[int, Rat] = 1) -> Rat:
     """Exact rational from ints, a "p/q" string, or an existing rational.
 
-    Anything else (a float, a malformed string, a zero denominator) raises
-    PolyError.
+    Anything else (a float, a bool, a malformed string, a zero denominator)
+    raises PolyError.
     """
     if isinstance(numerator, str):
         if denominator != 1:
@@ -76,7 +82,7 @@ def rat(numerator: Union[int, str, Rat], denominator: Union[int, Rat] = 1) -> Ra
             numerator, denominator = int(p), int(q or 1)
         except ValueError:
             raise PolyError(f"malformed rational {numerator!r}") from None
-    if not isinstance(numerator, (int, Rat)) or not isinstance(denominator, (int, Rat)):
+    if not is_scalar(numerator) or not is_scalar(denominator):
         raise PolyError(f"not an exact rational: {numerator!r}/{denominator!r}")
     if denominator == 0:
         raise PolyError(f"zero denominator in {numerator}/0")
@@ -99,6 +105,15 @@ class Var:
     index: int
     weight: int
 
+    def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise PolyError(f"variable family {self.family!r} is not a string")
+        if not _is_int(self.index):
+            raise PolyError(f"variable index {self.index!r} is not an int")
+        if not _is_int(self.weight) or self.weight < 1:
+            # weight 0 or below breaks truncation by weighted degree
+            raise PolyError(f"variable weight {self.weight!r} is not a positive int")
+
     def sort_key(self) -> tuple:
         return (self.family, self.index)
 
@@ -110,13 +125,14 @@ SymbolLike = Union["Var", str, tuple]
 
 
 def _resolve_symbol(sym: SymbolLike) -> tuple:
-    """Accept Var, bare family string (index 0), or (family, index)."""
+    """Accept Var, bare family string (index 0), or (family, index); else PolyError."""
     if isinstance(sym, Var):
         return (sym.family, sym.index)
     if isinstance(sym, str):
         return (sym, 0)
-    family, index = sym
-    return (family, index)
+    if isinstance(sym, tuple) and len(sym) == 2 and isinstance(sym[0], str) and _is_int(sym[1]):
+        return sym
+    raise PolyError(f"{sym!r} is not a symbol: give a Var, a family or a (family, index) pair")
 
 
 class GradedPoly:
@@ -253,7 +269,7 @@ class GradedPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "GradedPoly":
-        if isinstance(other, (int, Rat)):
+        if is_scalar(other):
             scalar = rat(other)
             if scalar == 0:
                 return GradedPoly(self.vars, {}, _checked=True)
@@ -280,7 +296,7 @@ class GradedPoly:
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Rat)):
+        if is_scalar(other):
             other = constant(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
@@ -301,52 +317,94 @@ def _wdeg(vars_: tuple, exps: Exponents) -> int:
     return sum(e * v.weight for e, v in zip(exps, vars_))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_scalar(value) -> bool:
+    """True for the exact scalars rat() takes as numbers: ints and Rats, not bools."""
+    return isinstance(value, Rat) or _is_int(value)
+
+
 def _is_exponent(e) -> bool:
-    return isinstance(e, int) and not isinstance(e, bool) and e >= 0
+    return _is_int(e) and e >= 0
+
+
+# -- the packed int kernel ------------------------------------------------------
+#
+# An exponent vector over a table of n variables packs into the int
+# sum(e_i * radix**(n-1-i)).  When radix exceeds every exponent a result can
+# reach, no digit carries, so a monomial product is one int addition and a
+# packed key unpacks back to the same vector.  Coefficients are cleared to int
+# numerators over one common denominator per operand.
+
+
+def _places(radix: int, n: int) -> list:
+    return [radix ** i for i in range(n - 1, -1, -1)]
+
+
+def _cleared(terms: Terms, places: list) -> tuple:
+    """Rows (exponents, packed key, int numerator) over the common denominator.
+
+    A variable whose place is 0 is left out of the key.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    rows = [
+        (e, sum(map(mul, e, places)), c.numerator * (den // c.denominator))
+        for e, c in terms.items()
+    ]
+    return rows, den
+
+
+def _mul_into(acc: dict, left: Iterable[tuple], right: list) -> None:
+    """acc += left * right on packed keys and int numerators.
+
+    Left rows are (key, numerator, stop): a row meets only right[:stop]
+    (stop None: all of right), which cuts a product at a degree when right
+    is sorted by degree.  Right rows are (key, numerator).
+    """
+    get = acc.get
+    for key_a, c_a, stop in left:
+        for key_b, c_b in islice(right, stop):
+            key = key_a + key_b
+            acc[key] = get(key, 0) + c_a * c_b
+
+
+def _unpacked(acc: dict, radix: int, places: list, den: int) -> Terms:
+    """Terms of the nonzero numerators in acc, each over den."""
+    return {
+        tuple([key // place % radix for place in places]): Rat(c, den)
+        for key, c in acc.items()
+        if c
+    }
 
 
 def _mul_terms(a: Terms, b: Terms, vars_: tuple, trunc) -> Terms:
     """Terms of the product of two term dicts aligned with vars_.
 
-    Exponent vectors are packed into ints in radix 1 + the largest
-    per-variable exponent sum, so no digit of a product carries and a
-    monomial product is one int addition.  Each operand is cleared to int
-    numerators over its common denominator.  The right operand is sorted by
-    weighted degree, so the pairs above trunc are never visited.
+    The radix is 1 + the largest per-variable exponent sum of the operands.
+    With a trunc, the right operand is sorted by weighted degree, so the
+    pairs above trunc are never visited.
     """
     if not a or not b:
         return {}
     radix = 1 + max(map(add, map(max, zip(*a)), map(max, zip(*b))), default=0)
-    places = [radix ** i for i in range(len(vars_) - 1, -1, -1)]
-    weights = [v.weight for v in vars_]
-
-    def cleared(terms: Terms):
-        den = lcm(*(c.denominator for c in terms.values()))
+    places = _places(radix, len(vars_))
+    left, den_a = _cleared(a, places)
+    right, den_b = _cleared(b, places)
+    if trunc is None:
+        rows = [(key, c, None) for _, key, c in left]
+    else:
+        weights = [v.weight for v in vars_]
+        right.sort(key=lambda row: sum(map(mul, row[0], weights)))
+        cut = [sum(map(mul, e, weights)) for e, _, _ in right]
         rows = [
-            (sum(map(mul, e, weights)), sum(map(mul, e, places)),
-             c.numerator * (den // c.denominator))
-            for e, c in terms.items()
+            (key, c, bisect_right(cut, trunc - sum(map(mul, e, weights))))
+            for e, key, c in left
         ]
-        return rows, den
-
-    left, den_a = cleared(a)
-    right, den_b = cleared(b)
-    right.sort(key=itemgetter(0))
-    right_degrees = [row[0] for row in right]
-    right = [row[1:] for row in right]
     acc: dict = {}
-    get = acc.get
-    for deg_a, key_a, c_a in left:
-        stop = len(right) if trunc is None else bisect_right(right_degrees, trunc - deg_a)
-        for key_b, c_b in islice(right, stop):
-            key = key_a + key_b
-            acc[key] = get(key, 0) + c_a * c_b
-    den = den_a * den_b
-    terms: Terms = {}
-    for key, c in acc.items():
-        if c:
-            terms[tuple([key // place % radix for place in places])] = Rat(c, den)
-    return terms
+    _mul_into(acc, rows, [(key, c) for _, key, c in right])
+    return _unpacked(acc, radix, places, den_a * den_b)
 
 
 def _mul_upto(p: GradedPoly, q: GradedPoly, maxdeg) -> GradedPoly:
@@ -358,7 +416,7 @@ def _mul_upto(p: GradedPoly, q: GradedPoly, maxdeg) -> GradedPoly:
 def _coerce(value) -> GradedPoly:
     if isinstance(value, GradedPoly):
         return value
-    if isinstance(value, (int, Rat)):
+    if is_scalar(value):
         return constant(value)
     raise PolyError(f"cannot interpret {value!r} as a polynomial")
 
@@ -367,14 +425,19 @@ def _aligned(p: GradedPoly, q: GradedPoly):
     """Terms of p and q over a merged variable table."""
     if p.vars == q.vars:
         return p.terms, q.terms, p.vars
+    vars_ = _merged_table(p.vars + q.vars)
+    return _remap(p, vars_), _remap(q, vars_), vars_
+
+
+def _merged_table(vars_: Iterable[Var]) -> tuple:
+    """The sorted union of variables; one (family, index) with two weights raises."""
     merged = {}
-    for v in p.vars + q.vars:
+    for v in vars_:
         key = (v.family, v.index)
         if key in merged and merged[key].weight != v.weight:
             raise IncompatibleVariables(f"conflicting weights for {key}")
         merged[key] = v
-    vars_ = tuple(sorted(merged.values(), key=Var.sort_key))
-    return _remap(p, vars_), _remap(q, vars_), vars_
+    return tuple(sorted(merged.values(), key=Var.sort_key))
 
 
 def _remap(p: GradedPoly, vars_: tuple) -> Terms:
@@ -494,56 +557,75 @@ def substitute(
     """Ring-morphism substitution; unassigned variables map to themselves.
 
     With strict=True every variable occurring in p must be assigned.  The
-    evaluation is Horner-style over the assigned variables: p is sliced by
-    the exponent of one of them, each slice is substituted recursively and
-    multiplied by a power of that image, so unassigned variables are never
-    multiplied.
+    evaluation is Horner-style over the assigned variables, in the packed int
+    kernel from start to end: p is sliced by the exponent of one assigned
+    variable at a time, each slice is substituted recursively and multiplied
+    by a cached power of that variable's image, so unassigned variables are
+    never multiplied.  One radix serves the whole call; it bounds, for each
+    output variable, p's own exponent of it plus E_i times its exponent in
+    image i, summed over the assigned variables i, where E_i is the largest
+    exponent of i in p.  p is cleared over D_p and image i over D_i, and a
+    slice of exponent e is scaled by D_i**(E_i - e), so every partial sum is
+    over the one denominator D_p * prod(D_i**E_i).
     """
-    images = {}
-    for sym, value in assignment.items():
-        images[_resolve_symbol(sym)] = _coerce(value)
+    images = {_resolve_symbol(sym): _coerce(value) for sym, value in assignment.items()}
     if strict:
         for v in p.used_vars():
             if (v.family, v.index) not in images:
                 raise PolyError(f"no assignment for {(v.family, v.index)}")
-    powers: dict = {}
+    if not p.terms:
+        return p
+    keys = [(v.family, v.index) for v in p.vars]
+    tops = list(map(max, zip(*p.terms)))
+    # the assigned variables that occur in p, outermost slice first
+    levels = [i for i in range(len(keys) - 1, -1, -1) if tops[i] and keys[i] in images]
+    vars_ = _merged_table(
+        [v for v, key in zip(p.vars, keys) if key not in images]
+        + [v for i in levels for v in images[keys[i]].vars]
+    )
+    index = {(v.family, v.index): n for n, v in enumerate(vars_)}
+    bound = [0] * len(vars_)
+    for key, top in zip(keys, tops):
+        if key not in images:
+            bound[index[key]] += top
+    for i in levels:
+        image = images[keys[i]]
+        for v, top in zip(image.vars, map(max, zip(*image.terms))):
+            bound[index[(v.family, v.index)]] += tops[i] * top
+    radix = 1 + max(bound, default=0)
+    places = _places(radix, len(vars_))
 
-    def image_power(key: tuple, e: int) -> GradedPoly:
-        got = powers.get((key, e))
-        if got is None:
-            got = images[key] if e == 1 else image_power(key, e - 1) * images[key]
-            powers[(key, e)] = got
-        return got
+    rows, den = _cleared(p.terms, [0 if key in images else places[index[key]] for key in keys])
+    powers, scales = [], []
+    for i in levels:
+        image = images[keys[i]]
+        image_rows, den_i = _cleared(
+            image.terms, [places[index[(v.family, v.index)]] for v in image.vars]
+        )
+        base = [(key, c) for _, key, c in image_rows]
+        chain = [[(0, 1)]]
+        for _ in range(tops[i]):
+            acc: dict = {}
+            _mul_into(acc, [(key, c, None) for key, c in chain[-1]], base)
+            chain.append([(key, c) for key, c in acc.items() if c])
+        powers.append(chain)
+        scales.append([den_i ** (tops[i] - e) for e in range(tops[i] + 1)])
+        den *= den_i ** tops[i]
 
-    positions = [
-        i for i, v in enumerate(p.vars) if (v.family, v.index) in images
-    ]
-    return _substitute_slices(p.terms, p.vars, positions[::-1], image_power)
+    def horner(rows: list, depth: int) -> dict:
+        if depth == len(levels):
+            return {key: c for _, key, c in rows}
+        pos, scale, power = levels[depth], scales[depth], powers[depth]
+        slices: dict = {}
+        for row in rows:
+            slices.setdefault(row[0][pos], []).append(row)
+        acc: dict = {}
+        for e, part in slices.items():
+            inner = horner(part, depth + 1)
+            _mul_into(acc, [(key, c * scale[e], None) for key, c in inner.items()], power[e])
+        return acc
 
-
-def _substitute_slices(
-    terms: Terms, vars_: tuple, positions: list, image_power: Callable
-) -> GradedPoly:
-    """Substitute into terms over vars_ at the assigned positions (descending).
-
-    The first position's variable is dropped from the table of its slices, so
-    the remaining, smaller positions keep their meaning.
-    """
-    if not positions:
-        return GradedPoly(vars_, terms, _checked=True)
-    pos, rest = positions[0], positions[1:]
-    var = vars_[pos]
-    inner_vars = vars_[:pos] + vars_[pos + 1:]
-    slices: dict = {}
-    for exps, c in terms.items():
-        slices.setdefault(exps[pos], {})[exps[:pos] + exps[pos + 1:]] = c
-    total = zero()
-    for e, part in slices.items():
-        value = _substitute_slices(part, inner_vars, rest, image_power)
-        if e:
-            value = value * image_power((var.family, var.index), e)
-        total = total + value
-    return total
+    return GradedPoly(vars_, _unpacked(horner(rows, 0), radix, places, den), _checked=True)
 
 
 def chern_substitute(
