@@ -266,6 +266,30 @@ def test_products_keep_eq_hash_contract():
             assert product == scalar and hash(product) == hash(scalar)
 
 
+def test_transposed_products_share_one_cache_entry():
+    ring = GrassRing(5, 12)  # no other test multiplies on Gr(5,12)
+    x, y = schur(ring, (3, 1)), schur(ring, (2, 2, 1))
+    before = _mul_basis.cache_info().currsize
+    assert x * y == y * x
+    assert _mul_basis.cache_info().currsize == before + 1
+
+
+def test_cancelling_sums_keep_eq_hash_contract():
+    s1 = schur(R36, (1,))
+    for zero in (s1 + (-s1), s1 - s1, 0 * s1, s1 * rat(0), (s1 + 2) - s1 - 2):
+        assert zero.coeffs == {} and zero.is_zero()
+        assert zero == 0 and hash(zero) == hash(0)
+    two = (s1 + 2) - s1
+    assert two.coeffs == {(): 2} and two == 2 and hash(two) == hash(2)
+
+
+def test_bools_are_not_scalar_classes():
+    unit = schur(R36, ())
+    assert unit != True  # noqa: E712 -- the comparison under test
+    with pytest.raises(PolyError):
+        GrassClass(R36, {(): True})
+
+
 @settings(max_examples=60)
 @given(st.lists(st.sampled_from(sorted(R24.partitions())), min_size=0, max_size=3),
        st.lists(st.sampled_from(sorted(R24.partitions())), min_size=0, max_size=3),

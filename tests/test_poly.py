@@ -16,6 +16,7 @@ from multising.poly import (
     constant,
     cvar,
     divide_by_linear,
+    dvar,
     exact_quotient,
     from_json,
     one,
@@ -69,9 +70,21 @@ def test_rat_string_with_denominator_rejected():
         lambda: rat(0.1),
         lambda: constant(0.1),
         lambda: GradedPoly((Var("c", 1, 1),), {(1,): 0.1}),
+        lambda: rat(True),
+        lambda: rat(1, True),
+        lambda: constant(True),
+        lambda: C1 * True,
+        lambda: substitute(C1, {5: ALPHA}),
+        lambda: C1.coefficient({5: 1}),
+        lambda: substitute(C1, {("c",): ALPHA}),
+        lambda: substitute(C1, {("c", 1, 2): ALPHA}),
+        lambda: substitute(C1, {(1, "c"): ALPHA}),
+        lambda: substitute(C1, {("c", True): ALPHA}),
     ],
     ids=["decimal-string", "zero-denominator-string", "zero-denominator",
-         "float", "float-constant", "float-term"],
+         "float", "float-constant", "float-term", "bool", "bool-denominator",
+         "bool-constant", "bool-factor", "symbol-int", "coefficient-symbol-int",
+         "symbol-1-tuple", "symbol-3-tuple", "symbol-swapped-pair", "symbol-bool-index"],
 )
 def test_malformed_scalars_raise_poly_error(make):
     with pytest.raises(PolyError):
@@ -101,6 +114,36 @@ def test_constructor_rejects_malformed_exponents_and_tables(vars_, terms):
     # table without repeats; x^-1*y^2 would otherwise multiply into garbage
     with pytest.raises(PolyError):
         GradedPoly(vars_, terms)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Var(1, 0, 1),
+        lambda: Var("x", 1.0, 1),
+        lambda: Var("x", True, 1),
+        lambda: Var("x", 0, 0),
+        lambda: Var("x", 0, -1),
+        lambda: Var("x", 0, 1.5),
+        lambda: Var("x", 0, True),
+        lambda: variable("x", 0, weight=0),
+        lambda: cvar(1.5),
+        lambda: dvar(0),
+    ],
+    ids=["int-family", "float-index", "bool-index", "zero-weight", "negative-weight",
+         "float-weight", "bool-weight", "zero-weight-variable", "float-chern-index",
+         "zero-weight-series-symbol"],
+)
+def test_var_rejects_malformed_fields(make):
+    # a weight-0 x made series_inverse(1 + x, 3) return 1 - x + x^2 - x^3, whose
+    # product with 1 + x is 1 - x^4; a weight -1 term survived truncate(0)
+    with pytest.raises(PolyError):
+        make()
+
+
+def test_bools_are_not_scalars():
+    assert one() != True  # noqa: E712 -- the comparison under test
+    assert C1 != True  # noqa: E712
 
 
 def test_constructor_rejects_conflicting_weights_in_one_table():
@@ -243,12 +286,12 @@ def naive_mul(a, b, trunc=None):
     return {e: c for e, c in out.items() if c != 0}
 
 
-def naive_substitute(terms, images):
-    """images maps a position of VARS to the terms of its image."""
-    unit = lambda i: {tuple(int(j == i) for j in range(len(VARS))): rat(1)}
+def naive_substitute(terms, images, width=len(VARS)):
+    """images maps a position to the terms of its image, all over width variables."""
+    unit = lambda i: {tuple(int(j == i) for j in range(width)): rat(1)}
     out = {}
     for exps, c in terms.items():
-        acc = {(0,) * len(VARS): c}
+        acc = {(0,) * width: c}
         for i, e in enumerate(exps):
             for _ in range(e):
                 acc = naive_mul(acc, images.get(i, unit(i)))
@@ -338,6 +381,62 @@ def test_substitute_strict_checks_used_variables_only():
     assert got == BETA * ALPHA ** 2
     with pytest.raises(PolyError):
         substitute(p, {("alpha", 0): BETA}, strict=True)
+
+
+# Images may bring variables outside p's table: a new family and a weight-3
+# variable sorted after VARS.
+WIDE = VARS + (Var("u", 0, 1), Var("w", 3, 3))
+
+
+@st.composite
+def wide_images(draw, max_exp):
+    """Zero, constant or general images over WIDE for at most two of VARS,
+    each over its own denominator."""
+    images = {}
+    for i in draw(st.sets(st.integers(0, len(VARS) - 1), max_size=2)):
+        kind = draw(st.sampled_from(("zero", "constant", "general")))
+        if kind == "zero":
+            images[i] = {}
+            continue
+        exps = (st.just((0,) * len(WIDE)) if kind == "constant"
+                else st.tuples(*[st.integers(0, max_exp) for _ in WIDE]))
+        numerators = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool),
+                                          min_size=1, max_size=3))
+        den = draw(st.integers(1, 12))
+        images[i] = {e: rat(n, den) for e, n in numerators.items()}
+    return images
+
+
+@settings(max_examples=100)
+@given(term_dicts(10, max_terms=4), wide_images(10))
+def test_substitute_with_new_variables_matches_naive_substitution(terms, images):
+    # exponents up to 10 in p and in the images make packed digits carry if
+    # the radix misses p's own exponent of an unassigned variable or an
+    # image's contribution; one denominator per image checks the scaling
+    p = GradedPoly(VARS, terms)
+    assignment = {
+        (VARS[i].family, VARS[i].index): GradedPoly(WIDE, image)
+        for i, image in images.items()
+    }
+    padded = {e + (0,) * (len(WIDE) - len(VARS)): c for e, c in p.terms.items()}
+    want = GradedPoly(WIDE, naive_substitute(padded, images, len(WIDE)))
+    assert substitute(p, assignment) == want
+
+
+@settings(max_examples=40)
+@given(term_dicts(3, max_terms=3), st.permutations(range(len(VARS))), st.booleans())
+def test_substitute_rejects_images_with_conflicting_weights(terms, order, between_images):
+    # i and k occur in p; i's image holds unassigned j's (family, index) at
+    # another weight, or a variable that k's image holds at another weight
+    i, j, k = order[:3]
+    for n in (i, k):
+        terms[tuple(int(m == n) for m in range(len(VARS)))] = rat(1)
+    if between_images:
+        assignment = {VARS[i]: variable("u", 0, 1), VARS[k]: variable("u", 0, 2)}
+    else:
+        assignment = {VARS[i]: variable(VARS[j].family, VARS[j].index, VARS[j].weight + 1)}
+    with pytest.raises(IncompatibleVariables):
+        substitute(GradedPoly(VARS, terms), assignment)
 
 
 c_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda e: (0, 0) + e)
@@ -612,10 +711,14 @@ _JSON_VARS = [{"family": "c", "index": 1, "weight": 1}, {"family": "c", "index":
                                        {"coeff": "2/1", "exps": [[1, 1]]}]},
         {"vars": _JSON_VARS, "terms": [{"coeff": "1/1", "exps": [[0]]}]},
         {"vars": _JSON_VARS, "terms": [{"exps": [[0, 1]]}]},
+        {"vars": [{"family": "c", "index": 1, "weight": 0}], "terms": []},
+        {"vars": [{"family": "c", "index": 1, "weight": -2}], "terms": []},
+        {"vars": _JSON_VARS, "terms": [{"coeff": True, "exps": [[0, 1]]}]},
     ]] + ['{"vars": '],
     ids=["list", "string", "no-vars", "no-terms", "string-weight", "float-weight",
          "no-weight", "negative-exponent", "float-exponent", "repeated-ref",
-         "repeated-monomial", "short-pair", "no-coeff", "unparsable"],
+         "repeated-monomial", "short-pair", "no-coeff", "zero-weight",
+         "negative-weight", "bool-coeff", "unparsable"],
 )
 def test_json_rejects_malformed_payload(text):
     with pytest.raises(PolyError):
