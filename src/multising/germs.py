@@ -22,13 +22,14 @@ c-series in symbols a, b and degree-capped series symbols d_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import (
     GradedPoly,
     NonExactDivision,
     PolyError,
+    check_int,
     chern_substitute,
     constant,
     divide_by_linear,
@@ -87,10 +88,8 @@ def _betas(count: int) -> List[GradedPoly]:
 
 def germ_A(k: int, ell: int) -> GermPrototype:
     """Stable A_k germ of relative dimension ell (k = 1..3, ell >= 0)."""
-    if k < 1 or k > 3:
-        raise UnsupportedPrototype(f"no A_{k} prototype")
-    if ell < 0:
-        raise PolyError("relative dimension must be nonnegative")
+    check_int(k, 1, "A_k prototype index k", most=3, error=UnsupportedPrototype)
+    check_int(ell, 0, "relative dimension ell")
     alpha = root_var("alpha")
     betas = _betas(ell)
     source = [s * alpha for s in range(1, k + 1)]
@@ -112,8 +111,7 @@ def germ_A(k: int, ell: int) -> GermPrototype:
 
 def germ_III22(ell: int) -> GermPrototype:
     """Stable III_{2,2} germ of relative dimension ell (ell >= 1)."""
-    if ell < 1:
-        raise PolyError("III_{2,2} has stable representatives only for ell >= 1")
+    check_int(ell, 1, "relative dimension ell of III_{2,2}")
     a1 = root_var("alpha", 1)
     a2 = root_var("alpha", 2)
     betas = _betas(ell - 1)
@@ -238,13 +236,6 @@ def multiple_point_class(g: GermPrototype, r: int) -> GradedPoly:
     raise UnsupportedPrototype(f"no multiple point classes for {g.name}")
 
 
-def m4_class(g: GermPrototype) -> GradedPoly:
-    """Reduced quadruple point class; zero for delta < 4."""
-    if g.delta < 4:
-        return zero()
-    return multiple_point_class(g, 4)
-
-
 # -- verification reports ---------------------------------------------------------------
 
 
@@ -318,8 +309,7 @@ def verify_quadruple(ell: int) -> Report:
     dimension 0 exists, so the residue is evaluated on the ell = 1 germ and
     certified divisible by its n_1 factor alpha_1 + alpha_2 instead.
     """
-    if ell < 1:
-        raise PolyError("the quadruple identities need ell >= 1")
+    check_int(ell, 1, "relative dimension ell of the quadruple identities")
     residue = residue_A0r(4, ell)
     maxdeg = 3 * ell
     checks = []
@@ -367,11 +357,7 @@ def verify_quadruple(ell: int) -> Report:
 
     germ = germ_A(3, ell - 1)
     value = chern_substitute(residue, chern_total(germ, maxdeg))
-    alpha = root_var("alpha")
-    expected = constant(-36) * alpha ** 3
-    for i in range(1, ell):
-        b = root_var("beta", i)
-        expected = expected * (b - alpha) * (b - 2 * alpha) * (b - 3 * alpha)
+    expected = constant(-36) * root_var("alpha") ** 3 * multiple_point_class(germ, 4)
     checks.append(
         _identity_check(
             "q4",
@@ -447,15 +433,9 @@ def verify_divisibility_suite(ell: int) -> Report:
     for name, r in _DIVISIBILITY_CASES:
         germ = stable_germ(name, ell)
         sub = verify_divisibility(germ, r)
-        for c in sub.checks:
-            checks.append(
-                CheckResult(
-                    name=f"{name}-r{r}-{c.name}",
-                    holds=c.holds,
-                    residual=c.residual,
-                    detail=c.detail,
-                )
-            )
+        checks.extend(
+            replace(c, name=f"{name}-r{r}-{c.name}") for c in sub.checks
+        )
     return Report(suite="divisibility", ell=ell, checks=tuple(checks))
 
 
@@ -464,8 +444,7 @@ def verify_divisibility_suite(ell: int) -> Report:
 
 def verify_tpA1(ell: int) -> Report:
     """c_{ell+1} of the A_1 prototype equals the source Euler class."""
-    if ell < 0:
-        raise PolyError("relative dimension must be nonnegative")
+    check_int(ell, 0, "relative dimension ell")
     germ = germ_A(1, ell)
     series = chern_total(germ, ell + 1)
     lhs = series.homogeneous_part(ell + 1)
@@ -534,8 +513,7 @@ def verify_III22A0(ell: int) -> Report:
     III_{2,2} genotype value is the (ii) value under the degree-cap
     rewriting of the top d symbol.
     """
-    if ell < 1:
-        raise PolyError("the III22A0 identities need ell >= 1")
+    check_int(ell, 1, "relative dimension ell of the III22A0 identities")
     residue = residue_III22A0(ell)
     maxdeg = 2 * ell + 4
     checks = []

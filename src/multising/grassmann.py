@@ -74,10 +74,11 @@ class GrassRing:
             if degree is None or sum(lam) == degree:
                 yield lam
 
-    def dual(self, lam: Partition) -> Partition:
+    def dual(self, lam: Sequence[int]) -> Partition:
+        lam = _validate_partition(lam)
         if not self.contains(lam):
             raise PolyError(f"partition {lam} outside the {self.k}x{self.cols} box")
-        padded = tuple(lam) + (0,) * (self.k - len(lam))
+        padded = lam + (0,) * (self.k - len(lam))
         return _strip_zeros(tuple(self.cols - p for p in reversed(padded)))
 
 
@@ -278,6 +279,8 @@ def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
     """Inverse of GrassClass.to_json_list; malformed entries raise PolyError."""
+    if not isinstance(payload, list):
+        raise PolyError(f"JSON: a class is a list of terms, not {payload!r}")
     coeffs: Dict[Partition, Rat] = {}
     for entry in payload:
         lam = _validate_partition(json_field(entry, "partition", list))

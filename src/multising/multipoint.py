@@ -25,6 +25,7 @@ from .poly import (
     GradedPoly,
     PolyError,
     Rat,
+    check_int,
     constant,
     rat,
     rat_str,
@@ -234,8 +235,7 @@ def emit_quadruple_formula(ell: int) -> SourceExpansion:
     m_4 = f*(n_3) - 3 c_ell f*(n_2) + 3 R_{A_0^3} f*(n_1) + R_{A_0^4},
     in unreduced classes (m_4 = 3! reduced).
     """
-    if ell < 1:
-        raise PolyError("the quadruple point formula needs ell >= 1")
+    check_int(ell, 1, "relative dimension ell of the quadruple point formula")
     return expand_m(MultiSingularity(("A0",) * 4), ell, barred=False)
 
 

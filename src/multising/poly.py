@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 from operator import add, mul
-from typing import Callable, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Rat = Fraction
 
@@ -324,6 +324,19 @@ def _is_int(value) -> bool:
 def is_scalar(value) -> bool:
     """True for the exact scalars rat() takes as numbers: ints and Rats, not bools."""
     return isinstance(value, Rat) or _is_int(value)
+
+
+def check_int(value, least: int, what: str, most: Optional[int] = None, error=PolyError) -> int:
+    """value if it is an int in least..most (no upper bound when most is None).
+
+    A bool, any other non-int or a value out of range raises error, a
+    PolyError subclass.  The relative dimensions ell, multiplicities r and
+    singularity indices k of thom, germs and multipoint are checked here.
+    """
+    if not _is_int(value) or value < least or (most is not None and value > most):
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise error(f"{what} must be an int {bounds}, got {value!r}")
+    return value
 
 
 def _is_exponent(e) -> bool:

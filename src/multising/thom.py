@@ -10,8 +10,7 @@ replace d_j with the Chern variable c_{j+shift} (with c_0 = 1 and c_{<0} = 0):
   * residue polynomial of the multisingularity A_0^r at relative
     dimension ell: shift = ell, scaled by (-1)^(r-1) (r-1)!.
 
-Closed-form series are built in for A_0 through A_3; higher series can be
-supplied as explicit term lists with a validity bound.  Residues for the
+Closed-form series are built in for A_0 through A_3.  Residues for the
 mixed multisingularities A_0A_1, III_{2,2} and III_{2,2}A_0 are given by
 closed formulas in Chern variables and Schur determinants.
 """
@@ -22,16 +21,15 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .poly import (
     GradedPoly,
     PolyError,
     Rat,
+    check_int,
     constant,
     cvar,
-    json_field,
-    json_loads,
     one,
     rat,
     root_var,
@@ -40,10 +38,6 @@ from .poly import (
     series_quotient,
     zero,
 )
-
-
-class SeriesValidityError(PolyError):
-    """Requested substitution exceeds an explicit series' validity bound."""
 
 
 class UnsupportedMultisingularity(PolyError):
@@ -114,110 +108,19 @@ def _terms_A3(shift: int):
     return terms
 
 
-_BUILTIN_TERMS: dict = {
-    "A0": (1, _terms_A0),
-    "A1": (2, _terms_A1),
-    "A2": (3, _terms_A2),
-    "A3": (4, _terms_A3),
-}
+_THOM_TERMS = (_terms_A0, _terms_A1, _terms_A2, _terms_A3)
 
 
-@dataclass(frozen=True)
-class ThomSeries:
-    """Thom series, either a built-in closed family or an explicit list.
+def thom_terms(k: int, shift: int) -> list:
+    """Terms of the Thom series of A_k (k = 0..3) surviving d_j -> c_{j+shift}.
 
-    Explicit series carry max_degree, the largest weighted degree of a
-    substituted polynomial for which the term list is complete; requests
-    beyond it raise SeriesValidityError rather than return a wrong answer.
+    Each term is (coeff, indices) with k indices summing to zero, every
+    index >= -shift.
     """
-
-    name: str
-    delta: int
-    builtin: Optional[str] = None
-    explicit_terms: Optional[tuple] = None
-    max_degree: Optional[int] = None
-
-    def terms(self, shift: int) -> list:
-        """All terms surviving d_j -> c_{j+shift}, i.e. every index >= -shift."""
-        if shift < 0:
-            raise PolyError("substitution shift must be nonnegative")
-        if self.builtin is not None:
-            return _BUILTIN_TERMS[self.builtin][1](shift)
-        out_degree = (self.delta - 1) * shift
-        if self.max_degree is not None and out_degree > self.max_degree:
-            raise SeriesValidityError(
-                f"series {self.name} is valid up to degree {self.max_degree}, "
-                f"requested degree {out_degree}"
-            )
-        return [
-            (coeff, indices)
-            for coeff, indices in self.explicit_terms
-            if all(k >= -shift for k in indices)
-        ]
-
-
-def thom_series_A(k: int) -> ThomSeries:
-    """Built-in Thom series of A_k for k = 0..3."""
-    key = f"A{k}"
-    if key not in _BUILTIN_TERMS:
-        raise UnsupportedMultisingularity(
-            f"no built-in Thom series for A_{k}; supply an explicit series"
-        )
-    return ThomSeries(name=key, delta=_BUILTIN_TERMS[key][0], builtin=key)
-
-
-def series_from_terms(
-    name: str, terms: Sequence[tuple], max_degree: int
-) -> ThomSeries:
-    terms = tuple((rat(c) if not isinstance(c, Rat) else c, tuple(ix)) for c, ix in terms)
-    deltas = {len(ix) + 1 for _, ix in terms}
-    if len(deltas) != 1:
-        raise PolyError("all terms of a series must have the same arity")
-    for _, ix in terms:
-        if sum(ix) != 0:
-            raise PolyError(f"term indices {ix} do not sum to zero")
-    return ThomSeries(
-        name=name,
-        delta=deltas.pop(),
-        explicit_terms=terms,
-        max_degree=max_degree,
-    )
-
-
-def series_from_json(payload) -> ThomSeries:
-    """Explicit series from JSON.
-
-    Accepts either a list mixing term objects {"coeff": "p/q",
-    "dIndices": [...]} with one {"validUpToDegree": D} marker, or a dict
-    {"name"?, "validUpToDegree", "terms": [...]}.  D and every index must be
-    ints; any malformed payload raises PolyError.
-    """
-    if isinstance(payload, str):
-        payload = json_loads(payload)
-    name = "explicit"
-    max_degree = None
-    raw_terms = []
-    if isinstance(payload, dict):
-        name = payload.get("name", name)
-        max_degree = json_field(payload, "validUpToDegree", int)
-        raw_terms = json_field(payload, "terms", list)
-    elif isinstance(payload, list):
-        for entry in payload:
-            if isinstance(entry, dict) and "validUpToDegree" in entry:
-                max_degree = json_field(entry, "validUpToDegree", int)
-            else:
-                raw_terms.append(entry)
-    else:
-        raise PolyError(f"explicit series must be a JSON object or list, not {payload!r}")
-    if max_degree is None:
-        raise PolyError("explicit series must declare validUpToDegree")
-    terms = []
-    for entry in raw_terms:
-        indices = json_field(entry, "dIndices", list)
-        if not all(type(i) is int for i in indices):
-            raise PolyError(f"dIndices {indices!r} must be ints")
-        terms.append((rat(json_field(entry, "coeff")), tuple(indices)))
-    return series_from_terms(name, terms, max_degree)
+    check_int(k, 0, "Thom series index k", most=len(_THOM_TERMS) - 1,
+              error=UnsupportedMultisingularity)
+    check_int(shift, 0, "substitution shift")
+    return _THOM_TERMS[k](shift)
 
 
 def _substitute_shift(terms, shift: int) -> GradedPoly:
@@ -238,45 +141,30 @@ def _substitute_shift(terms, shift: int) -> GradedPoly:
     return total
 
 
-def thom_polynomial(series: ThomSeries, ell: int) -> GradedPoly:
-    """Thom polynomial of the monosingularity at relative dimension ell >= 0."""
-    if ell < 0:
-        raise PolyError("relative dimension must be nonnegative")
-    return _substitute_shift(series.terms(ell + 1), ell + 1)
+def thom_polynomial(k: int, ell: int) -> GradedPoly:
+    """Thom polynomial of A_k (k = 0..3) at relative dimension ell >= 0."""
+    check_int(ell, 0, "relative dimension ell")
+    return _substitute_shift(thom_terms(k, ell + 1), ell + 1)
 
 
 # -- residue polynomials ---------------------------------------------------------
 
 
-def residue_A0r(r: int, ell: int, series: Optional[ThomSeries] = None) -> GradedPoly:
-    """Residue polynomial of the r-fold point multisingularity A_0^r.
+def residue_A0r(r: int, ell: int) -> GradedPoly:
+    """Residue polynomial of the r-fold point multisingularity A_0^r, r = 2..4.
 
-    For r <= 4 the built-in Thom series is used; for r >= 5 an explicit
-    series for A_{r-1} must be supplied.
+    It is the shifted Thom series of A_{r-1}; any other r raises
+    UnsupportedMultisingularity.
     """
-    if r < 2 or r > 7:
-        raise UnsupportedMultisingularity(f"A_0^{r} is out of the supported range")
-    if ell < 1:
-        raise PolyError("residues of multiple point classes need ell >= 1")
-    if series is None:
-        if r > 4:
-            raise SeriesValidityError(
-                f"A_0^{r} requires an explicit Thom series for A_{r - 1}"
-            )
-        series = thom_series_A(r - 1)
-    if series.delta != r:
-        raise PolyError(
-            f"series arity mismatch: A_0^{r} needs delta {r}, got {series.delta}"
-        )
-    sign = 1 if (r - 1) % 2 == 0 else -1
-    scale = rat(sign * math.factorial(r - 1))
-    return _substitute_shift(series.terms(ell), ell) * scale
+    check_int(r, 2, "A_0^r multiplicity r", most=4, error=UnsupportedMultisingularity)
+    check_int(ell, 1, "relative dimension ell of a residue")
+    scale = rat((-1) ** (r - 1) * math.factorial(r - 1))
+    return _substitute_shift(thom_terms(r - 1, ell), ell) * scale
 
 
 def residue_A0A1(ell: int) -> GradedPoly:
     """Residue polynomial of the multisingularity A_0A_1."""
-    if ell < 1:
-        raise PolyError("residues of multiple point classes need ell >= 1")
+    check_int(ell, 1, "relative dimension ell of a residue")
     total = cvar(ell) * cvar(ell + 1)
     for i in range(ell):
         total = total + rat(2 ** i) * cvar(ell - 1 - i) * cvar(ell + 2 + i)
@@ -285,8 +173,7 @@ def residue_A0A1(ell: int) -> GradedPoly:
 
 def residue_III22(ell: int) -> GradedPoly:
     """Residue polynomial of the monosingularity III_{2,2} (ell >= 1)."""
-    if ell < 1:
-        raise PolyError("III_{2,2} is stable only for ell >= 1")
+    check_int(ell, 1, "relative dimension ell of III_{2,2}")
     return schur2(ell + 2, ell + 2)
 
 
@@ -296,8 +183,7 @@ def residue_III22A0(ell: int) -> GradedPoly:
     The defining sum is infinite but terminates because the third Schur
     index drops below zero; only i = 1 .. ell+1 contribute.
     """
-    if ell < 1:
-        raise PolyError("III_{2,2}A_0 is stable only for ell >= 1")
+    check_int(ell, 1, "relative dimension ell of III_{2,2}A_0")
     total = zero()
     for i in range(1, ell + 2):
         total = total + rat(2 ** (i + 1)) * schur3(ell + 1 + i, ell + 2, ell + 1 - i)
@@ -328,9 +214,7 @@ class SingularityInfo:
         return max(self.corank - 1, 0)
 
     def codim(self, ell: int) -> int:
-        if ell < self.min_ell:
-            raise PolyError(f"{self.name} has no stable germ for ell = {ell}")
-        return self.codim_of(ell)
+        return self.codim_of(check_int(ell, self.min_ell, f"relative dimension ell of {self.name}"))
 
 
 def _a_info(k: int) -> SingularityInfo:
@@ -380,6 +264,8 @@ def parse_multisingularity(text: str) -> tuple:
     """
     import re
 
+    if not isinstance(text, str):
+        raise UnsupportedMultisingularity(f"multisingularity name {text!r} is not a string")
     tokens = []
     pos = 0
     pattern = re.compile(r"(III\d\d|I\d\d|A\d+)(?:\^(\d+))?")
@@ -402,22 +288,23 @@ def parse_multisingularity(text: str) -> tuple:
     return tuple(tokens)
 
 
-def residue(
-    multi: Union[str, Sequence[str]],
-    ell: int,
-    series: Optional[ThomSeries] = None,
-) -> GradedPoly:
+def residue(multi: Union[str, Sequence[str]], ell: int) -> GradedPoly:
     """Residue polynomial of a multisingularity at relative dimension ell.
 
-    multi is a name such as A0^4 or a sequence of tokens.  Residues do not
-    depend on which point is distinguished; a lone A0 has residue 1.
+    multi is a name such as A0^4 or a tuple or list of tokens.  Residues do
+    not depend on which point is distinguished; a lone A0 has residue 1.
     """
-    tokens = parse_multisingularity(multi) if isinstance(multi, str) else tuple(multi)
+    if isinstance(multi, str):
+        tokens = parse_multisingularity(multi)
+    elif isinstance(multi, (tuple, list)) and all(isinstance(t, str) for t in multi):
+        tokens = tuple(multi)
+    else:
+        raise UnsupportedMultisingularity(f"{multi!r} is not a multisingularity")
     counts = Counter(tokens)
     if set(counts) == {"A0"}:
         if counts["A0"] == 1:
             return one()
-        return residue_A0r(counts["A0"], ell, series=series)
+        return residue_A0r(counts["A0"], ell)
     if counts == {"A0": 1, "A1": 1}:
         return residue_A0A1(ell)
     if counts == {"III22": 1}:

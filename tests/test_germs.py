@@ -15,7 +15,6 @@ from multising.germs import (
     germ_A,
     germ_III22,
     germ_blowup,
-    m4_class,
     multiple_point_class,
     n1,
     stable_germ,
@@ -36,7 +35,12 @@ from multising.poly import (
     substitute,
 )
 from multising.multipoint import emit_quadruple_formula
-from multising.thom import residue_A0r
+from multising.thom import (
+    multisingularity_codim,
+    residue,
+    residue_A0r,
+    thom_polynomial,
+)
 
 ALPHA = root_var("alpha")
 A1_ = root_var("alpha", 1)
@@ -143,13 +147,45 @@ def test_blowup_control_report():
     assert "fails as required" in report.checks[0].detail
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_quadruple(True),
+        lambda: verify_quadruple(1.0),
+        lambda: verify_divisibility_suite(1.5),
+        lambda: verify_tpA1(True),
+        lambda: verify_III22A0(1.0),
+        lambda: emit_quadruple_formula(True),
+        lambda: germ_A(True, 1),
+        lambda: germ_A(1, True),
+        lambda: germ_III22(2.0),
+        lambda: multisingularity_codim(("A0",) * 4, 1.5),
+        lambda: residue_A0r(4, 1.5),
+        lambda: residue_A0r(4.0, 1),
+        lambda: thom_polynomial(2, 1.5),
+        lambda: residue("A0^4", "2"),
+        lambda: residue("III22A0", True),
+    ],
+    ids=[
+        "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
+        "tpA1-bool", "III22A0-float", "quadruple_formula-bool", "germ_A-bool-k",
+        "germ_A-bool-ell", "germ_III22-float", "codim-float", "residue_A0r-float-ell",
+        "residue_A0r-float-r", "thom_polynomial-float", "residue-str-ell",
+        "residue-bool-ell",
+    ],
+)
+def test_non_int_arguments_raise_poly_error(call):
+    with pytest.raises(PolyError):
+        call()
+
+
 # -- multiple point classes ------------------------------------------------------------------
 
 
 def test_m4_zero_below_multiplicity():
-    assert m4_class(germ_A(1, 2)).is_zero()
-    assert m4_class(germ_A(2, 1)).is_zero()
-    assert m4_class(germ_III22(2)).is_zero()
+    assert multiple_point_class(germ_A(1, 2), 4).is_zero()
+    assert multiple_point_class(germ_A(2, 1), 4).is_zero()
+    assert multiple_point_class(germ_III22(2), 4).is_zero()
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -158,7 +194,7 @@ def test_m4_A3_product(ell):
     for i in range(1, ell + 1):
         b = _beta(i)
         expected = expected * (b - ALPHA) * (b - 2 * ALPHA) * (b - 3 * ALPHA)
-    got = m4_class(germ_A(3, ell))
+    got = multiple_point_class(germ_A(3, ell), 4)
     assert got == expected
     assert got.is_homogeneous() and got.weighted_degree() == 3 * ell
 

@@ -159,6 +159,9 @@ def test_dual_partition():
     assert R24.dual(()) == (2, 2)
     assert R24.dual((2, 1)) == (1,)
     assert R37.dual((4, 2, 1)) == (3, 2)
+    for lam in [(1.5,), (True,), ("1",), (1, 2), (-1,), (4,), (1, 1, 1, 1)]:
+        with pytest.raises(PolyError):
+            R36.dual(lam)
 
 
 def test_scalar_classes_hash_like_their_value():
@@ -502,6 +505,10 @@ def test_json_folds_duplicates():
         [{"coeff": "1/1"}],
         [{"partition": [1]}],
         ["s1"],
+        5,
+        None,
+        {"partition": [1], "coeff": "1/1"},
+        "s1",
     ],
 )
 def test_json_rejects_malformed_entries(payload):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from multising.poly import PolyError, cvar, schur2, schur3, to_latex, zero
 from multising.thom import (
-    SeriesValidityError,
     UnsupportedMultisingularity,
     a_coeff,
     a_triangle,
@@ -19,11 +18,9 @@ from multising.thom import (
     residue_A0r,
     residue_III22,
     residue_III22A0,
-    series_from_json,
-    series_from_terms,
     singularity_info,
     thom_polynomial,
-    thom_series_A,
+    thom_terms,
 )
 
 C = cvar
@@ -76,9 +73,8 @@ def test_a_coeff_symmetry_and_edges():
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("shift", [0, 1, 2, 3])
 def test_series_terms_shape(k, shift):
-    ts = thom_series_A(k)
-    for coeff, indices in ts.terms(shift):
-        assert len(indices) == ts.delta - 1 == k
+    for coeff, indices in thom_terms(k, shift):
+        assert len(indices) == k
         assert sum(indices) == 0
         assert all(ix >= -shift for ix in indices)
         assert coeff != 0
@@ -86,7 +82,19 @@ def test_series_terms_shape(k, shift):
 
 def test_series_A4_not_builtin():
     with pytest.raises(UnsupportedMultisingularity):
-        thom_series_A(4)
+        thom_terms(4, 1)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, -1, 4, "2", None])
+def test_thom_terms_rejects_bad_index(k):
+    with pytest.raises(UnsupportedMultisingularity):
+        thom_terms(k, 1)
+
+
+@pytest.mark.parametrize("shift", [True, 1.0, -1])
+def test_thom_terms_rejects_bad_shift(shift):
+    with pytest.raises(PolyError):
+        thom_terms(2, shift)
 
 
 # -- Thom polynomials ---------------------------------------------------------------
@@ -94,18 +102,18 @@ def test_series_A4_not_builtin():
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
 def test_thom_polynomial_A1(ell):
-    assert thom_polynomial(thom_series_A(1), ell) == C(ell + 1)
+    assert thom_polynomial(1, ell) == C(ell + 1)
 
 
 def test_thom_polynomial_A2_examples():
-    assert thom_polynomial(thom_series_A(2), 0) == C(1) ** 2 + C(2)
-    assert thom_polynomial(thom_series_A(2), 1) == C(2) ** 2 + C(1) * C(3) + 2 * C(4)
+    assert thom_polynomial(2, 0) == C(1) ** 2 + C(2)
+    assert thom_polynomial(2, 1) == C(2) ** 2 + C(1) * C(3) + 2 * C(4)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
 def test_thom_polynomial_homogeneous_of_codimension(k, ell):
-    tp = thom_polynomial(thom_series_A(k), ell)
+    tp = thom_polynomial(k, ell)
     assert tp.is_homogeneous()
     assert tp.weighted_degree() == singularity_info(f"A{k}").codim(ell)
 
@@ -155,8 +163,8 @@ def test_residue_homogeneous_degree(r, ell):
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
 def test_residue_consistency_with_thom_polynomials(ell):
     # the same residues through the monosingularity substitution route
-    assert residue_A0r(2, ell) == -1 * thom_polynomial(thom_series_A(1), ell - 1)
-    assert residue_A0r(3, ell) == 2 * thom_polynomial(thom_series_A(2), ell - 1)
+    assert residue_A0r(2, ell) == -1 * thom_polynomial(1, ell - 1)
+    assert residue_A0r(3, ell) == 2 * thom_polynomial(2, ell - 1)
 
 
 def test_residue_requires_positive_ell():
@@ -210,81 +218,13 @@ def test_residue_III22A0_degree(ell):
     assert p.weighted_degree() == 3 * ell + 4
 
 
-# -- explicit series -----------------------------------------------------------------
-
-
-def _explicit_A3(max_shift: int):
-    builtin = thom_series_A(3)
-    return series_from_terms(
-        "A3-explicit", builtin.terms(max_shift), max_degree=3 * max_shift
-    )
-
-
-@pytest.mark.parametrize("ell", [1, 2])
-def test_explicit_series_matches_builtin(ell):
-    series = _explicit_A3(2)
-    assert residue_A0r(4, ell, series=series) == residue_A0r(4, ell)
-
-
-def test_explicit_series_refuses_beyond_validity():
-    series = _explicit_A3(2)
-    with pytest.raises(SeriesValidityError):
-        residue_A0r(4, 3, series=series)
-
-
-def test_quintuple_requires_series():
-    with pytest.raises(SeriesValidityError):
-        residue_A0r(5, 1)
-
-
-def test_series_json_round_trip():
-    payload = [
-        {"coeff": "1/1", "dIndices": [0]},
-    ]
-    payload.append({"validUpToDegree": 10})
-    series = series_from_json(payload)
-    assert series.delta == 2
-    assert residue_A0r(2, 3, series=series) == -C(3)
-
-    dict_payload = {
-        "name": "A1x",
-        "validUpToDegree": 4,
-        "terms": [{"coeff": "1/1", "dIndices": [0]}],
-    }
-    series2 = series_from_json(dict_payload)
-    assert residue_A0r(2, 2, series=series2) == -C(2)
-    with pytest.raises(SeriesValidityError):
-        residue_A0r(2, 5, series=series2)
-
-
-def test_series_validation():
-    with pytest.raises(PolyError):
-        series_from_terms("bad", [(1, (1, 2))], 5)  # indices do not sum to 0
-    with pytest.raises(PolyError):
-        series_from_terms("bad", [(1, (0,)), (1, (1, -1))], 5)  # mixed arity
-    with pytest.raises(PolyError):
-        series_from_json([{"coeff": "1/1", "dIndices": [0]}])  # no validity
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"validUpToDegree": 4},  # no terms
-        [{"coeff": "1/1"}, {"validUpToDegree": 4}],  # no dIndices
-        [{"dIndices": [0]}, {"validUpToDegree": 4}],  # no coeff
-        [{"coeff": "1/1", "dIndices": 5}, {"validUpToDegree": 4}],
-        [{"coeff": "1/1", "dIndices": [0]}, {"validUpToDegree": 2.7}],
-        {"validUpToDegree": True, "terms": [{"coeff": "1/1", "dIndices": [0]}]},
-        [{"coeff": "1/1", "dIndices": [0.5, -0.5]}, {"validUpToDegree": 4}],
-        [{"coeff": "1/1", "dIndices": [True, -1]}, {"validUpToDegree": 4}],
-        ["A1", {"validUpToDegree": 4}],
-        5,
-        "[{",  # text that does not parse
-    ],
-)
-def test_series_json_rejects_malformed_payload(payload):
-    with pytest.raises(PolyError):
-        series_from_json(payload)
+def test_quintuple_and_beyond_unsupported():
+    # only the Thom series of A_0..A_3 are built in, so A_0^r stops at r = 4
+    for r in (1, 5, 6, 7, 8):
+        with pytest.raises(UnsupportedMultisingularity):
+            residue_A0r(r, 1)
+    with pytest.raises(UnsupportedMultisingularity):
+        residue("A0^5", 1)
 
 
 # -- names and bookkeeping --------------------------------------------------------------
@@ -300,6 +240,8 @@ def test_parse_multisingularity():
         parse_multisingularity("B2")
     with pytest.raises(UnsupportedMultisingularity):
         parse_multisingularity("")
+    with pytest.raises(UnsupportedMultisingularity):
+        parse_multisingularity(5)
 
 
 def test_residue_dispatch():
@@ -311,8 +253,9 @@ def test_residue_dispatch():
     assert residue("III22A0", 2) == residue_III22A0(2)
     for ell in (1, 2, 3):
         assert residue(("A0",), ell) == 1
-    with pytest.raises(UnsupportedMultisingularity):
-        residue("A1^2", 1)
+    for multi in ("A1^2", 5, None, ("A0", 5), b"A0^2"):
+        with pytest.raises(UnsupportedMultisingularity):
+            residue(multi, 1)
 
 
 def test_singularity_info():
