@@ -12,8 +12,7 @@ from .poly import (
     cvar,
     rat,
     rat_str,
-    schur2,
-    schur3,
+    schur_det,
     series_quotient,
     substitute,
     vanishes_under,
@@ -25,8 +24,7 @@ __all__ = [
     "cvar",
     "rat",
     "rat_str",
-    "schur2",
-    "schur3",
+    "schur_det",
     "series_quotient",
     "substitute",
     "vanishes_under",

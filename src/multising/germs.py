@@ -15,8 +15,10 @@ those lists:
 
 The suites check the defining identities of the quadruple-point and
 III_{2,2}A_0 residue polynomials as exact polynomial identities, never as
-numeric spot evaluations.  The III_{2,2}A_0 suite works with genotype
-c-series in symbols a, b and degree-capped series symbols d_i.
+numeric spot evaluations.  Every check that compares two polynomials goes
+through _identity_check, which keeps the residual lhs - rhs of a failing
+check.  The III_{2,2}A_0 suite works with genotype c-series in symbols a, b
+and degree-capped series symbols d_i (d_0 = 1, d_{<0} = 0).
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .poly import (
     one_plus,
     rat,
     root_var,
-    schur2,
-    schur3,
+    schur_det,
     series_quotient,
     substitute,
     to_json_dict,
@@ -277,13 +278,10 @@ class Report:
 
 
 def _identity_check(name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str = "") -> CheckResult:
+    """lhs == rhs as an exact identity; a failing check keeps the residual lhs - rhs."""
     residual = lhs - rhs
-    return CheckResult(
-        name=name,
-        holds=residual.is_zero(),
-        residual=None if residual.is_zero() else residual,
-        detail=detail,
-    )
+    holds = residual.is_zero()
+    return CheckResult(name=name, holds=holds, residual=None if holds else residual, detail=detail)
 
 
 # -- quadruple point suite ----------------------------------------------------------------
@@ -312,57 +310,38 @@ def verify_quadruple(ell: int) -> Report:
     check_int(ell, 1, "relative dimension ell of the quadruple identities")
     residue = residue_A0r(4, ell)
     maxdeg = 3 * ell
-    checks = []
 
-    for qname, k in (("q1", 1), ("q2", 2)):
-        germ = germ_A(k, ell - 1)
-        value = chern_substitute(residue, chern_total(germ, maxdeg))
-        checks.append(
-            _identity_check(
-                qname,
-                value,
-                zero(),
-                detail=f"quadruple residue vanishes on the A{k} prototype",
-            )
+    def on(germ: GermPrototype, degree: int) -> GradedPoly:
+        return chern_substitute(residue, chern_total(germ, degree))
+
+    checks = [
+        _identity_check(
+            f"q{k}",
+            on(germ_A(k, ell - 1), maxdeg),
+            zero(),
+            detail=f"quadruple residue vanishes on the A{k} prototype",
         )
-
+        for k in (1, 2)
+    ]
     if ell >= 2:
-        germ = germ_III22(ell - 1)
-        value = chern_substitute(residue, chern_total(germ, maxdeg))
-        checks.append(
-            _identity_check(
-                "q3",
-                value,
-                zero(),
-                detail="quadruple residue vanishes on the III22 prototype",
-            )
-        )
+        q3 = on(germ_III22(ell - 1), maxdeg)
+        q3_detail = "quadruple residue vanishes on the III22 prototype"
     else:
         germ = germ_III22(1)
-        value = chern_substitute(residue, chern_total(germ, maxdeg + 1))
         sym, image = _specialization_for(germ.n1_factors[0])
-        specialized = substitute(value, {sym: image})
-        divisible = specialized.is_zero()
-        checks.append(
-            CheckResult(
-                name="q3",
-                holds=divisible,
-                residual=None if divisible else specialized,
-                detail=(
-                    "degenerate case: no III22 prototype of relative dimension 0; "
-                    "the residue on the ell=1 germ is divisible by alpha_1+alpha_2"
-                ),
-            )
+        q3 = substitute(on(germ, maxdeg + 1), {sym: image})
+        q3_detail = (
+            "degenerate case: no III22 prototype of relative dimension 0; "
+            "the residue on the ell=1 germ is divisible by alpha_1+alpha_2"
         )
+    checks.append(_identity_check("q3", q3, zero(), detail=q3_detail))
 
     germ = germ_A(3, ell - 1)
-    value = chern_substitute(residue, chern_total(germ, maxdeg))
-    expected = constant(-36) * root_var("alpha") ** 3 * multiple_point_class(germ, 4)
     checks.append(
         _identity_check(
             "q4",
-            value,
-            expected,
+            on(germ, maxdeg),
+            constant(-36) * root_var("alpha") ** 3 * multiple_point_class(germ, 4),
             detail="quadruple residue on the A3 prototype equals -36 e(source)*m4",
         )
     )
@@ -381,30 +360,26 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     the Euler quotient itself is reported as the first check.
     """
     ell = g.ell
-    checks = []
     try:
         quotient = n1(g)
-        expected = constant(g.n1_scalar)
-        for f in g.n1_factors:
-            expected = expected * f
-        checks.append(
-            _identity_check(
-                "n1-closed-form",
-                quotient,
-                expected,
-                detail="Euler quotient matches the documented closed form",
-            )
-        )
     except NonExactDivision as err:
-        checks.append(
-            CheckResult(
-                name="n1-exactness",
-                holds=False,
-                residual=None,
-                detail=f"Euler quotient is not polynomial: {err}",
-            )
+        exactness = CheckResult(
+            name="n1-exactness",
+            holds=False,
+            detail=f"Euler quotient is not polynomial: {err}",
         )
-        return Report(suite="divisibility", ell=ell, checks=tuple(checks))
+        return Report(suite="divisibility", ell=ell, checks=(exactness,))
+    expected = constant(g.n1_scalar)
+    for f in g.n1_factors:
+        expected = expected * f
+    checks = [
+        _identity_check(
+            "n1-closed-form",
+            quotient,
+            expected,
+            detail="Euler quotient matches the documented closed form",
+        )
+    ]
 
     m_class = multiple_point_class(g, r)
     residue = residue_A0r(r, ell) * rat(1, math.factorial(r - 1))
@@ -412,12 +387,11 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     difference = m_class - substituted
     for f in g.n1_factors:
         sym, image = _specialization_for(f)
-        specialized = substitute(difference, {sym: image})
         checks.append(
-            CheckResult(
-                name=f"factor-{to_text(f)}",
-                holds=specialized.is_zero(),
-                residual=None if specialized.is_zero() else specialized,
+            _identity_check(
+                f"factor-{to_text(f)}",
+                substitute(difference, {sym: image}),
+                zero(),
                 detail=f"difference vanishes under {sym[0]}{sym[1] or ''} -> {to_text(image)}",
             )
         )
@@ -461,12 +435,16 @@ def verify_tpA1(ell: int) -> Report:
 # -- III_{2,2}A_0 suite ----------------------------------------------------------------------
 
 
+def _d(i: int) -> GradedPoly:
+    """Series symbol d_i with the convention d_0 = 1, d_{<0} = 0, like cvar."""
+    if i < 0:
+        return zero()
+    return one() if i == 0 else dvar(i)
+
+
 def _d_polynomial(cap: int) -> GradedPoly:
     """1 + d_1 + ... + d_cap with d_i of weight i (degree-capped symbols)."""
-    total = one()
-    for i in range(1, cap + 1):
-        total = total + dvar(i)
-    return total
+    return sum((_d(i) for i in range(cap + 1)), zero())
 
 
 def genotype_series(kind: str, ell: int, maxdeg: int, r: int = 1) -> GradedPoly:
@@ -499,8 +477,8 @@ def _triangular_substitution(value: GradedPoly, ell: int) -> GradedPoly:
     e1 = root_var("a") + root_var("b")
     assignment = {}
     for i in range(1, ell):
-        assignment[("d", i)] = dvar(i) - e1 * (dvar(i - 1) if i > 1 else one())
-    assignment[("d", ell)] = -e1 * (dvar(ell - 1) if ell > 1 else one())
+        assignment[("d", i)] = dvar(i) - e1 * _d(i - 1)
+    assignment[("d", ell)] = -e1 * _d(ell - 1)
     return substitute(value, assignment)
 
 
@@ -516,23 +494,19 @@ def verify_III22A0(ell: int) -> Report:
     check_int(ell, 1, "relative dimension ell of the III22A0 identities")
     residue = residue_III22A0(ell)
     maxdeg = 2 * ell + 4
-    checks = []
-
-    for r in (1, 2, 3):
-        series = genotype_series("aichern", ell, maxdeg, r=r)
-        value = chern_substitute(residue, series)
-        checks.append(
-            _identity_check(
-                f"aichern-r{r}",
-                value,
-                zero(),
-                detail=f"residue vanishes on the A{r} genotype",
-            )
+    checks = [
+        _identity_check(
+            f"aichern-r{r}",
+            chern_substitute(residue, genotype_series("aichern", ell, maxdeg, r=r)),
+            zero(),
+            detail=f"residue vanishes on the A{r} genotype",
         )
+        for r in (1, 2, 3)
+    ]
 
     i22 = genotype_series("i22chern", ell, maxdeg)
     value_i22 = chern_substitute(residue, i22)
-    rhs = constant(-4) * dvar(ell) * chern_substitute(schur2(ell + 2, ell + 2), i22)
+    rhs = constant(-4) * dvar(ell) * chern_substitute(schur_det(ell + 2, ell + 2), i22)
     checks.append(
         _identity_check(
             "i22chern",
@@ -543,18 +517,16 @@ def verify_III22A0(ell: int) -> Report:
     )
 
     iii22 = genotype_series("iii22chern", ell, maxdeg)
-    value_iii22 = chern_substitute(residue, iii22)
     checks.append(
         _identity_check(
             "iii22chern",
-            value_iii22,
+            chern_substitute(residue, iii22),
             _triangular_substitution(value_i22, ell),
             detail="III22 genotype value matches the degree-capped I22 value",
         )
     )
 
-    for triple in _factorization_triples(ell):
-        checks.append(factorization_check(ell, triple))
+    checks.extend(factorization_check(ell, triple) for triple in _factorization_triples(ell))
     return Report(suite="iii22a0", ell=ell, checks=tuple(checks))
 
 
@@ -587,20 +559,16 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
         raise PolyError(f"triple {triple} violates the factorization ranges")
     maxdeg = i + 2
     series = genotype_series("i22chern", ell, maxdeg)
-    lhs = chern_substitute(schur3(i, j, k), series)
+    lhs = chern_substitute(schur_det(i, j, k), series)
     a = root_var("a")
     b = root_var("b")
     e1 = a + b
     e2 = a * b
-    d_part = (
-        (dvar(k) if k >= 1 else one())
-        - 2 * e1 * (dvar(k - 1) if k - 1 >= 1 else (one() if k - 1 == 0 else zero()))
-        + 4 * e2 * (dvar(k - 2) if k - 2 >= 1 else (one() if k - 2 == 0 else zero()))
-    )
+    d_part = _d(k) - 2 * e1 * _d(k - 1) + 4 * e2 * _d(k - 2)
     rhs = (
         e2 ** (j - ell - 2)
         * _complete_homogeneous(i - j)
-        * chern_substitute(schur2(ell + 2, ell + 2), series)
+        * chern_substitute(schur_det(ell + 2, ell + 2), series)
         * d_part
     )
     return _identity_check(
@@ -619,15 +587,9 @@ def blowup_control_report() -> Report:
     germ = germ_blowup()
     try:
         n1(germ)
-        check = CheckResult(
-            name="blowup-rejected",
-            holds=False,
-            detail="Euler quotient unexpectedly polynomial",
-        )
     except NonExactDivision as err:
-        check = CheckResult(
-            name="blowup-rejected",
-            holds=True,
-            detail=f"Euler divisibility fails as required: {err}",
-        )
+        holds, detail = True, f"Euler divisibility fails as required: {err}"
+    else:
+        holds, detail = False, "Euler quotient unexpectedly polynomial"
+    check = CheckResult(name="blowup-rejected", holds=holds, detail=detail)
     return Report(suite="blowup", ell=0, checks=(check,))

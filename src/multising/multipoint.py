@@ -260,14 +260,14 @@ def _sym_text(label: Tuple[str, ...]) -> str:
 
 
 def expansion_to_latex(expansion: FormalExpansion) -> str:
-    return _render_expansion(expansion, _sym_latex, "^")
+    return _render_expansion(expansion, _sym_latex)
 
 
 def expansion_to_text(expansion: FormalExpansion) -> str:
-    return _render_expansion(expansion, _sym_text, "^")
+    return _render_expansion(expansion, _sym_text)
 
 
-def _render_expansion(expansion, namer, power_mark) -> str:
+def _render_expansion(expansion, namer) -> str:
     items = sorted(
         expansion.items(), key=lambda kv: (len(kv[0]), kv[0])
     )
@@ -277,7 +277,7 @@ def _render_expansion(expansion, namer, power_mark) -> str:
         for label in mono:
             powers[label] = powers.get(label, 0) + 1
         body = "".join(
-            namer(label) + (f"{power_mark}{e}" if e > 1 else "")
+            namer(label) + (f"^{e}" if e > 1 else "")
             for label, e in sorted(powers.items(), key=lambda kv: len(kv[0]))
         )
         pieces.append((coeff, body))

@@ -498,24 +498,14 @@ def cvar(i: int) -> GradedPoly:
     return variable("c", i, weight=i)
 
 
-def dvar(i: int, weight=None) -> GradedPoly:
-    """Series symbol d_i; weight defaults to i (genotype-series grading)."""
-    return variable("d", i, weight=i if weight is None else weight)
+def dvar(i: int) -> GradedPoly:
+    """Series symbol d_i of weight i (genotype-series grading)."""
+    return variable("d", i, weight=i)
 
 
 def root_var(family: str, index: int = 0) -> GradedPoly:
     """Weight-1 root symbol such as alpha, beta_i, a, b."""
     return variable(family, index, weight=1)
-
-
-def monomial(coeff, factors: Mapping[SymbolLike, int], weights=None) -> GradedPoly:
-    """coeff * prod(sym^e); weights default to 1 per symbol."""
-    result = constant(coeff)
-    for sym, e in factors.items():
-        family, index = _resolve_symbol(sym)
-        w = 1 if weights is None else weights.get(sym, 1)
-        result = result * variable(family, index, w) ** e
-    return result
 
 
 # -- spec-named operations ----------------------------------------------------
@@ -673,28 +663,25 @@ def vanishes_under(
     return True
 
 
-def schur2(i: int, j: int) -> GradedPoly:
-    """2x2 Schur determinant det[[c_i, c_{i+1}], [c_{j-1}, c_j]]."""
-    return cvar(i) * cvar(j) - cvar(i + 1) * cvar(j - 1)
+def schur_det(*parts: int) -> GradedPoly:
+    """Schur determinant det[c_{parts[r]+s-r}] over rows r and columns s.
 
+    schur_det() is 1, schur_det(i) is c_i and schur_det(i, j) is
+    c_i c_j - c_{i+1} c_{j-1}; larger determinants expand along the first row.
+    """
+    if not parts:
+        return one()
 
-def schur3(i: int, j: int, k: int) -> GradedPoly:
-    """3x3 Schur determinant with rows (c_i,c_{i+1},c_{i+2}),
-    (c_{j-1},c_j,c_{j+1}), (c_{k-2},c_{k-1},c_k)."""
-    rows = [
-        [cvar(i), cvar(i + 1), cvar(i + 2)],
-        [cvar(j - 1), cvar(j), cvar(j + 1)],
-        [cvar(k - 2), cvar(k - 1), cvar(k)],
-    ]
-    total = zero()
-    for col, sign in ((0, 1), (1, -1), (2, 1)):
-        rest = [c for c in range(3) if c != col]
-        minor = (
-            rows[1][rest[0]] * rows[2][rest[1]]
-            - rows[1][rest[1]] * rows[2][rest[0]]
-        )
-        total = total + rows[0][col] * minor * sign
-    return total
+    def minor(row: int, cols: tuple) -> GradedPoly:
+        if len(cols) == 1:
+            return cvar(parts[row] + cols[0] - row)
+        total = zero()
+        for pos, col in enumerate(cols):
+            term = cvar(parts[row] + col - row) * minor(row + 1, cols[:pos] + cols[pos + 1:])
+            total = total - term if pos % 2 else total + term
+        return total
+
+    return minor(0, tuple(range(len(parts))))
 
 
 def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
@@ -778,8 +765,8 @@ def to_json_dict(p: GradedPoly) -> dict:
     return {"vars": vars_payload, "terms": terms_payload}
 
 
-def to_json(p: GradedPoly, indent=None) -> str:
-    return json.dumps(to_json_dict(p), indent=indent)
+def to_json(p: GradedPoly) -> str:
+    return json.dumps(to_json_dict(p))
 
 
 def json_field(payload, key: str, kind=object):

@@ -33,8 +33,7 @@ from .poly import (
     one,
     rat,
     root_var,
-    schur2,
-    schur3,
+    schur_det,
     series_quotient,
     zero,
 )
@@ -174,7 +173,7 @@ def residue_A0A1(ell: int) -> GradedPoly:
 def residue_III22(ell: int) -> GradedPoly:
     """Residue polynomial of the monosingularity III_{2,2} (ell >= 1)."""
     check_int(ell, 1, "relative dimension ell of III_{2,2}")
-    return schur2(ell + 2, ell + 2)
+    return schur_det(ell + 2, ell + 2)
 
 
 def residue_III22A0(ell: int) -> GradedPoly:
@@ -186,7 +185,7 @@ def residue_III22A0(ell: int) -> GradedPoly:
     check_int(ell, 1, "relative dimension ell of III_{2,2}A_0")
     total = zero()
     for i in range(1, ell + 2):
-        total = total + rat(2 ** (i + 1)) * schur3(ell + 1 + i, ell + 2, ell + 1 - i)
+        total = total + rat(2 ** (i + 1)) * schur_det(ell + 1 + i, ell + 2, ell + 1 - i)
     return -total
 
 
@@ -303,6 +302,7 @@ def residue(multi: Union[str, Sequence[str]], ell: int) -> GradedPoly:
     counts = Counter(tokens)
     if set(counts) == {"A0"}:
         if counts["A0"] == 1:
+            check_int(ell, 1, "relative dimension ell of a residue")
             return one()
         return residue_A0r(counts["A0"], ell)
     if counts == {"A0": 1, "A1": 1}:

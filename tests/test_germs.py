@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -376,6 +377,23 @@ def test_report_records_residual_on_failure():
     report = verify_divisibility(germ_blowup(), 2)
     assert not report.ok
     assert report.checks[0].name == "n1-exactness"
+
+
+def test_failing_divisibility_report_matches_golden_digest():
+    # beta1 - alpha is not a factor of n1(A2), so the closed form and its
+    # factor check fail with residuals while the alpha check holds; the digest
+    # was recorded before the suites shared one identity-check path
+    germ = replace(germ_A(2, 2), n1_factors=(ALPHA, _beta(1) - ALPHA))
+    report = verify_divisibility(germ, 3)
+    assert [(c.name, c.holds, c.residual is not None) for c in report.checks] == [
+        ("n1-closed-form", False, True),
+        ("factor-alpha", True, False),
+        ("factor--alpha + beta1", False, True),
+    ]
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a9b21dc2fbed03b735cfc434ae7e4cce1655e7b1d66af004b2d720caefb6b8f3"
+    )
 
 
 # -- golden digests -------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Core polynomial layer: exact arithmetic, grading, series, substitution."""
 
+import itertools
 import json
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +26,7 @@ from multising.poly import (
     rat,
     rat_str,
     root_var,
-    schur2,
-    schur3,
+    schur_det,
     series_inverse,
     series_quotient,
     sorted_terms,
@@ -574,28 +575,58 @@ def test_pow_rejects_non_int_exponent(exponent):
 
 
 def test_schur2_examples():
-    assert schur2(1, 1) == C1 * C1 - C2
-    assert schur2(2, 2) == C2 * C2 - C1 * C3
+    assert schur_det(1, 1) == C1 * C1 - C2
+    assert schur_det(2, 2) == C2 * C2 - C1 * C3
 
 
 def test_schur3_examples():
-    assert schur3(1, 1, 1) == C1 ** 3 - 2 * C1 * C2 + C3
-    assert schur3(2, 1, 0) == schur2(2, 1)
-    assert schur3(3, 3, 0) == schur2(3, 3)
+    assert schur_det(1, 1, 1) == C1 ** 3 - 2 * C1 * C2 + C3
+    assert schur_det(2, 1, 0) == schur_det(2, 1)
+    assert schur_det(3, 3, 0) == schur_det(3, 3)
 
 
 def test_schur3_negative_bottom_row_vanishes():
-    assert schur3(3, 2, -1).is_zero()
-    assert schur3(5, 4, -2).is_zero()
+    assert schur_det(3, 2, -1).is_zero()
+    assert schur_det(5, 4, -2).is_zero()
 
 
 @settings(max_examples=20)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
 def test_schur3_homogeneous(i, j, k):
-    s = schur3(i, j, k)
+    s = schur_det(i, j, k)
     if not s.is_zero():
         assert s.is_homogeneous()
         assert s.weighted_degree() == i + j + k
+
+
+def test_schur_det_without_rows_and_with_one_row():
+    assert schur_det() == 1
+    for i in range(-2, 5):
+        assert schur_det(i) == cvar(i)
+
+
+_C_SYMBOLS = sympy.symbols("c1:12")
+
+
+def _c_symbol(i):
+    return 0 if i < 0 else 1 if i == 0 else _C_SYMBOLS[i - 1]
+
+
+def _as_sympy(p):
+    total = sympy.Integer(0)
+    for exps, coeff in p.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for v, e in zip(p.vars, exps):
+            term *= _C_SYMBOLS[v.index - 1] ** e
+        total += term
+    return sympy.expand(total)
+
+
+def test_schur_det_four_rows_match_sympy_determinant():
+    # rows r, columns s: entry c_{parts[r]+s-r}, with c_0 = 1 and c_{<0} = 0
+    for parts in itertools.product(range(-1, 3), repeat=4):
+        matrix = sympy.Matrix(4, 4, lambda r, s: _c_symbol(parts[r] + s - r))
+        assert _as_sympy(schur_det(*parts)) == sympy.expand(matrix.det()), parts
 
 
 # -- exact division -----------------------------------------------------------------
@@ -743,7 +774,7 @@ def test_latex_rendering():
     assert to_latex(p) == "-6c_1^3 - 18c_1c_2 - 12c_3"
     assert to_latex(zero()) == "0"
     assert to_latex(one()) == "1"
-    assert to_latex(schur2(1, 1)) == "c_1^2 - c_2"
+    assert to_latex(schur_det(1, 1)) == "c_1^2 - c_2"
 
 
 def test_text_rendering():

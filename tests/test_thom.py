@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multising.poly import PolyError, cvar, schur2, schur3, to_latex, zero
+from multising.poly import PolyError, cvar, schur_det, to_latex, zero
 from multising.thom import (
     UnsupportedMultisingularity,
     a_coeff,
@@ -188,14 +188,14 @@ def test_residue_A0A1_degree(ell):
 
 
 def test_residue_III22():
-    assert residue_III22(1) == schur2(3, 3) == C(3) ** 2 - C(2) * C(4)
-    assert residue_III22(2) == schur2(4, 4)
+    assert residue_III22(1) == schur_det(3, 3) == C(3) ** 2 - C(2) * C(4)
+    assert residue_III22(2) == schur_det(4, 4)
     with pytest.raises(PolyError):
         residue_III22(0)
 
 
 def test_residue_III22A0_ell1():
-    assert residue_III22A0(1) == -4 * schur3(3, 3, 1) - 8 * schur3(4, 3, 0)
+    assert residue_III22A0(1) == -4 * schur_det(3, 3, 1) - 8 * schur_det(4, 3, 0)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -203,12 +203,12 @@ def test_residue_III22A0_sum_terminates(ell):
     # extending the defining sum past i = ell+1 only adds vanishing terms
     extended = zero()
     for i in range(1, ell + 6):
-        extended = extended + 2 ** (i + 1) * schur3(
+        extended = extended + 2 ** (i + 1) * schur_det(
             ell + 1 + i, ell + 2, ell + 1 - i
         )
     assert residue_III22A0(ell) == -extended
     for i in range(ell + 2, ell + 6):
-        assert schur3(ell + 1 + i, ell + 2, ell + 1 - i).is_zero()
+        assert schur_det(ell + 1 + i, ell + 2, ell + 1 - i).is_zero()
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -256,6 +256,9 @@ def test_residue_dispatch():
     for multi in ("A1^2", 5, None, ("A0", 5), b"A0^2"):
         with pytest.raises(UnsupportedMultisingularity):
             residue(multi, 1)
+    for multi, ell in (("A0", -5), ("A0", 1.5), (("A0",), "2"), (("A0",), True)):
+        with pytest.raises(PolyError):
+            residue(multi, ell)
 
 
 def test_singularity_info():
