@@ -550,12 +550,12 @@ def _complete_homogeneous(k: int) -> GradedPoly:
 def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     """Schur factorization on the I_{2,2} genotype.
 
-    For i >= j >= k with j >= ell+2 and k <= ell the substituted 3x3 Schur
+    For i >= j >= k >= 0 with j >= ell+2 and k <= ell the substituted 3x3 Schur
     determinant factors as e2^(j-ell-2) h_{i-j} times the substituted
     residue determinant times (d_k - 2 e1 d_{k-1} + 4 e2 d_{k-2}).
     """
     i, j, k = triple
-    if not (i >= j >= k and j >= ell + 2 and k <= ell):
+    if not (i >= j >= k >= 0 and j >= ell + 2 and k <= ell):
         raise PolyError(f"triple {triple} violates the factorization ranges")
     maxdeg = i + 2
     series = genotype_series("i22chern", ell, maxdeg)

@@ -29,11 +29,13 @@ xi^w -> c_{w-2}(Q) are grouped into named orientation settings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .poly import PolyError, Rat, is_scalar, json_field, rat, rat_str
+
+_ZERO = Rat(0)  # the one default for absent coefficients
 
 Partition = Tuple[int, ...]
 
@@ -61,8 +63,9 @@ class GrassRing:
     def dim(self) -> int:
         return self.k * (self.n - self.k)
 
-    @property
+    @cached_property
     def box(self) -> Partition:
+        """The full k x (n-k) partition, built once per ring."""
         return (self.cols,) * self.k
 
     def contains(self, lam: Partition) -> bool:
@@ -136,7 +139,7 @@ class GrassClass:
             c = rat(value)
             if c == 0:
                 continue
-            clean[lam] = clean.get(lam, rat(0)) + c
+            clean[lam] = clean.get(lam, _ZERO) + c
             if clean[lam] == 0:
                 del clean[lam]
         object.__setattr__(self, "ring", ring)
@@ -151,7 +154,7 @@ class GrassClass:
         return not self.coeffs
 
     def coefficient(self, lam: Sequence[int]) -> Rat:
-        return self.coeffs.get(_validate_partition(lam), rat(0))
+        return self.coeffs.get(_validate_partition(lam), _ZERO)
 
     def degree(self) -> Optional[int]:
         if not self.coeffs:
@@ -170,7 +173,7 @@ class GrassClass:
         )
 
     def integrate(self) -> Rat:
-        return self.coeffs.get(self.ring.box, rat(0))
+        return self.coeffs.get(self.ring.box, _ZERO)
 
     # -- arithmetic --
 
@@ -284,7 +287,7 @@ def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
     coeffs: Dict[Partition, Rat] = {}
     for entry in payload:
         lam = _validate_partition(json_field(entry, "partition", list))
-        coeffs[lam] = coeffs.get(lam, rat(0)) + rat(json_field(entry, "coeff"))
+        coeffs[lam] = coeffs.get(lam, _ZERO) + rat(json_field(entry, "coeff"))
     return GrassClass(ring, coeffs)
 
 

@@ -25,35 +25,44 @@ Conventions used throughout the package:
 Values are immutable after construction; all operations are pure and return
 new polynomials.
 
-Products and substitutions run in one packed int kernel (the packed exponent
-vectors of Monagan and Pearce): for the duration of one call each exponent
-vector is one int in a radix larger than any exponent the call can reach,
-and each operand is cleared to int numerators over its common denominator,
-so a monomial product is one int addition and a Fraction is built only for
-each nonzero output term.  A product takes its radix from the two operands'
-exponent sums.  substitute() fixes one radix for the whole Horner evaluation,
-from p's largest exponents and its images' largest exponents, and keeps
-every slice, image power and partial sum packed until the end.  The stored
-terms stay a dict from exponent tuples to Fraction.  Packing is only sound
-because every exponent is a nonnegative int, so the checking constructor
-and from_json_dict reject anything else.
+A polynomial is stored packed (the packed exponent vectors of Monagan and
+Pearce): a dict from int keys to int numerators over one shared positive
+denominator, kept in lowest terms so that equal polynomials store equal
+numerators.  A key holds the weighted degree in its top field and the
+exponent of each variable of the table in one fixed-width field below it,
+the first variable highest.  Every weight is at least 1, so no exponent
+exceeds the weighted degree, and every polynomial keeps fields wide enough
+for its own degree.  A monomial product is then one int addition, which
+cannot carry while the product's degree bound fits the field; the product
+and substitution kernels check that bound before they run and repack to a
+wider field when it does not fit.  Operands over different tables or
+widths go through the same single repack.  Sums, equality, truncation and
+the graded order work on the ints too, and a Fraction is built only when a
+coefficient is read (terms, coefficient, sorted_terms).  Packing is only
+sound because every exponent is a nonnegative int, so the checking
+constructor and from_json_dict, the only ways in from outside, reject
+anything else.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
-from math import lcm
-from operator import add, mul
+from math import gcd, lcm
+from operator import or_
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Rat = Fraction
 
 _ZERO = Rat(0)
-_ONE = Rat(1)
+
+# Bits of the narrowest exponent field of a packed key; wider fields double it.
+_FIELD = 8
 
 
 class PolyError(ValueError):
@@ -119,7 +128,6 @@ class Var:
 
 
 Exponents = tuple  # exponent vector aligned with a sorted variable table
-Terms = dict
 
 SymbolLike = Union["Var", str, tuple]
 
@@ -136,97 +144,94 @@ def _resolve_symbol(sym: SymbolLike) -> tuple:
 
 
 class GradedPoly:
-    """Immutable sparse polynomial; see module docstring for conventions."""
+    """Immutable sparse polynomial; see module docstring for conventions.
 
-    __slots__ = ("vars", "terms")
+    vars is the sorted variable table, width the bits of one exponent field,
+    nums maps packed keys to nonzero int numerators and den is their shared
+    positive denominator.
+    """
 
-    def __init__(self, vars: tuple, terms: Terms, *, _checked=False):
-        if not _checked:
-            seen = {}
-            for v in vars:
-                key = (v.family, v.index)
-                if key in seen:
-                    if seen[key] != v.weight:
-                        raise IncompatibleVariables(f"conflicting weights for {key}")
-                    raise PolyError(f"variable {key} repeats in the table")
-                seen[key] = v.weight
-            for exps in terms:
-                if not isinstance(exps, tuple) or len(exps) != len(vars):
-                    raise PolyError(f"exponent vector {exps!r} does not match {len(vars)} variables")
-                if not all(map(_is_exponent, exps)):
-                    raise PolyError(f"exponents {exps!r} must be nonnegative ints")
-            order = sorted(range(len(vars)), key=lambda i: vars[i].sort_key())
-            if order != list(range(len(vars))):
-                remap = {old: new for new, old in enumerate(order)}
-                vars = tuple(vars[i] for i in order)
-                moved = {}
-                for exps, coeff in terms.items():
-                    new_exps = [0] * len(vars)
-                    for old, e in enumerate(exps):
-                        new_exps[remap[old]] = e
-                    moved[tuple(new_exps)] = coeff
-                terms = moved
-            terms = {exps: rat(c) for exps, c in terms.items() if c != 0}
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+    __slots__ = ("vars", "width", "nums", "den")
+
+    def __init__(self, vars: tuple, terms: Mapping[Exponents, object]):
+        """The checking constructor: terms maps exponent tuples aligned with vars to scalars."""
+        seen = {}
+        for v in vars:
+            key = (v.family, v.index)
+            if key in seen:
+                if seen[key] != v.weight:
+                    raise IncompatibleVariables(f"conflicting weights for {key}")
+                raise PolyError(f"variable {key} repeats in the table")
+            seen[key] = v.weight
+        for exps in terms:
+            if not isinstance(exps, tuple) or len(exps) != len(vars):
+                raise PolyError(f"exponent vector {exps!r} does not match {len(vars)} variables")
+            if not all(map(_is_exponent, exps)):
+                raise PolyError(f"exponents {exps!r} must be nonnegative ints")
+        order = sorted(range(len(vars)), key=lambda i: vars[i].sort_key())
+        vars = tuple(vars[i] for i in order)
+        coeffs = {}
+        for exps, c in terms.items():
+            if c != 0 and (c := rat(c)):
+                coeffs[tuple(exps[i] for i in order)] = c
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        width = _width(max((_wdeg(vars, e) for e in coeffs), default=0), _FIELD)
+        # over the lcm of lowest-terms denominators the numerators share no factor with den
+        _fill(self, vars, width, {
+            _pack(vars, width, e): c.numerator * (den // c.denominator) for e, c in coeffs.items()
+        }, den)
 
     def __setattr__(self, *args):
         raise AttributeError("GradedPoly is immutable")
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, Rat]:
+        """Read-only view {exponent tuple: coefficient}, built on each access."""
+        den = self.den
+        return MappingProxyType(
+            {exps: Rat(c, den) for exps, c in zip(_exponents(self), self.nums.values())}
+        )
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def constant_term(self) -> Rat:
-        zero_key = (0,) * len(self.vars)
-        return self.terms.get(zero_key, _ZERO)
+        c = self.nums.get(0)
+        return _ZERO if c is None else Rat(c, self.den)
 
     def weighted_degree(self):
         """Maximum weighted degree of a term, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(_wdeg(self.vars, exps) for exps in self.terms)
+        return _degree(self) if self.nums else None
 
     def is_homogeneous(self) -> bool:
-        degrees = {_wdeg(self.vars, exps) for exps in self.terms}
-        return len(degrees) <= 1
+        top = _top(self)
+        return len({key >> top for key in self.nums}) <= 1
 
     def homogeneous_part(self, degree: int) -> "GradedPoly":
-        terms = {
-            exps: c
-            for exps, c in self.terms.items()
-            if _wdeg(self.vars, exps) == degree
-        }
-        return GradedPoly(self.vars, terms, _checked=True)
+        top = _top(self)
+        nums = {key: c for key, c in self.nums.items() if key >> top == degree}
+        return _poly(self.vars, self.width, nums, self.den)
 
     def truncate(self, maxdeg: int) -> "GradedPoly":
         """The terms of weighted degree at most maxdeg."""
-        terms = {
-            exps: c
-            for exps, c in self.terms.items()
-            if _wdeg(self.vars, exps) <= maxdeg
-        }
-        return GradedPoly(self.vars, terms, _checked=True)
+        limit = maxdeg + 1 << _top(self)
+        nums = {key: c for key, c in self.nums.items() if key < limit}
+        return _poly(self.vars, self.width, nums, self.den)
 
     def used_vars(self) -> tuple:
-        used = [False] * len(self.vars)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(v for i, v in enumerate(self.vars) if used[i])
+        used = reduce(or_, self.nums, 0)
+        mask = (1 << self.width) - 1
+        shifts = _shifts(len(self.vars), self.width)
+        return tuple(v for v, shift in zip(self.vars, shifts) if used >> shift & mask)
 
     def compress(self) -> "GradedPoly":
         """Drop unused variables from the table."""
         keep = self.used_vars()
         if keep == self.vars:
             return self
-        positions = [i for i, v in enumerate(self.vars) if v in keep]
-        terms = {
-            tuple(exps[i] for i in positions): c for exps, c in self.terms.items()
-        }
-        return GradedPoly(keep, terms, _checked=True)
+        return _make(keep, self.width, _repack(self, keep, self.width), self.den)
 
     def coefficient(self, monomial: Mapping[SymbolLike, int]) -> Rat:
         """Coefficient of the monomial given as {symbol: exponent}."""
@@ -234,48 +239,34 @@ class GradedPoly:
         index = {(v.family, v.index): i for i, v in enumerate(self.vars)}
         exps = [0] * len(self.vars)
         for key, e in want.items():
-            if key not in index:
-                return _ZERO
+            if key not in index or not _is_exponent(e) or e >> self.width:
+                return _ZERO  # a monomial no term of this polynomial can have
             exps[index[key]] = e
-        return self.terms.get(tuple(exps), _ZERO)
+        c = self.nums.get(_pack(self.vars, self.width, exps))
+        return _ZERO if c is None else Rat(c, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.vars, {e: -c for e, c in self.terms.items()}, _checked=True)
+        return _make(self.vars, self.width, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __add__(self, other) -> "GradedPoly":
-        other = _coerce(other)
-        a, b, vars_ = _aligned(self, other)
-        terms = dict(a)
-        for exps, c in b.items():
-            acc = terms.get(exps)
-            if acc is None:
-                terms[exps] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del terms[exps]
-                else:
-                    terms[exps] = acc
-        return GradedPoly(vars_, terms, _checked=True)
+        return _combine(self, _coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GradedPoly":
-        return self + (-_coerce(other))
+        return _combine(self, _coerce(other), -1)
 
     def __rsub__(self, other) -> "GradedPoly":
-        return _coerce(other) + (-self)
+        return _combine(_coerce(other), self, -1)
 
     def __mul__(self, other) -> "GradedPoly":
         if is_scalar(other):
             scalar = rat(other)
-            if scalar == 0:
-                return GradedPoly(self.vars, {}, _checked=True)
-            return GradedPoly(
-                self.vars, {e: c * scalar for e, c in self.terms.items()}, _checked=True
-            )
+            factor = scalar.numerator
+            nums = {k: c * factor for k, c in self.nums.items()} if factor else {}
+            return _poly(self.vars, self.width, nums, self.den * scalar.denominator)
         return _mul_upto(self, _coerce(other), None)
 
     __rmul__ = __mul__
@@ -300,17 +291,51 @@ class GradedPoly:
             other = constant(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        a, b, _ = _aligned(self.compress(), other.compress())
-        return a == b
+        p, q = self, other
+        if p.vars != q.vars:
+            # polynomials that use different variables differ
+            p, q = p.compress(), q.compress()
+            if p.vars != q.vars:
+                return False
+        if p.den != q.den or len(p.nums) != len(q.nums):
+            return False
+        width = max(p.width, q.width)
+        return _repack(p, p.vars, width) == _repack(q, q.vars, width)
 
     def __hash__(self):
         p = self.compress()
         if not p.vars:
             return hash(p.constant_term())  # equal scalars hash alike
-        return hash((p.vars, frozenset((e, c) for e, c in p.terms.items())))
+        # exponent tuples, not keys: the hash must not depend on the width
+        return hash((p.vars, p.den, frozenset(zip(_exponents(p), p.nums.values()))))
 
     def __repr__(self) -> str:
         return f"GradedPoly({to_text(self)})"
+
+
+def _fill(p: GradedPoly, vars_: tuple, width: int, nums: dict, den: int) -> None:
+    put = object.__setattr__
+    put(p, "vars", vars_)
+    put(p, "width", width)
+    put(p, "nums", nums)
+    put(p, "den", den)
+
+
+def _make(vars_: tuple, width: int, nums: dict, den: int) -> GradedPoly:
+    """A GradedPoly of nonzero numerators already in lowest terms over den."""
+    p = object.__new__(GradedPoly)
+    _fill(p, vars_, width, nums, den)
+    return p
+
+
+def _poly(vars_: tuple, width: int, nums: dict, den: int) -> GradedPoly:
+    """A GradedPoly of nonzero numerators over den, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: c // g for k, c in nums.items()}
+    return _make(vars_, width, nums, den)
 
 
 def _wdeg(vars_: tuple, exps: Exponents) -> int:
@@ -345,28 +370,97 @@ def _is_exponent(e) -> bool:
 
 # -- the packed int kernel ------------------------------------------------------
 #
-# An exponent vector over a table of n variables packs into the int
-# sum(e_i * radix**(n-1-i)).  When radix exceeds every exponent a result can
-# reach, no digit carries, so a monomial product is one int addition and a
-# packed key unpacks back to the same vector.  Coefficients are cleared to int
-# numerators over one common denominator per operand.
+# Over a table of n variables and fields of w bits, the exponent vector e
+# packs into the key (wdeg(e) << n*w) | sum(e_i << (n-1-i)*w).  Adding two
+# keys adds degrees and exponents; no field carries while every exponent of
+# the sum stays below 2**w, which holds whenever its degree does.  Ascending
+# keys are ascending degree, then ascending lex on the exponent vector.
 
 
-def _places(radix: int, n: int) -> list:
-    return [radix ** i for i in range(n - 1, -1, -1)]
+def _width(bound: int, width: int) -> int:
+    """The narrowest field of width * 2**k bits (k >= 0) that holds 0..bound."""
+    while bound >> width:
+        width *= 2
+    return width
 
 
-def _cleared(terms: Terms, places: list) -> tuple:
-    """Rows (exponents, packed key, int numerator) over the common denominator.
+def _shifts(n: int, width: int) -> range:
+    """Bit offset of each variable's field, first variable first."""
+    return range((n - 1) * width, -1, -width)
 
-    A variable whose place is 0 is left out of the key.
+
+def _top(p: GradedPoly) -> int:
+    """Bit offset of the degree field of p's keys."""
+    return len(p.vars) * p.width
+
+
+def _degree(p: GradedPoly) -> int:
+    """Maximum weighted degree of a term of p; 0 for the zero polynomial."""
+    return max(p.nums) >> _top(p) if p.nums else 0
+
+
+def _pack(vars_: tuple, width: int, exps: Exponents) -> int:
+    key = _wdeg(vars_, exps)
+    for e in exps:
+        key = key << width | e
+    return key
+
+
+def _exponents(p: GradedPoly) -> list:
+    """The exponent tuple of each key of p, in p.nums order."""
+    mask = (1 << p.width) - 1
+    shifts = _shifts(len(p.vars), p.width)
+    return [tuple([key >> shift & mask for shift in shifts]) for key in p.nums]
+
+
+def _repack(p: GradedPoly, vars_: tuple, width: int) -> dict:
+    """p's numerators keyed over the table vars_ with fields of width bits.
+
+    vars_ must hold every variable p uses and width must be at least p's;
+    this is the one place where keys move between tables or widths.
     """
-    den = lcm(*(c.denominator for c in terms.values()))
-    rows = [
-        (e, sum(map(mul, e, places)), c.numerator * (den // c.denominator))
-        for e, c in terms.items()
+    if p.vars == vars_ and p.width == width:
+        return p.nums
+    index = {(v.family, v.index): i for i, v in enumerate(vars_)}
+    n = len(vars_)
+    moves = [
+        (shift, (n - 1 - index[(v.family, v.index)]) * width)
+        for v, shift in zip(p.vars, _shifts(len(p.vars), p.width))
+        if (v.family, v.index) in index
     ]
-    return rows, den
+    mask = (1 << p.width) - 1
+    top, new_top = _top(p), n * width
+    out = {}
+    for key, c in p.nums.items():
+        new = key >> top << new_top
+        for src, dst in moves:
+            new |= (key >> src & mask) << dst
+        out[new] = c
+    return out
+
+
+def _aligned(p: GradedPoly, q: GradedPoly, bound: int = 0):
+    """(table, width, p's numerators, q's numerators) over a merged table and
+    a width that holds both operands and every degree up to bound."""
+    vars_ = p.vars if p.vars == q.vars else _merged_table(p.vars + q.vars)
+    width = _width(bound, max(p.width, q.width))
+    return vars_, width, _repack(p, vars_, width), _repack(q, vars_, width)
+
+
+def _combine(p: GradedPoly, q: GradedPoly, sign: int) -> GradedPoly:
+    """p + sign * q, merged on int numerators over the lcm of the denominators."""
+    vars_, width, a, b = _aligned(p, q)
+    den = lcm(p.den, q.den)
+    scale_a, scale_b = den // p.den, sign * (den // q.den)
+    nums = dict(a) if scale_a == 1 else {k: c * scale_a for k, c in a.items()}
+    get = nums.get
+    for key, c in b.items():
+        c = get(key, 0) + c * scale_b
+        if c:
+            nums[key] = c
+        else:
+            del nums[key]
+    return _poly(vars_, width, nums, den)
 
 
 def _mul_into(acc: dict, left: Iterable[tuple], right: list) -> None:
@@ -374,7 +468,7 @@ def _mul_into(acc: dict, left: Iterable[tuple], right: list) -> None:
 
     Left rows are (key, numerator, stop): a row meets only right[:stop]
     (stop None: all of right), which cuts a product at a degree when right
-    is sorted by degree.  Right rows are (key, numerator).
+    is sorted by key.  Right rows are (key, numerator).
     """
     get = acc.get
     for key_a, c_a, stop in left:
@@ -383,47 +477,32 @@ def _mul_into(acc: dict, left: Iterable[tuple], right: list) -> None:
             acc[key] = get(key, 0) + c_a * c_b
 
 
-def _unpacked(acc: dict, radix: int, places: list, den: int) -> Terms:
-    """Terms of the nonzero numerators in acc, each over den."""
-    return {
-        tuple([key // place % radix for place in places]): Rat(c, den)
-        for key, c in acc.items()
-        if c
-    }
+def _mul_upto(p: GradedPoly, q: GradedPoly, maxdeg) -> GradedPoly:
+    """p * q without the terms above weighted degree maxdeg (None: none cut).
 
-
-def _mul_terms(a: Terms, b: Terms, vars_: tuple, trunc) -> Terms:
-    """Terms of the product of two term dicts aligned with vars_.
-
-    The radix is 1 + the largest per-variable exponent sum of the operands.
-    With a trunc, the right operand is sorted by weighted degree, so the
-    pairs above trunc are never visited.
+    The fields must hold the product's degree bound, which maxdeg cuts too:
+    with a maxdeg, q's keys are sorted, hence sorted by degree, and the
+    pairs above maxdeg are never formed.
     """
-    if not a or not b:
-        return {}
-    radix = 1 + max(map(add, map(max, zip(*a)), map(max, zip(*b))), default=0)
-    places = _places(radix, len(vars_))
-    left, den_a = _cleared(a, places)
-    right, den_b = _cleared(b, places)
-    if trunc is None:
-        rows = [(key, c, None) for _, key, c in left]
+    bound = _degree(p) + _degree(q)
+    if maxdeg is not None:
+        bound = max(min(bound, maxdeg), 0)
+    vars_, width, a, b = _aligned(p, q, bound)
+    if maxdeg is None:
+        rows = [(key, c, None) for key, c in a.items()]
+        right = list(b.items())
     else:
-        weights = [v.weight for v in vars_]
-        right.sort(key=lambda row: sum(map(mul, row[0], weights)))
-        cut = [sum(map(mul, e, weights)) for e, _, _ in right]
+        top = len(vars_) * width
+        right = sorted(b.items())
+        keys = [key for key, _ in right]
         rows = [
-            (key, c, bisect_right(cut, trunc - sum(map(mul, e, weights))))
-            for e, key, c in left
+            (key, c, bisect_left(keys, maxdeg + 1 - (key >> top) << top))
+            for key, c in a.items()
         ]
     acc: dict = {}
-    _mul_into(acc, rows, [(key, c) for _, key, c in right])
-    return _unpacked(acc, radix, places, den_a * den_b)
-
-
-def _mul_upto(p: GradedPoly, q: GradedPoly, maxdeg) -> GradedPoly:
-    """p * q without the terms above weighted degree maxdeg (None: none cut)."""
-    a, b, vars_ = _aligned(p, q)
-    return GradedPoly(vars_, _mul_terms(a, b, vars_, maxdeg), _checked=True)
+    _mul_into(acc, rows, right)
+    nums = {key: c for key, c in acc.items() if c}
+    return _poly(vars_, width, nums, p.den * q.den)
 
 
 def _coerce(value) -> GradedPoly:
@@ -432,14 +511,6 @@ def _coerce(value) -> GradedPoly:
     if is_scalar(value):
         return constant(value)
     raise PolyError(f"cannot interpret {value!r} as a polynomial")
-
-
-def _aligned(p: GradedPoly, q: GradedPoly):
-    """Terms of p and q over a merged variable table."""
-    if p.vars == q.vars:
-        return p.terms, q.terms, p.vars
-    vars_ = _merged_table(p.vars + q.vars)
-    return _remap(p, vars_), _remap(q, vars_), vars_
 
 
 def _merged_table(vars_: Iterable[Var]) -> tuple:
@@ -453,27 +524,13 @@ def _merged_table(vars_: Iterable[Var]) -> tuple:
     return tuple(sorted(merged.values(), key=Var.sort_key))
 
 
-def _remap(p: GradedPoly, vars_: tuple) -> Terms:
-    if p.vars == vars_:
-        return p.terms
-    index = {(v.family, v.index): i for i, v in enumerate(vars_)}
-    positions = [index[(v.family, v.index)] for v in p.vars]
-    out: Terms = {}
-    for exps, c in p.terms.items():
-        new = [0] * len(vars_)
-        for pos, e in zip(positions, exps):
-            new[pos] = e
-        out[tuple(new)] = c
-    return out
-
-
 # -- constructors -----------------------------------------------------------
 
 
 def constant(value) -> GradedPoly:
     value = rat(value)
-    terms = {(): value} if value != 0 else {}
-    return GradedPoly((), terms, _checked=True)
+    nums = {0: value.numerator} if value else {}
+    return _make((), _FIELD, nums, value.denominator)
 
 
 def zero() -> GradedPoly:
@@ -486,7 +543,8 @@ def one() -> GradedPoly:
 
 def variable(family: str, index: int = 0, weight: int = 1) -> GradedPoly:
     v = Var(family, index, weight)
-    return GradedPoly((v,), {(1,): _ONE}, _checked=True)
+    width = _width(weight, _FIELD)
+    return _make((v,), width, {_pack((v,), width, (1,)): 1}, 1)
 
 
 def cvar(i: int) -> GradedPoly:
@@ -564,71 +622,84 @@ def substitute(
     kernel from start to end: p is sliced by the exponent of one assigned
     variable at a time, each slice is substituted recursively and multiplied
     by a cached power of that variable's image, so unassigned variables are
-    never multiplied.  One radix serves the whole call; it bounds, for each
-    output variable, p's own exponent of it plus E_i times its exponent in
-    image i, summed over the assigned variables i, where E_i is the largest
-    exponent of i in p.  p is cleared over D_p and image i over D_i, and a
-    slice of exponent e is scaled by D_i**(E_i - e), so every partial sum is
-    over the one denominator D_p * prod(D_i**E_i).
+    never multiplied.  Every output term of a term of p of degree D has
+    degree at most D * max(1, deg(image_i) / weight_i) over the assigned
+    variables i, and so has every partial product; the fields are widened
+    if that bound does not fit them.  Image i is over D_i, and a slice of
+    exponent e is scaled by D_i**(E_i - e), where E_i is the largest
+    exponent of i in p, so every partial sum is over the one denominator
+    D_p * prod(D_i**E_i).
     """
     images = {_resolve_symbol(sym): _coerce(value) for sym, value in assignment.items()}
     if strict:
         for v in p.used_vars():
             if (v.family, v.index) not in images:
                 raise PolyError(f"no assignment for {(v.family, v.index)}")
-    if not p.terms:
+    if not p.nums:
         return p
     keys = [(v.family, v.index) for v in p.vars]
-    tops = list(map(max, zip(*p.terms)))
+    shifts = _shifts(len(keys), p.width)
+    mask = (1 << p.width) - 1
+    used = reduce(or_, p.nums)
+    occurs = [bool(used >> shift & mask) for shift in shifts]
     # the assigned variables that occur in p, outermost slice first
-    levels = [i for i in range(len(keys) - 1, -1, -1) if tops[i] and keys[i] in images]
+    levels = [i for i in range(len(keys) - 1, -1, -1) if occurs[i] and keys[i] in images]
     vars_ = _merged_table(
         [v for v, key in zip(p.vars, keys) if key not in images]
         + [v for i in levels for v in images[keys[i]].vars]
     )
-    index = {(v.family, v.index): n for n, v in enumerate(vars_)}
-    bound = [0] * len(vars_)
-    for key, top in zip(keys, tops):
-        if key not in images:
-            bound[index[key]] += top
-    for i in levels:
-        image = images[keys[i]]
-        for v, top in zip(image.vars, map(max, zip(*image.terms))):
-            bound[index[(v.family, v.index)]] += tops[i] * top
-    radix = 1 + max(bound, default=0)
-    places = _places(radix, len(vars_))
+    degree = _degree(p)
+    bound = max([degree] + [degree * _degree(images[keys[i]]) // p.vars[i].weight for i in levels])
+    width = _width(bound, max([p.width] + [images[keys[i]].width for i in levels]))
+    top = len(vars_) * width
+    out_shift = dict(zip(((v.family, v.index) for v in vars_), _shifts(len(vars_), width)))
+    # (field in p, field in the output, weight) of each unassigned variable occurring in p
+    moves = [
+        (shifts[i], out_shift[key], p.vars[i].weight)
+        for i, key in enumerate(keys)
+        if occurs[i] and key not in images
+    ]
 
-    rows, den = _cleared(p.terms, [0 if key in images else places[index[key]] for key in keys])
+    def kept(key: int) -> int:
+        """The output key of the unassigned part of a key of p."""
+        out = deg = 0
+        for field, dst, weight in moves:
+            e = key >> field & mask
+            out |= e << dst
+            deg += e * weight
+        return deg << top | out
+
+    rows = [(key, kept(key), c) for key, c in p.nums.items()]
+    den = p.den
     powers, scales = [], []
     for i in levels:
         image = images[keys[i]]
-        image_rows, den_i = _cleared(
-            image.terms, [places[index[(v.family, v.index)]] for v in image.vars]
-        )
-        base = [(key, c) for _, key, c in image_rows]
+        most = max(key >> shifts[i] & mask for key in p.nums)
+        base = list(_repack(image, vars_, width).items())
         chain = [[(0, 1)]]
-        for _ in range(tops[i]):
+        for _ in range(most):
             acc: dict = {}
             _mul_into(acc, [(key, c, None) for key, c in chain[-1]], base)
             chain.append([(key, c) for key, c in acc.items() if c])
         powers.append(chain)
-        scales.append([den_i ** (tops[i] - e) for e in range(tops[i] + 1)])
-        den *= den_i ** tops[i]
+        scales.append([image.den ** (most - e) for e in range(most + 1)])
+        den *= image.den ** most
 
     def horner(rows: list, depth: int) -> dict:
         if depth == len(levels):
-            return {key: c for _, key, c in rows}
-        pos, scale, power = levels[depth], scales[depth], powers[depth]
+            return {out: c for _, out, c in rows}
+        shift, scale, power = shifts[levels[depth]], scales[depth], powers[depth]
         slices: dict = {}
         for row in rows:
-            slices.setdefault(row[0][pos], []).append(row)
+            slices.setdefault(row[0] >> shift & mask, []).append(row)
         acc: dict = {}
         for e, part in slices.items():
             inner = horner(part, depth + 1)
             _mul_into(acc, [(key, c * scale[e], None) for key, c in inner.items()], power[e])
         return acc
 
-    return GradedPoly(vars_, _unpacked(horner(rows, 0), radix, places, den), _checked=True)
+    nums = {key: c for key, c in horner(rows, 0).items() if c}
+    return _poly(vars_, width, nums, den)
 
 
 def chern_substitute(
@@ -638,15 +709,16 @@ def chern_substitute(
 
     This is the "p evaluated at a total Chern class" operation: the degree-i
     part of the series plays the role of c_i.  The series is bucketed by
-    weighted degree in one pass.
+    the degree field of its keys in one pass.
     """
     parts = {v.index: {} for v in p.used_vars() if v.family == family}
-    for exps, c in series.terms.items():
-        part = parts.get(_wdeg(series.vars, exps))
+    top = _top(series)
+    for key, c in series.nums.items():
+        part = parts.get(key >> top)
         if part is not None:
-            part[exps] = c
+            part[key] = c
     assignment = {
-        (family, i): GradedPoly(series.vars, parts[i], _checked=True)
+        (family, i): _poly(series.vars, series.width, parts[i], series.den)
         for i in sorted(parts)
     }
     return substitute(p, assignment)
@@ -695,36 +767,36 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
     malformed Euler-class quotients.
     """
     form = form.compress()
-    if form.is_zero() or any(
-        sum(exps) != 1 or _wdeg(form.vars, exps) != 1 for exps in form.terms
-    ):
+    # weights are >= 1, so degree 1 means one weight-1 variable to the first power
+    if form.is_zero() or any(key >> _top(form) != 1 for key in form.nums):
         raise PolyError("divisor must be a nonzero homogeneous linear form")
     lead = form.vars[0]
-    a, f, vars_ = _aligned(p, form)
-    pos = vars_.index(lead)
-    inv_lead = 1 / f[tuple(int(i == pos) for i in range(len(vars_)))]
-    rest = GradedPoly(
-        vars_, {e: c for e, c in f.items() if not e[pos]}, _checked=True
-    )
+    vars_, width, a, f = _aligned(p, form)
+    shift = _shifts(len(vars_), width)[vars_.index(lead)]
+    unit = 1 << len(vars_) * width | 1 << shift  # the key of lead itself
+    inv_lead = Rat(form.den, f[unit])
+    rest = _poly(vars_, width, {k: c for k, c in f.items() if k != unit}, form.den)
+    mask = (1 << width) - 1
     slices: dict = {}
-    for exps, c in a.items():
-        slices.setdefault(exps[pos], {})[exps[:pos] + (0,) + exps[pos + 1:]] = c
+    for key, c in a.items():
+        e = key >> shift & mask
+        slices.setdefault(e, {})[key - e * unit] = c
 
     def p_slice(k: int) -> GradedPoly:
-        return GradedPoly(vars_, slices.get(k, {}), _checked=True)
+        return _poly(vars_, width, slices.get(k, {}), p.den)
 
-    quotient: Terms = {}
-    carry = GradedPoly(vars_, {}, _checked=True)
+    quotient = carry = _make(vars_, width, {}, 1)
     for k in range(max(slices, default=0), 0, -1):
         carry = (p_slice(k) - rest * carry) * inv_lead
-        for exps, c in carry.terms.items():
-            quotient[exps[:pos] + (k - 1,) + exps[pos + 1:]] = c
+        # carry keeps vars_ and width: its degree stays below p's
+        shifted = {key + (k - 1) * unit: c for key, c in carry.nums.items()}
+        quotient = quotient + _make(vars_, width, shifted, carry.den)
     remainder = p_slice(0) - rest * carry
     if not remainder.is_zero():
         raise NonExactDivision(
             f"remainder {to_text(remainder)} dividing by {to_text(form)}"
         )
-    return GradedPoly(vars_, quotient, _checked=True)
+    return quotient
 
 
 def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly], unit=1) -> GradedPoly:
@@ -744,13 +816,12 @@ def sorted_terms(p: GradedPoly):
     Ascending weighted degree; within a degree, descending lexicographic on
     the exponent vector (variables already sorted by family, index).
     """
-    return sorted(
-        p.terms.items(),
-        key=lambda item: (
-            _wdeg(p.vars, item[0]),
-            tuple(-e for e in item[0]),
-        ),
-    )
+    low = (1 << _top(p)) - 1  # flipping the exponent fields reverses their lex order
+    den = p.den
+    return [
+        (exps, Rat(c, den))
+        for _, exps, c in sorted(zip([key ^ low for key in p.nums], _exponents(p), p.nums.values()))
+    ]
 
 
 def to_json_dict(p: GradedPoly) -> dict:
@@ -798,7 +869,7 @@ def from_json_dict(payload: Mapping) -> GradedPoly:
             json_field(v, "weight", int))
         for v in json_field(payload, "vars", list)
     )
-    terms: Terms = {}
+    terms: dict = {}
     for entry in json_field(payload, "terms", list):
         exps = [0] * len(vars_)
         seen = set()

@@ -27,8 +27,8 @@ from .poly import (
     GradedPoly,
     PolyError,
     Rat,
+    Var,
     check_int,
-    constant,
     cvar,
     one,
     rat,
@@ -123,21 +123,23 @@ def thom_terms(k: int, shift: int) -> list:
 
 
 def _substitute_shift(terms, shift: int) -> GradedPoly:
-    """Apply d_j -> c_{j+shift} to a term list; c_0 = 1, c_{<0} = 0."""
-    total = zero()
+    """Apply d_j -> c_{j+shift} to a term list; c_0 = 1, c_{<0} = 0.
+
+    The surviving terms are summed in one dict keyed by their sorted Chern
+    indices, and one polynomial is built from it at the end.
+    """
+    sums: dict = {}
     for coeff, indices in terms:
-        mono = constant(coeff)
-        dead = False
-        for idx in indices:
-            k = idx + shift
-            if k < 0:
-                dead = True
-                break
-            if k > 0:
-                mono = mono * cvar(k)
-        if not dead:
-            total = total + mono
-    return total
+        chern = sorted(idx + shift for idx in indices)
+        if chern and chern[0] < 0:
+            continue
+        key = tuple(k for k in chern if k)
+        sums[key] = sums.get(key, 0) + coeff
+    table = sorted({k for key in sums for k in key})
+    return GradedPoly(
+        tuple(Var("c", k, k) for k in table),
+        {tuple(key.count(k) for k in table): coeff for key, coeff in sums.items()},
+    )
 
 
 def thom_polynomial(k: int, ell: int) -> GradedPoly:

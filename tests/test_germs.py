@@ -359,6 +359,10 @@ def test_factorization_range_validation():
         factorization_check(1, (3, 2, 0))  # j < ell+2
     with pytest.raises(PolyError):
         factorization_check(1, (3, 3, 2))  # k > ell
+    for ell, triple in ((1, (3, 3, -1)), (1, (4, 3, -2)), (2, (4, 4, -2))):
+        # k < 0: both sides vanish, so the check would certify 0 = 0
+        with pytest.raises(PolyError):
+            factorization_check(ell, triple)
 
 
 # -- report serialization -----------------------------------------------------------------------------

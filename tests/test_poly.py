@@ -39,7 +39,7 @@ from multising.poly import (
     variable,
     zero,
 )
-from multising.poly import _mul_upto
+from multising.poly import _FIELD, _mul_upto
 
 ALPHA = root_var("alpha")
 BETA = root_var("beta", 1)
@@ -455,6 +455,88 @@ def test_chern_substitute_matches_naive_graded_parts(terms, series_terms):
     }
     want = GradedPoly(VARS, naive_substitute(dict(p.terms), parts))
     assert chern_substitute(p, series) == want
+
+
+# -- packed storage past the narrowest field ----------------------------------------
+
+# A polynomial holding PEAK = alpha^(2**_FIELD - 1) and other terms of
+# exponents up to NARROW has degree inside the narrowest packed field.  Its
+# products and powers, and its image under alpha -> beta^2 + ..., hold an
+# exponent past that field, which carries into the next field unless the
+# kernel repacks to a wider one first.
+NARROW = ((1 << _FIELD) - 1) // _wdeg_ref((1,) * len(VARS))
+PEAK = ((1 << _FIELD) - 1,) + (0,) * (len(VARS) - 1)
+
+
+def narrow_dicts():
+    """Term dicts whose top degree just fits the narrowest field."""
+    return term_dicts(NARROW, max_terms=3).map(lambda t: {**t, PEAK: rat(1)})
+
+
+def naive_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+@settings(max_examples=30)
+@given(narrow_dicts(), narrow_dicts(), st.integers(0, 3 * _wdeg_ref(PEAK)))
+def test_products_past_the_narrowest_field_match_naive_product(a, b, trunc):
+    a, b = naive_add(a, {}), naive_add(b, {})
+    p, q = GradedPoly(VARS, a), GradedPoly(VARS, b)
+    prod = p * q
+    assert p.weighted_degree() < 1 << _FIELD <= prod.weighted_degree()
+    assert prod.terms == naive_mul(a, b)
+    assert _mul_upto(p, q, trunc).terms == naive_mul(a, b, trunc)
+    assert (p ** 3).terms == naive_mul(naive_mul(a, a), a)
+    # sums and comparisons of a narrow and a wide operand
+    assert prod + p == GradedPoly(VARS, naive_add(naive_mul(a, b), a))
+    assert prod - prod + p == p
+
+
+@settings(max_examples=20)
+@given(narrow_dicts(), term_dicts(1, max_terms=1))
+def test_substitution_past_the_narrowest_field_matches_naive_substitution(terms, extra):
+    # c1 -> beta^6 + (one term of degree <= 5) sends c1^NARROW to beta^(6*NARROW) + ...
+    terms[(0, 0, NARROW, 0)] = rat(1)
+    image = naive_add({(0, 6, 0, 0): rat(1)}, extra)
+    p = GradedPoly(VARS, terms)
+    got = substitute(p, {("c", 1): GradedPoly(VARS, image)})
+    assert max(e[1] for e in got.terms) >= 1 << _FIELD
+    assert got == GradedPoly(VARS, naive_substitute(dict(p.terms), {2: image}))
+
+
+@settings(max_examples=60)
+@given(term_dicts(3), st.permutations(range(len(WIDE))), st.integers(2, 9), mixed_coeffs)
+def test_equal_polynomials_over_other_tables_compare_and_hash_alike(terms, order, k, c):
+    # q is p over WIDE (two unused variables), listed in a permuted order, plus
+    # a term J of degree past the narrowest field and denominator k, minus J:
+    # the sum widens the fields and puts every numerator over a multiple of k
+    p = GradedPoly(VARS, terms)
+    vars_ = tuple(WIDE[i] for i in order)
+    padded = {e + (0, 0): x for e, x in terms.items()}
+    junk = tuple((1 << _FIELD) * int(i == len(WIDE) - 1) for i in range(len(WIDE)))
+    permute = lambda e: tuple(e[i] for i in order)
+    big = GradedPoly(vars_, {permute(junk): rat(1, k)})
+    q = GradedPoly(vars_, {permute(e): x for e, x in padded.items()}) + big - big
+    assert p == q and q == p
+    assert hash(p) == hash(q)
+    assert q * k * rat(1, k) == p
+    # constants hash like their Fraction, whatever table or width they sit over
+    const = constant(c) + big - big
+    assert const == c and hash(const) == hash(c)
+
+
+@settings(max_examples=60)
+@given(polys(), narrow_dicts())
+def test_terms_round_trip_through_the_checking_constructor(p, wide_terms):
+    for poly in (p, p * GradedPoly(VARS, wide_terms)):
+        view = poly.terms
+        again = GradedPoly(poly.vars, dict(view))
+        assert again == poly and again.terms == view
+        with pytest.raises(TypeError):
+            view[(0,) * len(VARS)] = rat(1)  # a read-only view
 
 
 # -- truncation -----------------------------------------------------------------

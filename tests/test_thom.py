@@ -1,12 +1,13 @@
 """Thom series, the a-coefficient triangle, and residue polynomials."""
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multising.poly import PolyError, cvar, schur_det, to_latex, zero
+from multising.poly import PolyError, cvar, schur_det, to_json, to_latex, zero
 from multising.thom import (
     UnsupportedMultisingularity,
     a_coeff,
@@ -165,6 +166,36 @@ def test_residue_consistency_with_thom_polynomials(ell):
     # the same residues through the monosingularity substitution route
     assert residue_A0r(2, ell) == -1 * thom_polynomial(1, ell - 1)
     assert residue_A0r(3, ell) == 2 * thom_polynomial(2, ell - 1)
+
+
+# sha256 of to_json(residue_A0r(r, ell)), recorded before residues were
+# built in one pass from the Thom terms.
+RESIDUE_DIGESTS = {
+    (2, 1): "8abdb70af6013354d9116249a97cdfbf4131ddb0d2fe6ebfb5f5910df65797aa",
+    (2, 2): "c727e9f8ab84d562113c0899dc7d0d97c30d0bee145c5c07c68bf60051ad3574",
+    (2, 3): "3cfa85b6a0df3f4d336417b62ee0c94dbddd2ee20639e3378062d9a96a94ed32",
+    (2, 4): "b8d9224dced3cb74c3818bd044b293ea563230e0f9bba010a6e41f49086bb837",
+    (2, 5): "f1b00d232556f53e14b7354f3abebe594ce917c5a69ada5b80c689506be16654",
+    (2, 6): "a51955d5abd89c3bac044844de326ce655bfdbbc1312fe0591be89e42df09e3e",
+    (3, 1): "02fdc6e63679dff5a7f8ce9d1bc1e8c1f5a30d201f7d3d09536b10702b50ca56",
+    (3, 2): "c361b7ba1204766d578f435555b022621a9f16ed069163c0936a4a540556da9d",
+    (3, 3): "1ea6885bd89b2a4338254d11e9a40b5f4721fca30b38f3db7eb321bf44a465ec",
+    (3, 4): "ac1315ab810eff333ce9d17854068d3b063b3bf3068ead4a8d4082795adbc2c3",
+    (3, 5): "1a68d61a2fd043d81d7d70dafdd8c6daa112550a1931d3d47474d14b41701b00",
+    (3, 6): "82d535f257bdc212adac0c0ef8da7917f9f238d10a7fed871758f510e7be8962",
+    (4, 1): "947423cf014c83dff01115a582bb0ad5a89a88eb2fd06d70cf14efaf95f290f2",
+    (4, 2): "0244202af9c9d118e66d15c17102236e2164d4ead6d9115faea3cc15c8afd84f",
+    (4, 3): "0d75ddd85ff3e1aede6128dbc21e19a6bef90062845918bcb059a386362f4fec",
+    (4, 4): "12bbcb9a857219ce4bb2b83b3e27c6d3bedc57992cd5177a2f078ccb952b10c7",
+    (4, 5): "1e1fcae77bc1cf7bfc8b7c431b261bccf474b408ab1b6ef4b868bc28b024a362",
+    (4, 6): "9cfa667636bd1bfdba41b2e5e787fc8bb902388dbab86a8d96e8d64000886339",
+}
+
+
+@pytest.mark.parametrize("r, ell", sorted(RESIDUE_DIGESTS))
+def test_residue_A0r_matches_recorded_digest(r, ell):
+    digest = hashlib.sha256(to_json(residue_A0r(r, ell)).encode()).hexdigest()
+    assert digest == RESIDUE_DIGESTS[(r, ell)]
 
 
 def test_residue_requires_positive_ell():
