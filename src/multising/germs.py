@@ -17,8 +17,20 @@ The suites check the defining identities of the quadruple-point and
 III_{2,2}A_0 residue polynomials as exact polynomial identities, never as
 numeric spot evaluations.  Every check that compares two polynomials goes
 through _identity_check, which keeps the residual lhs - rhs of a failing
-check.  The III_{2,2}A_0 suite works with genotype c-series in symbols a, b
-and degree-capped series symbols d_i (d_0 = 1, d_{<0} = 0).
+check.
+
+The suites work in the genotype basis (Rimanyi's restriction method).
+After cancelling common weights, the beta roots of an A_k or III_{2,2}
+prototype enter its Chern class only as the factor prod_i (1 + beta_i) =
+1 + d_1 + ... + d_m, with d_j = e_j(beta) the Chern classes of the U(m)
+factor of the symmetry group (_Genotype).  The d_j of m independent roots
+are algebraically independent, so an identity holds in Q[alpha, beta]
+exactly when it holds in Q[alpha, d_1..d_m], where it is far cheaper to
+check.  Only a failing check, or a divisibility factor that mixes beta
+with alpha, maps its polynomial back through d_j -> e_j(beta), so every
+residual is reported in root coordinates.  The III_{2,2}A_0 suite uses the
+same series in symbols a, b (alpha -> -a) with degree-capped d_i (d_0 = 1,
+d_{<0} = 0).
 """
 
 from __future__ import annotations
@@ -156,7 +168,7 @@ _GERM_FACTORIES = {
 
 
 def stable_germ(name: str, ell: int) -> GermPrototype:
-    factory = _GERM_FACTORIES.get(name)
+    factory = _GERM_FACTORIES.get(name) if isinstance(name, str) else None
     if factory is None:
         raise UnsupportedPrototype(f"unknown prototype {name!r}")
     return factory(ell)
@@ -209,11 +221,24 @@ def n1(g: GermPrototype) -> GradedPoly:
 
 
 def multiple_point_class(g: GermPrototype, r: int) -> GradedPoly:
-    """Reduced r-fold point class of a prototype.
+    """Reduced r-fold point class of a prototype, in root coordinates.
 
     Zero above the local multiplicity; at r = delta the class of the
-    diagonal locus, an explicit product of weight differences for A_k.
+    diagonal locus, the product of the weight differences beta_i - s alpha
+    (s = 1..k) for A_k, built in the genotype basis and mapped back.
     Below delta the loci are not documented and are refused.
+    """
+    if check_int(r, 1, "multiplicity r of a multiple-point class") > g.delta:
+        return zero()
+    genotype = _genotype(g)
+    return genotype.roots(_multiple_point_genotype(g, r, genotype.m))
+
+
+def _multiple_point_genotype(g: GermPrototype, r: int, m: int) -> GradedPoly:
+    """multiple_point_class in Q[alpha, d_1..d_m].
+
+    For A_k, prod_i prod_s (beta_i - s alpha) = prod_s P(-s alpha) with
+    P(x) = prod_i (x + beta_i) = sum_j d_j x^(m-j).
     """
     if r > g.delta:
         return zero()
@@ -222,19 +247,82 @@ def multiple_point_class(g: GermPrototype, r: int) -> GradedPoly:
             f"m_{r} of {g.name} (delta {g.delta}) is not documented"
         )
     if g.name.startswith("A"):
-        k = g.delta - 1
         alpha = root_var("alpha")
         total = one()
-        for i in range(1, g.ell + 1):
-            b = root_var("beta", i)
-            for s in range(1, k + 1):
-                total = total * (b - s * alpha)
+        for s in range(1, g.delta):
+            x = -s * alpha
+            total = total * sum((_d(j) * x ** (m - j) for j in range(m + 1)), zero())
         return total
     if g.name == "III22":
         raise UnsupportedPrototype(
             "the triple-point locus of III22 is not documented"
         )
     raise UnsupportedPrototype(f"no multiple point classes for {g.name}")
+
+
+# -- the genotype basis -----------------------------------------------------------------
+
+
+def _involves_beta(form: GradedPoly) -> bool:
+    return any(v.family == "beta" for v in form.used_vars())
+
+
+def _is_lone_beta(form: GradedPoly) -> bool:
+    used = form.used_vars()
+    return len(used) == 1 and form == root_var("beta", used[0].index)
+
+
+@dataclass(frozen=True)
+class _Genotype:
+    """A total Chern class prod(1 + w) / prod(1 + v) * prod_i (1 + beta_i).
+
+    numer and denom hold the beta-free forms w and v; betas holds the m
+    distinct lone roots, whose product series is 1 + d_1 + ... + d_m.
+    """
+
+    numer: Tuple[GradedPoly, ...]
+    denom: Tuple[GradedPoly, ...]
+    betas: Tuple[GradedPoly, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.betas)
+
+    def series(self, maxdeg: int) -> GradedPoly:
+        """The class in Q[alpha, d_1..d_m], truncated at maxdeg."""
+        return series_quotient(
+            [one_plus(w) for w in self.numer] + [_d_polynomial(self.m)],
+            [one_plus(v) for v in self.denom],
+            maxdeg,
+        )
+
+    def roots(self, p: GradedPoly) -> GradedPoly:
+        """p mapped back to root coordinates through d_j -> e_j(beta)."""
+        elementary = euler_class([one_plus(b) for b in self.betas])
+        return substitute(
+            p, {("d", j): elementary.homogeneous_part(j) for j in range(1, self.m + 1)}
+        )
+
+
+def _genotype(g: GermPrototype) -> _Genotype:
+    """The genotype of a prototype's weight data after cancellation.
+
+    Every surviving form that involves a beta must be a lone beta_i of the
+    numerator, each at most once; any other shape raises UnsupportedPrototype.
+    """
+    numer, denom = _cancel_common(g.target_weights, g.source_weights)
+    free, betas = [], []
+    for w in numer:
+        if not _involves_beta(w):
+            free.append(w)
+        elif _is_lone_beta(w) and w not in betas:
+            betas.append(w)
+        else:
+            raise UnsupportedPrototype(f"{g.name}: weight {to_text(w)} is not a lone beta root")
+    for v in denom:
+        if _involves_beta(v):
+            raise UnsupportedPrototype(f"{g.name}: source weight {to_text(v)} involves a beta root")
+    return _Genotype(tuple(free), tuple(denom), tuple(betas))
 
 
 # -- verification reports ---------------------------------------------------------------
@@ -298,11 +386,22 @@ def _specialization_for(form: GradedPoly):
     return ((var.family, var.index), (-rest) * (1 / rat(coeff)))
 
 
+def _genotype_check(
+    name: str, lhs: GradedPoly, rhs: GradedPoly, genotype: _Genotype, detail: str
+) -> CheckResult:
+    """_identity_check in Q[alpha, d]; a failing residual is mapped back to roots."""
+    check = _identity_check(name, lhs, rhs, detail=detail)
+    return check if check.holds else replace(check, residual=genotype.roots(check.residual))
+
+
 def verify_quadruple(ell: int) -> Report:
     """The four defining identities of the quadruple-point residue.
 
-    Prototypes of relative dimension ell-1 are instantiated, materializing
-    ell-1 beta symbols, the minimum.
+    Prototypes of relative dimension ell-1 are instantiated and the residue
+    is evaluated on their genotype series in Q[alpha, d_1..d_m], with m the
+    number of their beta roots.  q1-q3 must vanish there and q4 must equal
+    -36 alpha^3 m_4, with m_4 = prod_s P(-s alpha) in the same basis; a
+    failing check reports its residual mapped back through d_j -> e_j(beta).
     For ell = 1 the III_{2,2} identity degenerates: no prototype of relative
     dimension 0 exists, so the residue is evaluated on the ell = 1 germ and
     certified divisible by its n_1 factor alpha_1 + alpha_2 instead.
@@ -311,40 +410,38 @@ def verify_quadruple(ell: int) -> Report:
     residue = residue_A0r(4, ell)
     maxdeg = 3 * ell
 
-    def on(germ: GermPrototype, degree: int) -> GradedPoly:
-        return chern_substitute(residue, chern_total(germ, degree))
+    def on(germ: GermPrototype, degree: int) -> Tuple[_Genotype, GradedPoly]:
+        genotype = _genotype(germ)
+        return genotype, chern_substitute(residue, genotype.series(degree))
 
-    checks = [
-        _identity_check(
-            f"q{k}",
-            on(germ_A(k, ell - 1), maxdeg),
-            zero(),
+    checks = []
+    for k in (1, 2):
+        genotype, value = on(germ_A(k, ell - 1), maxdeg)
+        checks.append(_genotype_check(
+            f"q{k}", value, zero(), genotype,
             detail=f"quadruple residue vanishes on the A{k} prototype",
-        )
-        for k in (1, 2)
-    ]
+        ))
     if ell >= 2:
-        q3 = on(germ_III22(ell - 1), maxdeg)
+        genotype, q3 = on(germ_III22(ell - 1), maxdeg)
         q3_detail = "quadruple residue vanishes on the III22 prototype"
     else:
         germ = germ_III22(1)
         sym, image = _specialization_for(germ.n1_factors[0])
-        q3 = substitute(on(germ, maxdeg + 1), {sym: image})
+        genotype, q3 = on(germ, maxdeg + 1)
+        q3 = substitute(q3, {sym: image})
         q3_detail = (
             "degenerate case: no III22 prototype of relative dimension 0; "
             "the residue on the ell=1 germ is divisible by alpha_1+alpha_2"
         )
-    checks.append(_identity_check("q3", q3, zero(), detail=q3_detail))
+    checks.append(_genotype_check("q3", q3, zero(), genotype, detail=q3_detail))
 
     germ = germ_A(3, ell - 1)
-    checks.append(
-        _identity_check(
-            "q4",
-            on(germ, maxdeg),
-            constant(-36) * root_var("alpha") ** 3 * multiple_point_class(germ, 4),
-            detail="quadruple residue on the A3 prototype equals -36 e(source)*m4",
-        )
-    )
+    genotype, q4 = on(germ, maxdeg)
+    m4 = _multiple_point_genotype(germ, 4, genotype.m)
+    checks.append(_genotype_check(
+        "q4", q4, constant(-36) * root_var("alpha") ** 3 * m4, genotype,
+        detail="quadruple residue on the A3 prototype equals -36 e(source)*m4",
+    ))
     return Report(suite="quadruple", ell=ell, checks=tuple(checks))
 
 
@@ -355,10 +452,17 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     """Certify that the reduced r-fold class of a prototype differs from the
     substituted residue term by a multiple of n_1.
 
-    The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) must vanish under
-    the specialization killing each linear factor of n_1; the exactness of
-    the Euler quotient itself is reported as the first check.
+    The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) is formed in the
+    genotype basis Q[alpha, d_1..d_m] and must vanish under the
+    specialization killing each linear factor of n_1.  A lone root beta_i
+    is killed by d_m -> 0: the difference is symmetric in the roots, so that
+    one substitution certifies every beta_i.  A factor free of beta is
+    substituted directly.  A factor that mixes beta with alpha, and any
+    factor whose check fails, specializes the difference mapped back through
+    d_j -> e_j(beta), so residuals stay in root coordinates.  The exactness
+    of the Euler quotient itself is reported as the first check.
     """
+    check_int(r, 1, "multiplicity r of the divisibility identity")
     ell = g.ell
     try:
         quotient = n1(g)
@@ -381,16 +485,27 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
         )
     ]
 
-    m_class = multiple_point_class(g, r)
+    genotype = _genotype(g)
+    m_class = _multiple_point_genotype(g, r, genotype.m)
     residue = residue_A0r(r, ell) * rat(1, math.factorial(r - 1))
-    substituted = chern_substitute(residue, chern_total(g, (r - 1) * ell))
-    difference = m_class - substituted
+    difference = m_class - chern_substitute(residue, genotype.series((r - 1) * ell))
+    in_roots = None  # the difference in root coordinates, built only when needed
     for f in g.n1_factors:
         sym, image = _specialization_for(f)
+        if f in genotype.betas:
+            value = substitute(difference, {("d", genotype.m): 0})
+        elif not _involves_beta(f):
+            value = substitute(difference, {sym: image})
+        else:
+            value = None
+        if value is None or not value.is_zero():
+            if in_roots is None:
+                in_roots = genotype.roots(difference)
+            value = substitute(in_roots, {sym: image})
         checks.append(
             _identity_check(
                 f"factor-{to_text(f)}",
-                substitute(difference, {sym: image}),
+                value,
                 zero(),
                 detail=f"difference vanishes under {sym[0]}{sym[1] or ''} -> {to_text(image)}",
             )
@@ -450,25 +565,24 @@ def _d_polynomial(cap: int) -> GradedPoly:
 def genotype_series(kind: str, ell: int, maxdeg: int, r: int = 1) -> GradedPoly:
     """Genotype c-series as a graded polynomial; the weight-i part is c_i.
 
-    aichern: (1-(r+1)a)/(1-a) times the degree-ell d-polynomial;
+    aichern: (1-(r+1)a)/(1-a) times the degree-ell d-polynomial, the A_r
+    genotype with alpha -> -a;
     i22chern: (1-2a)(1-2b)/((1-a)(1-b)) times the degree-ell d-polynomial;
     iii22chern: i22chern's quotient times (1-(a+b)) and a degree-(ell-1)
-    d-polynomial.
+    d-polynomial, so its ell must be at least 1.
     """
+    check_int(ell, 1 if kind == "iii22chern" else 0, f"relative dimension ell of {kind!r}")
     a = root_var("a")
     b = root_var("b")
     if kind == "aichern":
-        numer = [one() - (r + 1) * a, _d_polynomial(ell)]
-        denom = [one() - a]
+        genotype = _Genotype((-(r + 1) * a,), (-a,), tuple(_betas(ell)))
     elif kind == "i22chern":
-        numer = [one() - 2 * a, one() - 2 * b, _d_polynomial(ell)]
-        denom = [one() - a, one() - b]
+        genotype = _Genotype((-2 * a, -2 * b), (-a, -b), tuple(_betas(ell)))
     elif kind == "iii22chern":
-        numer = [one() - 2 * a, one() - 2 * b, one() - (a + b), _d_polynomial(ell - 1)]
-        denom = [one() - a, one() - b]
+        genotype = _Genotype((-2 * a, -2 * b, -(a + b)), (-a, -b), tuple(_betas(ell - 1)))
     else:
         raise PolyError(f"unknown genotype series {kind!r}")
-    return series_quotient(numer, denom, maxdeg)
+    return genotype.series(maxdeg)
 
 
 def _triangular_substitution(value: GradedPoly, ell: int) -> GradedPoly:
@@ -554,8 +668,9 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     determinant factors as e2^(j-ell-2) h_{i-j} times the substituted
     residue determinant times (d_k - 2 e1 d_{k-1} + 4 e2 d_{k-2}).
     """
-    i, j, k = triple
-    if not (i >= j >= k >= 0 and j >= ell + 2 and k <= ell):
+    check_int(ell, 0, "relative dimension ell of a factorization")
+    i, j, k = (check_int(index, 0, "factorization index") for index in triple)
+    if not (i >= j >= k and j >= ell + 2 and k <= ell):
         raise PolyError(f"triple {triple} violates the factorization ranges")
     maxdeg = i + 2
     series = genotype_series("i22chern", ell, maxdeg)

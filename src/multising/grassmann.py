@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import PolyError, Rat, is_scalar, json_field, rat, rat_str
+from .poly import PolyError, Rat, check_int, is_scalar, json_field, power, rat, rat_str
 
 _ZERO = Rat(0)  # the one default for absent coefficients
 
@@ -225,16 +225,7 @@ class GrassClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GrassClass":
-        _check_power(exponent)
-        out = schur(self.ring, ())
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power(self, exponent, schur(self.ring, ()))
 
     def __eq__(self, other) -> bool:
         try:
@@ -267,11 +258,6 @@ class GrassClass:
             {"partition": list(lam), "coeff": rat_str(c)}
             for lam, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         ]
-
-
-def _check_power(e) -> None:
-    if type(e) is not int or e < 0:
-        raise PolyError(f"power {e!r} is not a nonnegative int")
 
 
 def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
@@ -420,7 +406,7 @@ class FiberClass:
     def __init__(self, ring: GrassRing, parts: Mapping[int, GrassClass]):
         clean: Dict[int, GrassClass] = {}
         for w, g in parts.items():
-            _check_power(w)
+            check_int(w, 0, "power of xi")
             if not isinstance(g, GrassClass):
                 raise PolyError(f"xi^{w} coefficient {g!r} is not a GrassClass")
             if g.ring != ring:
@@ -499,11 +485,7 @@ class FiberClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "FiberClass":
-        _check_power(exponent)
-        out = FiberClass(self.ring, {0: schur(self.ring, ())})
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return power(self, exponent, FiberClass(self.ring, {0: schur(self.ring, ())}))
 
     def __eq__(self, other) -> bool:
         try:

@@ -272,17 +272,7 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GradedPoly":
-        if not _is_exponent(exponent):
-            raise PolyError(f"power {exponent!r} is not a nonnegative int")
-        result = constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, exponent, constant(1))
 
     # -- comparison ---------------------------------------------------------
 
@@ -366,6 +356,25 @@ def check_int(value, least: int, what: str, most: Optional[int] = None, error=Po
 
 def _is_exponent(e) -> bool:
     return _is_int(e) and e >= 0
+
+
+def power(base, exponent: int, unit):
+    """base ** exponent by square-and-multiply, starting from unit.
+
+    The one power loop of the package: GradedPoly, GrassClass and FiberClass
+    all raise to powers through it.  A bool, a non-int or a negative
+    exponent raises PolyError.
+    """
+    if not _is_exponent(exponent):
+        raise PolyError(f"power {exponent!r} is not a nonnegative int")
+    result = unit
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        if exponent > 1:
+            base = base * base
+        exponent >>= 1
+    return result
 
 
 # -- the packed int kernel ------------------------------------------------------
@@ -575,6 +584,7 @@ def series_inverse(g: GradedPoly, maxdeg: int) -> GradedPoly:
     Newton iteration: if inv is right up to degree k, inv * (2 - g * inv) is
     right up to degree 2k + 1, so the steps cut at 1, 3, 7, ... maxdeg.
     """
+    check_int(maxdeg, -1, "series degree maxdeg")  # -1: the empty cut
     if g.constant_term() != 1:
         raise PolyError("series inverse requires constant term 1")
     inv, prec = one().truncate(maxdeg), 0
@@ -593,6 +603,7 @@ def series_quotient(
 
     Every factor must have constant term 1 (a total-Chern-class factor 1 + w).
     """
+    check_int(maxdeg, -1, "series degree maxdeg")
 
     def product(factors: Sequence[GradedPoly]) -> GradedPoly:
         total = one()

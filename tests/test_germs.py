@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
+from multising import germs
 from multising.germs import (
     GermPrototype,
     UnsupportedPrototype,
@@ -29,11 +31,14 @@ from multising.poly import (
     NonExactDivision,
     PolyError,
     chern_substitute,
+    cvar,
     one,
     one_plus,
+    rat,
     root_var,
     series_quotient,
     substitute,
+    zero,
 )
 from multising.multipoint import emit_quadruple_formula
 from multising.thom import (
@@ -166,13 +171,22 @@ def test_blowup_control_report():
         lambda: thom_polynomial(2, 1.5),
         lambda: residue("A0^4", "2"),
         lambda: residue("III22A0", True),
+        lambda: verify_divisibility(germ_A(2, 2), "2"),
+        lambda: multiple_point_class(germ_A(2, 2), "x"),
+        lambda: stable_germ(["A1"], 1),
+        lambda: factorization_check(1, ("3", 3, 0)),
+        lambda: series_quotient([one()], [], 2.5),
+        lambda: chern_total(germ_A(2, 2), 2.5),
+        lambda: genotype_series("iii22chern", 0, 3),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
         "tpA1-bool", "III22A0-float", "quadruple_formula-bool", "germ_A-bool-k",
         "germ_A-bool-ell", "germ_III22-float", "codim-float", "residue_A0r-float-ell",
         "residue_A0r-float-r", "thom_polynomial-float", "residue-str-ell",
-        "residue-bool-ell",
+        "residue-bool-ell", "divisibility-str-r", "multiple_point_class-str-r",
+        "stable_germ-list-name", "factorization-str-index", "series_quotient-float-maxdeg",
+        "chern_total-float-maxdeg", "iii22chern-ell-zero",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -263,6 +277,157 @@ def test_divisibility_suite_aggregates():
     report = verify_divisibility_suite(1)
     assert report.ok
     assert any(c.name.startswith("III22-r4") for c in report.checks)
+
+
+# -- the explicit-root oracle -----------------------------------------------------------------
+#
+# The suites work in the genotype basis Q[alpha, d_1..d_m].  The oracle below
+# is the path they replaced: every prototype's Chern class is the series in
+# its explicit beta roots (chern_total), m_r is the product of the weight
+# differences beta_i - s alpha, and each n_1 factor is killed by solving it
+# for its last variable.  The two paths must agree check by check, on the
+# holding flag and on every residual, which the genotype path reports in root
+# coordinates.
+
+
+def _explicit_m(k, count):
+    total = one()
+    for i in range(1, count + 1):
+        for s in range(1, k + 1):
+            total = total * (_beta(i) - s * ALPHA)
+    return total
+
+
+def _kill(form):
+    """{last variable: image} solving the linear form for its last variable."""
+    form = form.compress()
+    last = form.vars[-1]
+    coeff = form.coefficient({(last.family, last.index): 1})
+    rest = form - root_var(last.family, last.index) * coeff
+    return {(last.family, last.index): -rest * (1 / coeff)}
+
+
+def _explicit_quadruple(ell, residue):
+    maxdeg = 3 * ell
+
+    def on(germ, degree=maxdeg):
+        return chern_substitute(residue, chern_total(germ, degree))
+
+    values = [on(germ_A(k, ell - 1)) for k in (1, 2)]
+    if ell >= 2:
+        values.append(on(germ_III22(ell - 1)))
+    else:
+        values.append(substitute(on(germ_III22(1), maxdeg + 1), _kill(A1_ + A2_)))
+    values.append(on(germ_A(3, ell - 1)) + 36 * ALPHA ** 3 * _explicit_m(3, ell - 1))
+    return [(f"q{i}", v.is_zero(), None if v.is_zero() else v) for i, v in enumerate(values, 1)]
+
+
+def _explicit_divisibility(germ, r, residue):
+    k = germ.delta - 1
+    m_class = _explicit_m(k, germ.ell) if r == germ.delta else zero()
+    substituted = chern_substitute(
+        residue * rat(1, math.factorial(r - 1)), chern_total(germ, (r - 1) * germ.ell)
+    )
+    difference = m_class - substituted
+    out = []
+    for f in germ.n1_factors:
+        value = substitute(difference, _kill(f))
+        out.append((value.is_zero(), None if value.is_zero() else value))
+    return out
+
+
+def _summary(checks):
+    return [(c.name, c.holds, c.residual) for c in checks]
+
+
+def _perturbed(monkeypatch, extra):
+    """Make the suites read residue_A0r(r, ell) + extra(r, ell)."""
+    exact = germs.residue_A0r
+    monkeypatch.setattr(germs, "residue_A0r", lambda r, ell: exact(r, ell) + extra(r, ell))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_quadruple_matches_explicit_roots(ell):
+    report = verify_quadruple(ell)
+    assert _summary(report.checks) == _explicit_quadruple(ell, residue_A0r(4, ell))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_divisibility_matches_explicit_roots(ell):
+    for name, r in (("A1", 2), ("A2", 3), ("A3", 4), ("A1", 4), ("III22", 4)):
+        germ = stable_germ(name, ell)
+        report = verify_divisibility(germ, r)
+        got = [(c.holds, c.residual) for c in report.checks[1:]]
+        assert got == _explicit_divisibility(germ, r, residue_A0r(r, ell)), (name, r)
+
+
+PERTURBATIONS = {
+    "c1^3l": lambda ell: cvar(1) ** (3 * ell),
+    "c3l": lambda ell: cvar(3 * ell),
+    "cl*c2l": lambda ell: cvar(ell) * cvar(2 * ell),
+}
+
+
+@pytest.mark.parametrize("ell", [2, 4, 6])
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+def test_perturbed_quadruple_residue_fails_in_both_paths(monkeypatch, kind, ell):
+    extra = PERTURBATIONS[kind](ell)
+    explicit = _explicit_quadruple(ell, residue_A0r(4, ell) + extra)
+    _perturbed(monkeypatch, lambda r, ell: extra)
+    report = verify_quadruple(ell)
+    assert [holds for _, holds, _ in explicit] == [False] * 4
+    assert _summary(report.checks) == explicit
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_perturbed_divisibility_residuals_match_explicit_roots(monkeypatch, ell):
+    # every factor check fails, so each residual comes back through d_j -> e_j(beta);
+    # at ell = 1 the III22 class under alpha_2 -> -alpha_1 is even and c_3 vanishes
+    extra = lambda r, ell: cvar((r - 1) * ell)  # noqa: E731
+    _perturbed(monkeypatch, extra)
+    for name, r in (("A1", 2), ("A2", 3), ("A3", 4), ("A1", 4), ("III22", 4)):
+        germ = stable_germ(name, ell)
+        want = _explicit_divisibility(germ, r, residue_A0r(r, ell) + extra(r, ell))
+        assert not any(holds for holds, _ in want), (name, r)
+        got = [(c.holds, c.residual) for c in verify_divisibility(germ, r).checks[1:]]
+        assert got == want, (name, r)
+
+
+def test_lone_root_check_kills_one_root_only(monkeypatch):
+    # on the A1 genotype at ell = 2, c1^2 + c2 is 3 alpha d1 + d1^2 + d2: it
+    # vanishes when both roots do but not when one does, so both checks fail
+    extra = lambda r, ell: cvar(1) ** 2 + cvar(2)  # noqa: E731
+    germ = germ_A(1, 2)
+    want = _explicit_divisibility(germ, 2, residue_A0r(2, 2) + extra(2, 2))
+    _perturbed(monkeypatch, extra)
+    got = [(c.holds, c.residual) for c in verify_divisibility(germ, 2).checks[1:]]
+    assert [holds for holds, _ in want] == [False, False]
+    assert got == want
+
+
+def test_genotype_refuses_weights_that_mix_beta_with_alpha():
+    germ = GermPrototype(
+        name="A1",
+        ell=1,
+        delta=2,
+        source_weights=(ALPHA,),
+        target_weights=(2 * ALPHA, _beta(1) - ALPHA),
+    )
+    with pytest.raises(UnsupportedPrototype):
+        verify_divisibility(germ, 2)
+    with pytest.raises(UnsupportedPrototype):
+        multiple_point_class(germ, 2)
+
+
+# -- beyond the explicit-root frontier ----------------------------------------------------------
+
+
+def test_quadruple_identities_hold_at_ell_12():
+    assert verify_quadruple(12).ok
+
+
+def test_divisibility_battery_holds_at_ell_10():
+    assert verify_divisibility_suite(10).ok
 
 
 # -- Thom polynomial of A1 -------------------------------------------------------------------------

@@ -469,6 +469,17 @@ def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
         make()
 
 
+def test_powers_equal_repeated_products():
+    # GrassClass and FiberClass share poly.power's square-and-multiply loop
+    y = schur(R37, (1,)) + 2 * schur(R37, (2, 1))
+    x = FiberClass.xi(R37) + FiberClass.lift(chern_S(R37, 1))
+    for base, unit in ((y, schur(R37, ())), (x, FiberClass.lift(schur(R37, ())))):
+        product = unit
+        for n in range(8):
+            assert base ** n == product
+            product = product * base
+
+
 def test_reduce_requires_k3():
     with pytest.raises(PolyError):
         FiberClass.xi(R24, 3).reduce(DUAL_LINE)
