@@ -272,17 +272,24 @@ def _is_lone_beta(form: GradedPoly) -> bool:
     return len(used) == 1 and form == root_var("beta", used[0].index)
 
 
-@dataclass(frozen=True)
 class _Genotype:
     """A total Chern class prod(1 + w) / prod(1 + v) * prod_i (1 + beta_i).
 
     numer and denom hold the beta-free forms w and v; betas holds the m
-    distinct lone roots, whose product series is 1 + d_1 + ... + d_m.
+    distinct lone roots, whose product series is 1 + d_1 + ... + d_m.  A
+    plain class: nothing compares or hashes genotypes, and dataclass methods
+    would be generated at every import.
     """
 
-    numer: Tuple[GradedPoly, ...]
-    denom: Tuple[GradedPoly, ...]
-    betas: Tuple[GradedPoly, ...]
+    __slots__ = ("numer", "denom", "betas")
+
+    def __init__(
+        self,
+        numer: Sequence[GradedPoly],
+        denom: Sequence[GradedPoly],
+        betas: Sequence[GradedPoly],
+    ):
+        self.numer, self.denom, self.betas = numer, denom, betas
 
     @property
     def m(self) -> int:
@@ -322,7 +329,7 @@ def _genotype(g: GermPrototype) -> _Genotype:
     for v in denom:
         if _involves_beta(v):
             raise UnsupportedPrototype(f"{g.name}: source weight {to_text(v)} involves a beta root")
-    return _Genotype(tuple(free), tuple(denom), tuple(betas))
+    return _Genotype(free, denom, betas)
 
 
 # -- verification reports ---------------------------------------------------------------
@@ -575,11 +582,12 @@ def genotype_series(kind: str, ell: int, maxdeg: int, r: int = 1) -> GradedPoly:
     a = root_var("a")
     b = root_var("b")
     if kind == "aichern":
-        genotype = _Genotype((-(r + 1) * a,), (-a,), tuple(_betas(ell)))
+        check_int(r, 1, "index r of the A_r genotype")
+        genotype = _Genotype((-(r + 1) * a,), (-a,), _betas(ell))
     elif kind == "i22chern":
-        genotype = _Genotype((-2 * a, -2 * b), (-a, -b), tuple(_betas(ell)))
+        genotype = _Genotype((-2 * a, -2 * b), (-a, -b), _betas(ell))
     elif kind == "iii22chern":
-        genotype = _Genotype((-2 * a, -2 * b, -(a + b)), (-a, -b), tuple(_betas(ell - 1)))
+        genotype = _Genotype((-2 * a, -2 * b, -(a + b)), (-a, -b), _betas(ell - 1))
     else:
         raise PolyError(f"unknown genotype series {kind!r}")
     return genotype.series(maxdeg)
@@ -669,6 +677,8 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     residue determinant times (d_k - 2 e1 d_{k-1} + 4 e2 d_{k-2}).
     """
     check_int(ell, 0, "relative dimension ell of a factorization")
+    if not isinstance(triple, tuple) or len(triple) != 3:
+        raise PolyError(f"{triple!r} is not a triple of indices")
     i, j, k = (check_int(index, 0, "factorization index") for index in triple)
     if not (i >= j >= k and j >= ell + 2 and k <= ell):
         raise PolyError(f"triple {triple} violates the factorization ranges")

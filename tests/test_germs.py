@@ -178,6 +178,8 @@ def test_blowup_control_report():
         lambda: series_quotient([one()], [], 2.5),
         lambda: chern_total(germ_A(2, 2), 2.5),
         lambda: genotype_series("iii22chern", 0, 3),
+        lambda: genotype_series("aichern", 1, 3, r="2"),
+        lambda: factorization_check(1, (3, 3)),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -186,7 +188,8 @@ def test_blowup_control_report():
         "residue_A0r-float-r", "thom_polynomial-float", "residue-str-ell",
         "residue-bool-ell", "divisibility-str-r", "multiple_point_class-str-r",
         "stable_germ-list-name", "factorization-str-index", "series_quotient-float-maxdeg",
-        "chern_total-float-maxdeg", "iii22chern-ell-zero",
+        "chern_total-float-maxdeg", "iii22chern-ell-zero", "aichern-str-r",
+        "factorization-pair",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
