@@ -285,8 +285,8 @@ def test_divisibility_suite_aggregates():
 # -- the explicit-root oracle -----------------------------------------------------------------
 #
 # The suites work in the genotype basis Q[alpha, d_1..d_m].  The oracle below
-# is the path they replaced: every prototype's Chern class is the series in
-# its explicit beta roots (chern_total), m_r is the product of the weight
+# works in the explicit beta roots instead: every prototype's Chern class is
+# the series in its roots (chern_total), m_r is the product of the weight
 # differences beta_i - s alpha, and each n_1 factor is killed by solving it
 # for its last variable.  The two paths must agree check by check, on the
 # holding flag and on every residual, which the genotype path reports in root
