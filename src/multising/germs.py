@@ -46,8 +46,8 @@ from .poly import (
     check_int,
     chern_substitute,
     constant,
-    divide_by_linear,
     dvar,
+    exact_quotient,
     one,
     one_plus,
     rat,
@@ -214,10 +214,7 @@ def n1(g: GermPrototype) -> GradedPoly:
     a malformed prototype.
     """
     numer, denom = _cancel_common(g.target_weights, g.source_weights)
-    result = euler_class(numer)
-    for w in denom:
-        result = divide_by_linear(result, w)
-    return result
+    return exact_quotient(euler_class(numer), denom)
 
 
 def multiple_point_class(g: GermPrototype, r: int) -> GradedPoly:

@@ -9,16 +9,16 @@ reading word counts once, so the multiplicities come with no cancellation.
 class_mul clears each factor to int numerators over the lcm of its
 denominators, sums the products as ints and builds one rational per output.
 
-On top of the base ring the module models the projectivization of the
-universal subbundle S for k = 3: classes are polynomials in the fiberwise
+On top of the base ring the module models the projectivization P(S) of the
+universal subbundle S, of rank k: classes are polynomials in the fiberwise
 hyperplane class xi with Schur-class coefficients, kept in raw powers of xi.
-The degree-three relation satisfied by xi, the Chern classes of the relative
-tangent bundle kappa = T_{P(S)/G}, and the pushforward rule
-xi^w -> c_{w-2}(Q) are grouped into named orientation settings:
+In Grothendieck's convention zeta = c_1(O(1)) satisfies
+sum_i c_i(S) zeta^{k-i} = 0, pushes forward by pi_* zeta^{k-1+i} = c_i(Q),
+and the relative tangent bundle kappa = T_{P(S)/G} has
+c(kappa) = sum_i c_i(S) (1 + zeta)^{k-i}.  An orientation writes all three
+in xi = sigma * zeta and scales the pushforward of xi^w by push_sign^w:
 
-  * dual-line is Grothendieck's convention: xi = zeta = c_1(O(1)),
-    zeta^3 + c_1 zeta^2 + c_2 zeta + c_3 = 0 with c_i = c_i(S), and
-    pi_* zeta^{2+i} = c_i(Q);
+  * dual-line is Grothendieck's convention itself: sigma = +1, sign +1;
   * signed-push is the same calculus written in xi = -zeta, so it gives the
     same integrals as dual-line and no enumerative count can separate them;
   * tautological-line, still the default argument, pairs signed-push's
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
+from math import comb, lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .poly import PolyError, Rat, check_int, is_scalar, json_field, power, rat, rat_str
@@ -155,14 +155,6 @@ class GrassClass:
 
     def coefficient(self, lam: Sequence[int]) -> Rat:
         return self.coeffs.get(_validate_partition(lam), _ZERO)
-
-    def degree(self) -> Optional[int]:
-        if not self.coeffs:
-            return None
-        degrees = {sum(lam) for lam in self.coeffs}
-        if len(degrees) > 1:
-            raise PolyError("class is not homogeneous")
-        return degrees.pop()
 
     def is_homogeneous(self) -> bool:
         return len({sum(lam) for lam in self.coeffs}) <= 1
@@ -355,15 +347,13 @@ def integrate(x: GrassClass) -> Rat:
 
 def chern_Q(ring: GrassRing, i: int) -> GrassClass:
     """c_i of the universal quotient bundle: the one-row Schur class."""
-    if not 0 <= i <= ring.cols:
-        raise PolyError(f"c_{i}(Q) out of range for rank {ring.cols}")
+    check_int(i, 0, f"index of c_i(Q) for rank {ring.cols}", most=ring.cols)
     return schur(ring, (i,) if i else ())
 
 
 def chern_S(ring: GrassRing, i: int) -> GrassClass:
     """c_i of the universal subbundle: a signed one-column Schur class."""
-    if not 0 <= i <= ring.k:
-        raise PolyError(f"c_{i}(S) out of range for rank {ring.k}")
+    check_int(i, 0, f"index of c_i(S) for rank {ring.k}", most=ring.k)
     return GrassClass(ring, {(1,) * i: (-1) ** i})
 
 
@@ -372,22 +362,20 @@ def chern_S(ring: GrassRing, i: int) -> GrassClass:
 
 @dataclass(frozen=True)
 class Orientation:
-    """One self-consistent choice of signs for the xi-calculus.
+    """One choice of signs for the xi-calculus.
 
-    relation_signs = (s2, s1, s0) encodes xi^3 = s2*c1(S)xi^2 + s1*c2(S)xi
-    + s0*c3(S) (Chern classes pulled back from the base); push_sign**w scales
-    the pushforward of xi^w.
+    xi = kappa_xi_sign * zeta fixes the relation and kappa; push_sign**w
+    scales the pushforward of xi^w.
     """
 
     name: str
     kappa_xi_sign: int
     push_sign: int
-    relation_signs: Tuple[int, int, int]
 
 
-TAUTOLOGICAL_LINE = Orientation("tautological-line", -1, +1, (1, -1, 1))
-SIGNED_PUSH = Orientation("signed-push", -1, -1, (1, -1, 1))
-DUAL_LINE = Orientation("dual-line", +1, +1, (-1, -1, -1))
+TAUTOLOGICAL_LINE = Orientation("tautological-line", -1, +1)
+SIGNED_PUSH = Orientation("signed-push", -1, -1)
+DUAL_LINE = Orientation("dual-line", +1, +1)
 
 ORIENTATIONS: Dict[str, Orientation] = {
     o.name: o for o in (TAUTOLOGICAL_LINE, SIGNED_PUSH, DUAL_LINE)
@@ -397,7 +385,7 @@ ORIENTATIONS: Dict[str, Orientation] = {
 class FiberClass:
     """A polynomial in the fiberwise hyperplane class xi over a Grassmannian.
 
-    Powers of xi are kept raw; reduce() rewrites into xi-degree < 3 using the
+    Powers of xi are kept raw; reduce() rewrites into xi-degree < k using the
     relation of a chosen orientation.
     """
 
@@ -506,36 +494,32 @@ class FiberClass:
         return " + ".join(bits)
 
     def reduce(self, orientation: Orientation) -> "FiberClass":
-        """Rewrite into xi-degree < 3 using the orientation's cubic relation."""
-        if self.ring.k != 3:
-            raise PolyError("the cubic relation needs k = 3")
-        s2, s1, s0 = orientation.relation_signs
-        c1 = chern_S(self.ring, 1)
-        c2 = chern_S(self.ring, 2)
-        c3 = chern_S(self.ring, 3)
+        """Rewrite into xi-degree < k by xi^k = -sum_i sigma^i c_i(S) xi^{k-i}."""
+        ring = self.ring
+        sigma = orientation.kappa_xi_sign
+        relation = [(i, chern_S(ring, i) * -sigma ** i) for i in range(1, ring.k + 1)]
         parts = dict(self.parts)
         while parts:
             top = max(parts)
-            if top < 3:
+            if top < ring.k:
                 break
             g = parts.pop(top)
-            for shift, cls, sign in ((1, c1, s2), (2, c2, s1), (3, c3, s0)):
+            for shift, cls in relation:
                 w = top - shift
-                add = g * cls * sign
-                parts[w] = parts.get(w, GrassClass(self.ring, {})) + add
+                parts[w] = parts.get(w, GrassClass(ring, {})) + g * cls
                 if parts[w].is_zero():
                     del parts[w]
-        return FiberClass(self.ring, parts)
+        return FiberClass(ring, parts)
 
 
 def pushforward_P_S(
     x: FiberClass, orientation: Orientation = TAUTOLOGICAL_LINE
 ) -> GrassClass:
-    """Integrate over the fibers: xi^w contributes c_{w-2}(Q) times its sign."""
+    """Integrate over the fibers: xi^w contributes c_{w-k+1}(Q) times its sign."""
     ring = x.ring
     out = GrassClass(ring, {})
     for w, g in x.parts.items():
-        i = w - 2
+        i = w - ring.k + 1
         if i < 0 or i > ring.cols:
             continue
         out = out + g * chern_Q(ring, i) * (orientation.push_sign ** w)
@@ -544,14 +528,14 @@ def pushforward_P_S(
 
 def kappa_chern(
     ring: GrassRing, orientation: Orientation = TAUTOLOGICAL_LINE
-) -> Tuple[FiberClass, FiberClass]:
-    """Chern classes of the rank-two fiberwise twist bundle (k = 3 only)."""
-    if ring.k != 3:
-        raise PolyError("the fiberwise twist bundle needs k = 3")
-    s = orientation.kappa_xi_sign
-    xi = FiberClass.xi(ring)
-    c1 = FiberClass.lift(chern_S(ring, 1))
-    c2 = FiberClass.lift(chern_S(ring, 2))
-    k1 = c1 + 3 * s * xi
-    k2 = c2 + 2 * s * (xi * c1) + 3 * (xi * xi)
-    return k1, k2
+) -> Tuple[FiberClass, ...]:
+    """c_1..c_{k-1} of kappa, the graded parts of sum_i c_i(S) (1 + sigma xi)^{k-i}."""
+    sigma = orientation.kappa_xi_sign
+    k = ring.k
+    return tuple(
+        FiberClass(ring, {
+            j - i: chern_S(ring, i) * (comb(k - i, j - i) * sigma ** (j - i))
+            for i in range(j + 1)
+        })
+        for j in range(1, k)
+    )

@@ -70,10 +70,6 @@ class MultiSingularity:
     def from_name(cls, text: str) -> "MultiSingularity":
         return cls(parse_multisingularity(text))
 
-    @property
-    def size(self) -> int:
-        return len(self.parts)
-
     def codim(self, ell: int) -> int:
         return multisingularity_codim(self.parts, ell)
 
@@ -242,14 +238,19 @@ def emit_quadruple_formula(ell: int) -> SourceExpansion:
 # -- rendering ----------------------------------------------------------------------
 
 
-_TOKEN_LATEX = {"A0": "A_0", "A1": "A_1", "A2": "A_2", "A3": "A_3",
-                "III22": "III_{2,2}", "I22": "I_{2,2}"}
+def _token_latex(token: str) -> str:
+    """A3 -> A_3, A12 -> A_{12}, III22 -> III_{2,2}, I22 -> I_{2,2}."""
+    family = token.rstrip("0123456789")
+    index = token[len(family):]
+    if family != "A":
+        index = ",".join(index)
+    return f"{family}_{index}" if len(index) == 1 else f"{family}_{{{index}}}"
 
 
 def _sym_latex(label: Tuple[str, ...]) -> str:
     if all(t == "A0" for t in label):
         return f"s_{len(label)}"
-    inner = "".join(_TOKEN_LATEX.get(t, t) for t in label)
+    inner = "".join(_token_latex(t) for t in label)
     return f"S_{{{inner}}}"
 
 
@@ -295,7 +296,7 @@ def _render_source(expansion: SourceExpansion, poly_renderer, latex: bool) -> st
                 sub = str(k)
             else:
                 sub = (
-                    "".join(_TOKEN_LATEX.get(t, t) for t in term.complement)
+                    "".join(_token_latex(t) for t in term.complement)
                     if latex
                     else ",".join(term.complement)
                 )

@@ -810,9 +810,9 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
     return quotient
 
 
-def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly], unit=1) -> GradedPoly:
-    """Divide p by unit * prod(factors) of linear forms, exactly."""
-    result = p * rat(1, unit)
+def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly]) -> GradedPoly:
+    """Divide p by the product of the linear forms in factors, exactly."""
+    result = p
     for form in factors:
         result = divide_by_linear(result, form)
     return result

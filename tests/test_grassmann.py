@@ -380,8 +380,70 @@ def test_kappa_chern_shapes():
     k1d, k2d = kappa_chern(R37, DUAL_LINE)
     assert k1d.coefficient(1) == 3 * schur(R37, ())
     assert k2d.coefficient(1) == 2 * chern_S(R37, 1)
-    with pytest.raises(PolyError):
-        kappa_chern(R24)
+
+
+# -- P(S) over Gr(k, n) for every k -------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("orientation", ["signed-push", "dual-line"])
+def test_fibre_euler_characteristic(k, orientation):
+    # the fibre is P^{k-1}, whose Euler characteristic is k, and kappa is its
+    # tangent bundle: pi_* c_{k-1}(kappa) = k
+    orient = ORIENTATIONS[orientation]
+    ring = GrassRing(k, k + 2)
+    kappa = kappa_chern(ring, orient)
+    assert len(kappa) == k - 1
+    assert pushforward_P_S(kappa[-1], orient) == k * schur(ring, ())
+
+
+def _probes(ring):
+    xi = FiberClass.xi(ring)
+    lams = [lam for lam in ring.partitions() if sum(lam) <= 3]
+    return [
+        xi ** w * FiberClass.lift(schur(ring, lam))
+        for w in range(ring.k, ring.k + 4)
+        for lam in lams
+    ]
+
+
+@pytest.mark.parametrize("ring", [GrassRing(1, 4), GrassRing(2, 5), GrassRing(4, 7)],
+                         ids=["k1", "k2", "k4"])
+def test_reduce_is_pushforward_consistent_for_every_k(ring):
+    for orient in (SIGNED_PUSH, DUAL_LINE):
+        for x in _probes(ring):
+            assert pushforward_P_S(x, orient) == pushforward_P_S(x.reduce(orient), orient)
+    taut = TAUTOLOGICAL_LINE
+    assert any(
+        pushforward_P_S(x, taut) != pushforward_P_S(x.reduce(taut), taut) for x in _probes(ring)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+def test_top_chern_class_of_quotient_vanishes_for_every_k(k, orientation):
+    # c(pi*S/l) = pi*c(S)/(1 + c1(l)) with c1(l) = -zeta; the rank is k - 1,
+    # so its degree-k slice must die modulo the relation
+    orient = ORIENTATIONS[orientation]
+    ring = GrassRing(k, k + 2)
+    one = FiberClass.lift(schur(ring, ()))
+    c1l = -orient.kappa_xi_sign * FiberClass.xi(ring)
+    total_S = sum((FiberClass.lift(chern_S(ring, i)) for i in range(k + 1)), FiberClass(ring, {}))
+    inv = sum(((-c1l) ** j for j in range(k + 1)), FiberClass(ring, {}))
+    product = total_S * inv
+    ck = FiberClass(ring, {w: product.coefficient(w).homogeneous_part(k - w) for w in range(k + 1)})
+    assert not ck.is_zero()
+    assert ck.reduce(orient).is_zero()
+
+
+def test_projective_space_is_the_k1_case():
+    # Gr(1, n) = P^{n-1}: P(S) is the base itself, kappa has rank 0 and
+    # xi = c_1(O(1)) pushes to the hyperplane class
+    ring = GrassRing(1, 5)
+    assert kappa_chern(ring) == ()
+    assert kappa_chern(ring, DUAL_LINE) == ()
+    for w in range(ring.dim + 2):
+        assert pushforward_P_S(FiberClass.xi(ring, w), DUAL_LINE) == schur(ring, (1,)) ** w
 
 
 @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
@@ -460,9 +522,14 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: FiberClass(R37, {True: schur(R37, ())}),
         lambda: FiberClass(R37, {"2": schur(R37, ())}),
         lambda: FiberClass(R37, {1: 3}),
+        lambda: chern_S(R37, True),
+        lambda: chern_S(R37, 1.0),
+        lambda: chern_Q(R37, True),
+        lambda: chern_Q(R37, 1.0),
     ],
     ids=["float-power", "bool-power", "fiber-float-power", "float-xi", "float-key",
-         "bool-key", "string-key", "scalar-coefficient"],
+         "bool-key", "string-key", "scalar-coefficient", "bool-chern-S", "float-chern-S",
+         "bool-chern-Q", "float-chern-Q"],
 )
 def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
     with pytest.raises(PolyError):
@@ -478,11 +545,6 @@ def test_powers_equal_repeated_products():
         for n in range(8):
             assert base ** n == product
             product = product * base
-
-
-def test_reduce_requires_k3():
-    with pytest.raises(PolyError):
-        FiberClass.xi(R24, 3).reduce(DUAL_LINE)
 
 
 # -- serialization ----------------------------------------------------------------------------

@@ -102,6 +102,19 @@ def test_expand_n_latex():
     )
 
 
+@pytest.mark.parametrize(
+    "name, rendered",
+    [
+        ("A4A0", "S_{A_0A_4} + s_1S_{A_4}"),
+        ("A7A0", "S_{A_0A_7} + s_1S_{A_7}"),
+        ("III22A0", "S_{A_0III_{2,2}} + s_1S_{III_{2,2}}"),
+        ("I22A1", "S_{A_1I_{2,2}} + S_{A_1}S_{I_{2,2}}"),
+    ],
+)
+def test_expand_n_latex_subscripts_every_token(name, rendered):
+    assert expansion_to_latex(expand_n(MultiSingularity.from_name(name))) == rendered
+
+
 def test_expansion_rendering_signs_units_and_fractions():
     expansion = {
         (("A0",),): rat(1),

@@ -722,11 +722,6 @@ def test_divide_by_linear_exact():
     assert exact_quotient(prod, [BETA - ALPHA, BETA - 3 * ALPHA]) == BETA - 2 * ALPHA
 
 
-def test_exact_quotient_rejects_zero_unit():
-    with pytest.raises(PolyError):
-        exact_quotient(one(), [], unit=0)
-
-
 def test_divide_by_linear_remainder_raises():
     prod = (BETA - ALPHA) * (BETA - 2 * ALPHA)
     with pytest.raises(NonExactDivision):
