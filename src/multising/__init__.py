@@ -15,7 +15,6 @@ from .poly import (
     schur_det,
     series_quotient,
     substitute,
-    vanishes_under,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "schur_det",
     "series_quotient",
     "substitute",
-    "vanishes_under",
 ]
 
 __version__ = "0.1.0"

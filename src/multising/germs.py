@@ -28,9 +28,9 @@ are algebraically independent, so an identity holds in Q[alpha, beta]
 exactly when it holds in Q[alpha, d_1..d_m], where it is far cheaper to
 check.  Only a failing check, or a divisibility factor that mixes beta
 with alpha, maps its polynomial back through d_j -> e_j(beta), so every
-residual is reported in root coordinates.  The III_{2,2}A_0 suite uses the
-same series in symbols a, b (alpha -> -a) with degree-capped d_i (d_0 = 1,
-d_{<0} = 0).
+residual is reported in root coordinates.  Every suite restricts on the
+genotype of a prototype (_genotype), the III_{2,2}A_0 suite included; its
+I_{2,2} genotype, which has no prototype here, is built in the same basis.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def _multiple_point_genotype(g: GermPrototype, r: int, m: int) -> GradedPoly:
         total = one()
         for s in range(1, g.delta):
             x = -s * alpha
-            total = total * sum((_d(j) * x ** (m - j) for j in range(m + 1)), zero())
+            total = total * sum((dvar(j) * x ** (m - j) for j in range(1, m + 1)), x ** m)
         return total
     if g.name == "III22":
         raise UnsupportedPrototype(
@@ -267,6 +267,11 @@ def _involves_beta(form: GradedPoly) -> bool:
 def _is_lone_beta(form: GradedPoly) -> bool:
     used = form.used_vars()
     return len(used) == 1 and form == root_var("beta", used[0].index)
+
+
+def _d_polynomial(cap: int) -> GradedPoly:
+    """1 + d_1 + ... + d_cap with d_i of weight i."""
+    return sum((dvar(i) for i in range(1, cap + 1)), one())
 
 
 class _Genotype:
@@ -292,20 +297,25 @@ class _Genotype:
     def m(self) -> int:
         return len(self.betas)
 
+    def factors(self) -> Tuple[List[GradedPoly], List[GradedPoly]]:
+        """The numerator factors 1 + w, then 1 + d_1 + ... + d_m, and the
+        denominator factors 1 + v of the class."""
+        numer = [one_plus(w) for w in self.numer] + [_d_polynomial(self.m)]
+        return numer, [one_plus(v) for v in self.denom]
+
     def series(self, maxdeg: int) -> GradedPoly:
         """The class in Q[alpha, d_1..d_m], truncated at maxdeg."""
-        return series_quotient(
-            [one_plus(w) for w in self.numer] + [_d_polynomial(self.m)],
-            [one_plus(v) for v in self.denom],
-            maxdeg,
-        )
+        return series_quotient(*self.factors(), maxdeg)
 
     def roots(self, p: GradedPoly) -> GradedPoly:
         """p mapped back to root coordinates through d_j -> e_j(beta)."""
-        elementary = euler_class([one_plus(b) for b in self.betas])
-        return substitute(
-            p, {("d", j): elementary.homogeneous_part(j) for j in range(1, self.m + 1)}
-        )
+        return _substitute_d(p, [one_plus(b) for b in self.betas], self.m)
+
+
+def _substitute_d(p: GradedPoly, factors: Sequence[GradedPoly], m: int) -> GradedPoly:
+    """p under d_j -> the weight-j part of prod(factors), for j = 1..m."""
+    product = euler_class(factors)
+    return substitute(p, {("d", j): product.homogeneous_part(j) for j in range(1, m + 1)})
 
 
 def _genotype(g: GermPrototype) -> _Genotype:
@@ -536,16 +546,19 @@ def verify_divisibility_suite(ell: int) -> Report:
 
 
 def verify_tpA1(ell: int) -> Report:
-    """c_{ell+1} of the A_1 prototype equals the source Euler class."""
+    """c_{ell+1} of the A_1 prototype equals the source Euler class.
+
+    Both sides are in Q[alpha, d_1..d_ell]: the Euler class is alpha P(-alpha)
+    with P(x) = sum_j d_j x^(ell-j), the A_1 multiple-point class m_2.
+    """
     check_int(ell, 0, "relative dimension ell")
     germ = germ_A(1, ell)
-    series = chern_total(germ, ell + 1)
-    lhs = series.homogeneous_part(ell + 1)
-    rhs = euler_class(germ.source_weights)
-    check = _identity_check(
+    genotype = _genotype(germ)
+    check = _genotype_check(
         "tpA1",
-        lhs,
-        rhs,
+        genotype.series(ell + 1).homogeneous_part(ell + 1),
+        root_var("alpha") * _multiple_point_genotype(germ, 2, genotype.m),
+        genotype,
         detail="top Chern class of the A1 prototype is the source Euler class",
     )
     return Report(suite="tpa1", ell=ell, checks=(check,))
@@ -554,96 +567,58 @@ def verify_tpA1(ell: int) -> Report:
 # -- III_{2,2}A_0 suite ----------------------------------------------------------------------
 
 
-def _d(i: int) -> GradedPoly:
-    """Series symbol d_i with the convention d_0 = 1, d_{<0} = 0, like cvar."""
-    if i < 0:
-        return zero()
-    return one() if i == 0 else dvar(i)
-
-
-def _d_polynomial(cap: int) -> GradedPoly:
-    """1 + d_1 + ... + d_cap with d_i of weight i (degree-capped symbols)."""
-    return sum((_d(i) for i in range(cap + 1)), zero())
-
-
-def genotype_series(kind: str, ell: int, maxdeg: int, r: int = 1) -> GradedPoly:
-    """Genotype c-series as a graded polynomial; the weight-i part is c_i.
-
-    aichern: (1-(r+1)a)/(1-a) times the degree-ell d-polynomial, the A_r
-    genotype with alpha -> -a;
-    i22chern: (1-2a)(1-2b)/((1-a)(1-b)) times the degree-ell d-polynomial;
-    iii22chern: i22chern's quotient times (1-(a+b)) and a degree-(ell-1)
-    d-polynomial, so its ell must be at least 1.
-    """
-    check_int(ell, 1 if kind == "iii22chern" else 0, f"relative dimension ell of {kind!r}")
-    a = root_var("a")
-    b = root_var("b")
-    if kind == "aichern":
-        check_int(r, 1, "index r of the A_r genotype")
-        genotype = _Genotype((-(r + 1) * a,), (-a,), _betas(ell))
-    elif kind == "i22chern":
-        genotype = _Genotype((-2 * a, -2 * b), (-a, -b), _betas(ell))
-    elif kind == "iii22chern":
-        genotype = _Genotype((-2 * a, -2 * b, -(a + b)), (-a, -b), _betas(ell - 1))
-    else:
-        raise PolyError(f"unknown genotype series {kind!r}")
-    return genotype.series(maxdeg)
-
-
-def _triangular_substitution(value: GradedPoly, ell: int) -> GradedPoly:
-    """Rewrite d_i for the degree-(ell-1) cap: d_i -> d_i - (a+b) d_{i-1},
-    with d_ell -> -(a+b) d_{ell-1} because d_ell vanishes under the cap."""
-    e1 = root_var("a") + root_var("b")
-    assignment = {}
-    for i in range(1, ell):
-        assignment[("d", i)] = dvar(i) - e1 * _d(i - 1)
-    assignment[("d", ell)] = -e1 * _d(ell - 1)
-    return substitute(value, assignment)
+def _i22_genotype(ell: int) -> _Genotype:
+    """The I_{2,2} genotype (1+2 alpha_1)(1+2 alpha_2) / ((1+alpha_1)(1+alpha_2))
+    times prod_i (1 + beta_i) over ell roots; there is no I_{2,2} prototype."""
+    a1, a2 = root_var("alpha", 1), root_var("alpha", 2)
+    return _Genotype((2 * a1, 2 * a2), (a1, a2), _betas(ell))
 
 
 def verify_III22A0(ell: int) -> Report:
     """Three exact identities certifying the III_{2,2}A_0 residue.
 
-    (i) the residue vanishes under the Morin genotype series for r = 1..3;
-    (ii) under the I_{2,2} genotype it collapses to -4 d_ell times the
-    substituted Schur determinant of the III_{2,2} residue; (iii) the
-    III_{2,2} genotype value is the (ii) value under the degree-cap
-    rewriting of the top d symbol.
+    (i) the residue vanishes on the A_r prototype genotypes for r = 1..3;
+    (ii) on the I_{2,2} genotype it collapses to -4 d_ell times the
+    substituted Schur determinant of the III_{2,2} residue; (iii) its value
+    on the III_{2,2} prototype genotype is the (ii) value with the last
+    I_{2,2} root set to alpha_1 + alpha_2, that is under d_j -> the weight-j
+    part of (1 + alpha_1 + alpha_2)(1 + d_1 + ... + d_(ell-1)).
     """
     check_int(ell, 1, "relative dimension ell of the III22A0 identities")
     residue = residue_III22A0(ell)
     maxdeg = 2 * ell + 4
-    checks = [
-        _identity_check(
+    checks = []
+    for r in (1, 2, 3):
+        genotype = _genotype(germ_A(r, ell))
+        checks.append(_genotype_check(
             f"aichern-r{r}",
-            chern_substitute(residue, genotype_series("aichern", ell, maxdeg, r=r)),
+            chern_substitute(residue, genotype.series(maxdeg)),
             zero(),
+            genotype,
             detail=f"residue vanishes on the A{r} genotype",
-        )
-        for r in (1, 2, 3)
-    ]
+        ))
 
-    i22 = genotype_series("i22chern", ell, maxdeg)
-    value_i22 = chern_substitute(residue, i22)
-    rhs = constant(-4) * dvar(ell) * chern_substitute(schur_det(ell + 2, ell + 2), i22)
-    checks.append(
-        _identity_check(
-            "i22chern",
-            value_i22,
-            rhs,
-            detail="residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype",
-        )
-    )
+    i22 = _i22_genotype(ell)
+    series = i22.series(maxdeg)
+    value_i22 = chern_substitute(residue, series)
+    rhs = constant(-4) * dvar(ell) * chern_substitute(schur_det(ell + 2, ell + 2), series)
+    checks.append(_genotype_check(
+        "i22chern",
+        value_i22,
+        rhs,
+        i22,
+        detail="residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype",
+    ))
 
-    iii22 = genotype_series("iii22chern", ell, maxdeg)
-    checks.append(
-        _identity_check(
-            "iii22chern",
-            chern_substitute(residue, iii22),
-            _triangular_substitution(value_i22, ell),
-            detail="III22 genotype value matches the degree-capped I22 value",
-        )
-    )
+    iii22 = _genotype(germ_III22(ell))
+    last_root = one_plus(root_var("alpha", 1) + root_var("alpha", 2))
+    checks.append(_genotype_check(
+        "iii22chern",
+        chern_substitute(residue, iii22.series(maxdeg)),
+        _substitute_d(value_i22, [last_root, _d_polynomial(ell - 1)], ell),
+        iii22,
+        detail="III22 genotype value matches the degree-capped I22 value",
+    ))
 
     checks.extend(factorization_check(ell, triple) for triple in _factorization_triples(ell))
     return Report(suite="iii22a0", ell=ell, checks=tuple(checks))
@@ -657,21 +632,14 @@ def _factorization_triples(ell: int):
     return ((ell + 2, ell + 2, 0), (ell + 3, ell + 2, 1))
 
 
-def _complete_homogeneous(k: int) -> GradedPoly:
-    a = root_var("a")
-    b = root_var("b")
-    total = zero()
-    for p in range(k + 1):
-        total = total + a ** p * b ** (k - p)
-    return total
-
-
 def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     """Schur factorization on the I_{2,2} genotype.
 
-    For i >= j >= k >= 0 with j >= ell+2 and k <= ell the substituted 3x3 Schur
-    determinant factors as e2^(j-ell-2) h_{i-j} times the substituted
-    residue determinant times (d_k - 2 e1 d_{k-1} + 4 e2 d_{k-2}).
+    For i >= j >= k >= 0 with j >= ell+2 and k <= ell the substituted 3x3
+    Schur determinant factors as (alpha_1 alpha_2)^(j-ell-2) times the
+    weight-(i-j) part of the genotype's denominator 1/((1+alpha_1)(1+alpha_2)),
+    the substituted residue determinant s(ell+2, ell+2), and the weight-k part
+    of its numerator (1+2 alpha_1)(1+2 alpha_2)(1 + d_1 + ... + d_ell).
     """
     check_int(ell, 0, "relative dimension ell of a factorization")
     if not isinstance(triple, tuple) or len(triple) != 3:
@@ -679,24 +647,21 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     i, j, k = (check_int(index, 0, "factorization index") for index in triple)
     if not (i >= j >= k and j >= ell + 2 and k <= ell):
         raise PolyError(f"triple {triple} violates the factorization ranges")
-    maxdeg = i + 2
-    series = genotype_series("i22chern", ell, maxdeg)
+    genotype = _i22_genotype(ell)
+    numer, denom = genotype.factors()
+    series = genotype.series(i + 2)
     lhs = chern_substitute(schur_det(i, j, k), series)
-    a = root_var("a")
-    b = root_var("b")
-    e1 = a + b
-    e2 = a * b
-    d_part = _d(k) - 2 * e1 * _d(k - 1) + 4 * e2 * _d(k - 2)
     rhs = (
-        e2 ** (j - ell - 2)
-        * _complete_homogeneous(i - j)
+        (root_var("alpha", 1) * root_var("alpha", 2)) ** (j - ell - 2)
+        * series_quotient([], denom, i - j).homogeneous_part(i - j)
         * chern_substitute(schur_det(ell + 2, ell + 2), series)
-        * d_part
+        * series_quotient(numer, [], k).homogeneous_part(k)
     )
-    return _identity_check(
+    return _genotype_check(
         f"factorization-{i}{j}{k}",
         lhs,
         rhs,
+        genotype,
         detail=f"Schur factorization at (i,j,k)=({i},{j},{k})",
     )
 

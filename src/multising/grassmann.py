@@ -126,11 +126,7 @@ class GrassClass:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: GrassRing, coeffs: Mapping[Sequence[int], object], *, _checked=False):
-        if _checked:  # internal results: box partitions mapped to nonzero Rats
-            object.__setattr__(self, "ring", ring)
-            object.__setattr__(self, "coeffs", coeffs)
-            return
+    def __init__(self, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
         clean: Dict[Partition, Rat] = {}
         for raw, value in coeffs.items():
             lam = _validate_partition(raw)
@@ -160,7 +156,7 @@ class GrassClass:
         return len({sum(lam) for lam in self.coeffs}) <= 1
 
     def homogeneous_part(self, d: int) -> "GrassClass":
-        return GrassClass(
+        return _make_class(
             self.ring, {lam: c for lam, c in self.coeffs.items() if sum(lam) == d}
         )
 
@@ -189,12 +185,12 @@ class GrassClass:
                 merged[lam] = total
             else:
                 del merged[lam]
-        return GrassClass(self.ring, merged, _checked=True)
+        return _make_class(self.ring, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GrassClass":
-        return GrassClass(self.ring, {lam: -c for lam, c in self.coeffs.items()}, _checked=True)
+        return _make_class(self.ring, {lam: -c for lam, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "GrassClass":
         rhs = self._coerce(other)
@@ -211,7 +207,7 @@ class GrassClass:
         if is_scalar(other):
             c = rat(other)
             coeffs = {lam: c * v for lam, v in self.coeffs.items()} if c else {}
-            return GrassClass(self.ring, coeffs, _checked=True)
+            return _make_class(self.ring, coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -252,10 +248,18 @@ class GrassClass:
         ]
 
 
+def _make_class(ring: GrassRing, coeffs: Dict[Partition, Rat]) -> GrassClass:
+    """A GrassClass of box partitions already mapped to nonzero Rats."""
+    x = object.__new__(GrassClass)
+    object.__setattr__(x, "ring", ring)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
+
+
 def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
     """The Schur basis class s_lam (zero if lam leaves the box)."""
     lam = _box_partitions(ring.k, ring.cols).get(_validate_partition(lam))
-    return GrassClass(ring, {} if lam is None else {lam: Rat(1)}, _checked=True)
+    return _make_class(ring, {} if lam is None else {lam: Rat(1)})
 
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
@@ -329,7 +333,7 @@ def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
             pair = (lam, mu) if lam >= mu else (mu, lam)
             for nu, mult in _mul_basis(k, n, *pair):
                 acc[nu] = get(nu, 0) + ab * mult
-    return GrassClass(x.ring, {nu: Rat(c, den) for nu, c in acc.items() if c}, _checked=True)
+    return _make_class(x.ring, {nu: Rat(c, den) for nu, c in acc.items() if c})
 
 
 def _cleared(x: GrassClass) -> Tuple[List[Tuple[Partition, int]], int]:

@@ -61,10 +61,10 @@ class MultiSingularity:
     def __post_init__(self):
         if not self.parts:
             raise PolyError("a multisingularity must be nonempty")
-        canonical = (self.parts[0],) + tuple(sorted(self.parts[1:]))
-        object.__setattr__(self, "parts", canonical)
         for name in self.parts:
             singularity_info(name)
+        canonical = (self.parts[0],) + tuple(sorted(self.parts[1:]))
+        object.__setattr__(self, "parts", canonical)
 
     @classmethod
     def from_name(cls, text: str) -> "MultiSingularity":
@@ -134,6 +134,7 @@ def expand_n(multi: MultiSingularity) -> FormalExpansion:
 
 def a0_partition_coefficients(r: int) -> Dict[Tuple[int, ...], Rat]:
     """expand_n of r ordinary points, keyed by the sorted block-size partition."""
+    check_int(r, 1, "number of points r")
     expansion = expand_n(MultiSingularity(("A0",) * r))
     out: Dict[Tuple[int, ...], Rat] = {}
     for mono, coeff in expansion.items():

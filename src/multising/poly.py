@@ -2,7 +2,7 @@
 
 A polynomial is a mapping from exponent vectors to exact rational
 coefficients.  Every variable carries a (family, index, weight) triple:
-Chern-type variables c_i have weight i, root symbols (alpha, beta_i, a, b)
+Chern-type variables c_i have weight i, root symbols (alpha_i, beta_i)
 have weight 1, and series symbols d_i get their weight at construction time.
 The weighted degree of a monomial is the exponent-weighted sum, and all
 truncation is by weighted degree.  Truncation is explicit: a polynomial is
@@ -341,17 +341,23 @@ def is_scalar(value) -> bool:
     return isinstance(value, Rat) or _is_int(value)
 
 
-def check_int(value, least: int, what: str, most: Optional[int] = None, error=PolyError) -> int:
+def check_int(
+    value, least: Optional[int], what: str, most: Optional[int] = None, error=PolyError
+) -> int:
     """value if it is an int in least..most (no upper bound when most is None).
 
-    A bool, any other non-int or a value out of range raises error, a
-    PolyError subclass.  The relative dimensions ell, multiplicities r and
-    singularity indices k of thom, germs and multipoint are checked here.
+    least None admits every int.  A bool, any other non-int or a value out
+    of range raises error, a PolyError subclass.  The relative dimensions
+    ell, multiplicities r and singularity indices k of thom, germs and
+    multipoint are checked here.
     """
-    if not _is_int(value) or value < least or (most is not None and value > most):
-        bounds = f">= {least}" if most is None else f"in {least}..{most}"
-        raise error(f"{what} must be an int {bounds}, got {value!r}")
-    return value
+    if _is_int(value) and (least is None or least <= value and (most is None or value <= most)):
+        return value
+    if least is None:
+        bounds = ""
+    else:
+        bounds = f" >= {least}" if most is None else f" in {least}..{most}"
+    raise error(f"{what} must be an int{bounds}, got {value!r}")
 
 
 def _is_exponent(e) -> bool:
@@ -571,7 +577,7 @@ def dvar(i: int) -> GradedPoly:
 
 
 def root_var(family: str, index: int = 0) -> GradedPoly:
-    """Weight-1 root symbol such as alpha, beta_i, a, b."""
+    """Weight-1 root symbol such as alpha, alpha_i or beta_i."""
     return variable(family, index, weight=1)
 
 
@@ -622,18 +628,15 @@ def one_plus(form: GradedPoly) -> GradedPoly:
 
 
 def substitute(
-    p: GradedPoly,
-    assignment: Mapping[SymbolLike, Union[GradedPoly, int, Rat]],
-    strict: bool = False,
+    p: GradedPoly, assignment: Mapping[SymbolLike, Union[GradedPoly, int, Rat]]
 ) -> GradedPoly:
     """Ring-morphism substitution; unassigned variables map to themselves.
 
-    With strict=True every variable occurring in p must be assigned.  The
-    evaluation is Horner-style over the assigned variables, in the packed int
-    kernel from start to end: p is sliced by the exponent of one assigned
-    variable at a time, each slice is substituted recursively and multiplied
-    by a cached power of that variable's image, so unassigned variables are
-    never multiplied.  Every output term of a term of p of degree D has
+    The evaluation is Horner-style over the assigned variables, in the
+    packed int kernel from start to end: p is sliced by the exponent of one
+    assigned variable at a time, each slice is substituted recursively and
+    multiplied by a cached power of that variable's image, so unassigned
+    variables are never multiplied.  Every output term of a term of p of degree D has
     degree at most D * max(1, deg(image_i) / weight_i) over the assigned
     variables i, and so has every partial product; the fields are widened
     if that bound does not fit them.  Image i is over D_i, and a slice of
@@ -642,10 +645,6 @@ def substitute(
     D_p * prod(D_i**E_i).
     """
     images = {_resolve_symbol(sym): _coerce(value) for sym, value in assignment.items()}
-    if strict:
-        for v in p.used_vars():
-            if (v.family, v.index) not in images:
-                raise PolyError(f"no assignment for {(v.family, v.index)}")
     if not p.nums:
         return p
     keys = [(v.family, v.index) for v in p.vars]
@@ -713,37 +712,24 @@ def substitute(
     return _poly(vars_, width, nums, den)
 
 
-def chern_substitute(
-    p: GradedPoly, series: GradedPoly, family: str = "c"
-) -> GradedPoly:
-    """Substitute each variable (family, i) by the weight-i part of series.
+def chern_substitute(p: GradedPoly, series: GradedPoly) -> GradedPoly:
+    """Substitute each Chern variable c_i by the weight-i part of series.
 
     This is the "p evaluated at a total Chern class" operation: the degree-i
     part of the series plays the role of c_i.  The series is bucketed by
     the degree field of its keys in one pass.
     """
-    parts = {v.index: {} for v in p.used_vars() if v.family == family}
+    parts = {v.index: {} for v in p.used_vars() if v.family == "c"}
     top = _top(series)
     for key, c in series.nums.items():
         part = parts.get(key >> top)
         if part is not None:
             part[key] = c
     assignment = {
-        (family, i): _poly(series.vars, series.width, parts[i], series.den)
+        ("c", i): _poly(series.vars, series.width, parts[i], series.den)
         for i in sorted(parts)
     }
     return substitute(p, assignment)
-
-
-def vanishes_under(
-    p: GradedPoly,
-    specializations: Iterable[tuple],
-) -> bool:
-    """True iff p becomes identically zero under each single substitution."""
-    for sym, value in specializations:
-        if not substitute(p, {sym: value}).is_zero():
-            return False
-    return True
 
 
 def schur_det(*parts: int) -> GradedPoly:

@@ -58,14 +58,16 @@ def _a_series(maxdeg: int) -> GradedPoly:
 
 
 def a_coeff(i: int, j: int) -> Rat:
-    """Coefficient a_{i,j} in the three-point part of the A_3 series."""
-    if i < 0 or j < 0:
+    """Coefficient a_{i,j} in the three-point part of the A_3 series, 0 when
+    an index is negative."""
+    if min(check_int(index, None, "index of a_{i,j}") for index in (i, j)) < 0:
         return rat(0)
     return _a_series(i + j).coefficient({("u", 0): i, ("v", 0): j})
 
 
 def a_triangle(rows: int) -> list:
     """Rows 0..rows-1 of the triangle; row n lists a_{n-j,j} for j = 0..n."""
+    check_int(rows, 0, "number of rows of the a triangle")
     return [
         [int(a_coeff(n - j, j)) for j in range(n + 1)] for n in range(rows)
     ]
@@ -248,10 +250,10 @@ _SINGULARITIES: dict = {
 
 
 def singularity_info(name: str) -> SingularityInfo:
-    try:
-        return _SINGULARITIES[name]
-    except KeyError:
-        raise UnsupportedMultisingularity(f"unknown singularity {name!r}") from None
+    info = _SINGULARITIES.get(name) if isinstance(name, str) else None
+    if info is None:
+        raise UnsupportedMultisingularity(f"unknown singularity {name!r}")
+    return info
 
 
 # -- multisingularity names ---------------------------------------------------------

@@ -14,7 +14,6 @@ from multising.germs import (
     blowup_control_report,
     chern_total,
     factorization_check,
-    genotype_series,
     germ_A,
     germ_III22,
     germ_blowup,
@@ -32,6 +31,7 @@ from multising.poly import (
     PolyError,
     chern_substitute,
     cvar,
+    dvar,
     one,
     one_plus,
     rat,
@@ -40,11 +40,18 @@ from multising.poly import (
     substitute,
     zero,
 )
-from multising.multipoint import emit_quadruple_formula
+from multising.multipoint import (
+    MultiSingularity,
+    a0_partition_coefficients,
+    emit_quadruple_formula,
+)
 from multising.thom import (
+    a_coeff,
+    a_triangle,
     multisingularity_codim,
     residue,
     residue_A0r,
+    singularity_info,
     thom_polynomial,
 )
 
@@ -177,9 +184,13 @@ def test_blowup_control_report():
         lambda: factorization_check(1, ("3", 3, 0)),
         lambda: series_quotient([one()], [], 2.5),
         lambda: chern_total(germ_A(2, 2), 2.5),
-        lambda: genotype_series("iii22chern", 0, 3),
-        lambda: genotype_series("aichern", 1, 3, r="2"),
         lambda: factorization_check(1, (3, 3)),
+        lambda: MultiSingularity(("A0", "A1", 5)),
+        lambda: singularity_info(["A0"]),
+        lambda: a_triangle(1.5),
+        lambda: a0_partition_coefficients(1.5),
+        lambda: a_coeff(True, 0),
+        lambda: a_coeff(-1, 2.5),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -188,8 +199,9 @@ def test_blowup_control_report():
         "residue_A0r-float-r", "thom_polynomial-float", "residue-str-ell",
         "residue-bool-ell", "divisibility-str-r", "multiple_point_class-str-r",
         "stable_germ-list-name", "factorization-str-index", "series_quotient-float-maxdeg",
-        "chern_total-float-maxdeg", "iii22chern-ell-zero", "aichern-str-r",
-        "factorization-pair",
+        "chern_total-float-maxdeg", "factorization-pair", "multisingularity-int-part",
+        "singularity_info-list-name", "a_triangle-float", "a0_partitions-float",
+        "a_coeff-bool", "a_coeff-negative-and-float",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -451,32 +463,32 @@ def test_tpA1_explicit_values():
 
 
 def test_aichern_tail_relation():
-    # beyond the d-cap the coefficients satisfy c_{j+1} = a c_j, which is
-    # what makes the residue determinants vanish
-    ell, r, maxdeg = 2, 2, 9
-    series = genotype_series("aichern", ell, maxdeg, r=r)
-    a = root_var("a")
-    for j in range(ell + 1, maxdeg):
-        assert series.homogeneous_part(j + 1) == (
-            a * series.homogeneous_part(j)
-        )
-    # the relation starts exactly at ell+1
-    assert series.homogeneous_part(ell + 1) != (
-        a * series.homogeneous_part(ell)
-    )
+    # beyond the d-cap the A_r genotype coefficients satisfy c_{j+1} = -alpha c_j,
+    # which is what makes the residue determinants vanish
+    ell, maxdeg = 2, 9
+    for r in (1, 2, 3):
+        series = germs._genotype(germ_A(r, ell)).series(maxdeg)
+        for j in range(ell + 1, maxdeg):
+            assert series.homogeneous_part(j + 1) == -ALPHA * series.homogeneous_part(j)
+        # the relation starts exactly at ell+1
+        assert series.homogeneous_part(ell + 1) != -ALPHA * series.homogeneous_part(ell)
 
 
 def test_genotype_series_d_caps():
     ell, maxdeg = 2, 6
-    i22 = genotype_series("i22chern", ell, maxdeg)
-    iii22 = genotype_series("iii22chern", ell, maxdeg)
-    # the I22 series involves d_1..d_ell, the III22 series only d_1..d_ell-1
+    i22 = germs._i22_genotype(ell).series(maxdeg)
+    iii22 = germs._genotype(germ_III22(ell)).series(maxdeg)
+    # the I22 series involves d_1..d_ell, the III22 series only d_1..d_ell-1,
+    # both in the prototypes' own roots alpha_1, alpha_2
     assert any(v.family == "d" and v.index == ell for v in i22.used_vars())
     assert all(
         not (v.family == "d" and v.index >= ell) for v in iii22.used_vars()
     )
-    with pytest.raises(PolyError):
-        genotype_series("nope", 1, 3)
+    assert {v.family for v in i22.used_vars()} == {"alpha", "d"}
+    # setting the last I22 root to alpha_1 + alpha_2, d_1 -> alpha_1 + alpha_2 + d_1
+    # and d_2 -> (alpha_1 + alpha_2) d_1, gives the III22 series
+    e1 = A1_ + A2_
+    assert substitute(i22, {("d", 1): e1 + dvar(1), ("d", 2): e1 * dvar(1)}) == iii22
 
 
 # -- III22A0 suite ----------------------------------------------------------------------------------
@@ -494,16 +506,30 @@ def test_verify_III22A0(ell):
 
 
 def test_iii22chern_matches_plug_in_at_ell1():
-    # at ell=1 the degree-cap rewriting is exactly "plug d_1 = -(a+b)"
+    # at ell=1 the III22 genotype has no beta root, and its value is the I22
+    # value with the one I22 root plugged as d_1 = alpha_1 + alpha_2
     from multising.thom import residue_III22A0
 
     maxdeg = 6
-    i22 = genotype_series("i22chern", 1, maxdeg)
-    iii22 = genotype_series("iii22chern", 1, maxdeg)
+    i22 = germs._i22_genotype(1).series(maxdeg)
+    iii22 = germs._genotype(germ_III22(1)).series(maxdeg)
     value_i22 = chern_substitute(residue_III22A0(1), i22)
     value_iii22 = chern_substitute(residue_III22A0(1), iii22)
-    plugged = substitute(value_i22, {("d", 1): -(root_var("a") + root_var("b"))})
-    assert value_iii22 == plugged
+    assert value_iii22 == substitute(value_i22, {("d", 1): A1_ + A2_})
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_perturbed_III22A0_residuals_are_in_root_coordinates(monkeypatch, ell):
+    exact = germs.residue_III22A0
+    monkeypatch.setattr(
+        germs,
+        "residue_III22A0",
+        lambda ell: exact(ell) + cvar(2 * ell + 4) + cvar(ell + 2) ** 2,
+    )
+    failing = [c for c in verify_III22A0(ell).checks if not c.holds]
+    assert {c.name for c in failing} >= {"aichern-r1", "aichern-r2", "aichern-r3", "i22chern"}
+    for c in failing:
+        assert {v.family for v in c.residual.used_vars()} <= {"alpha", "beta"}, c.name
 
 
 @pytest.mark.parametrize(
@@ -589,6 +615,11 @@ GOLDEN_DIGESTS = {
     "tpA1-1": "32d8045f157bc7253b4b3f3a1bfcfd48ef4a1cf8382e9fc1fb14cad48aa14ffe",
     "tpA1-2": "2d077298fdf932b9dc1acb737dc695eee97d2120ddedff4ee6bbe674b88dd90e",
     "tpA1-3": "9416157b399761a34c3de886f5712c96de8ad0b8e24c580dbddc8e6ec7000a34",
+    "III22A0-4": "e4d90a2dd1ca0d35ececb46c84fbd6077c8c366fd8a2b4fdcc263c05cd347a04",
+    "III22A0-5": "8bc9b5494655094fcefbdf2ed6b925de615e51a8658c926a8a3092a9c3be515a",
+    "tpA1-4": "05f01ccede17011d7a22e37f3d31edb2ff787aae582ba61681e16bf923c05936",
+    "tpA1-5": "cdd9e160c8b724758b86b8fd6eac306229d4953dc5556ff92c8fff61db1b275f",
+    "tpA1-6": "c6781b3ddeaa959051caaf35882e229c11b4778ec036826b1f705d35555f1053",
     "blowup": "6229810dd2a45814973df2e196261e6205006fca38d9b7263b4d04d15adbbfe4",
     "formula-1": "9d3b154f1ba5348109e7308b614c5e90ba0d0b735d2a7396875a617b4443f728",
     "formula-2": "5f56adf96445726bd6e41aed0326e2d89b1337ee06f9190d5ad39f3ba13c7139",
