@@ -379,7 +379,7 @@ class Report:
         }
 
 
-def _identity_check(name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str = "") -> CheckResult:
+def _identity_check(name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str) -> CheckResult:
     """lhs == rhs as an exact identity; a failing check keeps the residual lhs - rhs."""
     residual = lhs - rhs
     holds = residual.is_zero()
@@ -582,7 +582,9 @@ def verify_III22A0(ell: int) -> Report:
     substituted Schur determinant of the III_{2,2} residue; (iii) its value
     on the III_{2,2} prototype genotype is the (ii) value with the last
     I_{2,2} root set to alpha_1 + alpha_2, that is under d_j -> the weight-j
-    part of (1 + alpha_1 + alpha_2)(1 + d_1 + ... + d_(ell-1)).
+    part of (1 + alpha_1 + alpha_2)(1 + d_1 + ... + d_(ell-1)).  The III_{2,2}
+    genotype is that specialization of the I_{2,2} one, so (iii) holds for
+    every residue and certifies nothing by itself.
     """
     check_int(ell, 1, "relative dimension ell of the III22A0 identities")
     residue = residue_III22A0(ell)

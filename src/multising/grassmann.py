@@ -8,6 +8,9 @@ labelled horizontal strips inside the box, and each filling with a lattice
 reading word counts once, so the multiplicities come with no cancellation.
 class_mul clears each factor to int numerators over the lcm of its
 denominators, sums the products as ints and builds one rational per output.
+GrassClass and the FiberClass below share one private base, _SchurSum: a
+ring and a dict of nonzero coefficients with +, -, ** and ==.  Only the
+public constructors check their input; results are built unchecked.
 
 On top of the base ring the module models the projectivization P(S) of the
 universal subbundle S, of rank k: classes are polynomials in the fiberwise
@@ -28,6 +31,7 @@ in xi = sigma * zeta and scales the pushforward of xi^w by push_sign^w:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, lcm
@@ -121,33 +125,87 @@ def _box_partitions(rows: int, cols: int) -> Dict[Partition, Partition]:
     return {p: p for p in acc}
 
 
-class GrassClass:
-    """A cohomology class on a Grassmannian in the boxed Schur basis."""
+class _SchurSum:
+    """A ring and a dict coeffs of nonzero coefficients, immutable.
+
+    Each subclass supplies _coerce, its product and _vanishes, the zero test
+    of one coefficient.
+    """
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
-        clean: Dict[Partition, Rat] = {}
-        for raw, value in coeffs.items():
-            lam = _validate_partition(raw)
-            if not ring.contains(lam):
-                continue  # zero in the boxed quotient
-            c = rat(value)
-            if c == 0:
-                continue
-            clean[lam] = clean.get(lam, _ZERO) + c
-            if clean[lam] == 0:
-                del clean[lam]
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", clean)
+    @classmethod
+    def _make(cls, ring: GrassRing, coeffs: dict):
+        """A class of canonical keys already mapped to nonzero coefficients."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "ring", ring)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
 
     def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("GrassClass is immutable")
-
-    # -- inspection --
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        merged = dict(self.coeffs)
+        for key, c in rhs.coeffs.items():
+            if key in merged:
+                c = merged[key] + c
+                if self._vanishes(c):
+                    del merged[key]
+                    continue
+            merged[key] = c
+        return self._make(self.ring, merged)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self.ring, {key: -c for key, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __pow__(self, exponent: int):
+        return power(self, exponent, self._coerce(1))
+
+    def __eq__(self, other) -> bool:
+        try:
+            rhs = self._coerce(other)
+        except RingMismatch:
+            return False
+        if rhs is None:
+            return NotImplemented
+        return self.coeffs == rhs.coeffs
+
+
+class GrassClass(_SchurSum):
+    """A cohomology class on a Grassmannian in the boxed Schur basis."""
+
+    __slots__ = ()
+
+    _vanishes = staticmethod(operator.not_)
+
+    def __init__(self, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
+        summed: Dict[Partition, Rat] = {}
+        for raw, value in coeffs.items():
+            lam = _validate_partition(raw)
+            if ring.contains(lam):  # outside the box s_lam is zero
+                summed[lam] = summed.get(lam, _ZERO) + rat(value)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", {lam: c for lam, c in summed.items() if c})
+
+    # -- inspection --
 
     def coefficient(self, lam: Sequence[int]) -> Rat:
         return self.coeffs.get(_validate_partition(lam), _ZERO)
@@ -156,9 +214,8 @@ class GrassClass:
         return len({sum(lam) for lam in self.coeffs}) <= 1
 
     def homogeneous_part(self, d: int) -> "GrassClass":
-        return _make_class(
-            self.ring, {lam: c for lam, c in self.coeffs.items() if sum(lam) == d}
-        )
+        check_int(d, None, "degree of a homogeneous part")
+        return self._make(self.ring, {lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
 
     def integrate(self) -> Rat:
         return self.coeffs.get(self.ring.box, _ZERO)
@@ -171,35 +228,8 @@ class GrassClass:
                 raise RingMismatch("classes live on different Grassmannians")
             return other
         if is_scalar(other):
-            return GrassClass(self.ring, {(): rat(other)})
+            return schur(self.ring, ()) * other
         return None
-
-    def __add__(self, other) -> "GrassClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        merged = dict(self.coeffs)
-        for lam, c in rhs.coeffs.items():
-            total = merged.get(lam, 0) + c
-            if total:
-                merged[lam] = total
-            else:
-                del merged[lam]
-        return _make_class(self.ring, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GrassClass":
-        return _make_class(self.ring, {lam: -c for lam, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "GrassClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> "GrassClass":
-        return -(self - other)
 
     def __mul__(self, other) -> "GrassClass":
         if isinstance(other, GrassClass):
@@ -207,22 +237,10 @@ class GrassClass:
         if is_scalar(other):
             c = rat(other)
             coeffs = {lam: c * v for lam, v in self.coeffs.items()} if c else {}
-            return _make_class(self.ring, coeffs)
+            return self._make(self.ring, coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "GrassClass":
-        return power(self, exponent, schur(self.ring, ()))
-
-    def __eq__(self, other) -> bool:
-        try:
-            rhs = self._coerce(other)
-        except RingMismatch:
-            return False
-        if rhs is None:
-            return NotImplemented
-        return self.coeffs == rhs.coeffs
 
     def __hash__(self) -> int:
         if set(self.coeffs) <= {()}:
@@ -248,18 +266,10 @@ class GrassClass:
         ]
 
 
-def _make_class(ring: GrassRing, coeffs: Dict[Partition, Rat]) -> GrassClass:
-    """A GrassClass of box partitions already mapped to nonzero Rats."""
-    x = object.__new__(GrassClass)
-    object.__setattr__(x, "ring", ring)
-    object.__setattr__(x, "coeffs", coeffs)
-    return x
-
-
 def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
     """The Schur basis class s_lam (zero if lam leaves the box)."""
     lam = _box_partitions(ring.k, ring.cols).get(_validate_partition(lam))
-    return _make_class(ring, {} if lam is None else {lam: Rat(1)})
+    return GrassClass._make(ring, {} if lam is None else {lam: Rat(1)})
 
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
@@ -333,7 +343,7 @@ def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
             pair = (lam, mu) if lam >= mu else (mu, lam)
             for nu, mult in _mul_basis(k, n, *pair):
                 acc[nu] = get(nu, 0) + ab * mult
-    return _make_class(x.ring, {nu: Rat(c, den) for nu, c in acc.items() if c})
+    return GrassClass._make(x.ring, {nu: Rat(c, den) for nu, c in acc.items() if c})
 
 
 def _cleared(x: GrassClass) -> Tuple[List[Tuple[Partition, int]], int]:
@@ -386,115 +396,74 @@ ORIENTATIONS: Dict[str, Orientation] = {
 }
 
 
-class FiberClass:
+class FiberClass(_SchurSum):
     """A polynomial in the fiberwise hyperplane class xi over a Grassmannian.
 
-    Powers of xi are kept raw; reduce() rewrites into xi-degree < k using the
-    relation of a chosen orientation.
+    coeffs maps each power of xi to its GrassClass coefficient.  Powers are
+    kept raw; reduce() rewrites into xi-degree < k using the relation of a
+    chosen orientation.
     """
 
-    __slots__ = ("ring", "parts")
+    __slots__ = ()
+
+    _vanishes = staticmethod(GrassClass.is_zero)
 
     def __init__(self, ring: GrassRing, parts: Mapping[int, GrassClass]):
-        clean: Dict[int, GrassClass] = {}
         for w, g in parts.items():
             check_int(w, 0, "power of xi")
             if not isinstance(g, GrassClass):
                 raise PolyError(f"xi^{w} coefficient {g!r} is not a GrassClass")
             if g.ring != ring:
                 raise RingMismatch("coefficient lives on a different Grassmannian")
-            if not g.is_zero():
-                clean[w] = g
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "parts", clean)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("FiberClass is immutable")
+        object.__setattr__(self, "coeffs", {w: g for w, g in parts.items() if g.coeffs})
 
     @staticmethod
     def lift(g: GrassClass) -> "FiberClass":
         """Pullback of a base class to the fibration."""
-        return FiberClass(g.ring, {0: g})
+        if not isinstance(g, GrassClass):
+            raise PolyError(f"only a GrassClass lifts to the fibration, not {g!r}")
+        return FiberClass._make(g.ring, {0: g} if g.coeffs else {})
 
     @staticmethod
-    def xi(ring: GrassRing, power: int = 1) -> "FiberClass":
-        return FiberClass(ring, {power: schur(ring, ())})
-
-    def is_zero(self) -> bool:
-        return not self.parts
+    def xi(ring: GrassRing) -> "FiberClass":
+        return FiberClass._make(ring, {1: schur(ring, ())})
 
     def xi_degree(self) -> Optional[int]:
-        return max(self.parts) if self.parts else None
+        return max(self.coeffs) if self.coeffs else None
 
     def coefficient(self, w: int) -> GrassClass:
-        return self.parts.get(w, GrassClass(self.ring, {}))
+        return self.coeffs.get(w, GrassClass._make(self.ring, {}))
 
     def _coerce(self, other) -> Optional["FiberClass"]:
-        if isinstance(other, FiberClass):
+        if isinstance(other, (FiberClass, GrassClass)):
             if other.ring != self.ring:
-                raise RingMismatch("classes live on different fibrations")
-            return other
-        if isinstance(other, GrassClass):
-            return FiberClass.lift(other)
+                raise RingMismatch("classes live on different Grassmannians")
+            return other if isinstance(other, FiberClass) else FiberClass.lift(other)
         if is_scalar(other):
-            return FiberClass(self.ring, {0: GrassClass(self.ring, {(): rat(other)})})
+            return FiberClass.lift(schur(self.ring, ()) * other)
         return None
-
-    def __add__(self, other) -> "FiberClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        merged = dict(self.parts)
-        for w, g in rhs.parts.items():
-            merged[w] = merged.get(w, GrassClass(self.ring, {})) + g
-        return FiberClass(self.ring, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FiberClass":
-        return FiberClass(self.ring, {w: -g for w, g in self.parts.items()})
-
-    def __sub__(self, other) -> "FiberClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> "FiberClass":
-        return -(self - other)
 
     def __mul__(self, other) -> "FiberClass":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        zero = GrassClass._make(self.ring, {})
         out: Dict[int, GrassClass] = {}
-        for w1, g1 in self.parts.items():
-            for w2, g2 in rhs.parts.items():
-                w = w1 + w2
-                out[w] = out.get(w, GrassClass(self.ring, {})) + g1 * g2
-        return FiberClass(self.ring, out)
+        for w1, g1 in self.coeffs.items():
+            for w2, g2 in rhs.coeffs.items():
+                out[w1 + w2] = out.get(w1 + w2, zero) + g1 * g2
+        return self._make(self.ring, {w: g for w, g in out.items() if g.coeffs})
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "FiberClass":
-        return power(self, exponent, FiberClass(self.ring, {0: schur(self.ring, ())}))
-
-    def __eq__(self, other) -> bool:
-        try:
-            rhs = self._coerce(other)
-        except RingMismatch:
-            return False
-        if rhs is None:
-            return NotImplemented
-        return self.parts == rhs.parts
-
     def __repr__(self) -> str:
-        if not self.parts:
+        if not self.coeffs:
             return "0"
         bits = []
-        for w in sorted(self.parts):
+        for w in sorted(self.coeffs):
             head = "1" if w == 0 else ("xi" if w == 1 else f"xi^{w}")
-            bits.append(f"({self.parts[w]!r})*{head}" if w else f"({self.parts[w]!r})")
+            bits.append(f"({self.coeffs[w]!r})*{head}" if w else f"({self.coeffs[w]!r})")
         return " + ".join(bits)
 
     def reduce(self, orientation: Orientation) -> "FiberClass":
@@ -502,18 +471,19 @@ class FiberClass:
         ring = self.ring
         sigma = orientation.kappa_xi_sign
         relation = [(i, chern_S(ring, i) * -sigma ** i) for i in range(1, ring.k + 1)]
-        parts = dict(self.parts)
-        while parts:
-            top = max(parts)
+        zero = GrassClass._make(ring, {})
+        coeffs = dict(self.coeffs)
+        while coeffs:
+            top = max(coeffs)
             if top < ring.k:
                 break
-            g = parts.pop(top)
+            g = coeffs.pop(top)
             for shift, cls in relation:
                 w = top - shift
-                parts[w] = parts.get(w, GrassClass(ring, {})) + g * cls
-                if parts[w].is_zero():
-                    del parts[w]
-        return FiberClass(ring, parts)
+                coeffs[w] = coeffs.get(w, zero) + g * cls
+                if not coeffs[w].coeffs:
+                    del coeffs[w]
+        return self._make(ring, coeffs)
 
 
 def pushforward_P_S(
@@ -521,12 +491,11 @@ def pushforward_P_S(
 ) -> GrassClass:
     """Integrate over the fibers: xi^w contributes c_{w-k+1}(Q) times its sign."""
     ring = x.ring
-    out = GrassClass(ring, {})
-    for w, g in x.parts.items():
+    out = GrassClass._make(ring, {})
+    for w, g in x.coeffs.items():
         i = w - ring.k + 1
-        if i < 0 or i > ring.cols:
-            continue
-        out = out + g * chern_Q(ring, i) * (orientation.push_sign ** w)
+        if 0 <= i <= ring.cols:
+            out = out + g * chern_Q(ring, i) * (orientation.push_sign ** w)
     return out
 
 

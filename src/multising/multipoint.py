@@ -17,9 +17,11 @@ barred form with exact rational prefactors and converted at the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .poly import (
     GradedPoly,
@@ -35,6 +37,7 @@ from .poly import (
     to_text,
 )
 from .thom import (
+    UnsupportedMultisingularity,
     multisingularity_codim,
     parse_multisingularity,
     residue,
@@ -43,13 +46,19 @@ from .thom import (
 
 
 def _multiset_aut(names: Sequence[str]) -> int:
-    counts: Dict[str, int] = {}
-    for name in names:
-        counts[name] = counts.get(name, 0) + 1
-    out = 1
-    for k in counts.values():
-        out *= math.factorial(k)
-    return out
+    return math.prod(math.factorial(k) for k in Counter(names).values())
+
+
+def _splits(tokens: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+    """(picked, complement) for each subset of the points holding tokens[0].
+
+    Both keep the order of tokens, so the complement of sorted tokens[1:] is
+    sorted, and so is picked when all of tokens is.
+    """
+    rest = tokens[1:]
+    for mask in range(2 ** len(rest)):
+        picked = tuple(t for i, t in enumerate(rest) if mask >> i & 1)
+        yield tokens[:1] + picked, tuple(t for i, t in enumerate(rest) if not mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,8 @@ class MultiSingularity:
     parts: Tuple[str, ...]
 
     def __post_init__(self):
+        if type(self.parts) is not tuple:
+            raise UnsupportedMultisingularity(f"parts {self.parts!r} are not a tuple of names")
         if not self.parts:
             raise PolyError("a multisingularity must be nonempty")
         for name in self.parts:
@@ -90,17 +101,6 @@ class MultiSingularity:
 # sorted tuple of S-symbol labels, each label a sorted tuple of names.
 FormalExpansion = Dict[Tuple[Tuple[str, ...], ...], Rat]
 
-_EXPAND_N_MEMO: Dict[Tuple[str, ...], FormalExpansion] = {}
-
-
-def _expansion_product(a: FormalExpansion, b: FormalExpansion) -> FormalExpansion:
-    out: FormalExpansion = {}
-    for mono_a, ca in a.items():
-        for mono_b, cb in b.items():
-            key = tuple(sorted(mono_a + mono_b))
-            out[key] = out.get(key, rat(0)) + ca * cb
-    return {k: c for k, c in out.items() if c != 0}
-
 
 def expand_n(multi: MultiSingularity) -> FormalExpansion:
     """Target class as a polynomial in residue symbols S_{sub-multiset}.
@@ -109,27 +109,21 @@ def expand_n(multi: MultiSingularity) -> FormalExpansion:
     terms merge into the familiar coefficients, e.g. for four ordinary
     points s_4 + 4 s_1 s_3 + 6 s_1^2 s_2 + 3 s_2^2 + s_1^4.
     """
-    tokens = multi.parts
-    key = tuple(sorted(tokens))
-    cached = _EXPAND_N_MEMO.get(key)
-    if cached is not None:
-        return dict(cached)
-    r = len(tokens)
-    result: FormalExpansion = {(key,): rat(1)}
-    if r > 1:
-        rest_positions = list(range(1, r))
-        for mask in range(2 ** (r - 1) - 1):
-            picked = [0] + [
-                p for i, p in enumerate(rest_positions) if mask >> i & 1
-            ]
-            complement = [p for p in rest_positions if p not in picked]
-            s_label = tuple(sorted(tokens[p] for p in picked))
-            sub = expand_n(MultiSingularity(tuple(tokens[p] for p in complement)))
-            for mono, c in _expansion_product({(s_label,): rat(1)}, sub).items():
-                result[mono] = result.get(mono, rat(0)) + c
-    result = {k: c for k, c in result.items() if c != 0}
-    _EXPAND_N_MEMO[key] = dict(result)
-    return result
+    return dict(_expansion(tuple(sorted(multi.parts))))
+
+
+@functools.cache
+def _expansion(tokens: Tuple[str, ...]) -> FormalExpansion:
+    """expand_n of the sorted tokens: the block holding tokens[0] times the
+    expansion of its complement, summed over the blocks."""
+    if not tokens:
+        return {(): Rat(1)}
+    out: FormalExpansion = {}
+    for picked, complement in _splits(tokens):
+        for mono, c in _expansion(complement).items():
+            key = tuple(sorted(mono + (picked,)))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def a0_partition_coefficients(r: int) -> Dict[Tuple[int, ...], Rat]:
@@ -197,20 +191,10 @@ def expand_m(
     before merging.  Barred form divides by the automorphisms fixing the
     distinguished point and rewrites pullbacks in reduced classes.
     """
-    tokens = multi.parts
-    r = len(tokens)
     merged: Dict[Tuple[str, ...], GradedPoly] = {}
-    rest = list(range(1, r))
-    for mask in range(2 ** (r - 1)):
-        picked = [0] + [p for i, p in enumerate(rest) if mask >> i & 1]
-        complement = tuple(
-            sorted(tokens[p] for p in rest if p not in picked)
-        )
-        residue_poly = residue(tuple(tokens[p] for p in picked), ell)
-        if complement in merged:
-            merged[complement] = merged[complement] + residue_poly
-        else:
-            merged[complement] = residue_poly
+    for picked, complement in _splits(multi.parts):
+        poly = residue(picked, ell)
+        merged[complement] = merged[complement] + poly if complement in merged else poly
     if barred:
         scale = rat(1, multi.rest_aut_count())
         merged = {

@@ -191,6 +191,7 @@ def test_blowup_control_report():
         lambda: a0_partition_coefficients(1.5),
         lambda: a_coeff(True, 0),
         lambda: a_coeff(-1, 2.5),
+        lambda: MultiSingularity(5),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -201,7 +202,7 @@ def test_blowup_control_report():
         "stable_germ-list-name", "factorization-str-index", "series_quotient-float-maxdeg",
         "chern_total-float-maxdeg", "factorization-pair", "multisingularity-int-part",
         "singularity_info-list-name", "a_triangle-float", "a0_partitions-float",
-        "a_coeff-bool", "a_coeff-negative-and-float",
+        "a_coeff-bool", "a_coeff-negative-and-float", "multisingularity-int",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):

@@ -231,8 +231,8 @@ def test_lr_product_matches_jacobi_trudi_on_gr_3_13(lam, mu):
 _COEFFS = st.builds(rat, st.integers(-12, 12), st.integers(1, 12))
 
 
-def _classes(ring):
-    return st.dictionaries(st.sampled_from(sorted(ring.partitions())), _COEFFS, max_size=5).map(
+def _classes(ring, most=5):
+    return st.dictionaries(st.sampled_from(sorted(ring.partitions())), _COEFFS, max_size=most).map(
         lambda coeffs: GrassClass(ring, coeffs)
     )
 
@@ -304,6 +304,73 @@ def test_ring_axioms(lams, mus, nus):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+# -- the FiberClass algebra against a naive reference -----------------------------------
+# A reference is a dict {power of xi: GrassClass} built with the public
+# constructors; its sums add coefficients and its products call class_mul
+# pair by pair.
+
+
+def _ref_sum(ring, *refs):
+    coeffs = {}
+    for ref in refs:
+        for w, g in ref.items():
+            part = coeffs.setdefault(w, {})
+            for lam, c in g.coeffs.items():
+                part[lam] = part.get(lam, 0) + c
+    return {w: GrassClass(ring, part) for w, part in coeffs.items()}
+
+
+def _ref_neg(ring, ref):
+    return {w: GrassClass(ring, {lam: -c for lam, c in g.coeffs.items()}) for w, g in ref.items()}
+
+
+def _ref_mul(ring, a, b):
+    return _ref_sum(ring, *({v + w: class_mul(g, h)} for v, g in a.items() for w, h in b.items()))
+
+
+def _operands(ring):
+    """A scalar, a GrassClass or a FiberClass, each with its reference."""
+    scalar = _COEFFS.map(lambda c: (c, {0: GrassClass(ring, {(): c})}))
+    base = _classes(ring, 2).map(lambda g: (g, {0: g}))
+    return st.one_of(scalar, base, _fibers(ring))
+
+
+def _fibers(ring):
+    parts = st.dictionaries(st.integers(0, 3), _classes(ring, 2), max_size=3)
+    return parts.map(lambda parts: (FiberClass(ring, parts), parts))
+
+
+def _assert_matches(got, ref):
+    assert isinstance(got, FiberClass)
+    # the invariant internal results rely on: no zero coefficient is stored
+    assert all(g.coeffs and all(g.coeffs.values()) for g in got.coeffs.values())
+    want = {w: g.coeffs for w, g in ref.items() if not g.is_zero()}
+    assert {w: g.coeffs for w, g in got.coeffs.items()} == want
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([R24, R37]).flatmap(
+    lambda ring: st.tuples(st.just(ring), _fibers(ring), _operands(ring), _operands(ring))))
+def test_fiber_algebra_matches_naive_reference(case):
+    ring, (x, rx), (y, ry), (z, rz) = case
+    xy = _ref_mul(ring, rx, ry)
+    for got in (x * y, y * x):
+        _assert_matches(got, xy)
+    for got in (x + y, y + x):
+        _assert_matches(got, _ref_sum(ring, rx, ry))
+    _assert_matches(x - y, _ref_sum(ring, rx, _ref_neg(ring, ry)))
+    _assert_matches(y - x, _ref_sum(ring, ry, _ref_neg(ring, rx)))
+    _assert_matches(-x, _ref_neg(ring, rx))
+    _assert_matches(x - x, {})
+    assert x - x == 0
+    xyz = _ref_mul(ring, xy, rz)
+    for got in ((x * y) * z, x * (y * z), (z * x) * y):
+        _assert_matches(got, xyz)
+    distributed = _ref_sum(ring, xy, _ref_mul(ring, rx, rz))
+    for got in (x * (y + z), (y + z) * x, x * y + x * z, y * x + z * x):
+        _assert_matches(got, distributed)
 
 
 # -- tautological bundles --------------------------------------------------------------
@@ -443,7 +510,7 @@ def test_projective_space_is_the_k1_case():
     assert kappa_chern(ring) == ()
     assert kappa_chern(ring, DUAL_LINE) == ()
     for w in range(ring.dim + 2):
-        assert pushforward_P_S(FiberClass.xi(ring, w), DUAL_LINE) == schur(ring, (1,)) ** w
+        assert pushforward_P_S(FiberClass.xi(ring) ** w, DUAL_LINE) == schur(ring, (1,)) ** w
 
 
 @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
@@ -517,7 +584,6 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: schur(R37, (1,)) ** 2.0,
         lambda: schur(R37, (1,)) ** True,
         lambda: FiberClass.xi(R37) ** 2.0,
-        lambda: FiberClass.xi(R37, 1.5),
         lambda: FiberClass(R37, {1.5: schur(R37, ())}),
         lambda: FiberClass(R37, {True: schur(R37, ())}),
         lambda: FiberClass(R37, {"2": schur(R37, ())}),
@@ -526,10 +592,12 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: chern_S(R37, 1.0),
         lambda: chern_Q(R37, True),
         lambda: chern_Q(R37, 1.0),
+        lambda: schur(R37, (1,)).homogeneous_part(1.0),
+        lambda: schur(R37, (1,)).homogeneous_part(True),
     ],
-    ids=["float-power", "bool-power", "fiber-float-power", "float-xi", "float-key",
-         "bool-key", "string-key", "scalar-coefficient", "bool-chern-S", "float-chern-S",
-         "bool-chern-Q", "float-chern-Q"],
+    ids=["float-power", "bool-power", "fiber-float-power", "float-key", "bool-key",
+         "string-key", "scalar-coefficient", "bool-chern-S", "float-chern-S", "bool-chern-Q",
+         "float-chern-Q", "float-homogeneous-part", "bool-homogeneous-part"],
 )
 def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
     with pytest.raises(PolyError):
