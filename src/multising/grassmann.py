@@ -6,11 +6,12 @@ of a point (the full box) integrates to 1.  Basis products follow the
 Littlewood-Richardson rule: the rows of the smaller partition are added as
 labelled horizontal strips inside the box, and each filling with a lattice
 reading word counts once, so the multiplicities come with no cancellation.
-class_mul clears each factor to int numerators over the lcm of its
-denominators, sums the products as ints and builds one rational per output.
-GrassClass and the FiberClass below share one private base, _SchurSum: a
-ring and a dict of nonzero coefficients with +, -, ** and ==.  Only the
-public constructors check their input; results are built unchecked.
+GrassClass and the FiberClass below are stored as GradedPoly is: nonzero int
+numerators over one shared positive denominator in lowest terms.  Their
+private base, _SchurSum, makes +, -, ==, ** and scalar * one lcm merge and
+one gcd step, every product sums a * b * mult into one int dict through
+_mul_basis, and coeffs is a read-only view.  Only the public constructors
+check their input; results are built unchecked.
 
 On top of the base ring the module models the projectivization P(S) of the
 universal subbundle S, of rank k: classes are polynomials in the fiberwise
@@ -31,13 +32,14 @@ in xi = sigma * zeta and scales the pushforward of xi^w by push_sign^w:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, lcm
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import PolyError, Rat, check_int, is_scalar, json_field, power, rat, rat_str
+from .poly import (PolyError, Rat, check_int, is_scalar, json_field, lcm_merge, lowest_terms,
+                   power, rat, rat_str)
 
 _ZERO = Rat(0)  # the one default for absent coefficients
 
@@ -59,11 +61,11 @@ class GrassRing:
         if type(self.k) is not int or type(self.n) is not int or not 0 < self.k < self.n:
             raise PolyError(f"need ints 0 < k < n, got k={self.k!r}, n={self.n!r}")
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.n - self.k
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.k * (self.n - self.k)
 
@@ -77,9 +79,11 @@ class GrassRing:
 
     def partitions(self, degree: Optional[int] = None) -> Iterator[Partition]:
         """All box partitions, or only those of the given degree."""
-        for lam in _box_partitions(self.k, self.cols):
-            if degree is None or sum(lam) == degree:
-                yield lam
+        parts = _box_partitions(self.k, self.cols)
+        if degree is None:
+            return iter(parts)
+        check_int(degree, None, "degree of a partition")
+        return (lam for lam in parts if sum(lam) == degree)
 
     def dual(self, lam: Sequence[int]) -> Partition:
         lam = _validate_partition(lam)
@@ -126,58 +130,65 @@ def _box_partitions(rows: int, cols: int) -> Dict[Partition, Partition]:
 
 
 class _SchurSum:
-    """A ring and a dict coeffs of nonzero coefficients, immutable.
+    """A ring, int numerators nums and their shared denominator den, immutable.
 
-    Each subclass supplies _coerce, its product and _vanishes, the zero test
-    of one coefficient.
+    nums maps canonical keys to nonzero ints, and den > 0 shares no factor
+    with all of them, so equal classes store equal numerators and the zero
+    class is {} over 1.  Each subclass supplies _UNIT, the key of the unit
+    class, _coerce and its product.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "nums", "den")
 
     @classmethod
-    def _make(cls, ring: GrassRing, coeffs: dict):
-        """A class of canonical keys already mapped to nonzero coefficients."""
+    def _make(cls, ring: GrassRing, nums: dict, den: int):
+        """A class of canonical keys mapped to nonzero numerators over den > 0,
+        brought to lowest terms."""
         x = object.__new__(cls)
-        object.__setattr__(x, "ring", ring)
-        object.__setattr__(x, "coeffs", coeffs)
+        nums, den = lowest_terms(nums, den)
+        put = object.__setattr__
+        put(x, "ring", ring)
+        put(x, "nums", nums)
+        put(x, "den", den)
         return x
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
-    def __add__(self, other):
+    def _constant(self, value):
+        c = rat(value)
+        return self._make(self.ring, {self._UNIT: c.numerator} if c else {}, c.denominator)
+
+    def _scaled(self, value):
+        c = rat(value)
+        nums = {key: v * c.numerator for key, v in self.nums.items()} if c else {}
+        return self._make(self.ring, nums, self.den * c.denominator)
+
+    def _merged(self, other, sign: int):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        merged = dict(self.coeffs)
-        for key, c in rhs.coeffs.items():
-            if key in merged:
-                c = merged[key] + c
-                if self._vanishes(c):
-                    del merged[key]
-                    continue
-            merged[key] = c
-        return self._make(self.ring, merged)
+        return self._make(self.ring, *lcm_merge(self.nums, self.den, rhs.nums, rhs.den, sign))
+
+    def __add__(self, other):
+        return self._merged(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(self.ring, {key: -c for key, c in self.coeffs.items()})
+        return self._make(self.ring, {key: -c for key, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self._merged(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __pow__(self, exponent: int):
-        return power(self, exponent, self._coerce(1))
+        return power(self, exponent, self._constant(1))
 
     def __eq__(self, other) -> bool:
         try:
@@ -186,39 +197,49 @@ class _SchurSum:
             return False
         if rhs is None:
             return NotImplemented
-        return self.coeffs == rhs.coeffs
+        return self.den == rhs.den and self.nums == rhs.nums
 
 
 class GrassClass(_SchurSum):
-    """A cohomology class on a Grassmannian in the boxed Schur basis."""
+    """A cohomology class on a Grassmannian in the boxed Schur basis, keyed by partition."""
 
     __slots__ = ()
 
-    _vanishes = staticmethod(operator.not_)
+    _UNIT: Partition = ()
 
-    def __init__(self, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
+    def __new__(cls, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
         summed: Dict[Partition, Rat] = {}
         for raw, value in coeffs.items():
             lam = _validate_partition(raw)
             if ring.contains(lam):  # outside the box s_lam is zero
                 summed[lam] = summed.get(lam, _ZERO) + rat(value)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", {lam: c for lam, c in summed.items() if c})
+        den = lcm(*(c.denominator for c in summed.values()))
+        nums = {lam: c.numerator * (den // c.denominator) for lam, c in summed.items() if c}
+        return cls._make(ring, nums, den)
 
     # -- inspection --
 
+    @property
+    def coeffs(self) -> Mapping[Partition, Rat]:
+        """Read-only view {partition: coefficient}, built on each access."""
+        den = self.den
+        return MappingProxyType({lam: Rat(c, den) for lam, c in self.nums.items()})
+
     def coefficient(self, lam: Sequence[int]) -> Rat:
-        return self.coeffs.get(_validate_partition(lam), _ZERO)
+        c = self.nums.get(_validate_partition(lam))
+        return _ZERO if c is None else Rat(c, self.den)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(lam) for lam in self.coeffs}) <= 1
+        return len({sum(lam) for lam in self.nums}) <= 1
 
     def homogeneous_part(self, d: int) -> "GrassClass":
         check_int(d, None, "degree of a homogeneous part")
-        return self._make(self.ring, {lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
+        nums = {lam: c for lam, c in self.nums.items() if sum(lam) == d}
+        return self._make(self.ring, nums, self.den)
 
     def integrate(self) -> Rat:
-        return self.coeffs.get(self.ring.box, _ZERO)
+        c = self.nums.get(self.ring.box)
+        return _ZERO if c is None else Rat(c, self.den)
 
     # -- arithmetic --
 
@@ -228,31 +249,30 @@ class GrassClass(_SchurSum):
                 raise RingMismatch("classes live on different Grassmannians")
             return other
         if is_scalar(other):
-            return schur(self.ring, ()) * other
+            return self._constant(other)
         return None
 
     def __mul__(self, other) -> "GrassClass":
         if isinstance(other, GrassClass):
             return class_mul(self, other)
         if is_scalar(other):
-            c = rat(other)
-            coeffs = {lam: c * v for lam, v in self.coeffs.items()} if c else {}
-            return self._make(self.ring, coeffs)
+            return self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __hash__(self) -> int:
-        if set(self.coeffs) <= {()}:
-            return hash(self.coeffs.get((), 0))  # equal scalars hash alike
-        return hash((self.ring, tuple(sorted(self.coeffs.items()))))
+        if set(self.nums) <= {()}:
+            return hash(Rat(self.nums.get((), 0), self.den))  # equal scalars hash alike
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
+        coeffs = self.coeffs
         bits = []
-        for lam in sorted(self.coeffs, key=lambda p: (sum(p), p)):
-            c = self.coeffs[lam]
+        for lam in sorted(coeffs, key=lambda p: (sum(p), p)):
+            c = coeffs[lam]
             name = "s" + "".join(str(p) for p in lam) if lam else "1"
             bits.append(name if c == 1 else f"{rat_str(c)}*{name}")
         return " + ".join(bits)
@@ -268,8 +288,12 @@ class GrassClass(_SchurSum):
 
 def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
     """The Schur basis class s_lam (zero if lam leaves the box)."""
-    lam = _box_partitions(ring.k, ring.cols).get(_validate_partition(lam))
-    return GrassClass._make(ring, {} if lam is None else {lam: Rat(1)})
+    box = _box_partitions(ring.k, ring.cols)
+    # only an int-only tuple may hit directly: (True,) and (1.0,) equal (1,)
+    canon = box.get(lam) if type(lam) is tuple and all(type(p) is int for p in lam) else None
+    if canon is None:
+        canon = box.get(_validate_partition(lam))
+    return GrassClass._make(ring, {} if canon is None else {canon: 1}, 1)
 
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
@@ -325,16 +349,9 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
     return tuple(sorted(acc.items()))
 
 
-def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
-    """The product in the Schur basis, summed as int numerators over the
-    product of the operands' common denominators."""
-    if x.ring != y.ring:
-        raise RingMismatch("classes live on different Grassmannians")
-    k, n = x.ring.k, x.ring.n
-    left, den_x = _cleared(x)
-    right, den_y = _cleared(y)
-    den = den_x * den_y
-    acc: Dict[Partition, int] = {}
+def _mul_into(acc: Dict[Partition, int], k: int, n: int, left, right) -> None:
+    """acc[nu] += a * b * mult for each row (lam, a) of left, (mu, b) of right
+    and each term mult * s_nu of s_lam * s_mu: the one product kernel."""
     get = acc.get
     for lam, a in left:
         for mu, b in right:
@@ -343,12 +360,16 @@ def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
             pair = (lam, mu) if lam >= mu else (mu, lam)
             for nu, mult in _mul_basis(k, n, *pair):
                 acc[nu] = get(nu, 0) + ab * mult
-    return GrassClass._make(x.ring, {nu: Rat(c, den) for nu, c in acc.items() if c})
 
 
-def _cleared(x: GrassClass) -> Tuple[List[Tuple[Partition, int]], int]:
-    den = lcm(*(c.denominator for c in x.coeffs.values()))
-    return [(lam, c.numerator * (den // c.denominator)) for lam, c in x.coeffs.items()], den
+def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
+    """The product in the Schur basis, summed as int numerators over the
+    product of the operands' denominators."""
+    if x.ring != y.ring:
+        raise RingMismatch("classes live on different Grassmannians")
+    acc: Dict[Partition, int] = {}
+    _mul_into(acc, x.ring.k, x.ring.n, x.nums.items(), y.nums.items())
+    return GrassClass._make(x.ring, {nu: c for nu, c in acc.items() if c}, x.den * y.den)
 
 
 def integrate(x: GrassClass) -> Rat:
@@ -399,41 +420,52 @@ ORIENTATIONS: Dict[str, Orientation] = {
 class FiberClass(_SchurSum):
     """A polynomial in the fiberwise hyperplane class xi over a Grassmannian.
 
-    coeffs maps each power of xi to its GrassClass coefficient.  Powers are
-    kept raw; reduce() rewrites into xi-degree < k using the relation of a
-    chosen orientation.
+    nums is keyed by (power of xi, partition): the numerator of s_lam xi^w
+    sits at (w, lam).  coeffs is the read-only view {w: GrassClass}.  Powers
+    are kept raw; reduce() rewrites into xi-degree < k using the relation of
+    a chosen orientation.
     """
 
     __slots__ = ()
 
-    _vanishes = staticmethod(GrassClass.is_zero)
+    _UNIT: Tuple[int, Partition] = (0, ())
 
-    def __init__(self, ring: GrassRing, parts: Mapping[int, GrassClass]):
+    def __new__(cls, ring: GrassRing, parts: Mapping[int, GrassClass]):
         for w, g in parts.items():
             check_int(w, 0, "power of xi")
             if not isinstance(g, GrassClass):
                 raise PolyError(f"xi^{w} coefficient {g!r} is not a GrassClass")
             if g.ring != ring:
                 raise RingMismatch("coefficient lives on a different Grassmannian")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", {w: g for w, g in parts.items() if g.coeffs})
+        den = lcm(*(g.den for g in parts.values()))
+        nums = {(w, lam): c * (den // g.den) for w, g in parts.items() for lam, c in g.nums.items()}
+        return cls._make(ring, nums, den)
 
     @staticmethod
     def lift(g: GrassClass) -> "FiberClass":
         """Pullback of a base class to the fibration."""
         if not isinstance(g, GrassClass):
             raise PolyError(f"only a GrassClass lifts to the fibration, not {g!r}")
-        return FiberClass._make(g.ring, {0: g} if g.coeffs else {})
+        return FiberClass._make(g.ring, {(0, lam): c for lam, c in g.nums.items()}, g.den)
 
     @staticmethod
     def xi(ring: GrassRing) -> "FiberClass":
-        return FiberClass._make(ring, {1: schur(ring, ())})
+        return FiberClass._make(ring, {(1, ()): 1}, 1)
+
+    @property
+    def coeffs(self) -> Mapping[int, GrassClass]:
+        """Read-only view {power of xi: nonzero GrassClass}, built on each access."""
+        return MappingProxyType({
+            w: GrassClass._make(self.ring, part, self.den)
+            for w, part in _by_power(self.nums).items()
+        })
 
     def xi_degree(self) -> Optional[int]:
-        return max(self.coeffs) if self.coeffs else None
+        return max((w for w, _ in self.nums), default=None)
 
     def coefficient(self, w: int) -> GrassClass:
-        return self.coeffs.get(w, GrassClass._make(self.ring, {}))
+        check_int(w, None, "power of xi")
+        return self.coeffs.get(w) or GrassClass._make(self.ring, {}, 1)
 
     def _coerce(self, other) -> Optional["FiberClass"]:
         if isinstance(other, (FiberClass, GrassClass)):
@@ -441,49 +473,67 @@ class FiberClass(_SchurSum):
                 raise RingMismatch("classes live on different Grassmannians")
             return other if isinstance(other, FiberClass) else FiberClass.lift(other)
         if is_scalar(other):
-            return FiberClass.lift(schur(self.ring, ()) * other)
+            return self._constant(other)
         return None
 
     def __mul__(self, other) -> "FiberClass":
+        if is_scalar(other):
+            return self._scaled(other)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        zero = GrassClass._make(self.ring, {})
-        out: Dict[int, GrassClass] = {}
-        for w1, g1 in self.coeffs.items():
-            for w2, g2 in rhs.coeffs.items():
-                out[w1 + w2] = out.get(w1 + w2, zero) + g1 * g2
-        return self._make(self.ring, {w: g for w, g in out.items() if g.coeffs})
+        k, n = self.ring.k, self.ring.n
+        right = _by_power(rhs.nums).items()
+        out: Dict[int, Dict[Partition, int]] = {}
+        for w1, part1 in _by_power(self.nums).items():
+            for w2, part2 in right:
+                w = w1 + w2
+                _mul_into(out.setdefault(w, {}), k, n, part1.items(), part2.items())
+        return self._make(self.ring, _flat(out), self.den * rhs.den)
 
     __rmul__ = __mul__
 
+    def __hash__(self) -> int:
+        if self.xi_degree() in (None, 0):  # equal to its base class, so hashes alike
+            return hash(self.coefficient(0))
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
+
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
+        coeffs = self.coeffs
         bits = []
-        for w in sorted(self.coeffs):
+        for w in sorted(coeffs):
             head = "1" if w == 0 else ("xi" if w == 1 else f"xi^{w}")
-            bits.append(f"({self.coeffs[w]!r})*{head}" if w else f"({self.coeffs[w]!r})")
+            bits.append(f"({coeffs[w]!r})*{head}" if w else f"({coeffs[w]!r})")
         return " + ".join(bits)
 
     def reduce(self, orientation: Orientation) -> "FiberClass":
-        """Rewrite into xi-degree < k by xi^k = -sum_i sigma^i c_i(S) xi^{k-i}."""
-        ring = self.ring
+        """Rewrite into xi-degree < k by xi^k = -sum_i sigma^i c_i(S) xi^{k-i},
+        top power first, with c_i(S) = (-1)^i s_{1^i}."""
+        k, n = self.ring.k, self.ring.n
         sigma = orientation.kappa_xi_sign
-        relation = [(i, chern_S(ring, i) * -sigma ** i) for i in range(1, ring.k + 1)]
-        zero = GrassClass._make(ring, {})
-        coeffs = dict(self.coeffs)
-        while coeffs:
-            top = max(coeffs)
-            if top < ring.k:
-                break
-            g = coeffs.pop(top)
-            for shift, cls in relation:
-                w = top - shift
-                coeffs[w] = coeffs.get(w, zero) + g * cls
-                if not coeffs[w].coeffs:
-                    del coeffs[w]
-        return self._make(ring, coeffs)
+        relation = [(i, [((1,) * i, -(-sigma) ** i)]) for i in range(1, k + 1)]
+        parts = _by_power(self.nums)
+        for w in range(max(parts, default=0), k - 1, -1):
+            part = parts.pop(w, None)
+            if part:
+                for i, column in relation:
+                    _mul_into(parts.setdefault(w - i, {}), k, n, part.items(), column)
+        return self._make(self.ring, _flat(parts), self.den)
+
+
+def _by_power(nums: Dict[Tuple[int, Partition], int]) -> Dict[int, Dict[Partition, int]]:
+    """A FiberClass's numerators split by power of xi: {w: {lam: numerator}}."""
+    parts: Dict[int, Dict[Partition, int]] = {}
+    for (w, lam), c in nums.items():
+        parts.setdefault(w, {})[lam] = c
+    return parts
+
+
+def _flat(parts: Dict[int, Dict[Partition, int]]) -> Dict[Tuple[int, Partition], int]:
+    """The inverse of _by_power, dropping zero numerators."""
+    return {(w, lam): c for w, part in parts.items() for lam, c in part.items() if c}
 
 
 def pushforward_P_S(
@@ -491,12 +541,13 @@ def pushforward_P_S(
 ) -> GrassClass:
     """Integrate over the fibers: xi^w contributes c_{w-k+1}(Q) times its sign."""
     ring = x.ring
-    out = GrassClass._make(ring, {})
-    for w, g in x.coeffs.items():
+    acc: Dict[Partition, int] = {}
+    for w, part in _by_power(x.nums).items():
         i = w - ring.k + 1
-        if 0 <= i <= ring.cols:
-            out = out + g * chern_Q(ring, i) * (orientation.push_sign ** w)
-    return out
+        if 0 <= i <= ring.cols:  # c_i(Q) is the one-row class s_(i)
+            row = [((i,) if i else (), orientation.push_sign ** w)]
+            _mul_into(acc, ring.k, ring.n, part.items(), row)
+    return GrassClass._make(ring, {nu: c for nu, c in acc.items() if c}, x.den)
 
 
 def kappa_chern(

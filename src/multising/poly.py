@@ -320,12 +320,38 @@ def _make(vars_: tuple, width: int, nums: dict, den: int) -> GradedPoly:
 
 def _poly(vars_: tuple, width: int, nums: dict, den: int) -> GradedPoly:
     """A GradedPoly of nonzero numerators over den, brought to lowest terms."""
+    return _make(vars_, width, *lowest_terms(nums, den))
+
+
+def lowest_terms(nums: dict, den: int) -> Tuple[dict, int]:
+    """Nonzero int numerators over a positive den, divided by their common factor.
+
+    The zero vector comes back over 1.  This is the gcd step of every sum and
+    product of GradedPoly, GrassClass and FiberClass.
+    """
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
-            den //= g
-            nums = {k: c // g for k, c in nums.items()}
-    return _make(vars_, width, nums, den)
+            return {k: c // g for k, c in nums.items()}, den // g
+    return nums, den
+
+
+def lcm_merge(a: dict, den_a: int, b: dict, den_b: int, sign: int) -> Tuple[dict, int]:
+    """a/den_a + sign * b/den_b as nonzero int numerators over lcm(den_a, den_b).
+
+    Both operands must key alike; the result is not yet in lowest terms.
+    """
+    den = lcm(den_a, den_b)
+    scale_a, scale_b = den // den_a, sign * (den // den_b)
+    nums = dict(a) if scale_a == 1 else {k: c * scale_a for k, c in a.items()}
+    get = nums.get
+    for key, c in b.items():
+        c = get(key, 0) + c * scale_b
+        if c:
+            nums[key] = c
+        else:
+            del nums[key]
+    return nums, den
 
 
 def _wdeg(vars_: tuple, exps: Exponents) -> int:
@@ -465,17 +491,7 @@ def _aligned(p: GradedPoly, q: GradedPoly, bound: int = 0):
 def _combine(p: GradedPoly, q: GradedPoly, sign: int) -> GradedPoly:
     """p + sign * q, merged on int numerators over the lcm of the denominators."""
     vars_, width, a, b = _aligned(p, q)
-    den = lcm(p.den, q.den)
-    scale_a, scale_b = den // p.den, sign * (den // q.den)
-    nums = dict(a) if scale_a == 1 else {k: c * scale_a for k, c in a.items()}
-    get = nums.get
-    for key, c in b.items():
-        c = get(key, 0) + c * scale_b
-        if c:
-            nums[key] = c
-        else:
-            del nums[key]
-    return _poly(vars_, width, nums, den)
+    return _poly(vars_, width, *lcm_merge(a, p.den, b, q.den, sign))
 
 
 def _mul_into(acc: dict, left: Iterable[tuple], right: list) -> None:

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,16 @@ def test_partition_normalization():
     assert GrassClass(R24, {(1,): 0}).is_zero()
     with pytest.raises(PolyError):
         GrassClass(R24, {(1, 2): 1})
+    assert schur(R37, [2, 1, 0]) == schur(R37, (2, 1))
+
+
+def test_coefficient_views_are_read_only():
+    x = rat(1, 2) * schur(R36, (1,))
+    with pytest.raises(TypeError):
+        schur(R36, (1,)).coeffs[(2,)] = 1
+    with pytest.raises(TypeError):
+        FiberClass.lift(x).coeffs[1] = x
+    assert x.coeffs == {(1,): rat(1, 2)} and x.nums == {(1,): 1} and x.den == 2
 
 
 def test_dual_partition():
@@ -228,7 +239,10 @@ def test_lr_product_matches_jacobi_trudi_on_gr_3_13(lam, mu):
     assert dict(_mul_basis.__wrapped__(3, 13, lam, mu)) == _jacobi_trudi_mul(3, 13, lam, mu)
 
 
-_COEFFS = st.builds(rat, st.integers(-12, 12), st.integers(1, 12))
+_COEFFS = st.one_of(
+    st.sampled_from([rat(1, 2), rat(-2, 3), rat(5, 6)]),
+    st.builds(rat, st.integers(-12, 12), st.integers(1, 12)),
+)
 
 
 def _classes(ring, most=5):
@@ -344,33 +358,47 @@ def _fibers(ring):
 
 def _assert_matches(got, ref):
     assert isinstance(got, FiberClass)
-    # the invariant internal results rely on: no zero coefficient is stored
+    # the invariants internal results rely on: nonzero numerators over one
+    # positive denominator in lowest terms, and the zero class over 1
+    assert all(got.nums.values()) and got.den > 0
+    assert math.gcd(got.den, *got.nums.values()) == 1
+    assert got.nums or got.den == 1
     assert all(g.coeffs and all(g.coeffs.values()) for g in got.coeffs.values())
     want = {w: g.coeffs for w, g in ref.items() if not g.is_zero()}
     assert {w: g.coeffs for w, g in got.coeffs.items()} == want
 
 
+_RATIONAL_PARTS = {0: rat(1, 2) * schur(R24, (1,)), 2: rat(-2, 3) * schur(R24, (2, 1))}
+
+
 @settings(max_examples=40)
 @given(st.sampled_from([R24, R37]).flatmap(
     lambda ring: st.tuples(st.just(ring), _fibers(ring), _operands(ring), _operands(ring))))
+@example((R24,
+          (FiberClass(R24, _RATIONAL_PARTS), _RATIONAL_PARTS),
+          (rat(5, 6), {0: GrassClass(R24, {(): rat(5, 6)})}),
+          (rat(-2, 3) * schur(R24, (1, 1)), {0: rat(-2, 3) * schur(R24, (1, 1))})))
 def test_fiber_algebra_matches_naive_reference(case):
     ring, (x, rx), (y, ry), (z, rz) = case
     xy = _ref_mul(ring, rx, ry)
     for got in (x * y, y * x):
         _assert_matches(got, xy)
+    assert hash(x * y) == hash(y * x)
     for got in (x + y, y + x):
         _assert_matches(got, _ref_sum(ring, rx, ry))
+    assert hash(x + y) == hash(y + x)
     _assert_matches(x - y, _ref_sum(ring, rx, _ref_neg(ring, ry)))
     _assert_matches(y - x, _ref_sum(ring, ry, _ref_neg(ring, rx)))
     _assert_matches(-x, _ref_neg(ring, rx))
     _assert_matches(x - x, {})
-    assert x - x == 0
+    assert x - x == 0 and hash(x - x) == hash(0)
     xyz = _ref_mul(ring, xy, rz)
     for got in ((x * y) * z, x * (y * z), (z * x) * y):
         _assert_matches(got, xyz)
     distributed = _ref_sum(ring, xy, _ref_mul(ring, rx, rz))
     for got in (x * (y + z), (y + z) * x, x * y + x * z, y * x + z * x):
         _assert_matches(got, distributed)
+    assert hash(x * (y + z)) == hash(x * y + x * z)
 
 
 # -- tautological bundles --------------------------------------------------------------
@@ -549,6 +577,15 @@ def test_pushforward_reduction_consistency(orientation):
         assert pushforward_P_S(x, orient) == pushforward_P_S(x.reduce(orient), orient)
 
 
+@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+def test_reduce_and_pushforward_carry_the_denominator(orientation):
+    orient = ORIENTATIONS[orientation]
+    third = rat(1, 3)
+    for x in _probes(R24) + _probe_classes():
+        assert (x * third).reduce(orient) == x.reduce(orient) * third
+        assert pushforward_P_S(x * third, orient) == pushforward_P_S(x, orient) * third
+
+
 def test_tautological_line_is_reduction_inconsistent():
     # the verbatim sign combination contradicts its own cubic relation; it is
     # kept as a raw-power-only recipe and must fail this consistency probe
@@ -594,10 +631,19 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: chern_Q(R37, 1.0),
         lambda: schur(R37, (1,)).homogeneous_part(1.0),
         lambda: schur(R37, (1,)).homogeneous_part(True),
+        lambda: FiberClass.xi(R37).coefficient(True),
+        lambda: FiberClass.xi(R37).coefficient(1.0),
+        lambda: R37.partitions(True),
+        lambda: schur(R37, (True,)),
+        lambda: schur(R37, (1.0,)),
+        lambda: schur(R37, ("1",)),
+        lambda: schur(R37, (1, 2)),
     ],
     ids=["float-power", "bool-power", "fiber-float-power", "float-key", "bool-key",
          "string-key", "scalar-coefficient", "bool-chern-S", "float-chern-S", "bool-chern-Q",
-         "float-chern-Q", "float-homogeneous-part", "bool-homogeneous-part"],
+         "float-chern-Q", "float-homogeneous-part", "bool-homogeneous-part", "bool-coefficient",
+         "float-coefficient", "bool-partitions", "bool-schur", "float-schur", "string-schur",
+         "increasing-schur"],
 )
 def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
     with pytest.raises(PolyError):
