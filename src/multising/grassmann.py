@@ -6,6 +6,8 @@ of a point (the full box) integrates to 1.  Basis products follow the
 Littlewood-Richardson rule: the rows of the smaller partition are added as
 labelled horizontal strips inside the box, and each filling with a lattice
 reading word counts once, so the multiplicities come with no cancellation.
+A product that vanishes in the box skips the enumeration: s_lam * s_mu != 0
+iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton, Young Tableaux, 9.4).
 GrassClass and the FiberClass below are stored as GradedPoly is: nonzero int
 numerators over one shared positive denominator in lowest terms.  Their
 private base, _SchurSum, makes +, -, ==, ** and scalar * one lcm merge and
@@ -208,6 +210,9 @@ class GrassClass(_SchurSum):
     _UNIT: Partition = ()
 
     def __new__(cls, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
+        if not isinstance(coeffs, Mapping):
+            raise PolyError(f"a GrassClass needs a mapping {{partition: coefficient}}, "
+                            f"not {coeffs!r}")
         summed: Dict[Partition, Rat] = {}
         for raw, value in coeffs.items():
             lam = _validate_partition(raw)
@@ -319,12 +324,18 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
     reading word is a lattice word, that is when the label-i cells in rows
     <= r never outnumber the label-(i-1) cells in rows < r.  No cell is
     placed outside the k x (n-k) box, which is safe because shapes only grow.
+    A product that vanishes in the box is decided before any enumeration:
+    s_lam * s_mu != 0 iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton,
+    Young Tableaux, 9.4), that is iff lam fits inside the dual of mu.
     """
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
     if not mu:
         return ((lam, 1),)
     cols = n - k
+    # vanishing criterion (Fulton, Young Tableaux, 9.4): lam must fit in mu's dual
+    if any(a + b > cols for a, b in zip(lam, reversed(mu + (0,) * (k - len(mu))))):
+        return ()
     canon = _box_partitions(k, cols)
     acc: Dict[Partition, int] = {}
 
@@ -374,6 +385,8 @@ def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
 
 def integrate(x: GrassClass) -> Rat:
     """Evaluation against the fundamental class: the full-box coefficient."""
+    if not isinstance(x, GrassClass):
+        raise PolyError(f"only a GrassClass integrates over the Grassmannian, not {x!r}")
     return x.integrate()
 
 
@@ -431,6 +444,9 @@ class FiberClass(_SchurSum):
     _UNIT: Tuple[int, Partition] = (0, ())
 
     def __new__(cls, ring: GrassRing, parts: Mapping[int, GrassClass]):
+        if not isinstance(parts, Mapping):
+            raise PolyError(f"a FiberClass needs a mapping {{power of xi: GrassClass}}, "
+                            f"not {parts!r}")
         for w, g in parts.items():
             check_int(w, 0, "power of xi")
             if not isinstance(g, GrassClass):
@@ -540,6 +556,8 @@ def pushforward_P_S(
     x: FiberClass, orientation: Orientation = TAUTOLOGICAL_LINE
 ) -> GrassClass:
     """Integrate over the fibers: xi^w contributes c_{w-k+1}(Q) times its sign."""
+    if not isinstance(x, FiberClass):
+        raise PolyError(f"only a FiberClass pushes forward from P(S), not {x!r}")
     ring = x.ring
     acc: Dict[Partition, int] = {}
     for w, part in _by_power(x.nums).items():

@@ -69,6 +69,7 @@ def test_tracer_installs_on_every_traced_name():
     # a fresh interpreter, so the patches stay out of this process; -B keeps
     # byte code out of perfbench/
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    code = "import tracing; tracing.Tracer().install()"
+    # layer_metrics reads grassmann._mul_basis.cache_info(), so it must stay an lru_cache
+    code = "import tracing; t = tracing.Tracer(); t.install(); t.layer_metrics()"
     done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -220,7 +220,9 @@ def test_products_match_oracle_through_degree_six():
             assert sympy.Rational(str(got.coeffs[nu])) == c, (lam, mu, nu)
 
 
-@pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5)])
+@pytest.mark.parametrize(
+    "k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5), (4, 9), (2, 9)]
+)
 def test_lr_product_matches_jacobi_trudi(k, n):
     # both orders: for partitions of equal size the argument order picks the content
     basis = list(GrassRing(k, n).partitions())
@@ -237,6 +239,29 @@ _R313_BASIS = sorted(GrassRing(3, 13).partitions())
 @given(st.sampled_from(_R313_BASIS), st.sampled_from(_R313_BASIS))
 def test_lr_product_matches_jacobi_trudi_on_gr_3_13(lam, mu):
     assert dict(_mul_basis.__wrapped__(3, 13, lam, mu)) == _jacobi_trudi_mul(3, 13, lam, mu)
+
+
+def test_complementary_products_on_gr_3_13_match_jacobi_trudi():
+    # every top-degree pair: most vanish by the box criterion, the rest are
+    # dual pairs, which must still come out of the strip enumeration as s_box
+    ring = GrassRing(3, 13)
+    pairs = [(lam, mu) for lam, mu in itertools.combinations_with_replacement(_R313_BASIS, 2)
+             if sum(lam) + sum(mu) == ring.dim]
+    assert len(pairs) == 1907
+    for lam, mu in pairs:
+        got = dict(_mul_basis.__wrapped__(3, 13, lam, mu))
+        assert got == _jacobi_trudi_mul(3, 13, lam, mu), (lam, mu)
+        assert got == ({ring.box: 1} if mu == ring.dual(lam) else {}), (lam, mu)
+
+
+def test_products_vanishing_in_the_box():
+    # (3) + (1,1,1) overflows the 3 x 3 box, in degree 6 below the top degree 9
+    assert _mul_basis.__wrapped__(3, 6, (3,), (1, 1, 1)) == ()
+    assert (schur(R36, (3,)) * schur(R36, (1, 1, 1))).is_zero()
+    # a complementary pair still integrates to 1
+    lam = (3, 1)
+    assert integrate(schur(R36, lam) * schur(R36, R36.dual(lam))) == 1
+    assert _mul_basis.__wrapped__(3, 6, lam, R36.dual(lam)) == (((3, 3, 3), 1),)
 
 
 _COEFFS = st.one_of(
@@ -638,12 +663,17 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: schur(R37, (1.0,)),
         lambda: schur(R37, ("1",)),
         lambda: schur(R37, (1, 2)),
+        lambda: pushforward_P_S(schur(R37, (1,))),
+        lambda: integrate(FiberClass.xi(R37)),
+        lambda: GrassClass(R37, [((1,), 1)]),
+        lambda: FiberClass(R37, [(1, schur(R37, ()))]),
     ],
     ids=["float-power", "bool-power", "fiber-float-power", "float-key", "bool-key",
          "string-key", "scalar-coefficient", "bool-chern-S", "float-chern-S", "bool-chern-Q",
          "float-chern-Q", "float-homogeneous-part", "bool-homogeneous-part", "bool-coefficient",
          "float-coefficient", "bool-partitions", "bool-schur", "float-schur", "string-schur",
-         "increasing-schur"],
+         "increasing-schur", "push-grass-class", "integrate-fiber-class", "list-grass-class",
+         "list-fiber-class"],
 )
 def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
     with pytest.raises(PolyError):
