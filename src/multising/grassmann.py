@@ -13,7 +13,9 @@ numerators over one shared positive denominator in lowest terms.  Their
 private base, _SchurSum, makes +, -, ==, ** and scalar * one lcm merge and
 one gcd step, every product sums a * b * mult into one int dict through
 _mul_basis, and coeffs is a read-only view.  Only the public constructors
-check their input; results are built unchecked.
+check their input; results are built unchecked.  schur() builds each basis
+class s_lam once per ring and hands out that one instance, which is safe
+because no operation changes a class or its numerators in place.
 
 On top of the base ring the module models the projectivization P(S) of the
 universal subbundle S, of rank k: classes are polynomials in the fiberwise
@@ -75,6 +77,11 @@ class GrassRing:
     def box(self) -> Partition:
         """The full k x (n-k) partition, built once per ring."""
         return (self.cols,) * self.k
+
+    @cached_property
+    def _basis(self) -> Dict[Partition, "GrassClass"]:
+        """The shared Schur classes s_lam of this ring, filled by schur() on demand."""
+        return {}
 
     def contains(self, lam: Partition) -> bool:
         return len(lam) <= self.k and (not lam or lam[0] <= self.cols)
@@ -210,6 +217,7 @@ class GrassClass(_SchurSum):
     _UNIT: Partition = ()
 
     def __new__(cls, ring: GrassRing, coeffs: Mapping[Sequence[int], object]):
+        _check_ring(ring)
         if not isinstance(coeffs, Mapping):
             raise PolyError(f"a GrassClass needs a mapping {{partition: coefficient}}, "
                             f"not {coeffs!r}")
@@ -250,7 +258,7 @@ class GrassClass(_SchurSum):
 
     def _coerce(self, other) -> Optional["GrassClass"]:
         if isinstance(other, GrassClass):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch("classes live on different Grassmannians")
             return other
         if is_scalar(other):
@@ -291,14 +299,29 @@ class GrassClass(_SchurSum):
         ]
 
 
+def _check_ring(ring) -> None:
+    if not isinstance(ring, GrassRing):
+        raise PolyError(f"classes live on a GrassRing, not on {ring!r}")
+
+
 def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
-    """The Schur basis class s_lam (zero if lam leaves the box)."""
-    box = _box_partitions(ring.k, ring.cols)
+    """The Schur basis class s_lam (zero if lam leaves the box).
+
+    Each s_lam inside the box is built once per ring and every call returns
+    that one instance: classes are immutable, so sharing it is safe.
+    """
+    _check_ring(ring)
+    basis = ring._basis
     # only an int-only tuple may hit directly: (True,) and (1.0,) equal (1,)
-    canon = box.get(lam) if type(lam) is tuple and all(type(p) is int for p in lam) else None
-    if canon is None:
-        canon = box.get(_validate_partition(lam))
-    return GrassClass._make(ring, {} if canon is None else {canon: 1}, 1)
+    x = basis.get(lam) if type(lam) is tuple and all(type(p) is int for p in lam) else None
+    if x is None:
+        canon = _box_partitions(ring.k, ring.cols).get(_validate_partition(lam))
+        if canon is None:
+            return GrassClass._make(ring, {}, 1)
+        x = basis.get(canon)
+        if x is None:
+            x = basis[canon] = GrassClass._make(ring, {canon: 1}, 1)
+    return x
 
 
 def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
@@ -324,6 +347,8 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
     reading word is a lattice word, that is when the label-i cells in rows
     <= r never outnumber the label-(i-1) cells in rows < r.  No cell is
     placed outside the k x (n-k) box, which is safe because shapes only grow.
+    The last row takes every cell the strip has left, so it is checked in
+    place, with no loop and no further recursion.
     A product that vanishes in the box is decided before any enumeration:
     s_lam * s_mu != 0 iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton,
     Young Tableaux, 9.4), that is iff lam fits inside the dual of mu.
@@ -343,17 +368,18 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
     # limits[r]: label-(i-1) cells in rows < r; above: the same for label i
     def strip(i: int, r: int, left: int, old: Partition, new: Partition,
               limits: Tuple[int, ...], above: Tuple[int, ...]) -> None:
-        if r == k:  # the last row took every cell left
-            if i + 1 < len(mu):
-                strip(i + 1, 0, mu[i + 1], new, (), above, ())
-            else:
-                nu = canon[_strip_zeros(new)]
-                acc[nu] = acc.get(nu, 0) + 1
-            return
         done = mu[i] - left
         room = (old[r - 1] if r else cols) - old[r]
-        most = min(room, left, limits[r] - done)
-        for c in range(left if r == k - 1 else 0, most + 1):  # the last row takes the rest
+        if r == k - 1:  # the last row takes every cell left, if it can
+            if left <= room and left + done <= limits[r]:
+                new += (old[r] + left,)
+                if i + 1 < len(mu):
+                    strip(i + 1, 0, mu[i + 1], new, (), above + (done,), ())
+                else:
+                    nu = canon[_strip_zeros(new)]
+                    acc[nu] = acc.get(nu, 0) + 1
+            return
+        for c in range(min(room, left, limits[r] - done) + 1):
             strip(i, r + 1, left - c, old, new + (old[r] + c,), limits, above + (done,))
 
     strip(0, 0, mu[0], lam + (0,) * (k - len(lam)), (), (mu[0],) * k, ())
@@ -368,15 +394,17 @@ def _mul_into(acc: Dict[Partition, int], k: int, n: int, left, right) -> None:
         for mu, b in right:
             ab = a * b
             # one cache entry per unordered pair: s_lam * s_mu = s_mu * s_lam
-            pair = (lam, mu) if lam >= mu else (mu, lam)
-            for nu, mult in _mul_basis(k, n, *pair):
+            terms = _mul_basis(k, n, lam, mu) if lam >= mu else _mul_basis(k, n, mu, lam)
+            for nu, mult in terms:
                 acc[nu] = get(nu, 0) + ab * mult
 
 
 def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
     """The product in the Schur basis, summed as int numerators over the
     product of the operands' denominators."""
-    if x.ring != y.ring:
+    if not (isinstance(x, GrassClass) and isinstance(y, GrassClass)):
+        raise PolyError(f"class_mul multiplies two GrassClasses, not {x!r} and {y!r}")
+    if x.ring is not y.ring and x.ring != y.ring:
         raise RingMismatch("classes live on different Grassmannians")
     acc: Dict[Partition, int] = {}
     _mul_into(acc, x.ring.k, x.ring.n, x.nums.items(), y.nums.items())
@@ -395,12 +423,14 @@ def integrate(x: GrassClass) -> Rat:
 
 def chern_Q(ring: GrassRing, i: int) -> GrassClass:
     """c_i of the universal quotient bundle: the one-row Schur class."""
+    _check_ring(ring)
     check_int(i, 0, f"index of c_i(Q) for rank {ring.cols}", most=ring.cols)
     return schur(ring, (i,) if i else ())
 
 
 def chern_S(ring: GrassRing, i: int) -> GrassClass:
     """c_i of the universal subbundle: a signed one-column Schur class."""
+    _check_ring(ring)
     check_int(i, 0, f"index of c_i(S) for rank {ring.k}", most=ring.k)
     return GrassClass(ring, {(1,) * i: (-1) ** i})
 
@@ -430,6 +460,12 @@ ORIENTATIONS: Dict[str, Orientation] = {
 }
 
 
+def _check_orientation(orientation) -> None:
+    if not isinstance(orientation, Orientation):
+        raise PolyError(f"an orientation is one of the Orientations in ORIENTATIONS "
+                        f"{sorted(ORIENTATIONS)}, not {orientation!r}")
+
+
 class FiberClass(_SchurSum):
     """A polynomial in the fiberwise hyperplane class xi over a Grassmannian.
 
@@ -444,6 +480,7 @@ class FiberClass(_SchurSum):
     _UNIT: Tuple[int, Partition] = (0, ())
 
     def __new__(cls, ring: GrassRing, parts: Mapping[int, GrassClass]):
+        _check_ring(ring)
         if not isinstance(parts, Mapping):
             raise PolyError(f"a FiberClass needs a mapping {{power of xi: GrassClass}}, "
                             f"not {parts!r}")
@@ -466,6 +503,7 @@ class FiberClass(_SchurSum):
 
     @staticmethod
     def xi(ring: GrassRing) -> "FiberClass":
+        _check_ring(ring)
         return FiberClass._make(ring, {(1, ()): 1}, 1)
 
     @property
@@ -485,7 +523,7 @@ class FiberClass(_SchurSum):
 
     def _coerce(self, other) -> Optional["FiberClass"]:
         if isinstance(other, (FiberClass, GrassClass)):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch("classes live on different Grassmannians")
             return other if isinstance(other, FiberClass) else FiberClass.lift(other)
         if is_scalar(other):
@@ -527,6 +565,7 @@ class FiberClass(_SchurSum):
     def reduce(self, orientation: Orientation) -> "FiberClass":
         """Rewrite into xi-degree < k by xi^k = -sum_i sigma^i c_i(S) xi^{k-i},
         top power first, with c_i(S) = (-1)^i s_{1^i}."""
+        _check_orientation(orientation)
         k, n = self.ring.k, self.ring.n
         sigma = orientation.kappa_xi_sign
         relation = [(i, [((1,) * i, -(-sigma) ** i)]) for i in range(1, k + 1)]
@@ -558,6 +597,7 @@ def pushforward_P_S(
     """Integrate over the fibers: xi^w contributes c_{w-k+1}(Q) times its sign."""
     if not isinstance(x, FiberClass):
         raise PolyError(f"only a FiberClass pushes forward from P(S), not {x!r}")
+    _check_orientation(orientation)
     ring = x.ring
     acc: Dict[Partition, int] = {}
     for w, part in _by_power(x.nums).items():
@@ -572,6 +612,8 @@ def kappa_chern(
     ring: GrassRing, orientation: Orientation = TAUTOLOGICAL_LINE
 ) -> Tuple[FiberClass, ...]:
     """c_1..c_{k-1} of kappa, the graded parts of sum_i c_i(S) (1 + sigma xi)^{k-i}."""
+    _check_ring(ring)
+    _check_orientation(orientation)
     sigma = orientation.kappa_xi_sign
     k = ring.k
     return tuple(

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multising import grassmann
 from multising.grassmann import (
     DUAL_LINE,
     ORIENTATIONS,
@@ -166,6 +167,33 @@ def test_coefficient_views_are_read_only():
     assert x.coeffs == {(1,): rat(1, 2)} and x.nums == {(1,): 1} and x.den == 2
 
 
+def test_schur_classes_are_shared_and_immutable():
+    x = schur(R37, (2, 1))
+    assert schur(R37, (2, 1)) is x
+    assert schur(R37, [2, 1, 0]) is x  # non-canonical input finds the same instance
+    with pytest.raises(AttributeError):
+        x.nums = {}
+    with pytest.raises(AttributeError):
+        x.den = 2
+
+
+def test_arithmetic_leaves_the_shared_basis_class_unchanged():
+    # every result must be a new dict: sharing makes an in-place change of nums visible
+    s1 = schur(R37, (1,))
+    lifted = FiberClass.lift(s1)
+    xi = FiberClass.xi(R37)
+    results = [
+        s1 + s1, s1 + 0, 0 + s1, s1 - s1, s1 - 2, 2 - s1, -s1, s1 * 1, 1 * s1,
+        s1 * rat(1, 2), s1 * 0, s1 * s1, s1 * schur(R37, ()), class_mul(s1, s1),
+        s1 ** 0, s1 ** 1, s1 ** 3, s1.homogeneous_part(1), s1.homogeneous_part(2),
+        lifted, lifted + s1, lifted * s1, s1 * lifted, (xi ** 4 * s1).reduce(DUAL_LINE),
+        pushforward_P_S(xi ** 2 * s1, DUAL_LINE), pushforward_P_S(lifted * xi ** 3, DUAL_LINE),
+    ]
+    assert all(r.nums is not s1.nums for r in results)
+    assert s1.nums == {(1,): 1} and s1.den == 1
+    assert s1 is schur(R37, (1,))
+
+
 def test_dual_partition():
     assert R24.dual(()) == (2, 2)
     assert R24.dual((2, 1)) == (1,)
@@ -186,6 +214,18 @@ def test_scalar_classes_hash_like_their_value():
 def test_ring_mismatch_rejected():
     with pytest.raises(RingMismatch):
         class_mul(schur(R24, (1,)), schur(R36, (1,)))
+    with pytest.raises(RingMismatch):
+        schur(R24, (1,)) + schur(R36, (1,))
+
+
+def test_equal_rings_built_apart_still_combine():
+    # the identity check on rings only short-cuts the equality test
+    other = GrassRing(3, 6)
+    assert other is not R36 and other == R36
+    x, y = schur(R36, (1,)), schur(other, (1,))
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert class_mul(x, y) == x * x == y * x
+    assert x + y == 2 * x and FiberClass.lift(y) * x == FiberClass.lift(x * x)
 
 
 # -- products ---------------------------------------------------------------------------
@@ -221,7 +261,7 @@ def test_products_match_oracle_through_degree_six():
 
 
 @pytest.mark.parametrize(
-    "k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5), (4, 9), (2, 9)]
+    "k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5), (4, 9), (2, 9), (5, 8)]
 )
 def test_lr_product_matches_jacobi_trudi(k, n):
     # both orders: for partitions of equal size the argument order picks the content
@@ -314,6 +354,21 @@ def test_transposed_products_share_one_cache_entry():
     before = _mul_basis.cache_info().currsize
     assert x * y == y * x
     assert _mul_basis.cache_info().currsize == before + 1
+
+
+def test_grass_class_products_route_through_class_mul(monkeypatch):
+    # the benchmark's tracer times products by patching grassmann.class_mul
+    calls = []
+    inner = grassmann.class_mul
+
+    def counting(x, y):
+        calls.append((x, y))
+        return inner(x, y)
+
+    monkeypatch.setattr(grassmann, "class_mul", counting)
+    x, y = schur(R36, (2,)), schur(R36, (1, 1))
+    assert x * y == inner(x, y)
+    assert calls == [(x, y)]
 
 
 def test_cancelling_sums_keep_eq_hash_contract():
@@ -667,13 +722,28 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: integrate(FiberClass.xi(R37)),
         lambda: GrassClass(R37, [((1,), 1)]),
         lambda: FiberClass(R37, [(1, schur(R37, ()))]),
+        lambda: FiberClass.xi(R37).reduce("dual-line"),
+        lambda: kappa_chern(R37, "dual-line"),
+        lambda: pushforward_P_S(FiberClass.xi(R37), "dual-line"),
+        lambda: schur("R", (1,)),
+        lambda: GrassClass(None, {}),
+        lambda: FiberClass(None, {}),
+        lambda: FiberClass.xi(None),
+        lambda: chern_Q("R", 1),
+        lambda: chern_S("R", 1),
+        lambda: kappa_chern("R"),
+        lambda: class_mul(schur(R37, (1,)), 3),
+        lambda: class_mul(FiberClass.xi(R37), schur(R37, (1,))),
     ],
     ids=["float-power", "bool-power", "fiber-float-power", "float-key", "bool-key",
          "string-key", "scalar-coefficient", "bool-chern-S", "float-chern-S", "bool-chern-Q",
          "float-chern-Q", "float-homogeneous-part", "bool-homogeneous-part", "bool-coefficient",
          "float-coefficient", "bool-partitions", "bool-schur", "float-schur", "string-schur",
          "increasing-schur", "push-grass-class", "integrate-fiber-class", "list-grass-class",
-         "list-fiber-class"],
+         "list-fiber-class", "string-orientation-reduce", "string-orientation-kappa",
+         "string-orientation-push", "string-ring-schur", "no-ring-grass-class",
+         "no-ring-fiber-class", "no-ring-xi", "string-ring-chern-Q", "string-ring-chern-S",
+         "string-ring-kappa", "class-mul-int", "class-mul-fiber-class"],
 )
 def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
     with pytest.raises(PolyError):
