@@ -59,7 +59,7 @@ from .poly import (
     to_text,
     zero,
 )
-from .thom import residue_A0r, residue_III22A0
+from .thom import UnsupportedMultisingularity, residue_A0r, residue_III22A0, singularity_info
 
 
 class UnsupportedPrototype(PolyError):
@@ -87,6 +87,8 @@ class GermPrototype:
     n1_factors: Tuple[GradedPoly, ...] = ()
 
     def __post_init__(self):
+        check_int(self.ell, 0, f"relative dimension ell of {self.name}")
+        check_int(self.delta, 1, f"local multiplicity delta of {self.name}")
         if len(self.target_weights) - len(self.source_weights) != self.ell:
             raise PolyError(
                 f"{self.name}: weight counts differ by "
@@ -100,8 +102,8 @@ def _betas(count: int) -> List[GradedPoly]:
 
 
 def germ_A(k: int, ell: int) -> GermPrototype:
-    """Stable A_k germ of relative dimension ell (k = 1..3, ell >= 0)."""
-    check_int(k, 1, "A_k prototype index k", most=3, error=UnsupportedPrototype)
+    """Stable A_k germ of relative dimension ell (k >= 1, ell >= 0)."""
+    check_int(k, 1, "A_k prototype index k", error=UnsupportedPrototype)
     check_int(ell, 0, "relative dimension ell")
     alpha = root_var("alpha")
     betas = _betas(ell)
@@ -158,20 +160,22 @@ def germ_blowup() -> GermPrototype:
     )
 
 
-_GERM_FACTORIES = {
-    "A1": lambda ell: germ_A(1, ell),
-    "A2": lambda ell: germ_A(2, ell),
-    "A3": lambda ell: germ_A(3, ell),
-    "III22": germ_III22,
-    "blowup": lambda ell: germ_blowup(),
-}
-
-
 def stable_germ(name: str, ell: int) -> GermPrototype:
-    factory = _GERM_FACTORIES.get(name) if isinstance(name, str) else None
-    if factory is None:
-        raise UnsupportedPrototype(f"unknown prototype {name!r}")
-    return factory(ell)
+    """The prototype of A<k> (k >= 1) or III22 from thom.singularity_info, or
+    the negative control "blowup" (ell = 0 only); any other name raises
+    UnsupportedPrototype."""
+    if name == "blowup":
+        check_int(ell, 0, "relative dimension ell of the blow-up", most=0)
+        return germ_blowup()
+    try:
+        info = singularity_info(name)
+    except UnsupportedMultisingularity:
+        raise UnsupportedPrototype(f"unknown prototype {name!r}") from None
+    if info.name == "III22":
+        return germ_III22(ell)
+    if info.corank == 1:
+        return germ_A(info.delta - 1, ell)
+    raise UnsupportedPrototype(f"no prototype for {name!r}")
 
 
 # -- derived classes -----------------------------------------------------------------
@@ -201,10 +205,7 @@ def chern_total(g: GermPrototype, maxdeg: int) -> GradedPoly:
 
 
 def euler_class(weights: Sequence[GradedPoly]) -> GradedPoly:
-    total = one()
-    for w in weights:
-        total = total * w
-    return total
+    return math.prod(weights, start=one())
 
 
 def n1(g: GermPrototype) -> GradedPoly:
@@ -239,22 +240,14 @@ def _multiple_point_genotype(g: GermPrototype, r: int, m: int) -> GradedPoly:
     """
     if r > g.delta:
         return zero()
-    if r < g.delta:
-        raise UnsupportedPrototype(
-            f"m_{r} of {g.name} (delta {g.delta}) is not documented"
-        )
-    if g.name.startswith("A"):
-        alpha = root_var("alpha")
-        total = one()
-        for s in range(1, g.delta):
-            x = -s * alpha
-            total = total * sum((dvar(j) * x ** (m - j) for j in range(1, m + 1)), x ** m)
-        return total
-    if g.name == "III22":
-        raise UnsupportedPrototype(
-            "the triple-point locus of III22 is not documented"
-        )
-    raise UnsupportedPrototype(f"no multiple point classes for {g.name}")
+    if r < g.delta or not g.name.startswith("A"):
+        raise UnsupportedPrototype(f"m_{r} of {g.name} (delta {g.delta}) is not documented")
+    alpha = root_var("alpha")
+    total = one()
+    for s in range(1, g.delta):
+        x = -s * alpha
+        total = total * sum((dvar(j) * x ** (m - j) for j in range(1, m + 1)), x ** m)
+    return total
 
 
 # -- the genotype basis -----------------------------------------------------------------
@@ -476,6 +469,8 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     d_j -> e_j(beta), so residuals stay in root coordinates.  The exactness
     of the Euler quotient itself is reported as the first check.
     """
+    if not isinstance(g, GermPrototype):
+        raise PolyError(f"{g!r} is not a germ prototype")
     check_int(r, 1, "multiplicity r of the divisibility identity")
     ell = g.ell
     try:
@@ -487,9 +482,7 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
             detail=f"Euler quotient is not polynomial: {err}",
         )
         return Report(suite="divisibility", ell=ell, checks=(exactness,))
-    expected = constant(g.n1_scalar)
-    for f in g.n1_factors:
-        expected = expected * f
+    expected = math.prod(g.n1_factors, start=constant(g.n1_scalar))
     checks = [
         _identity_check(
             "n1-closed-form",

@@ -166,6 +166,9 @@ class SourceExpansion:
     terms: Tuple[SourceTerm, ...]
 
     def coefficient_of(self, complement: Sequence[str]) -> GradedPoly:
+        if not (isinstance(complement, (tuple, list))
+                and all(isinstance(t, str) for t in complement)):
+            raise UnsupportedMultisingularity(f"{complement!r} is not a tuple of names")
         key = tuple(sorted(complement))
         for term in self.terms:
             if term.complement == key:
@@ -191,6 +194,10 @@ def expand_m(
     before merging.  Barred form divides by the automorphisms fixing the
     distinguished point and rewrites pullbacks in reduced classes.
     """
+    if not isinstance(multi, MultiSingularity):
+        raise UnsupportedMultisingularity(f"{multi!r} is not a MultiSingularity")
+    if type(barred) is not bool:
+        raise PolyError(f"barred must be a bool, got {barred!r}")
     merged: Dict[Tuple[str, ...], GradedPoly] = {}
     for picked, complement in _splits(multi.parts):
         poly = residue(picked, ell)

@@ -210,12 +210,14 @@ class GradedPoly:
         return len({key >> top for key in self.nums}) <= 1
 
     def homogeneous_part(self, degree: int) -> "GradedPoly":
+        check_int(degree, None, "degree of a homogeneous part")
         top = _top(self)
         nums = {key: c for key, c in self.nums.items() if key >> top == degree}
         return _poly(self.vars, self.width, nums, self.den)
 
     def truncate(self, maxdeg: int) -> "GradedPoly":
         """The terms of weighted degree at most maxdeg."""
+        check_int(maxdeg, None, "truncation degree maxdeg")
         limit = maxdeg + 1 << _top(self)
         nums = {key: c for key, c in self.nums.items() if key < limit}
         return _poly(self.vars, self.width, nums, self.den)
@@ -536,6 +538,13 @@ def _mul_upto(p: GradedPoly, q: GradedPoly, maxdeg) -> GradedPoly:
     return _poly(vars_, width, nums, p.den * q.den)
 
 
+def _check_poly(value, what: str) -> GradedPoly:
+    """value if it is a GradedPoly; anything else raises PolyError."""
+    if isinstance(value, GradedPoly):
+        return value
+    raise PolyError(f"{what} must be a GradedPoly, got {value!r}")
+
+
 def _coerce(value) -> GradedPoly:
     if isinstance(value, GradedPoly):
         return value
@@ -607,7 +616,7 @@ def series_inverse(g: GradedPoly, maxdeg: int) -> GradedPoly:
     right up to degree 2k + 1, so the steps cut at 1, 3, 7, ... maxdeg.
     """
     check_int(maxdeg, -1, "series degree maxdeg")  # -1: the empty cut
-    if g.constant_term() != 1:
+    if _check_poly(g, "series").constant_term() != 1:
         raise PolyError("series inverse requires constant term 1")
     inv, prec = one().truncate(maxdeg), 0
     while prec < maxdeg:
@@ -630,7 +639,7 @@ def series_quotient(
     def product(factors: Sequence[GradedPoly]) -> GradedPoly:
         total = one()
         for f in factors:
-            if f.constant_term() != 1:
+            if _check_poly(f, "series factor").constant_term() != 1:
                 raise PolyError("factors must have constant term 1")
             total = _mul_upto(total, f, maxdeg)
         return total
@@ -661,7 +670,7 @@ def substitute(
     D_p * prod(D_i**E_i).
     """
     images = {_resolve_symbol(sym): _coerce(value) for sym, value in assignment.items()}
-    if not p.nums:
+    if not _check_poly(p, "substituted polynomial").nums:
         return p
     keys = [(v.family, v.index) for v in p.vars]
     shifts = _shifts(len(keys), p.width)
@@ -735,7 +744,8 @@ def chern_substitute(p: GradedPoly, series: GradedPoly) -> GradedPoly:
     part of the series plays the role of c_i.  The series is bucketed by
     the degree field of its keys in one pass.
     """
-    parts = {v.index: {} for v in p.used_vars() if v.family == "c"}
+    _check_poly(series, "Chern series")
+    parts = {v.index: {} for v in _check_poly(p, "polynomial").used_vars() if v.family == "c"}
     top = _top(series)
     for key, c in series.nums.items():
         part = parts.get(key >> top)
@@ -779,7 +789,8 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
     the remainder is nonzero; this is the certified-failure path for
     malformed Euler-class quotients.
     """
-    form = form.compress()
+    _check_poly(p, "dividend")
+    form = _check_poly(form, "divisor").compress()
     # weights are >= 1, so degree 1 means one weight-1 variable to the first power
     if form.is_zero() or any(key >> _top(form) != 1 for key in form.nums):
         raise PolyError("divisor must be a nonzero homogeneous linear form")

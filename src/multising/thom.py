@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .poly import (
     GradedPoly,
@@ -201,15 +202,17 @@ class SingularityInfo:
     """Static data of a monosingularity family.
 
     delta is the local multiplicity (dimension of the local algebra), corank
-    the rank drop of the differential, codim_of the codimension in the space
-    of germs as a function of the relative dimension ell, and min_ell the
-    smallest relative dimension with a stable representative.
+    the rank drop of the differential, and min_ell the smallest relative
+    dimension with a stable representative.  The codimension in the space
+    of germs at relative dimension ell is slope * ell + offset.  Every field
+    is plain data, so two infos of one singularity compare and hash alike.
     """
 
     name: str
     delta: int
     corank: int
-    codim_of: Callable[[int], int]
+    slope: int
+    offset: int
     min_ell: int
 
     @property
@@ -217,43 +220,37 @@ class SingularityInfo:
         return max(self.corank - 1, 0)
 
     def codim(self, ell: int) -> int:
-        return self.codim_of(check_int(ell, self.min_ell, f"relative dimension ell of {self.name}"))
+        ell = check_int(ell, self.min_ell, f"relative dimension ell of {self.name}")
+        return self.slope * ell + self.offset
 
 
-def _a_info(k: int) -> SingularityInfo:
-    return SingularityInfo(
-        name=f"A{k}",
-        delta=k + 1,
-        corank=0 if k == 0 else 1,
-        codim_of=lambda ell, k=k: k * (ell + 1),
-        min_ell=0,
-    )
-
-
-_SINGULARITIES: dict = {
-    **{f"A{k}": _a_info(k) for k in range(0, 8)},
-    "III22": SingularityInfo(
-        name="III22",
-        delta=3,
-        corank=2,
-        codim_of=lambda ell: 2 * ell + 4,
-        min_ell=1,
-    ),
-    "I22": SingularityInfo(
-        name="I22",
-        delta=4,
-        corank=2,
-        codim_of=lambda ell: 3 * ell + 4,
-        min_ell=1,
-    ),
+_SIGMA2 = {
+    "III22": SingularityInfo("III22", delta=3, corank=2, slope=2, offset=4, min_ell=1),
+    "I22": SingularityInfo("I22", delta=4, corank=2, slope=3, offset=4, min_ell=1),
 }
+
+_A_K = re.compile(r"A(0|[1-9][0-9]{0,639})")  # int() may refuse more than 640 digits
+# one token of a multisingularity name and its optional exponent
+_TOKEN = r"(III\d\d|I\d\d|A\d+)(?:\^(\d+))?"
 
 
 def singularity_info(name: str) -> SingularityInfo:
-    info = _SINGULARITIES.get(name) if isinstance(name, str) else None
-    if info is None:
-        raise UnsupportedMultisingularity(f"unknown singularity {name!r}")
-    return info
+    """The data of A<k> for every k >= 0 (no leading zeros), III22 or I22.
+
+    This is the one list of the singularities that exist: names are parsed
+    and prototypes are built from it.  Any other name raises
+    UnsupportedMultisingularity.
+    """
+    if isinstance(name, str):
+        if name in _SIGMA2:
+            return _SIGMA2[name]
+        match = _A_K.fullmatch(name)
+        if match:
+            k = int(match.group(1))
+            return SingularityInfo(
+                name, delta=k + 1, corank=min(k, 1), slope=k, offset=k, min_ell=0
+            )
+    raise UnsupportedMultisingularity(f"unknown singularity {name!r}")
 
 
 # -- multisingularity names ---------------------------------------------------------
@@ -265,29 +262,17 @@ def parse_multisingularity(text: str) -> tuple:
     The first token is the distinguished element.  Exponents repeat the
     preceding token.
     """
-    import re
-
     if not isinstance(text, str):
         raise UnsupportedMultisingularity(f"multisingularity name {text!r} is not a string")
-    tokens = []
-    pos = 0
-    pattern = re.compile(r"(III\d\d|I\d\d|A\d+)(?:\^(\d+))?")
     text = text.strip()
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if not m:
-            raise UnsupportedMultisingularity(
-                f"cannot parse multisingularity name {text!r}"
-            )
-        token, power = m.group(1), int(m.group(2) or 1)
-        if power < 1:
+    if not re.fullmatch(f"(?:{_TOKEN})+", text):
+        raise UnsupportedMultisingularity(f"cannot parse multisingularity name {text!r}")
+    tokens = []
+    for token, power in re.findall(_TOKEN, text):
+        count = int(power or 1)
+        if count < 1:
             raise UnsupportedMultisingularity("exponents must be positive")
-        if token not in _SINGULARITIES:
-            raise UnsupportedMultisingularity(f"unknown singularity {token!r}")
-        tokens.extend([token] * power)
-        pos = m.end()
-    if not tokens:
-        raise UnsupportedMultisingularity("empty multisingularity name")
+        tokens.extend([singularity_info(token).name] * count)
     return tuple(tokens)
 
 

@@ -44,6 +44,7 @@ from multising.multipoint import (
     MultiSingularity,
     a0_partition_coefficients,
     emit_quadruple_formula,
+    expand_m,
 )
 from multising.thom import (
     a_coeff,
@@ -117,10 +118,15 @@ def test_weight_count_invariant_enforced():
 
 def test_stable_germ_factory():
     assert stable_germ("A2", 3).name == "A2"
+    assert stable_germ("A5", 1) == germ_A(5, 1)
     assert stable_germ("III22", 1).delta == 3
     assert stable_germ("blowup", 0).name == "blowup"
-    with pytest.raises(UnsupportedPrototype):
-        stable_germ("A5", 1)
+    for name in ("A0", "I22", "D4", "A01", ["A1"]):
+        with pytest.raises(UnsupportedPrototype):
+            stable_germ(name, 1)
+    for ell in (5, "x"):
+        with pytest.raises(PolyError):
+            stable_germ("blowup", ell)
 
 
 # -- Euler quotients ---------------------------------------------------------------------
@@ -192,6 +198,13 @@ def test_blowup_control_report():
         lambda: a_coeff(True, 0),
         lambda: a_coeff(-1, 2.5),
         lambda: MultiSingularity(5),
+        lambda: verify_divisibility("A1", 2),
+        lambda: GermPrototype("A1", 0, "q", (ALPHA,), (2 * ALPHA,)),
+        lambda: GermPrototype("A1", "1", 2, (ALPHA,), (2 * ALPHA, _beta(1))),
+        lambda: GermPrototype("A1", 1.0, 2, (ALPHA,), (2 * ALPHA, _beta(1))),
+        lambda: expand_m("A0^4", 1),
+        lambda: expand_m(MultiSingularity(("A0",) * 2), 1, barred="no"),
+        lambda: expand_m(MultiSingularity(("A0",) * 2), 1).coefficient_of(5),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -203,6 +216,9 @@ def test_blowup_control_report():
         "chern_total-float-maxdeg", "factorization-pair", "multisingularity-int-part",
         "singularity_info-list-name", "a_triangle-float", "a0_partitions-float",
         "a_coeff-bool", "a_coeff-negative-and-float", "multisingularity-int",
+        "divisibility-str-germ", "prototype-str-delta", "prototype-str-ell",
+        "prototype-float-ell", "expand_m-str-multi", "expand_m-str-barred",
+        "coefficient_of-int",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -458,6 +474,36 @@ def test_tpA1_explicit_values():
     assert chern_total(germ_A(1, 0), 1).homogeneous_part(1) == ALPHA
     got = chern_total(germ_A(1, 1), 2).homogeneous_part(2)
     assert got == ALPHA * _beta(1) - ALPHA ** 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_thom_polynomial_restricts_on_its_prototype_to_euler_class_times_m(k, ell):
+    """Tp(A_k) on the A_k genotype is the source Euler class k! alpha^k times
+    m_{k+1}; k = 1 is verify_tpA1, k = 2, 3 test the closed A_2 and A_3 series."""
+    germ = germ_A(k, ell)
+    genotype = germs._genotype(germ)
+    got = chern_substitute(thom_polynomial(k, ell), genotype.series(k * (ell + 1)))
+    m = germs._multiple_point_genotype(germ, k + 1, genotype.m)
+    assert got == math.factorial(k) * ALPHA ** k * m
+
+
+# -- A_k prototypes past k = 3 ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_A_germ_beyond_three_against_closed_forms(k, ell):
+    """n_1 is the exact Euler quotient (k+1) prod beta_i, the genotype is
+    (1+(k+1) alpha)/(1+alpha) over ell roots, and its series mapped back to
+    roots equals the explicit-root Chern class."""
+    germ = germ_A(k, ell)
+    betas = [_beta(i) for i in range(1, ell + 1)]
+    assert n1(germ) == math.prod(betas, start=one() * (k + 1))
+    genotype = germs._genotype(germ)
+    assert (genotype.numer, genotype.denom, genotype.m) == ([(k + 1) * ALPHA], [ALPHA], ell)
+    degree = k * (ell + 1)
+    assert chern_total(germ, degree) == genotype.roots(genotype.series(degree))
 
 
 # -- genotype series -------------------------------------------------------------------------------

@@ -80,11 +80,23 @@ def test_rat_string_with_denominator_rejected():
         lambda: substitute(C1, {("c", 1, 2): ALPHA}),
         lambda: substitute(C1, {(1, "c"): ALPHA}),
         lambda: substitute(C1, {("c", True): ALPHA}),
+        lambda: C1.truncate("2"),
+        lambda: C1.truncate(True),
+        lambda: C1.homogeneous_part(1.0),
+        lambda: substitute(3, {("c", 1): ALPHA}),
+        lambda: chern_substitute(C1, 3),
+        lambda: series_inverse(3, 2),
+        lambda: series_quotient([3], [], 2),
+        lambda: divide_by_linear(C1, 2),
+        lambda: divide_by_linear(3, ALPHA),
     ],
     ids=["decimal-string", "zero-denominator-string", "zero-denominator",
          "float", "float-constant", "float-term", "bool", "bool-denominator",
          "bool-constant", "bool-factor", "symbol-int", "coefficient-symbol-int",
-         "symbol-1-tuple", "symbol-3-tuple", "symbol-swapped-pair", "symbol-bool-index"],
+         "symbol-1-tuple", "symbol-3-tuple", "symbol-swapped-pair", "symbol-bool-index",
+         "truncate-str", "truncate-bool", "homogeneous_part-float", "substitute-int-poly",
+         "chern_substitute-int-series", "series_inverse-int", "series_quotient-int-factor",
+         "divide_by_linear-int-form", "divide_by_linear-int-dividend"],
 )
 def test_malformed_scalars_raise_poly_error(make):
     with pytest.raises(PolyError):

@@ -306,6 +306,28 @@ def test_singularity_info():
     assert i22.codim(2) == 10
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 8, 9, 12, 40])
+def test_singularity_info_parses_every_A_k(k):
+    info = singularity_info(f"A{k}")
+    assert (info.name, info.delta, info.corank) == (f"A{k}", k + 1, min(k, 1))
+    assert info.codim(2) == 3 * k
+    # two infos built separately are equal values with equal hashes
+    assert info == singularity_info(f"A{k}")
+    assert hash(info) == hash(singularity_info(f"A{k}"))
+    assert parse_multisingularity(f"A{k}^2A0") == (f"A{k}", f"A{k}", "A0")
+
+
+@pytest.mark.parametrize("name", [
+    "A01", "A00", "A", "A-1", "A1 ", "a1", "A\u0661", "III23", "I2", "D4",
+    pytest.param("A" + "9" * 641, id="A-641-digits"),
+])
+def test_singularity_info_refuses_other_names(name):
+    with pytest.raises(UnsupportedMultisingularity):
+        singularity_info(name)
+    with pytest.raises(UnsupportedMultisingularity):
+        parse_multisingularity(name + "A0")
+
+
 @settings(max_examples=20)
 @given(st.integers(1, 5))
 def test_multisingularity_codim(ell):
