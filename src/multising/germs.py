@@ -26,15 +26,23 @@ prototype enter its Chern class only as the factor prod_i (1 + beta_i) =
 factor of the symmetry group (_Genotype).  The d_j of m independent roots
 are algebraically independent, so an identity holds in Q[alpha, beta]
 exactly when it holds in Q[alpha, d_1..d_m], where it is far cheaper to
-check.  Only a failing check, or a divisibility factor that mixes beta
-with alpha, maps its polynomial back through d_j -> e_j(beta), so every
-residual is reported in root coordinates.  Every suite restricts on the
-genotype of a prototype (_genotype), the III_{2,2}A_0 suite included; its
-I_{2,2} genotype, which has no prototype here, is built in the same basis.
+check.  The III_{2,2} and I_{2,2} genotypes have two alpha roots, and their
+symmetry swaps alpha_1 and alpha_2, so the beta-free part of their class is
+symmetric and is rewritten in e_1 = alpha_1 + alpha_2 (weight 1) and
+e_2 = alpha_1 alpha_2 (weight 2).  These are algebraically independent too,
+so an identity holds in Q[alpha, beta] exactly when it holds in
+Q[e_1, e_2, d_1..d_m]; and a symmetric polynomial is divisible by
+alpha_1 + alpha_2 exactly when it vanishes at e_1 = 0.  Only a failing
+check, or a divisibility factor that mixes beta with alpha, maps its
+polynomial back through e -> alpha and d_j -> e_j(beta), so every residual
+is reported in root coordinates.  Every suite restricts on the genotype of
+a prototype (_genotype), the III_{2,2}A_0 suite included; its I_{2,2}
+genotype, which has no prototype here, is built in the same basis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -57,6 +65,7 @@ from .poly import (
     substitute,
     to_json_dict,
     to_text,
+    variable,
     zero,
 )
 from .thom import UnsupportedMultisingularity, residue_A0r, residue_III22A0, singularity_info
@@ -107,12 +116,15 @@ def germ_A(k: int, ell: int) -> GermPrototype:
     check_int(ell, 0, "relative dimension ell")
     alpha = root_var("alpha")
     betas = _betas(ell)
-    source = [s * alpha for s in range(1, k + 1)]
-    target = [(k + 1) * alpha] + [s * alpha for s in range(2, k + 1)]
+    multiples = [s * alpha for s in range(1, k + 1)]
+    source = list(multiples)
+    target = [(k + 1) * alpha] + multiples[1:]
     for b in betas:
-        source.extend(b - s * alpha for s in range(1, k + 1))
+        # one instance per weight that source and target share
+        shifted = [b - m for m in multiples]
+        source.extend(shifted)
         target.append(b)
-        target.extend(b - s * alpha for s in range(1, k + 1))
+        target.extend(shifted)
     return GermPrototype(
         name=f"A{k}",
         ell=ell,
@@ -130,11 +142,15 @@ def germ_III22(ell: int) -> GermPrototype:
     a1 = root_var("alpha", 1)
     a2 = root_var("alpha", 2)
     betas = _betas(ell - 1)
-    source = [a1, a2, 2 * a1 - a2, 2 * a2 - a1, a1, a2]
-    target = [a1 + a2, 2 * a1, 2 * a2, 2 * a1 - a2, 2 * a2 - a1, a1, a2]
+    mixed = [2 * a1 - a2, 2 * a2 - a1]
+    source = [a1, a2, *mixed, a1, a2]
+    target = [a1 + a2, 2 * a1, 2 * a2, *mixed, a1, a2]
     for b in betas:
-        source.extend([b - a1, b - a2])
-        target.extend([b, b - a1, b - a2])
+        # one instance per weight that source and target share, as in germ_A
+        shifted = [b - a1, b - a2]
+        source.extend(shifted)
+        target.append(b)
+        target.extend(shifted)
     return GermPrototype(
         name="III22",
         ell=ell,
@@ -233,7 +249,7 @@ def multiple_point_class(g: GermPrototype, r: int) -> GradedPoly:
 
 
 def _multiple_point_genotype(g: GermPrototype, r: int, m: int) -> GradedPoly:
-    """multiple_point_class in Q[alpha, d_1..d_m].
+    """multiple_point_class in the genotype basis, Q[alpha, d_1..d_m] for A_k.
 
     For A_k, prod_i prod_s (beta_i - s alpha) = prod_s P(-s alpha) with
     P(x) = prod_i (x + beta_i) = sum_j d_j x^(m-j).
@@ -267,24 +283,35 @@ def _d_polynomial(cap: int) -> GradedPoly:
     return sum((dvar(i) for i in range(1, cap + 1)), one())
 
 
+_ALPHA_KEYS = (("alpha", 1), ("alpha", 2))
+_ALPHA_1, _ALPHA_2 = (root_var(*key) for key in _ALPHA_KEYS)
+_E_1, _E_2 = variable("e", 1, weight=1), variable("e", 2, weight=2)
+# e_1 and e_2 of a two-alpha genotype mapped back to its roots
+_E_IN_ROOTS = {("e", 1): _ALPHA_1 + _ALPHA_2, ("e", 2): _ALPHA_1 * _ALPHA_2}
+
+
 class _Genotype:
     """A total Chern class prod(1 + w) / prod(1 + v) * prod_i (1 + beta_i).
 
-    numer and denom hold the beta-free forms w and v; betas holds the m
-    distinct lone roots, whose product series is 1 + d_1 + ... + d_m.  A
-    plain class: nothing compares or hashes genotypes, and dataclass methods
-    would be generated at every import.
+    numer and denom hold the beta-free classes w and v: linear forms in
+    alpha, or for a two-alpha genotype one class per side in e_1, e_2 (see
+    _in_genotype_basis).  alphas maps e_1, e_2 back to the alpha roots and is
+    empty when the classes are in alpha.  betas holds the m distinct lone
+    roots, whose product series is 1 + d_1 + ... + d_m.  A plain class:
+    nothing compares or hashes genotypes, and dataclass methods would be
+    generated at every import.
     """
 
-    __slots__ = ("numer", "denom", "betas")
+    __slots__ = ("numer", "denom", "betas", "alphas")
 
     def __init__(
         self,
         numer: Sequence[GradedPoly],
         denom: Sequence[GradedPoly],
         betas: Sequence[GradedPoly],
+        alphas: dict,
     ):
-        self.numer, self.denom, self.betas = numer, denom, betas
+        self.numer, self.denom, self.betas, self.alphas = numer, denom, betas, alphas
 
     @property
     def m(self) -> int:
@@ -297,18 +324,95 @@ class _Genotype:
         return numer, [one_plus(v) for v in self.denom]
 
     def series(self, maxdeg: int) -> GradedPoly:
-        """The class in Q[alpha, d_1..d_m], truncated at maxdeg."""
+        """The class in the genotype basis, truncated at maxdeg."""
         return series_quotient(*self.factors(), maxdeg)
 
     def roots(self, p: GradedPoly) -> GradedPoly:
-        """p mapped back to root coordinates through d_j -> e_j(beta)."""
-        return _substitute_d(p, [one_plus(b) for b in self.betas], self.m)
+        """p mapped back to root coordinates through e -> alpha and d_j -> e_j(beta)."""
+        return substitute(p, {**self.alphas, **_d_images([one_plus(b) for b in self.betas], self.m)})
+
+    def killing(self, form: GradedPoly) -> Optional[dict]:
+        """An assignment of genotype coordinates under which a polynomial of
+        this basis vanishes exactly when its root image is divisible by the
+        linear form, or None when there is none.
+
+        A lone root beta_i is killed by d_m -> 0, since every polynomial in
+        the d_j is symmetric in the roots; a form that mixes beta with alpha
+        has no such assignment.  In e coordinates only a multiple of
+        alpha_1 + alpha_2 has one, e_1 -> 0; in alpha coordinates the form
+        is solved for its last variable.
+        """
+        if form in self.betas:
+            return {("d", self.m): 0}
+        if _involves_beta(form):
+            return None
+        if not self.alphas:
+            sym, image = _specialization_for(form)
+            return {sym: image}
+        scale = form.coefficient({("alpha", 1): 1})
+        return {("e", 1): 0} if scale and form == scale * _E_IN_ROOTS[("e", 1)] else None
 
 
-def _substitute_d(p: GradedPoly, factors: Sequence[GradedPoly], m: int) -> GradedPoly:
-    """p under d_j -> the weight-j part of prod(factors), for j = 1..m."""
+def _d_images(factors: Sequence[GradedPoly], m: int) -> dict:
+    """d_j -> the weight-j part of prod(factors), for j = 1..m."""
     product = euler_class(factors)
-    return substitute(p, {("d", j): product.homogeneous_part(j) for j in range(1, m + 1)})
+    return {("d", j): product.homogeneous_part(j) for j in range(1, m + 1)}
+
+
+@functools.cache
+def _class_in_e(forms: Tuple[GradedPoly, ...], name: str) -> GradedPoly:
+    """prod(1 + w) - 1 over forms in alpha_1, alpha_2, rewritten in e_1, e_2.
+
+    The product p is symmetric, and the standard leading-term reduction
+    rewrites it: the lex-leading term c alpha_1^a alpha_2^b of a symmetric
+    polynomial has a >= b and leads c e_1^(a-b) e_2^b =
+    c (alpha_1 + alpha_2)^(a-b) (alpha_1 alpha_2)^b; subtracting that and
+    repeating ends at zero.  A leading term with a < b, or any other
+    variable, raises UnsupportedPrototype.  The class is built once per
+    forms and shared, as the genotypes of one singularity at every ell have
+    the same forms: polynomials are immutable and hash by value.
+    """
+    p = euler_class([one_plus(w) for w in forms]).compress()
+    keys = [(v.family, v.index) for v in p.vars]
+    if not set(keys) <= set(_ALPHA_KEYS):
+        raise UnsupportedPrototype(f"{name}: {to_text(p)} is not in alpha_1, alpha_2 alone")
+    rest = {}
+    for exps, c in p.terms.items():
+        powers = dict(zip(keys, exps))
+        rest[tuple(powers.get(key, 0) for key in _ALPHA_KEYS)] = c
+    out = {}  # (exponent of e_1, exponent of e_2): coefficient
+    while rest:
+        a, b = lead = max(rest)
+        if a < b:
+            raise UnsupportedPrototype(f"{name}: {to_text(p)} is not symmetric in alpha_1, alpha_2")
+        c = out[a - b, b] = rest[lead]
+        for i in range(a - b + 1):
+            key = (b + i, a - i)
+            value = rest.get(key, 0) - c * math.comb(a - b, i)
+            if value:
+                rest[key] = value
+            else:
+                del rest[key]
+    return GradedPoly(_E_1.vars + _E_2.vars, out) - 1
+
+
+def _in_genotype_basis(
+    name: str,
+    numer: Sequence[GradedPoly],
+    denom: Sequence[GradedPoly],
+    betas: Sequence[GradedPoly],
+) -> _Genotype:
+    """The genotype prod(1 + w) / prod(1 + v) of beta-free forms, over the lone roots betas.
+
+    When the forms use alpha_1 and alpha_2, each side becomes one class in
+    e_1, e_2 (_class_in_e), and a side that is not symmetric raises
+    UnsupportedPrototype.
+    """
+    used = {(v.family, v.index) for w in (*numer, *denom) for v in w.used_vars()}
+    if not used >= set(_ALPHA_KEYS):
+        return _Genotype(numer, denom, betas, {})
+    sides = ([_class_in_e(tuple(forms), name)] for forms in (numer, denom))
+    return _Genotype(*sides, betas, _E_IN_ROOTS)
 
 
 def _genotype(g: GermPrototype) -> _Genotype:
@@ -329,7 +433,7 @@ def _genotype(g: GermPrototype) -> _Genotype:
     for v in denom:
         if _involves_beta(v):
             raise UnsupportedPrototype(f"{g.name}: source weight {to_text(v)} involves a beta root")
-    return _Genotype(free, denom, betas)
+    return _in_genotype_basis(g.name, free, denom, betas)
 
 
 # -- verification reports ---------------------------------------------------------------
@@ -394,24 +498,28 @@ def _specialization_for(form: GradedPoly):
 
 
 def _genotype_check(
-    name: str, lhs: GradedPoly, rhs: GradedPoly, genotype: _Genotype, detail: str
+    name: str, lhs: GradedPoly, rhs: GradedPoly, to_roots, detail: str
 ) -> CheckResult:
-    """_identity_check in Q[alpha, d]; a failing residual is mapped back to roots."""
+    """_identity_check in the genotype basis; a failing residual is mapped
+    back to root coordinates by to_roots, usually a _Genotype's roots."""
     check = _identity_check(name, lhs, rhs, detail=detail)
-    return check if check.holds else replace(check, residual=genotype.roots(check.residual))
+    return check if check.holds else replace(check, residual=to_roots(check.residual))
 
 
 def verify_quadruple(ell: int) -> Report:
     """The four defining identities of the quadruple-point residue.
 
     Prototypes of relative dimension ell-1 are instantiated and the residue
-    is evaluated on their genotype series in Q[alpha, d_1..d_m], with m the
-    number of their beta roots.  q1-q3 must vanish there and q4 must equal
-    -36 alpha^3 m_4, with m_4 = prod_s P(-s alpha) in the same basis; a
-    failing check reports its residual mapped back through d_j -> e_j(beta).
-    For ell = 1 the III_{2,2} identity degenerates: no prototype of relative
+    is evaluated on their genotype series, in Q[alpha, d_1..d_m] for A_k and
+    Q[e_1, e_2, d_1..d_m] for III_{2,2}, with m the number of their beta
+    roots.  q1-q3 must vanish there and q4 must equal -36 alpha^3 m_4, with
+    m_4 = prod_s P(-s alpha) in the same basis; a failing check reports its
+    residual mapped back through e -> alpha and d_j -> e_j(beta).  For
+    ell = 1 the III_{2,2} identity degenerates: no prototype of relative
     dimension 0 exists, so the residue is evaluated on the ell = 1 germ and
-    certified divisible by its n_1 factor alpha_1 + alpha_2 instead.
+    certified divisible by its n_1 factor alpha_1 + alpha_2, that is to
+    vanish at e_1 = 0; a failing residual is mapped back to the roots with
+    alpha_2 -> -alpha_1.
     """
     check_int(ell, 1, "relative dimension ell of the quadruple identities")
     residue = residue_A0r(4, ell)
@@ -425,28 +533,34 @@ def verify_quadruple(ell: int) -> Report:
     for k in (1, 2):
         genotype, value = on(germ_A(k, ell - 1), maxdeg)
         checks.append(_genotype_check(
-            f"q{k}", value, zero(), genotype,
+            f"q{k}", value, zero(), genotype.roots,
             detail=f"quadruple residue vanishes on the A{k} prototype",
         ))
     if ell >= 2:
         genotype, q3 = on(germ_III22(ell - 1), maxdeg)
+        q3_roots = genotype.roots
         q3_detail = "quadruple residue vanishes on the III22 prototype"
     else:
         germ = germ_III22(1)
-        sym, image = _specialization_for(germ.n1_factors[0])
+        factor = germ.n1_factors[0]
         genotype, q3 = on(germ, maxdeg + 1)
-        q3 = substitute(q3, {sym: image})
+        q3 = substitute(q3, genotype.killing(factor))
+        sym, image = _specialization_for(factor)
+
+        def q3_roots(p: GradedPoly) -> GradedPoly:
+            return substitute(genotype.roots(p), {sym: image})
+
         q3_detail = (
             "degenerate case: no III22 prototype of relative dimension 0; "
             "the residue on the ell=1 germ is divisible by alpha_1+alpha_2"
         )
-    checks.append(_genotype_check("q3", q3, zero(), genotype, detail=q3_detail))
+    checks.append(_genotype_check("q3", q3, zero(), q3_roots, detail=q3_detail))
 
     germ = germ_A(3, ell - 1)
     genotype, q4 = on(germ, maxdeg)
     m4 = _multiple_point_genotype(germ, 4, genotype.m)
     checks.append(_genotype_check(
-        "q4", q4, constant(-36) * root_var("alpha") ** 3 * m4, genotype,
+        "q4", q4, constant(-36) * root_var("alpha") ** 3 * m4, genotype.roots,
         detail="quadruple residue on the A3 prototype equals -36 e(source)*m4",
     ))
     return Report(suite="quadruple", ell=ell, checks=tuple(checks))
@@ -460,14 +574,16 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     substituted residue term by a multiple of n_1.
 
     The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) is formed in the
-    genotype basis Q[alpha, d_1..d_m] and must vanish under the
-    specialization killing each linear factor of n_1.  A lone root beta_i
-    is killed by d_m -> 0: the difference is symmetric in the roots, so that
-    one substitution certifies every beta_i.  A factor free of beta is
-    substituted directly.  A factor that mixes beta with alpha, and any
-    factor whose check fails, specializes the difference mapped back through
-    d_j -> e_j(beta), so residuals stay in root coordinates.  The exactness
-    of the Euler quotient itself is reported as the first check.
+    genotype basis, Q[alpha, d_1..d_m] or Q[e_1, e_2, d_1..d_m], and must
+    vanish under the specialization killing each linear factor of n_1
+    (_Genotype.killing).  A lone root beta_i is killed by d_m -> 0: the
+    difference is symmetric in the roots, so that one substitution
+    certifies every beta_i.  The III_{2,2} factor alpha_1 + alpha_2 is
+    killed by e_1 -> 0, and any other factor free of beta is substituted
+    directly.  A factor that mixes beta with alpha, and any factor whose
+    check fails, specializes the difference mapped back through e -> alpha
+    and d_j -> e_j(beta), so residuals stay in root coordinates.  The
+    exactness of the Euler quotient itself is reported as the first check.
     """
     if not isinstance(g, GermPrototype):
         raise PolyError(f"{g!r} is not a germ prototype")
@@ -499,12 +615,8 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     in_roots = None  # the difference in root coordinates, built only when needed
     for f in g.n1_factors:
         sym, image = _specialization_for(f)
-        if f in genotype.betas:
-            value = substitute(difference, {("d", genotype.m): 0})
-        elif not _involves_beta(f):
-            value = substitute(difference, {sym: image})
-        else:
-            value = None
+        killing = genotype.killing(f)
+        value = None if killing is None else substitute(difference, killing)
         if value is None or not value.is_zero():
             if in_roots is None:
                 in_roots = genotype.roots(difference)
@@ -551,7 +663,7 @@ def verify_tpA1(ell: int) -> Report:
         "tpA1",
         genotype.series(ell + 1).homogeneous_part(ell + 1),
         root_var("alpha") * _multiple_point_genotype(germ, 2, genotype.m),
-        genotype,
+        genotype.roots,
         detail="top Chern class of the A1 prototype is the source Euler class",
     )
     return Report(suite="tpa1", ell=ell, checks=(check,))
@@ -562,9 +674,10 @@ def verify_tpA1(ell: int) -> Report:
 
 def _i22_genotype(ell: int) -> _Genotype:
     """The I_{2,2} genotype (1+2 alpha_1)(1+2 alpha_2) / ((1+alpha_1)(1+alpha_2))
-    times prod_i (1 + beta_i) over ell roots; there is no I_{2,2} prototype."""
-    a1, a2 = root_var("alpha", 1), root_var("alpha", 2)
-    return _Genotype((2 * a1, 2 * a2), (a1, a2), _betas(ell))
+    times prod_i (1 + beta_i) over ell roots, in e_1, e_2 that is
+    (1+2 e_1+4 e_2)/(1+e_1+e_2); there is no I_{2,2} prototype."""
+    a1, a2 = _ALPHA_1, _ALPHA_2
+    return _in_genotype_basis("I22", (2 * a1, 2 * a2), (a1, a2), _betas(ell))
 
 
 def verify_III22A0(ell: int) -> Report:
@@ -574,10 +687,11 @@ def verify_III22A0(ell: int) -> Report:
     (ii) on the I_{2,2} genotype it collapses to -4 d_ell times the
     substituted Schur determinant of the III_{2,2} residue; (iii) its value
     on the III_{2,2} prototype genotype is the (ii) value with the last
-    I_{2,2} root set to alpha_1 + alpha_2, that is under d_j -> the weight-j
-    part of (1 + alpha_1 + alpha_2)(1 + d_1 + ... + d_(ell-1)).  The III_{2,2}
+    I_{2,2} root set to alpha_1 + alpha_2 = e_1, that is under d_j -> the
+    weight-j part of (1 + e_1)(1 + d_1 + ... + d_(ell-1)).  The III_{2,2}
     genotype is that specialization of the I_{2,2} one, so (iii) holds for
-    every residue and certifies nothing by itself.
+    every residue and certifies nothing by itself.  Both genotypes are in
+    e_1, e_2 and every failing residual is mapped back to the roots.
     """
     check_int(ell, 1, "relative dimension ell of the III22A0 identities")
     residue = residue_III22A0(ell)
@@ -589,7 +703,7 @@ def verify_III22A0(ell: int) -> Report:
             f"aichern-r{r}",
             chern_substitute(residue, genotype.series(maxdeg)),
             zero(),
-            genotype,
+            genotype.roots,
             detail=f"residue vanishes on the A{r} genotype",
         ))
 
@@ -601,17 +715,17 @@ def verify_III22A0(ell: int) -> Report:
         "i22chern",
         value_i22,
         rhs,
-        i22,
+        i22.roots,
         detail="residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype",
     ))
 
     iii22 = _genotype(germ_III22(ell))
-    last_root = one_plus(root_var("alpha", 1) + root_var("alpha", 2))
+    last_root = one_plus(_E_1)
     checks.append(_genotype_check(
         "iii22chern",
         chern_substitute(residue, iii22.series(maxdeg)),
-        _substitute_d(value_i22, [last_root, _d_polynomial(ell - 1)], ell),
-        iii22,
+        substitute(value_i22, _d_images([last_root, _d_polynomial(ell - 1)], ell)),
+        iii22.roots,
         detail="III22 genotype value matches the degree-capped I22 value",
     ))
 
@@ -631,10 +745,11 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     """Schur factorization on the I_{2,2} genotype.
 
     For i >= j >= k >= 0 with j >= ell+2 and k <= ell the substituted 3x3
-    Schur determinant factors as (alpha_1 alpha_2)^(j-ell-2) times the
-    weight-(i-j) part of the genotype's denominator 1/((1+alpha_1)(1+alpha_2)),
-    the substituted residue determinant s(ell+2, ell+2), and the weight-k part
-    of its numerator (1+2 alpha_1)(1+2 alpha_2)(1 + d_1 + ... + d_ell).
+    Schur determinant factors as e_2^(j-ell-2) = (alpha_1 alpha_2)^(j-ell-2)
+    times the weight-(i-j) part of the genotype's denominator
+    1/((1+alpha_1)(1+alpha_2)), the substituted residue determinant
+    s(ell+2, ell+2), and the weight-k part of its numerator
+    (1+2 alpha_1)(1+2 alpha_2)(1 + d_1 + ... + d_ell), all in e_1, e_2.
     """
     check_int(ell, 0, "relative dimension ell of a factorization")
     if not isinstance(triple, tuple) or len(triple) != 3:
@@ -647,7 +762,7 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     series = genotype.series(i + 2)
     lhs = chern_substitute(schur_det(i, j, k), series)
     rhs = (
-        (root_var("alpha", 1) * root_var("alpha", 2)) ** (j - ell - 2)
+        _E_2 ** (j - ell - 2)
         * series_quotient([], denom, i - j).homogeneous_part(i - j)
         * chern_substitute(schur_det(ell + 2, ell + 2), series)
         * series_quotient(numer, [], k).homogeneous_part(k)
@@ -656,7 +771,7 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
         f"factorization-{i}{j}{k}",
         lhs,
         rhs,
-        genotype,
+        genotype.roots,
         detail=f"Schur factorization at (i,j,k)=({i},{j},{k})",
     )
 

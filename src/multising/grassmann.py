@@ -46,6 +46,7 @@ from .poly import (PolyError, Rat, check_int, is_scalar, json_field, lcm_merge, 
                    power, rat, rat_str)
 
 _ZERO = Rat(0)  # the one default for absent coefficients
+_INT_ONLY = frozenset({int})  # the element types of a partition that may key a table
 
 Partition = Tuple[int, ...]
 
@@ -313,7 +314,7 @@ def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
     _check_ring(ring)
     basis = ring._basis
     # only an int-only tuple may hit directly: (True,) and (1.0,) equal (1,)
-    x = basis.get(lam) if type(lam) is tuple and all(type(p) is int for p in lam) else None
+    x = basis.get(lam) if type(lam) is tuple and _INT_ONLY.issuperset(map(type, lam)) else None
     if x is None:
         canon = _box_partitions(ring.k, ring.cols).get(_validate_partition(lam))
         if canon is None:

@@ -284,13 +284,14 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return NotImplemented
         p, q = self, other
+        # lowest terms make the denominator and the term count canonical
+        if p.den != q.den or len(p.nums) != len(q.nums):
+            return False
         if p.vars != q.vars:
             # polynomials that use different variables differ
             p, q = p.compress(), q.compress()
             if p.vars != q.vars:
                 return False
-        if p.den != q.den or len(p.nums) != len(q.nums):
-            return False
         width = max(p.width, q.width)
         return _repack(p, p.vars, width) == _repack(q, q.vars, width)
 

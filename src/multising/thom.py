@@ -158,10 +158,18 @@ def residue_A0r(r: int, ell: int) -> GradedPoly:
     """Residue polynomial of the r-fold point multisingularity A_0^r, r = 2..4.
 
     It is the shifted Thom series of A_{r-1}; any other r raises
-    UnsupportedMultisingularity.
+    UnsupportedMultisingularity.  It is built once per (r, ell) and every
+    later call returns that one instance: polynomials are immutable, so
+    sharing it is safe.
     """
     check_int(r, 2, "A_0^r multiplicity r", most=4, error=UnsupportedMultisingularity)
     check_int(ell, 1, "relative dimension ell of a residue")
+    return _residue_A0r(r, ell)
+
+
+@functools.cache
+def _residue_A0r(r: int, ell: int) -> GradedPoly:
+    """residue_A0r of a checked (r, ell), so no bool or float is a key."""
     scale = rat((-1) ** (r - 1) * math.factorial(r - 1))
     return _substitute_shift(thom_terms(r - 1, ell), ell) * scale
 
@@ -230,8 +238,15 @@ _SIGMA2 = {
 }
 
 _A_K = re.compile(r"A(0|[1-9][0-9]{0,639})")  # int() may refuse more than 640 digits
-# one token of a multisingularity name and its optional exponent
-_TOKEN = r"(III\d\d|I\d\d|A\d+)(?:\^(\d+))?"
+
+# The largest exponent of a token in a multisingularity name.  Each unit of
+# an exponent is one more point, one more token of the parsed tuple, and the
+# residue formulas stop at four points; the bound keeps a name such as
+# A0^123456789 from building a tuple of that many tokens.
+MAX_EXPONENT = 64
+# one token of a multisingularity name and its optional exponent, which has
+# no leading zeros
+_TOKEN = r"(III\d\d|I\d\d|A\d+)(?:\^([1-9][0-9]*))?"
 
 
 def singularity_info(name: str) -> SingularityInfo:
@@ -260,20 +275,22 @@ def parse_multisingularity(text: str) -> tuple:
     """Parse names such as A0^4, A0A1, III22A0 into a tuple of tokens.
 
     The first token is the distinguished element.  Exponents repeat the
-    preceding token.
+    preceding token; they have no leading zeros and are at most
+    MAX_EXPONENT, and every token and exponent is checked before the tuple
+    is built.
     """
     if not isinstance(text, str):
         raise UnsupportedMultisingularity(f"multisingularity name {text!r} is not a string")
     text = text.strip()
     if not re.fullmatch(f"(?:{_TOKEN})+", text):
         raise UnsupportedMultisingularity(f"cannot parse multisingularity name {text!r}")
-    tokens = []
+    parts = []
     for token, power in re.findall(_TOKEN, text):
-        count = int(power or 1)
-        if count < 1:
-            raise UnsupportedMultisingularity("exponents must be positive")
-        tokens.extend([singularity_info(token).name] * count)
-    return tuple(tokens)
+        # the length comes first: int() refuses strings of more than 4300 digits
+        if len(power) > len(str(MAX_EXPONENT)) or int(power or 1) > MAX_EXPONENT:
+            raise UnsupportedMultisingularity(f"an exponent of {token} exceeds {MAX_EXPONENT}")
+        parts.append((singularity_info(token).name, int(power or 1)))
+    return tuple(name for name, count in parts for _ in range(count))
 
 
 def residue(multi: Union[str, Sequence[str]], ell: int) -> GradedPoly:

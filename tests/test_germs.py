@@ -38,6 +38,7 @@ from multising.poly import (
     root_var,
     series_quotient,
     substitute,
+    variable,
     zero,
 )
 from multising.multipoint import (
@@ -59,6 +60,8 @@ from multising.thom import (
 ALPHA = root_var("alpha")
 A1_ = root_var("alpha", 1)
 A2_ = root_var("alpha", 2)
+E1 = variable("e", 1, weight=1)
+E2 = variable("e", 2, weight=2)
 
 
 def _beta(i):
@@ -397,11 +400,18 @@ PERTURBATIONS = {
     "c1^3l": lambda ell: cvar(1) ** (3 * ell),
     "c3l": lambda ell: cvar(3 * ell),
     "cl*c2l": lambda ell: cvar(ell) * cvar(2 * ell),
+    "c2l": lambda ell: cvar(2 * ell),
 }
 
 
-@pytest.mark.parametrize("ell", [2, 4, 6])
-@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+# At ell = 1 the q3 value of a homogeneous residue of degree 3 is odd in e_1
+# and vanishes at e_1 = 0, so only a perturbation of even weight fails q3 there.
+PERTURBED_QUADRUPLES = [
+    (kind, ell) for kind in ("c1^3l", "c3l", "cl*c2l") for ell in (2, 4, 6)
+] + [("c2l", 1)]
+
+
+@pytest.mark.parametrize("kind,ell", PERTURBED_QUADRUPLES)
 def test_perturbed_quadruple_residue_fails_in_both_paths(monkeypatch, kind, ell):
     extra = PERTURBATIONS[kind](ell)
     explicit = _explicit_quadruple(ell, residue_A0r(4, ell) + extra)
@@ -437,6 +447,20 @@ def test_lone_root_check_kills_one_root_only(monkeypatch):
     assert got == want
 
 
+def test_suites_read_residue_A0r_through_the_germs_module(monkeypatch):
+    calls = []
+    exact = germs.residue_A0r
+
+    def counting(r, ell):
+        calls.append((r, ell))
+        return exact(r, ell)
+
+    monkeypatch.setattr(germs, "residue_A0r", counting)
+    assert verify_quadruple(2).ok
+    assert verify_divisibility_suite(2).ok
+    assert calls == [(4, 2), (2, 2), (3, 2), (4, 2), (4, 2), (4, 2)]
+
+
 def test_genotype_refuses_weights_that_mix_beta_with_alpha():
     germ = GermPrototype(
         name="A1",
@@ -460,6 +484,11 @@ def test_quadruple_identities_hold_at_ell_12():
 
 def test_divisibility_battery_holds_at_ell_10():
     assert verify_divisibility_suite(10).ok
+
+
+def test_III22A0_and_divisibility_hold_at_ell_8():
+    assert verify_III22A0(8).ok
+    assert verify_divisibility_suite(8).ok
 
 
 # -- Thom polynomial of A1 -------------------------------------------------------------------------
@@ -509,6 +538,62 @@ def test_A_germ_beyond_three_against_closed_forms(k, ell):
 # -- genotype series -------------------------------------------------------------------------------
 
 
+def _e_to_roots(p, m):
+    """p under e_1 -> alpha_1 + alpha_2, e_2 -> alpha_1 alpha_2, d_j -> e_j(beta_1..beta_m)."""
+    betas = math.prod((one_plus(_beta(i)) for i in range(1, m + 1)), start=one())
+    images = {("e", 1): A1_ + A2_, ("e", 2): A1_ * A2_}
+    images.update({("d", j): betas.homogeneous_part(j) for j in range(1, m + 1)})
+    return substitute(p, images)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_two_alpha_genotypes_in_e_map_to_the_explicit_roots(ell):
+    """The III22 genotype is (1+e1)(1+2e1+4e2)/(1+e1+e2) over ell-1 roots and
+    the I22 genotype (1+2e1+4e2)/(1+e1+e2) over ell roots; mapped back to
+    the roots, their series are the explicit-root Chern classes."""
+    maxdeg = 2 * ell + 4
+    iii22 = germs._genotype(germ_III22(ell))
+    i22 = germs._i22_genotype(ell)
+    assert (iii22.numer, iii22.denom, iii22.m) == (
+        [(1 + E1) * (1 + 2 * E1 + 4 * E2) - 1], [E1 + E2], ell - 1
+    )
+    assert (i22.numer, i22.denom, i22.m) == ([2 * E1 + 4 * E2], [E1 + E2], ell)
+    assert _e_to_roots(iii22.series(maxdeg), ell - 1) == chern_total(germ_III22(ell), maxdeg)
+    explicit_i22 = series_quotient(
+        [one_plus(2 * A1_), one_plus(2 * A2_)] + [one_plus(_beta(i)) for i in range(1, ell + 1)],
+        [one_plus(A1_), one_plus(A2_)],
+        maxdeg,
+    )
+    assert _e_to_roots(i22.series(maxdeg), ell) == explicit_i22
+    for genotype in (iii22, i22):
+        assert genotype.roots(genotype.series(maxdeg)) == _e_to_roots(
+            genotype.series(maxdeg), genotype.m
+        )
+
+
+@pytest.mark.parametrize("target", [
+    (2 * A1_, A1_ + A2_),  # (1+2 alpha_1)(1+alpha_1+alpha_2) is not symmetric
+    (2 * ALPHA, A1_ + A2_),  # a third alpha root
+])
+def test_genotype_refuses_a_two_alpha_part_that_is_not_symmetric(target):
+    germ = GermPrototype(
+        name="III22", ell=0, delta=3, source_weights=(A1_, A2_), target_weights=target
+    )
+    with pytest.raises(UnsupportedPrototype):
+        germs._genotype(germ)
+
+
+def test_two_alpha_genotype_kills_alpha_1_plus_alpha_2_by_e1_zero():
+    genotype = germs._genotype(germ_III22(2))
+    for form in (A1_ + A2_, -3 * A1_ - 3 * A2_):
+        assert genotype.killing(form) == {("e", 1): 0}
+    for form in (A1_, A1_ - A2_, _beta(1) - A1_):
+        assert genotype.killing(form) is None
+    assert genotype.killing(_beta(1)) == {("d", 1): 0}
+    # in alpha coordinates a beta-free form is solved for its last variable
+    assert germs._genotype(germ_A(1, 1)).killing(2 * ALPHA) == {("alpha", 0): zero()}
+
+
 def test_aichern_tail_relation():
     # beyond the d-cap the A_r genotype coefficients satisfy c_{j+1} = -alpha c_j,
     # which is what makes the residue determinants vanish
@@ -521,12 +606,20 @@ def test_aichern_tail_relation():
         assert series.homogeneous_part(ell + 1) != -ALPHA * series.homogeneous_part(ell)
 
 
+def _alpha_series(genotype, maxdeg):
+    """A two-alpha genotype's series, built in e_1, e_2, mapped to alpha_1, alpha_2."""
+    series = genotype.series(maxdeg)
+    assert {v.family for v in series.used_vars()} <= {"e", "d"}
+    assert {(v.family, v.index) for v in series.used_vars()} >= {("e", 1), ("e", 2)}
+    return _e_to_roots(series, 0)
+
+
 def test_genotype_series_d_caps():
     ell, maxdeg = 2, 6
-    i22 = germs._i22_genotype(ell).series(maxdeg)
-    iii22 = germs._genotype(germ_III22(ell)).series(maxdeg)
+    i22 = _alpha_series(germs._i22_genotype(ell), maxdeg)
+    iii22 = _alpha_series(germs._genotype(germ_III22(ell)), maxdeg)
     # the I22 series involves d_1..d_ell, the III22 series only d_1..d_ell-1,
-    # both in the prototypes' own roots alpha_1, alpha_2
+    # both, through e -> alpha, in the prototypes' own roots alpha_1, alpha_2
     assert any(v.family == "d" and v.index == ell for v in i22.used_vars())
     assert all(
         not (v.family == "d" and v.index >= ell) for v in iii22.used_vars()
@@ -558,8 +651,8 @@ def test_iii22chern_matches_plug_in_at_ell1():
     from multising.thom import residue_III22A0
 
     maxdeg = 6
-    i22 = germs._i22_genotype(1).series(maxdeg)
-    iii22 = germs._genotype(germ_III22(1)).series(maxdeg)
+    i22 = _alpha_series(germs._i22_genotype(1), maxdeg)
+    iii22 = _alpha_series(germs._genotype(germ_III22(1)), maxdeg)
     value_i22 = chern_substitute(residue_III22A0(1), i22)
     value_iii22 = chern_substitute(residue_III22A0(1), iii22)
     assert value_iii22 == substitute(value_i22, {("d", 1): A1_ + A2_})

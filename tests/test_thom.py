@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from multising.poly import PolyError, cvar, schur_det, to_json, to_latex, zero
 from multising.thom import (
+    MAX_EXPONENT,
     UnsupportedMultisingularity,
     a_coeff,
     a_triangle,
@@ -203,6 +205,26 @@ def test_residue_requires_positive_ell():
         residue_A0r(4, 0)
 
 
+def test_residue_A0r_is_built_once_per_r_and_ell():
+    assert residue_A0r(4, 3) is residue_A0r(4, 3)
+    assert residue_A0r(3, 3) is not residue_A0r(4, 3)
+
+
+@pytest.mark.parametrize("r, ell, error", [
+    (True, 1, UnsupportedMultisingularity),
+    (4, True, PolyError),
+    (4.0, 1, UnsupportedMultisingularity),
+    (4, 1.0, PolyError),
+    (1, 1, UnsupportedMultisingularity),
+    (5, 1, UnsupportedMultisingularity),
+    (4, 0, PolyError),
+    (4, -1, PolyError),
+])
+def test_residue_A0r_refuses_bad_arguments_before_its_cache(r, ell, error):
+    with pytest.raises(error):
+        residue_A0r(r, ell)
+
+
 # -- residues of mixed multisingularities -----------------------------------------------
 
 
@@ -273,6 +295,31 @@ def test_parse_multisingularity():
         parse_multisingularity("")
     with pytest.raises(UnsupportedMultisingularity):
         parse_multisingularity(5)
+
+
+def test_parse_multisingularity_bounds_exponents():
+    assert parse_multisingularity(f"A0^{MAX_EXPONENT}") == ("A0",) * MAX_EXPONENT
+    for name in (
+        f"A0^{MAX_EXPONENT + 1}",
+        "A0^" + "9" * 5000,  # beyond the digits int() takes
+        "A0^00004",  # leading zeros, which A<k> names refuse too
+        "A0^04",
+        "A0^0",
+        "A0^\u0661",
+    ):
+        with pytest.raises(UnsupportedMultisingularity):
+            parse_multisingularity(name)
+
+
+def test_parse_multisingularity_refuses_a_large_exponent_before_building_tokens():
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedMultisingularity):
+            parse_multisingularity("A1A0^123456789")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the tokens alone would take about 1 GB
 
 
 def test_residue_dispatch():
