@@ -31,13 +31,16 @@ symmetry swaps alpha_1 and alpha_2, so the beta-free part of their class is
 symmetric and is rewritten in e_1 = alpha_1 + alpha_2 (weight 1) and
 e_2 = alpha_1 alpha_2 (weight 2).  These are algebraically independent too,
 so an identity holds in Q[alpha, beta] exactly when it holds in
-Q[e_1, e_2, d_1..d_m]; and a symmetric polynomial is divisible by
-alpha_1 + alpha_2 exactly when it vanishes at e_1 = 0.  Only a failing
-check, or a divisibility factor that mixes beta with alpha, maps its
-polynomial back through e -> alpha and d_j -> e_j(beta), so every residual
-is reported in root coordinates.  Every suite restricts on the genotype of
-a prototype (_genotype), the III_{2,2}A_0 suite included; its I_{2,2}
-genotype, which has no prototype here, is built in the same basis.
+Q[e_1, e_2, d_1..d_m].  Every genotype-basis check goes through one of two
+_Genotype methods: check compares two polynomials, and divides is the one
+rule for an n_1 factor.  A factor with a killing assignment (a lone
+beta_i: d_m -> 0; a multiple of alpha_1 + alpha_2: e_1 -> 0) is certified
+when the polynomial vanishes under it; any other factor, and any failing
+check, maps the polynomial back through e -> alpha and d_j -> e_j(beta)
+and, for a factor, solves the factor for its last variable there, so every
+residual is reported in root coordinates.  Every suite restricts on the
+genotype of a prototype (_genotype), the III_{2,2}A_0 suite included; its
+I_{2,2} genotype, which has no prototype here, is built in the same basis.
 """
 
 from __future__ import annotations
@@ -337,20 +340,47 @@ class _Genotype:
         linear form, or None when there is none.
 
         A lone root beta_i is killed by d_m -> 0, since every polynomial in
-        the d_j is symmetric in the roots; a form that mixes beta with alpha
-        has no such assignment.  In e coordinates only a multiple of
-        alpha_1 + alpha_2 has one, e_1 -> 0; in alpha coordinates the form
-        is solved for its last variable.
+        the d_j is symmetric in the roots, and in e coordinates a multiple of
+        alpha_1 + alpha_2 is killed by e_1 -> 0.  Any other form, one that
+        mixes beta with alpha or a beta-free form in alpha coordinates, has
+        none here and is left to the root path of divides.
         """
         if form in self.betas:
             return {("d", self.m): 0}
-        if _involves_beta(form):
+        if _involves_beta(form) or not self.alphas:
             return None
-        if not self.alphas:
-            sym, image = _specialization_for(form)
-            return {sym: image}
         scale = form.coefficient({("alpha", 1): 1})
         return {("e", 1): 0} if scale and form == scale * _E_IN_ROOTS[("e", 1)] else None
+
+    def check(self, name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str) -> CheckResult:
+        """lhs == rhs in this basis; a failing residual is mapped back to the roots."""
+        check = _identity_check(name, lhs, rhs, detail)
+        return check if check.holds else replace(check, residual=self.roots(check.residual))
+
+    def divides(self, name: str, p: GradedPoly, form: GradedPoly, detail: str) -> CheckResult:
+        """The root image of p is divisible by the linear form.
+
+        The check holds when the form has a killing assignment and p vanishes
+        under it.  Otherwise p is mapped back to the roots and the form is
+        solved for its last variable there; that value is the check's value
+        and, when nonzero, its residual.
+        """
+        killing = self.killing(form)
+        if killing is not None and substitute(p, killing).is_zero():
+            return CheckResult(name=name, holds=True, detail=detail)
+        sym, image = _specialization_for(form)
+        return _identity_check(name, substitute(self.roots(p), {sym: image}), zero(), detail)
+
+
+def _specialization_for(form: GradedPoly):
+    """Solve a linear form for its last variable: returns (symbol, image)."""
+    form = form.compress()
+    var = form.vars[-1]
+    coeff = form.terms.get(tuple(
+        1 if i == len(form.vars) - 1 else 0 for i in range(len(form.vars))
+    ))
+    rest = form - root_var(var.family, var.index) * coeff
+    return ((var.family, var.index), (-rest) * (1 / rat(coeff)))
 
 
 def _d_images(factors: Sequence[GradedPoly], m: int) -> dict:
@@ -486,26 +516,6 @@ def _identity_check(name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str) ->
 # -- quadruple point suite ----------------------------------------------------------------
 
 
-def _specialization_for(form: GradedPoly):
-    """Solve a linear form for its last variable: returns (symbol, image)."""
-    form = form.compress()
-    var = form.vars[-1]
-    coeff = form.terms.get(tuple(
-        1 if i == len(form.vars) - 1 else 0 for i in range(len(form.vars))
-    ))
-    rest = form - root_var(var.family, var.index) * coeff
-    return ((var.family, var.index), (-rest) * (1 / rat(coeff)))
-
-
-def _genotype_check(
-    name: str, lhs: GradedPoly, rhs: GradedPoly, to_roots, detail: str
-) -> CheckResult:
-    """_identity_check in the genotype basis; a failing residual is mapped
-    back to root coordinates by to_roots, usually a _Genotype's roots."""
-    check = _identity_check(name, lhs, rhs, detail=detail)
-    return check if check.holds else replace(check, residual=to_roots(check.residual))
-
-
 def verify_quadruple(ell: int) -> Report:
     """The four defining identities of the quadruple-point residue.
 
@@ -517,9 +527,10 @@ def verify_quadruple(ell: int) -> Report:
     residual mapped back through e -> alpha and d_j -> e_j(beta).  For
     ell = 1 the III_{2,2} identity degenerates: no prototype of relative
     dimension 0 exists, so the residue is evaluated on the ell = 1 germ and
-    certified divisible by its n_1 factor alpha_1 + alpha_2, that is to
-    vanish at e_1 = 0; a failing residual is mapped back to the roots with
-    alpha_2 -> -alpha_1.
+    certified divisible by its n_1 factor alpha_1 + alpha_2 by the one rule
+    of _Genotype.divides: it must vanish at e_1 = 0, and a failing value is
+    mapped back to the roots with alpha_2 -> -alpha_1, where e_1 vanishes
+    too, so the residual is the same root polynomial.
     """
     check_int(ell, 1, "relative dimension ell of the quadruple identities")
     residue = residue_A0r(4, ell)
@@ -532,35 +543,28 @@ def verify_quadruple(ell: int) -> Report:
     checks = []
     for k in (1, 2):
         genotype, value = on(germ_A(k, ell - 1), maxdeg)
-        checks.append(_genotype_check(
-            f"q{k}", value, zero(), genotype.roots,
-            detail=f"quadruple residue vanishes on the A{k} prototype",
+        checks.append(genotype.check(
+            f"q{k}", value, zero(), detail=f"quadruple residue vanishes on the A{k} prototype"
         ))
     if ell >= 2:
         genotype, q3 = on(germ_III22(ell - 1), maxdeg)
-        q3_roots = genotype.roots
-        q3_detail = "quadruple residue vanishes on the III22 prototype"
+        checks.append(genotype.check(
+            "q3", q3, zero(), detail="quadruple residue vanishes on the III22 prototype"
+        ))
     else:
         germ = germ_III22(1)
-        factor = germ.n1_factors[0]
         genotype, q3 = on(germ, maxdeg + 1)
-        q3 = substitute(q3, genotype.killing(factor))
-        sym, image = _specialization_for(factor)
-
-        def q3_roots(p: GradedPoly) -> GradedPoly:
-            return substitute(genotype.roots(p), {sym: image})
-
-        q3_detail = (
-            "degenerate case: no III22 prototype of relative dimension 0; "
-            "the residue on the ell=1 germ is divisible by alpha_1+alpha_2"
-        )
-    checks.append(_genotype_check("q3", q3, zero(), q3_roots, detail=q3_detail))
+        checks.append(genotype.divides(
+            "q3", q3, germ.n1_factors[0],
+            detail="degenerate case: no III22 prototype of relative dimension 0; "
+            "the residue on the ell=1 germ is divisible by alpha_1+alpha_2",
+        ))
 
     germ = germ_A(3, ell - 1)
     genotype, q4 = on(germ, maxdeg)
     m4 = _multiple_point_genotype(germ, 4, genotype.m)
-    checks.append(_genotype_check(
-        "q4", q4, constant(-36) * root_var("alpha") ** 3 * m4, genotype.roots,
+    checks.append(genotype.check(
+        "q4", q4, constant(-36) * root_var("alpha") ** 3 * m4,
         detail="quadruple residue on the A3 prototype equals -36 e(source)*m4",
     ))
     return Report(suite="quadruple", ell=ell, checks=tuple(checks))
@@ -574,16 +578,15 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     substituted residue term by a multiple of n_1.
 
     The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) is formed in the
-    genotype basis, Q[alpha, d_1..d_m] or Q[e_1, e_2, d_1..d_m], and must
-    vanish under the specialization killing each linear factor of n_1
-    (_Genotype.killing).  A lone root beta_i is killed by d_m -> 0: the
-    difference is symmetric in the roots, so that one substitution
-    certifies every beta_i.  The III_{2,2} factor alpha_1 + alpha_2 is
-    killed by e_1 -> 0, and any other factor free of beta is substituted
-    directly.  A factor that mixes beta with alpha, and any factor whose
-    check fails, specializes the difference mapped back through e -> alpha
-    and d_j -> e_j(beta), so residuals stay in root coordinates.  The
-    exactness of the Euler quotient itself is reported as the first check.
+    genotype basis, Q[alpha, d_1..d_m] or Q[e_1, e_2, d_1..d_m], and each
+    linear factor of n_1 is certified by _Genotype.divides.  A lone root
+    beta_i is killed by d_m -> 0: the difference is symmetric in the roots,
+    so that one substitution certifies every beta_i.  The III_{2,2} factor
+    alpha_1 + alpha_2 is killed by e_1 -> 0.  Any other factor, and any
+    factor whose check fails, specializes the difference mapped back
+    through e -> alpha and d_j -> e_j(beta), so residuals stay in root
+    coordinates.  The exactness of the Euler quotient itself is reported as
+    the first check.
     """
     if not isinstance(g, GermPrototype):
         raise PolyError(f"{g!r} is not a germ prototype")
@@ -612,23 +615,12 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     m_class = _multiple_point_genotype(g, r, genotype.m)
     residue = residue_A0r(r, ell) * rat(1, math.factorial(r - 1))
     difference = m_class - chern_substitute(residue, genotype.series((r - 1) * ell))
-    in_roots = None  # the difference in root coordinates, built only when needed
     for f in g.n1_factors:
         sym, image = _specialization_for(f)
-        killing = genotype.killing(f)
-        value = None if killing is None else substitute(difference, killing)
-        if value is None or not value.is_zero():
-            if in_roots is None:
-                in_roots = genotype.roots(difference)
-            value = substitute(in_roots, {sym: image})
-        checks.append(
-            _identity_check(
-                f"factor-{to_text(f)}",
-                value,
-                zero(),
-                detail=f"difference vanishes under {sym[0]}{sym[1] or ''} -> {to_text(image)}",
-            )
-        )
+        checks.append(genotype.divides(
+            f"factor-{to_text(f)}", difference, f,
+            detail=f"difference vanishes under {sym[0]}{sym[1] or ''} -> {to_text(image)}",
+        ))
     return Report(suite="divisibility", ell=ell, checks=tuple(checks))
 
 
@@ -659,11 +651,10 @@ def verify_tpA1(ell: int) -> Report:
     check_int(ell, 0, "relative dimension ell")
     germ = germ_A(1, ell)
     genotype = _genotype(germ)
-    check = _genotype_check(
+    check = genotype.check(
         "tpA1",
         genotype.series(ell + 1).homogeneous_part(ell + 1),
         root_var("alpha") * _multiple_point_genotype(germ, 2, genotype.m),
-        genotype.roots,
         detail="top Chern class of the A1 prototype is the source Euler class",
     )
     return Report(suite="tpa1", ell=ell, checks=(check,))
@@ -699,11 +690,10 @@ def verify_III22A0(ell: int) -> Report:
     checks = []
     for r in (1, 2, 3):
         genotype = _genotype(germ_A(r, ell))
-        checks.append(_genotype_check(
+        checks.append(genotype.check(
             f"aichern-r{r}",
             chern_substitute(residue, genotype.series(maxdeg)),
             zero(),
-            genotype.roots,
             detail=f"residue vanishes on the A{r} genotype",
         ))
 
@@ -711,21 +701,19 @@ def verify_III22A0(ell: int) -> Report:
     series = i22.series(maxdeg)
     value_i22 = chern_substitute(residue, series)
     rhs = constant(-4) * dvar(ell) * chern_substitute(schur_det(ell + 2, ell + 2), series)
-    checks.append(_genotype_check(
+    checks.append(i22.check(
         "i22chern",
         value_i22,
         rhs,
-        i22.roots,
         detail="residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype",
     ))
 
     iii22 = _genotype(germ_III22(ell))
     last_root = one_plus(_E_1)
-    checks.append(_genotype_check(
+    checks.append(iii22.check(
         "iii22chern",
         chern_substitute(residue, iii22.series(maxdeg)),
         substitute(value_i22, _d_images([last_root, _d_polynomial(ell - 1)], ell)),
-        iii22.roots,
         detail="III22 genotype value matches the degree-capped I22 value",
     ))
 
@@ -767,11 +755,10 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
         * chern_substitute(schur_det(ell + 2, ell + 2), series)
         * series_quotient(numer, [], k).homogeneous_part(k)
     )
-    return _genotype_check(
+    return genotype.check(
         f"factorization-{i}{j}{k}",
         lhs,
         rhs,
-        genotype.roots,
         detail=f"Schur factorization at (i,j,k)=({i},{j},{k})",
     )
 

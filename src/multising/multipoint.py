@@ -176,10 +176,10 @@ class SourceExpansion:
         return constant(0)
 
     def to_latex(self) -> str:
-        return _render_source(self, to_latex, latex=True)
+        return _render_source(self, latex=True)
 
     def to_text(self) -> str:
-        return _render_source(self, to_text, latex=False)
+        return _render_source(self, latex=False)
 
 
 def expand_m(
@@ -277,7 +277,8 @@ def _render_expansion(expansion, namer) -> str:
     return render_sum(pieces, "")
 
 
-def _render_source(expansion: SourceExpansion, poly_renderer, latex: bool) -> str:
+def _render_source(expansion: SourceExpansion, latex: bool) -> str:
+    poly_renderer = to_latex if latex else to_text
     pieces = []
     bar = r"\bar n" if latex else "nbar"
     for term in expansion.terms:

@@ -918,14 +918,7 @@ def from_json(text: str) -> GradedPoly:
     return from_json_dict(json_loads(text))
 
 
-_LATEX_FAMILIES = {
-    "alpha": r"\alpha",
-    "beta": r"\beta",
-    "xi": r"\xi",
-    "kappa": r"\kappa",
-    "pi": r"\pi",
-    "chi": r"\chi",
-}
+_LATEX_FAMILIES = {"alpha": r"\alpha", "beta": r"\beta"}
 
 
 def _var_latex(v: Var) -> str:

@@ -323,6 +323,9 @@ def residue(multi: Union[str, Sequence[str]], ell: int) -> GradedPoly:
 
 
 def multisingularity_codim(tokens: Sequence[str], ell: int) -> int:
-    """Codimension of the source multisingularity locus."""
+    """Codimension of the source multisingularity locus of a nonempty tuple
+    or list of names."""
+    if not isinstance(tokens, (tuple, list)) or not tokens:
+        raise UnsupportedMultisingularity(f"{tokens!r} is not a nonempty tuple of names")
     r = len(tokens)
     return (r - 1) * ell + sum(singularity_info(t).codim(ell) for t in tokens)

@@ -208,6 +208,9 @@ def test_blowup_control_report():
         lambda: expand_m("A0^4", 1),
         lambda: expand_m(MultiSingularity(("A0",) * 2), 1, barred="no"),
         lambda: expand_m(MultiSingularity(("A0",) * 2), 1).coefficient_of(5),
+        lambda: multisingularity_codim((), 5),
+        lambda: multisingularity_codim((), True),
+        lambda: multisingularity_codim("A0A1", 1),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -221,7 +224,7 @@ def test_blowup_control_report():
         "a_coeff-bool", "a_coeff-negative-and-float", "multisingularity-int",
         "divisibility-str-germ", "prototype-str-delta", "prototype-str-ell",
         "prototype-float-ell", "expand_m-str-multi", "expand_m-str-barred",
-        "coefficient_of-int",
+        "coefficient_of-int", "codim-empty", "codim-empty-bool-ell", "codim-str",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -394,6 +397,16 @@ def test_divisibility_matches_explicit_roots(ell):
         report = verify_divisibility(germ, r)
         got = [(c.holds, c.residual) for c in report.checks[1:]]
         assert got == _explicit_divisibility(germ, r, residue_A0r(r, ell)), (name, r)
+
+
+def test_divisibility_root_fallback_matches_explicit_roots():
+    # the difference is -9 alpha beta_1: the alpha factor holds only through the
+    # root fallback, and beta_1 - alpha fails with the oracle's residual
+    germ = replace(germ_A(2, 1), n1_factors=(ALPHA, _beta(1) - ALPHA))
+    got = [(c.holds, c.residual) for c in verify_divisibility(germ, 3).checks[1:]]
+    want = _explicit_divisibility(germ, 3, residue_A0r(3, 1))
+    assert [holds for holds, _ in want] == [True, False]
+    assert got == want
 
 
 PERTURBATIONS = {
@@ -590,8 +603,8 @@ def test_two_alpha_genotype_kills_alpha_1_plus_alpha_2_by_e1_zero():
     for form in (A1_, A1_ - A2_, _beta(1) - A1_):
         assert genotype.killing(form) is None
     assert genotype.killing(_beta(1)) == {("d", 1): 0}
-    # in alpha coordinates a beta-free form is solved for its last variable
-    assert germs._genotype(germ_A(1, 1)).killing(2 * ALPHA) == {("alpha", 0): zero()}
+    # in alpha coordinates a beta-free form has no killing; divides solves it in the roots
+    assert germs._genotype(germ_A(1, 1)).killing(2 * ALPHA) is None
 
 
 def test_aichern_tail_relation():
