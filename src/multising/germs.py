@@ -47,13 +47,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import (
     GradedPoly,
     NonExactDivision,
     PolyError,
+    Record,
     check_int,
     chern_substitute,
     constant,
@@ -81,8 +81,7 @@ class UnsupportedPrototype(PolyError):
 # -- prototypes ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermPrototype:
+class GermPrototype(Record):
     """Weight data of a stable germ prototype.
 
     n1_factors lists the linear factors of n_1 together with its scalar,
@@ -215,8 +214,14 @@ def _cancel_common(
     return kept_n, kept_d
 
 
+def _check_prototype(g: GermPrototype) -> None:
+    if not isinstance(g, GermPrototype):
+        raise PolyError(f"{g!r} is not a germ prototype")
+
+
 def chern_total(g: GermPrototype, maxdeg: int) -> GradedPoly:
     """Total Chern class of the virtual normal bundle, truncated."""
+    _check_prototype(g)
     numer, denom = _cancel_common(g.target_weights, g.source_weights)
     return series_quotient(
         [one_plus(w) for w in numer], [one_plus(w) for w in denom], maxdeg
@@ -233,6 +238,7 @@ def n1(g: GermPrototype) -> GradedPoly:
     Raises NonExactDivision when the quotient is not polynomial, certifying
     a malformed prototype.
     """
+    _check_prototype(g)
     numer, denom = _cancel_common(g.target_weights, g.source_weights)
     return exact_quotient(euler_class(numer), denom)
 
@@ -245,6 +251,7 @@ def multiple_point_class(g: GermPrototype, r: int) -> GradedPoly:
     (s = 1..k) for A_k, built in the genotype basis and mapped back.
     Below delta the loci are not documented and are refused.
     """
+    _check_prototype(g)
     if check_int(r, 1, "multiplicity r of a multiple-point class") > g.delta:
         return zero()
     genotype = _genotype(g)
@@ -300,9 +307,9 @@ class _Genotype:
     alpha, or for a two-alpha genotype one class per side in e_1, e_2 (see
     _in_genotype_basis).  alphas maps e_1, e_2 back to the alpha roots and is
     empty when the classes are in alpha.  betas holds the m distinct lone
-    roots, whose product series is 1 + d_1 + ... + d_m.  A plain class:
-    nothing compares or hashes genotypes, and dataclass methods would be
-    generated at every import.
+    roots, whose product series is 1 + d_1 + ... + d_m.  A plain class, not
+    a Record: a genotype is a working object that nothing compares, hashes,
+    prints or rebuilds, so it needs none of a value type's methods.
     """
 
     __slots__ = ("numer", "denom", "betas", "alphas")
@@ -355,7 +362,7 @@ class _Genotype:
     def check(self, name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str) -> CheckResult:
         """lhs == rhs in this basis; a failing residual is mapped back to the roots."""
         check = _identity_check(name, lhs, rhs, detail)
-        return check if check.holds else replace(check, residual=self.roots(check.residual))
+        return check if check.holds else check.replace(residual=self.roots(check.residual))
 
     def divides(self, name: str, p: GradedPoly, form: GradedPoly, detail: str) -> CheckResult:
         """The root image of p is divisible by the linear form.
@@ -367,7 +374,7 @@ class _Genotype:
         """
         killing = self.killing(form)
         if killing is not None and substitute(p, killing).is_zero():
-            return CheckResult(name=name, holds=True, detail=detail)
+            return CheckResult(name, True, None, detail)
         sym, image = _specialization_for(form)
         return _identity_check(name, substitute(self.roots(p), {sym: image}), zero(), detail)
 
@@ -469,8 +476,7 @@ def _genotype(g: GermPrototype) -> _Genotype:
 # -- verification reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     holds: bool
     residual: Optional[GradedPoly] = None
@@ -487,8 +493,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     suite: str
     ell: int
     checks: Tuple[CheckResult, ...]
@@ -510,7 +515,7 @@ def _identity_check(name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str) ->
     """lhs == rhs as an exact identity; a failing check keeps the residual lhs - rhs."""
     residual = lhs - rhs
     holds = residual.is_zero()
-    return CheckResult(name=name, holds=holds, residual=None if holds else residual, detail=detail)
+    return CheckResult(name, holds, None if holds else residual, detail)
 
 
 # -- quadruple point suite ----------------------------------------------------------------
@@ -588,8 +593,7 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     coordinates.  The exactness of the Euler quotient itself is reported as
     the first check.
     """
-    if not isinstance(g, GermPrototype):
-        raise PolyError(f"{g!r} is not a germ prototype")
+    _check_prototype(g)
     check_int(r, 1, "multiplicity r of the divisibility identity")
     ell = g.ell
     try:
@@ -634,7 +638,7 @@ def verify_divisibility_suite(ell: int) -> Report:
         germ = stable_germ(name, ell)
         sub = verify_divisibility(germ, r)
         checks.extend(
-            replace(c, name=f"{name}-r{r}-{c.name}") for c in sub.checks
+            c.replace(name=f"{name}-r{r}-{c.name}") for c in sub.checks
         )
     return Report(suite="divisibility", ell=ell, checks=tuple(checks))
 

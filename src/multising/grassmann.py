@@ -36,14 +36,13 @@ in xi = sigma * zeta and scales the pushforward of xi^w by push_sign^w:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import (PolyError, Rat, check_int, is_scalar, json_field, lcm_merge, lowest_terms,
-                   power, rat, rat_str)
+from .poly import (PolyError, Rat, Record, check_int, is_scalar, json_field, lcm_merge,
+                   lowest_terms, power, rat, rat_str)
 
 _ZERO = Rat(0)  # the one default for absent coefficients
 _INT_ONLY = frozenset({int})  # the element types of a partition that may key a table
@@ -55,8 +54,7 @@ class RingMismatch(PolyError):
     """Raised when classes from different Grassmannians are combined."""
 
 
-@dataclass(frozen=True)
-class GrassRing:
+class GrassRing(Record):
     """The Grassmannian of k-planes in C^n."""
 
     k: int
@@ -111,7 +109,10 @@ def _strip_zeros(lam: Sequence[int]) -> Partition:
 
 
 def _validate_partition(lam: Sequence[int]) -> Partition:
-    parts = tuple(lam)
+    try:
+        parts = tuple(lam)
+    except TypeError:
+        raise PolyError(f"a partition is a sequence of ints, not {lam!r}") from None
     if not all(type(p) is int for p in parts):
         raise PolyError(f"partition parts must be ints: {parts!r}")
     if any(p < 0 for p in parts):
@@ -439,8 +440,7 @@ def chern_S(ring: GrassRing, i: int) -> GrassClass:
 # -- the fibration of lines in S -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Record):
     """One choice of signs for the xi-calculus.
 
     xi = kappa_xi_sign * zeta fixes the relation and kappa; push_sign**w

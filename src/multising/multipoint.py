@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .poly import (
     GradedPoly,
     PolyError,
     Rat,
+    Record,
     check_int,
     constant,
     rat,
@@ -61,8 +61,7 @@ def _splits(tokens: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], Tuple[st
         yield tokens[:1] + picked, tuple(t for i, t in enumerate(rest) if not mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class MultiSingularity:
+class MultiSingularity(Record):
     """Multiset of singularity names, distinguished element first."""
 
     parts: Tuple[str, ...]
@@ -140,8 +139,7 @@ def a0_partition_coefficients(r: int) -> Dict[Tuple[int, ...], Rat]:
 # -- source-class expansion with resolved residues -------------------------------------
 
 
-@dataclass(frozen=True)
-class SourceTerm:
+class SourceTerm(Record):
     """One term R * f*(n_complement) of a source-class expansion.
 
     complement is the sorted label of the pulled-back target class; the
@@ -158,8 +156,7 @@ class SourceTerm:
         return multisingularity_codim(self.complement, ell) + ell
 
 
-@dataclass(frozen=True)
-class SourceExpansion:
+class SourceExpansion(Record):
     multi: MultiSingularity
     ell: int
     barred: bool

@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from math import gcd, lcm
-from operator import or_
+from operator import attrgetter, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -106,8 +105,87 @@ def rat_str(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Var:
+class Record:
+    """Base of the frozen value types, with no generated code.
+
+    The fields of a subclass are its own annotations, in order, after those
+    it inherits; trailing fields may have class-attribute defaults.  An
+    instance is built positionally or by keyword (a missing or unknown field
+    raises TypeError), __post_init__ validates it, and assigning or deleting
+    an attribute raises AttributeError.  Only instances of one class compare
+    equal, the hash is that of the tuple of fields, and the repr is
+    Name(field=value, ...).  replace(**changes) goes through __init__, so
+    validation runs again.  The tuple of fields is read once, after
+    __post_init__, and kept for equality, hashing and repr.
+    """
+
+    __slots__ = ("_values",)
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__  # the class's own, from Python 3.10 on
+        cls._fields = fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
+        get = attrgetter(*fields)
+        cls._values_of = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+        cls.__match_args__ = fields
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            named = {**self._defaults, **kwargs}
+            try:
+                values = args + tuple(map(named.__getitem__, rest))
+            except KeyError:
+                values = ()
+            if len(values) != len(fields) or kwargs.keys() - rest:
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}, got "
+                                f"{len(args)} positional and the keywords {sorted(kwargs)}")
+            args = values
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+        _set_values(self, self._values_of(self))
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, validated again."""
+        values = tuple(map(changes.pop, self._fields, self._values))
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no fields {sorted(changes)}")
+        return type(self)(*values)
+
+
+# both bypass the frozen __setattr__
+_setattr, _set_values = object.__setattr__, Record._values.__set__
+
+
+class Var(Record):
     """A graded variable; (family, index) identifies it, weight grades it."""
 
     family: str

@@ -21,13 +21,13 @@ import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .poly import (
     GradedPoly,
     PolyError,
     Rat,
+    Record,
     Var,
     check_int,
     cvar,
@@ -205,8 +205,7 @@ def residue_III22A0(ell: int) -> GradedPoly:
 # -- singularity bookkeeping ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularityInfo:
+class SingularityInfo(Record):
     """Static data of a monosingularity family.
 
     delta is the local multiplicity (dimension of the local algebra), corank

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -202,6 +201,10 @@ def test_blowup_control_report():
         lambda: a_coeff(-1, 2.5),
         lambda: MultiSingularity(5),
         lambda: verify_divisibility("A1", 2),
+        lambda: n1(None),
+        lambda: n1("A1"),
+        lambda: chern_total(None, 2),
+        lambda: multiple_point_class(None, 2),
         lambda: GermPrototype("A1", 0, "q", (ALPHA,), (2 * ALPHA,)),
         lambda: GermPrototype("A1", "1", 2, (ALPHA,), (2 * ALPHA, _beta(1))),
         lambda: GermPrototype("A1", 1.0, 2, (ALPHA,), (2 * ALPHA, _beta(1))),
@@ -222,7 +225,8 @@ def test_blowup_control_report():
         "chern_total-float-maxdeg", "factorization-pair", "multisingularity-int-part",
         "singularity_info-list-name", "a_triangle-float", "a0_partitions-float",
         "a_coeff-bool", "a_coeff-negative-and-float", "multisingularity-int",
-        "divisibility-str-germ", "prototype-str-delta", "prototype-str-ell",
+        "divisibility-str-germ", "n1-none", "n1-str", "chern_total-none",
+        "multiple_point_class-none", "prototype-str-delta", "prototype-str-ell",
         "prototype-float-ell", "expand_m-str-multi", "expand_m-str-barred",
         "coefficient_of-int", "codim-empty", "codim-empty-bool-ell", "codim-str",
     ],
@@ -402,7 +406,7 @@ def test_divisibility_matches_explicit_roots(ell):
 def test_divisibility_root_fallback_matches_explicit_roots():
     # the difference is -9 alpha beta_1: the alpha factor holds only through the
     # root fallback, and beta_1 - alpha fails with the oracle's residual
-    germ = replace(germ_A(2, 1), n1_factors=(ALPHA, _beta(1) - ALPHA))
+    germ = germ_A(2, 1).replace(n1_factors=(ALPHA, _beta(1) - ALPHA))
     got = [(c.holds, c.residual) for c in verify_divisibility(germ, 3).checks[1:]]
     want = _explicit_divisibility(germ, 3, residue_A0r(3, 1))
     assert [holds for holds, _ in want] == [True, False]
@@ -417,10 +421,8 @@ PERTURBATIONS = {
 }
 
 
-# At ell = 1 the q3 value of a homogeneous residue of degree 3 is odd in e_1
-# and vanishes at e_1 = 0, so only a perturbation of even weight fails q3 there.
 PERTURBED_QUADRUPLES = [
-    (kind, ell) for kind in ("c1^3l", "c3l", "cl*c2l") for ell in (2, 4, 6)
+    (kind, ell) for kind in ("c1^3l", "c3l", "cl*c2l") for ell in (1, 2, 4, 6)
 ] + [("c2l", 1)]
 
 
@@ -430,7 +432,10 @@ def test_perturbed_quadruple_residue_fails_in_both_paths(monkeypatch, kind, ell)
     explicit = _explicit_quadruple(ell, residue_A0r(4, ell) + extra)
     _perturbed(monkeypatch, lambda r, ell: extra)
     report = verify_quadruple(ell)
-    assert [holds for _, holds, _ in explicit] == [False] * 4
+    # the ell = 1 q3 passes every odd-weight perturbation: its value is odd in
+    # e_1 and vanishes at e_1 = 0
+    q3_holds = ell == 1 and kind != "c2l"
+    assert [holds for _, holds, _ in explicit] == [False, False, q3_holds, False]
     assert _summary(report.checks) == explicit
 
 
@@ -679,8 +684,11 @@ def test_perturbed_III22A0_residuals_are_in_root_coordinates(monkeypatch, ell):
         "residue_III22A0",
         lambda ell: exact(ell) + cvar(2 * ell + 4) + cvar(ell + 2) ** 2,
     )
-    failing = [c for c in verify_III22A0(ell).checks if not c.holds]
+    checks = verify_III22A0(ell).checks
+    failing = [c for c in checks if not c.holds]
     assert {c.name for c in failing} >= {"aichern-r1", "aichern-r2", "aichern-r3", "i22chern"}
+    # identity (iii) holds for every residue, the perturbed one included
+    assert [c.holds for c in checks if c.name == "iii22chern"] == [True]
     for c in failing:
         assert {v.family for v in c.residual.used_vars()} <= {"alpha", "beta"}, c.name
 
@@ -734,7 +742,7 @@ def test_failing_divisibility_report_matches_golden_digest():
     # beta1 - alpha is not a factor of n1(A2), so the closed form and its
     # factor check fail with residuals while the alpha check holds; the digest
     # was recorded before the suites shared one identity-check path
-    germ = replace(germ_A(2, 2), n1_factors=(ALPHA, _beta(1) - ALPHA))
+    germ = germ_A(2, 2).replace(n1_factors=(ALPHA, _beta(1) - ALPHA))
     report = verify_divisibility(germ, 3)
     assert [(c.name, c.holds, c.residual is not None) for c in report.checks] == [
         ("n1-closed-form", False, True),

@@ -734,6 +734,9 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: kappa_chern("R"),
         lambda: class_mul(schur(R37, (1,)), 3),
         lambda: class_mul(FiberClass.xi(R37), schur(R37, (1,))),
+        lambda: schur(GrassRing(3, 7), None),
+        lambda: GrassClass(GrassRing(3, 7), {5: 1}),
+        lambda: schur(R37, (1,)).coefficient(None),
     ],
     ids=["float-power", "bool-power", "fiber-float-power", "float-key", "bool-key",
          "string-key", "scalar-coefficient", "bool-chern-S", "float-chern-S", "bool-chern-Q",
@@ -743,7 +746,8 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
          "list-fiber-class", "string-orientation-reduce", "string-orientation-kappa",
          "string-orientation-push", "string-ring-schur", "no-ring-grass-class",
          "no-ring-fiber-class", "no-ring-xi", "string-ring-chern-Q", "string-ring-chern-S",
-         "string-ring-kappa", "class-mul-int", "class-mul-fiber-class"],
+         "string-ring-kappa", "class-mul-int", "class-mul-fiber-class", "none-partition-schur",
+         "int-partition-key", "none-partition-coefficient"],
 )
 def test_malformed_powers_and_fiber_parts_raise_poly_error(make):
     with pytest.raises(PolyError):

@@ -2,12 +2,21 @@
 
 import itertools
 import json
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multising.germs import CheckResult, Report, germ_blowup
+from multising.grassmann import DUAL_LINE, GrassRing
+from multising.multipoint import MultiSingularity, SourceExpansion, SourceTerm
+from multising.thom import SingularityInfo, singularity_info
 from multising.poly import (
     GradedPoly,
     IncompatibleVariables,
@@ -207,6 +216,88 @@ def test_strings_are_not_polynomial_scalars():
         C1 * "2"
     with pytest.raises(PolyError):
         C1 + "2"
+
+
+# -- value types ---------------------------------------------------------------
+
+# (instance, its repr recorded when the types were dataclasses, a replace()
+# change, and what that change gives: an equal instance or the error it raises)
+RECORDS = [
+    (Var("c", 1, 1), "Var(family='c', index=1, weight=1)", {"weight": 0}, PolyError),
+    (germ_blowup(),
+     "GermPrototype(name='blowup', ell=0, delta=1, source_weights=(GradedPoly(alpha), "
+     "GradedPoly(beta1)), target_weights=(GradedPoly(alpha), GradedPoly(alpha + beta1)), "
+     "n1_scalar=1, n1_factors=())", {"ell": -1}, PolyError),
+    (CheckResult("q3", False, cvar(1), "odd"),
+     "CheckResult(name='q3', holds=False, residual=GradedPoly(c1), detail='odd')",
+     {"holds": True}, CheckResult("q3", True, cvar(1), "odd")),
+    (Report("quadruple", 1, (CheckResult("q1", True),)),
+     "Report(suite='quadruple', ell=1, checks=(CheckResult(name='q1', holds=True, "
+     "residual=None, detail=''),))",
+     {"ell": 2}, Report("quadruple", 2, (CheckResult("q1", True),))),
+    (GrassRing(3, 7), "GrassRing(k=3, n=7)", {"n": 2}, PolyError),
+    (DUAL_LINE, "Orientation(name='dual-line', kappa_xi_sign=1, push_sign=1)",
+     {"push_sign": -1}, type(DUAL_LINE)("dual-line", 1, -1)),
+    (MultiSingularity(("A1", "A0", "A0", "A1")), "MultiSingularity(parts=('A1', 'A0', 'A0', 'A1'))",
+     {"parts": ("A1", "A2", "A0")}, MultiSingularity(("A1", "A0", "A2"))),
+    (SourceTerm(cvar(2), ("A0",)), "SourceTerm(coefficient=GradedPoly(c2), complement=('A0',))",
+     {"complement": ()}, SourceTerm(cvar(2), ())),
+    (SourceExpansion(MultiSingularity(("A0", "A0")), 1, True, (SourceTerm(-cvar(1), ()),)),
+     "SourceExpansion(multi=MultiSingularity(parts=('A0', 'A0')), ell=1, barred=True, "
+     "terms=(SourceTerm(coefficient=GradedPoly(-c1), complement=()),))",
+     {"barred": False}, SourceExpansion(MultiSingularity(("A0", "A0")), 1, False,
+                                        (SourceTerm(-cvar(1), ()),))),
+    (singularity_info("A3"),
+     "SingularityInfo(name='A3', delta=4, corank=1, slope=3, offset=3, min_ell=0)",
+     {"slope": 0}, SingularityInfo("A3", 4, 1, 0, 3, 0)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(RECORDS)),
+                         ids=[type(case[0]).__name__ for case in RECORDS])
+def test_record_contract(index):
+    x, recorded, change, changed = RECORDS[index]
+    cls = type(x)
+    fields = tuple(getattr(x, name) for name in cls.__match_args__)
+    twin = cls(*fields)
+    assert repr(x) == repr(twin) == recorded
+    assert twin == x and twin is not x
+    assert hash(twin) == hash(x) == hash(fields)
+    other = RECORDS[index - 1][0]
+    assert x != fields and x != other and not x == fields
+    assert cls(**dict(zip(cls.__match_args__, fields))) == x
+    assert copy.copy(x) == x
+    for attempt in (lambda: setattr(x, cls.__match_args__[0], fields[0]),
+                    lambda: setattr(x, "extra", 1),
+                    lambda: delattr(x, cls.__match_args__[0])):
+        with pytest.raises(AttributeError):
+            attempt()
+    for bad in (lambda: cls(),
+                lambda: cls(*fields, extra=1),
+                lambda: cls(*fields, fields[0]),
+                lambda: cls(*fields, **{cls.__match_args__[0]: fields[0]})):
+        with pytest.raises(TypeError):
+            bad()
+    assert x.replace() == x
+    if changed is PolyError:
+        with pytest.raises(PolyError):
+            x.replace(**change)
+    else:
+        assert x.replace(**change) == changed != x
+    with pytest.raises(TypeError):
+        x.replace(extra=1)
+
+
+def test_importing_the_library_skips_dataclasses_and_inspect():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, which a
+    # cold start pays for on every call of a command line
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, multising.poly, multising.thom, multising.germs, multising.grassmann, "
+            "multising.multipoint; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 # -- hypothesis strategies ------------------------------------------------------
