@@ -284,8 +284,12 @@ def _involves_beta(form: GradedPoly) -> bool:
 
 
 def _is_lone_beta(form: GradedPoly) -> bool:
-    used = form.used_vars()
-    return len(used) == 1 and form == root_var("beta", used[0].index)
+    """True when form is some beta_i itself, read off the packed form: one
+    term of numerator 1 over 1 and of degree 1, which is one weight-1
+    variable to the first power, and that variable a beta."""
+    if form.den != 1 or list(form.nums.values()) != [1] or form.weighted_degree() != 1:
+        return False
+    return form.used_vars()[0].family == "beta"
 
 
 def _d_polynomial(cap: int) -> GradedPoly:

@@ -51,7 +51,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import attrgetter, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -736,18 +736,23 @@ def substitute(
 ) -> GradedPoly:
     """Ring-morphism substitution; unassigned variables map to themselves.
 
-    The evaluation is Horner-style over the assigned variables, in the
-    packed int kernel from start to end: p is sliced by the exponent of one
-    assigned variable at a time, each slice is substituted recursively and
-    multiplied by a cached power of that variable's image, so unassigned
-    variables are never multiplied.  Every output term of a term of p of degree D has
-    degree at most D * max(1, deg(image_i) / weight_i) over the assigned
-    variables i, and so has every partial product; the fields are widened
-    if that bound does not fit them.  Image i is over D_i, and a slice of
-    exponent e is scaled by D_i**(E_i - e), where E_i is the largest
-    exponent of i in p, so every partial sum is over the one denominator
-    D_p * prod(D_i**E_i).
+    One sparse Horner walk in the packed int kernel.  Each term of p is a row
+    listing only its nonzero exponents of assigned variables, as factors
+    (level, exponent), outermost first.  Rows are grouped by their next factor
+    like a trie; each group is walked on and multiplied by that power of the
+    level's image, and a row with no factors left is added straight into the
+    sum.  So an assigned variable that a term lacks costs it nothing, and
+    unassigned variables are never multiplied.  Each power of an image is
+    built on first use from the one below it.  Every output term of a term of
+    p of degree D has degree at most D * max(1, deg(image_i) / weight_i) over
+    the assigned variables i, and so has every partial product; the fields
+    are widened if that bound does not fit them.  Image i is over D_i and E_i
+    is the largest exponent of i in p: a row with exponents e_i has its
+    numerator scaled by prod(D_i**(E_i - e_i)) once, up front, so every
+    partial sum is over the one denominator D_p * prod(D_i**E_i).
     """
+    if not isinstance(assignment, Mapping):
+        raise PolyError(f"an assignment must be a mapping, got {assignment!r}")
     images = {_resolve_symbol(sym): _coerce(value) for sym, value in assignment.items()}
     if not _check_poly(p, "substituted polynomial").nums:
         return p
@@ -756,7 +761,7 @@ def substitute(
     mask = (1 << p.width) - 1
     used = reduce(or_, p.nums)
     occurs = [bool(used >> shift & mask) for shift in shifts]
-    # the assigned variables that occur in p, outermost slice first
+    # the assigned variables that occur in p, outermost first
     levels = [i for i in range(len(keys) - 1, -1, -1) if occurs[i] and keys[i] in images]
     vars_ = _merged_table(
         [v for v, key in zip(p.vars, keys) if key not in images]
@@ -783,37 +788,38 @@ def substitute(
             deg += e * weight
         return deg << top | out
 
-    rows = [(key, kept(key), c) for key, c in p.nums.items()]
-    den = p.den
-    powers, scales = [], []
-    for i in levels:
-        image = images[keys[i]]
-        most = max(key >> shifts[i] & mask for key in p.nums)
-        base = list(_repack(image, vars_, width).items())
-        chain = [[(0, 1)]]
-        for _ in range(most):
-            acc: dict = {}
-            _mul_into(acc, [(key, c, None) for key, c in chain[-1]], base)
-            chain.append([(key, c) for key, c in acc.items() if c])
-        powers.append(chain)
-        scales.append([image.den ** (most - e) for e in range(most + 1)])
-        den *= image.den ** most
+    fields = [shifts[i] for i in levels]
+    dens = [images[keys[i]].den for i in levels]
+    full = prod(d ** max(key >> f & mask for key in p.nums) for d, f in zip(dens, fields) if d != 1)
+    rows = []
+    for key, c in p.nums.items():
+        factors = tuple((j, e) for j, f in enumerate(fields) if (e := key >> f & mask))
+        rows.append((factors, kept(key), c * full // prod(dens[j] ** e for j, e in factors)))
+    # powers[j][e - 1] is the e-th power of level j's image
+    powers = [[list(_repack(images[keys[i]], vars_, width).items())] for i in levels]
 
-    def horner(rows: list, depth: int) -> dict:
-        if depth == len(levels):
-            return {out: c for _, out, c in rows}
-        shift, scale, power = shifts[levels[depth]], scales[depth], powers[depth]
-        slices: dict = {}
-        for row in rows:
-            slices.setdefault(row[0] >> shift & mask, []).append(row)
-        acc: dict = {}
-        for e, part in slices.items():
-            inner = horner(part, depth + 1)
-            _mul_into(acc, [(key, c * scale[e], None) for key, c in inner.items()], power[e])
+    def power(j: int, e: int) -> list:
+        chain = powers[j]
+        while len(chain) < e:
+            acc: dict = {}
+            _mul_into(acc, [(key, c, None) for key, c in chain[-1]], chain[0])
+            chain.append([(key, c) for key, c in acc.items() if c])
+        return chain[e - 1]
+
+    def walk(rows: list) -> dict:
+        acc, groups = {}, {}
+        for factors, out, c in rows:
+            if factors:
+                groups.setdefault(factors[0], []).append((factors[1:], out, c))
+            else:
+                acc[out] = acc.get(out, 0) + c
+        for (j, e), part in groups.items():
+            inner = [(key, c, None) for key, c in walk(part).items() if c]
+            _mul_into(acc, inner, power(j, e))
         return acc
 
-    nums = {key: c for key, c in horner(rows, 0).items() if c}
-    return _poly(vars_, width, nums, den)
+    nums = {key: c for key, c in walk(rows).items() if c}
+    return _poly(vars_, width, nums, p.den * full)
 
 
 def chern_substitute(p: GradedPoly, series: GradedPoly) -> GradedPoly:

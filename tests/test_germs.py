@@ -118,6 +118,33 @@ def test_weight_count_invariant_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "form, lone",
+    [
+        (_beta(1), True),
+        (_beta(7), True),
+        (root_var("beta"), True),
+        (_beta(2) + ALPHA - ALPHA, True),  # over a wider table
+        (-_beta(1), False),
+        (2 * _beta(1), False),
+        (rat(1, 2) * _beta(1), False),
+        (_beta(1) ** 2, False),
+        (_beta(1) + ALPHA, False),
+        (_beta(1) + 1, False),
+        (ALPHA, False),
+        (variable("beta", 1, weight=2), False),
+        (variable("gamma", 1), False),
+        (one(), False),
+        (zero(), False),
+    ],
+)
+def test_is_lone_beta_matches_comparison_with_root_var(form, lone):
+    # the packed test agrees with building beta_i and comparing
+    used = form.used_vars()
+    assert (len(used) == 1 and form == root_var("beta", used[0].index)) == lone
+    assert germs._is_lone_beta(form) == lone
+
+
 def test_stable_germ_factory():
     assert stable_germ("A2", 3).name == "A2"
     assert stable_germ("A5", 1) == germ_A(5, 1)

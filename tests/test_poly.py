@@ -47,6 +47,7 @@ from multising.poly import (
     variable,
     zero,
 )
+from multising import poly
 from multising.poly import _FIELD, _mul_upto
 
 ALPHA = root_var("alpha")
@@ -98,6 +99,8 @@ def test_rat_string_with_denominator_rejected():
         lambda: series_quotient([3], [], 2),
         lambda: divide_by_linear(C1, 2),
         lambda: divide_by_linear(3, ALPHA),
+        lambda: substitute(C1, [("c", 1)]),
+        lambda: substitute(C1, None),
     ],
     ids=["decimal-string", "zero-denominator-string", "zero-denominator",
          "float", "float-constant", "float-term", "bool", "bool-denominator",
@@ -105,7 +108,8 @@ def test_rat_string_with_denominator_rejected():
          "symbol-1-tuple", "symbol-3-tuple", "symbol-swapped-pair", "symbol-bool-index",
          "truncate-str", "truncate-bool", "homogeneous_part-float", "substitute-int-poly",
          "chern_substitute-int-series", "series_inverse-int", "series_quotient-int-factor",
-         "divide_by_linear-int-form", "divide_by_linear-int-dividend"],
+         "divide_by_linear-int-form", "divide_by_linear-int-dividend",
+         "substitute-list-assignment", "substitute-none-assignment"],
 )
 def test_malformed_scalars_raise_poly_error(make):
     with pytest.raises(PolyError):
@@ -531,6 +535,88 @@ def test_substitute_rejects_images_with_conflicting_weights(terms, order, betwee
         assignment = {VARS[i]: variable(VARS[j].family, VARS[j].index, VARS[j].weight + 1)}
     with pytest.raises(IncompatibleVariables):
         substitute(GradedPoly(VARS, terms), assignment)
+
+
+# The shape of a residue evaluated on a genotype series: many assigned
+# variables, each term using at most three of them.  u and v stay unassigned.
+SPARSE = tuple(Var("c", i, i) for i in range(1, 9)) + (Var("u", 0, 1), Var("v", 0, 1))
+
+
+def sparse_exponents(max_exp, max_support):
+    """Exponent vectors over SPARSE with at most max_support nonzero entries."""
+    support = st.dictionaries(st.integers(0, len(SPARSE) - 1), st.integers(1, max_exp),
+                              max_size=max_support)
+    return support.map(lambda s: tuple(s.get(i, 0) for i in range(len(SPARSE))))
+
+
+@st.composite
+def sparse_images(draw):
+    """Images over SPARSE for every c_i: zero, constant or two sparse terms, each
+    over its own denominator."""
+    images = {}
+    for i in range(8):
+        kind = draw(st.sampled_from(("zero", "constant", "general", "general")))
+        den = draw(st.integers(1, 12))
+        exps = st.just((0,) * len(SPARSE)) if kind == "constant" else sparse_exponents(2, 2)
+        numerators = {} if kind == "zero" else draw(
+            st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=1, max_size=2))
+        images[i] = {e: rat(n, den) for e, n in numerators.items()}
+    return images
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(sparse_exponents(5, 3), mixed_coeffs, min_size=1, max_size=5),
+       sparse_images())
+def test_sparse_substitution_matches_naive_substitution(terms, images):
+    # exponents up to 5 on weights up to 8 push the image powers past the
+    # narrowest field; zero and constant images end a term's walk early
+    p = GradedPoly(SPARSE, terms)
+    assignment = {
+        (SPARSE[i].family, SPARSE[i].index): GradedPoly(SPARSE, image)
+        for i, image in images.items()
+    }
+    want = GradedPoly(SPARSE, naive_substitute(dict(p.terms), images, len(SPARSE)))
+    assert substitute(p, assignment) == want
+
+
+def test_assigning_absent_variables_changes_nothing():
+    # c3 sits in p's table without a term of its own; c4 is not in the table
+    p = rat(1, 6) * C1 * ALPHA + rat(2, 3) * C2 ** 2 + C3 - C3
+    assert C3.vars[0] in p.vars
+    got = substitute(p, {("c", 3): rat(1, 7) * BETA + 5, ("c", 4): constant(rat(2, 9))})
+    assert got == p
+    assert got.den == p.den == 6
+    assert got.nums == p.compress().nums
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [
+        (lambda: cvar(15), 1),
+        (lambda: sum((cvar(i) for i in range(1, 16)), zero()), 15),
+        (lambda: C1 ** 3 * cvar(15) + cvar(15), 4),
+    ],
+    ids=["c15", "c1+...+c15", "c1^3*c15+c15"],
+)
+def test_substitution_multiplies_only_the_variables_a_term_uses(monkeypatch, make, calls):
+    # one product per trie node (a distinct prefix of a term's factors) and
+    # one per power of an image built past the first; an assigned variable
+    # that a term lacks costs it no product
+    assignment = {("c", i): rat(1, i) * ALPHA ** i + BETA ** i for i in range(1, 16)}
+    p = make()
+    count = []
+    kernel = poly._mul_into
+    monkeypatch.setattr(poly, "_mul_into", lambda *args: count.append(1) or kernel(*args))
+    got = substitute(p, assignment)
+    assert len(count) == calls
+    monkeypatch.undo()
+    want = zero()
+    for exps, c in p.terms.items():
+        term = constant(c)
+        for v, e in zip(p.vars, exps):
+            term = term * assignment[(v.family, v.index)] ** e
+        want = want + term
+    assert got == want
 
 
 c_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda e: (0, 0) + e)
