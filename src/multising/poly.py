@@ -23,7 +23,13 @@ Conventions used throughout the package:
     coefficients.
 
 Values are immutable after construction; all operations are pure and return
-new polynomials.
+new polynomials.  No operation writes to the numerators of a polynomial
+after it is built, so equal values may safely be one object: variable()
+hands out one shared polynomial per (family, index, weight), and one() and
+zero() one constant each.  Aligning two operands is memoised as well: the
+merged table of two variable tables and the field moves from one (table,
+width) to another are each computed once, so those caches grow with the
+number of distinct tables, never with the number of operations.
 
 A polynomial is stored packed (the packed exponent vectors of Monagan and
 Pearce): a dict from int keys to int numerators over one shared positive
@@ -49,7 +55,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from math import gcd, lcm, prod
 from operator import attrgetter, or_
@@ -342,7 +348,7 @@ class GradedPoly:
         return _combine(_coerce(other), self, -1)
 
     def __mul__(self, other) -> "GradedPoly":
-        if is_scalar(other):
+        if not isinstance(other, GradedPoly) and is_scalar(other):
             scalar = rat(other)
             factor = scalar.numerator
             nums = {k: c * factor for k, c in self.nums.items()} if factor else {}
@@ -352,15 +358,17 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GradedPoly":
-        return power(self, exponent, constant(1))
+        return power(self, exponent, one())
 
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if is_scalar(other):
-            other = constant(other)
+        if other is self:
+            return True
         if not isinstance(other, GradedPoly):
-            return NotImplemented
+            if not is_scalar(other):
+                return NotImplemented
+            other = constant(other)
         p, q = self, other
         # lowest terms make the denominator and the term count canonical
         if p.den != q.den or len(p.nums) != len(q.nums):
@@ -543,15 +551,9 @@ def _repack(p: GradedPoly, vars_: tuple, width: int) -> dict:
     """
     if p.vars == vars_ and p.width == width:
         return p.nums
-    index = {(v.family, v.index): i for i, v in enumerate(vars_)}
-    n = len(vars_)
-    moves = [
-        (shift, (n - 1 - index[(v.family, v.index)]) * width)
-        for v, shift in zip(p.vars, _shifts(len(p.vars), p.width))
-        if (v.family, v.index) in index
-    ]
+    moves = _moves(p.vars, p.width, vars_, width)
     mask = (1 << p.width) - 1
-    top, new_top = _top(p), n * width
+    top, new_top = _top(p), len(vars_) * width
     out = {}
     for key, c in p.nums.items():
         new = key >> top << new_top
@@ -559,6 +561,18 @@ def _repack(p: GradedPoly, vars_: tuple, width: int) -> dict:
             new |= (key >> src & mask) << dst
         out[new] = c
     return out
+
+
+@cache
+def _moves(src: tuple, src_width: int, dst: tuple, dst_width: int) -> tuple:
+    """(field in src, field in dst) of each variable of src that dst holds."""
+    index = {(v.family, v.index): i for i, v in enumerate(dst)}
+    n = len(dst)
+    return tuple(
+        (shift, (n - 1 - index[(v.family, v.index)]) * dst_width)
+        for v, shift in zip(src, _shifts(len(src), src_width))
+        if (v.family, v.index) in index
+    )
 
 
 def _aligned(p: GradedPoly, q: GradedPoly, bound: int = 0):
@@ -584,7 +598,7 @@ def _mul_into(acc: dict, left: Iterable[tuple], right: list) -> None:
     """
     get = acc.get
     for key_a, c_a, stop in left:
-        for key_b, c_b in islice(right, stop):
+        for key_b, c_b in right if stop is None else islice(right, stop):
             key = key_a + key_b
             acc[key] = get(key, 0) + c_a * c_b
 
@@ -632,8 +646,10 @@ def _coerce(value) -> GradedPoly:
     raise PolyError(f"cannot interpret {value!r} as a polynomial")
 
 
-def _merged_table(vars_: Iterable[Var]) -> tuple:
-    """The sorted union of variables; one (family, index) with two weights raises."""
+@cache
+def _merged_table(vars_: tuple) -> tuple:
+    """The sorted union of a tuple of variables, memoised; one (family, index)
+    with two weights raises IncompatibleVariables, which is never cached."""
     merged = {}
     for v in vars_:
         key = (v.family, v.index)
@@ -652,18 +668,33 @@ def constant(value) -> GradedPoly:
     return _make((), _FIELD, nums, value.denominator)
 
 
+_ZERO_POLY, _ONE = constant(0), constant(1)
+
+
 def zero() -> GradedPoly:
-    return constant(0)
+    return _ZERO_POLY
 
 
 def one() -> GradedPoly:
-    return constant(1)
+    return _ONE
+
+
+# one shared value per (family, index, weight); only exact str, int, int
+# arguments reach it, since True == 1 and 1.0 == 1 hash alike
+_VARIABLES: dict = {}
 
 
 def variable(family: str, index: int = 0, weight: int = 1) -> GradedPoly:
-    v = Var(family, index, weight)
-    width = _width(weight, _FIELD)
-    return _make((v,), width, {_pack((v,), width, (1,)): 1}, 1)
+    key = (family, index, weight)
+    shared = type(family) is str and type(index) is int and type(weight) is int
+    p = _VARIABLES.get(key) if shared else None
+    if p is None:
+        v = Var(family, index, weight)
+        width = _width(weight, _FIELD)
+        p = _make((v,), width, {_pack((v,), width, (1,)): 1}, 1)
+        if shared:
+            _VARIABLES[key] = p
+    return p
 
 
 def cvar(i: int) -> GradedPoly:
@@ -763,10 +794,10 @@ def substitute(
     occurs = [bool(used >> shift & mask) for shift in shifts]
     # the assigned variables that occur in p, outermost first
     levels = [i for i in range(len(keys) - 1, -1, -1) if occurs[i] and keys[i] in images]
-    vars_ = _merged_table(
+    vars_ = _merged_table(tuple(
         [v for v, key in zip(p.vars, keys) if key not in images]
         + [v for i in levels for v in images[keys[i]].vars]
-    )
+    ))
     degree = _degree(p)
     bound = max([degree] + [degree * _degree(images[keys[i]]) // p.vars[i].weight for i in levels])
     width = _width(bound, max([p.width] + [images[keys[i]].width for i in levels]))

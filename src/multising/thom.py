@@ -28,7 +28,6 @@ from .poly import (
     PolyError,
     Rat,
     Record,
-    Var,
     check_int,
     cvar,
     one,
@@ -140,7 +139,7 @@ def _substitute_shift(terms, shift: int) -> GradedPoly:
         sums[key] = sums.get(key, 0) + coeff
     table = sorted({k for key in sums for k in key})
     return GradedPoly(
-        tuple(Var("c", k, k) for k in table),
+        tuple(cvar(k).vars[0] for k in table),
         {tuple(key.count(k) for k in table): coeff for key, coeff in sums.items()},
     )
 

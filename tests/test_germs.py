@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from multising import germs
+from multising import germs, poly
 from multising.germs import (
     GermPrototype,
     UnsupportedPrototype,
@@ -534,6 +534,35 @@ def test_divisibility_battery_holds_at_ell_10():
 def test_III22A0_and_divisibility_hold_at_ell_8():
     assert verify_III22A0(8).ok
     assert verify_divisibility_suite(8).ok
+
+
+# -- shared variables and memoised alignment ----------------------------------------------------
+
+
+def test_shared_values_survive_a_divisibility_pass():
+    # _repack hands out a polynomial's own nums when the tables match, so one
+    # write in place would corrupt every later user of a shared value
+    shared = [one(), zero(), *poly._VARIABLES.values()]
+    before = [(p.vars, p.width, dict(p.nums), p.den) for p in shared]
+    assert verify_divisibility_suite(3).ok
+    assert [(p.vars, p.width, p.nums, p.den) for p in shared] == before
+    assert one().nums == {0: 1} and one().den == 1
+    assert zero().nums == {} and zero().den == 1
+
+
+def test_repeated_suites_build_no_variables_and_no_alignments(monkeypatch):
+    suites = [lambda: verify_divisibility_suite(3), lambda: verify_quadruple(3)]
+    for suite in suites:
+        assert suite().ok
+    built = []
+    check = poly.Var.__post_init__
+    monkeypatch.setattr(poly.Var, "__post_init__", lambda v: built.append(v) or check(v))
+    caches = (poly._merged_table, poly._moves)
+    sizes = [f.cache_info().currsize for f in caches]
+    for suite in suites:
+        assert suite().ok
+    assert built == []
+    assert [f.cache_info().currsize for f in caches] == sizes
 
 
 # -- Thom polynomial of A1 -------------------------------------------------------------------------

@@ -194,8 +194,32 @@ def test_variable_table_sorted_and_aligned():
 
 
 def test_conflicting_weights_rejected():
-    with pytest.raises(IncompatibleVariables):
-        variable("c", 2, weight=2) + variable("c", 2, weight=1)
+    heavy, light = variable("c", 2, weight=2), variable("c", 2, weight=1)
+    # each table is merged with others first, so the memoised merges are warm
+    assert (heavy + C1) * C3 == C1 * C3 + heavy * C3
+    assert (light + ALPHA) * ALPHA == ALPHA**2 + light * ALPHA
+    for _ in range(2):  # a failed merge is not cached
+        with pytest.raises(IncompatibleVariables):
+            heavy + light
+
+
+def test_variables_one_and_zero_are_shared_values():
+    assert variable("d", 3, weight=3) is dvar(3)
+    assert root_var("beta", 2) is variable("beta", 2)
+    assert one() is one() and zero() is zero()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cvar(True), lambda: variable("c", True), lambda: variable("c", 1.0)],
+    ids=["cvar-true", "variable-true-index", "variable-float-index"],
+)
+def test_shared_variables_admit_only_int_indices(make):
+    # True == 1 and 1.0 == 1 hash alike, so once c_1 is shared each of
+    # these would find it without the exact-type guard
+    assert cvar(1) is C1
+    with pytest.raises(PolyError):
+        make()
 
 
 def test_scalar_comparison():
