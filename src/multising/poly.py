@@ -122,10 +122,12 @@ class Record:
     equal, the hash is that of the tuple of fields, and the repr is
     Name(field=value, ...).  replace(**changes) goes through __init__, so
     validation runs again.  The tuple of fields is read once, after
-    __post_init__, and kept for equality, hashing and repr.
+    __post_init__, and kept for equality, hashing and repr.  The hash is
+    kept too, from its first use on, so a field that cannot be hashed raises
+    only when the record is hashed.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_hash")
     _fields = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -164,7 +166,11 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, h := hash(self._values))
+            return h
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
@@ -187,8 +193,9 @@ class Record:
         return type(self)(*values)
 
 
-# both bypass the frozen __setattr__
-_setattr, _set_values = object.__setattr__, Record._values.__set__
+# all three bypass the frozen __setattr__
+_setattr = object.__setattr__
+_set_values, _set_hash = Record._values.__set__, Record._hash.__set__
 
 
 class Var(Record):
@@ -320,12 +327,22 @@ class GradedPoly:
         return _make(keep, self.width, _repack(self, keep, self.width), self.den)
 
     def coefficient(self, monomial: Mapping[SymbolLike, int]) -> Rat:
-        """Coefficient of the monomial given as {symbol: exponent}."""
-        want = {_resolve_symbol(s): e for s, e in monomial.items() if e}
+        """Coefficient of the monomial given as {symbol: exponent}.
+
+        A negative, bool or non-int exponent raises PolyError, as in the
+        checking constructor.
+        """
+        want = {}
+        for sym, e in monomial.items():
+            key = _resolve_symbol(sym)
+            if not _is_exponent(e):
+                raise PolyError(f"exponent {e!r} of {key} must be a nonnegative int")
+            if e:
+                want[key] = e
         index = {(v.family, v.index): i for i, v in enumerate(self.vars)}
         exps = [0] * len(self.vars)
         for key, e in want.items():
-            if key not in index or not _is_exponent(e) or e >> self.width:
+            if key not in index or e >> self.width:
                 return _ZERO  # a monomial no term of this polynomial can have
             exps[index[key]] = e
         c = self.nums.get(_pack(self.vars, self.width, exps))
@@ -722,17 +739,9 @@ def root_var(family: str, index: int = 0) -> GradedPoly:
 def series_inverse(g: GradedPoly, maxdeg: int) -> GradedPoly:
     """Inverse of a series with constant term 1, truncated by weighted degree.
 
-    Newton iteration: if inv is right up to degree k, inv * (2 - g * inv) is
-    right up to degree 2k + 1, so the steps cut at 1, 3, 7, ... maxdeg.
+    The power-series division of 1 by g that series_quotient does.
     """
-    check_int(maxdeg, -1, "series degree maxdeg")  # -1: the empty cut
-    if _check_poly(g, "series").constant_term() != 1:
-        raise PolyError("series inverse requires constant term 1")
-    inv, prec = one().truncate(maxdeg), 0
-    while prec < maxdeg:
-        prec = min(2 * prec + 1, maxdeg)
-        inv = _mul_upto(inv, 2 - _mul_upto(g, inv, prec), prec)
-    return inv
+    return series_quotient((), (g,), maxdeg)
 
 
 def series_quotient(
@@ -743,19 +752,48 @@ def series_quotient(
     """prod(numerator) / prod(denominator) as a series truncated at maxdeg.
 
     Every factor must have constant term 1 (a total-Chern-class factor 1 + w).
+    Each side is multiplied out to p and g = 1 + h, and the quotient q is
+    built degree by degree: q_d = p_d - sum_i h_i * q_(d-i) over the
+    degree-i parts h_i of h, so each term of h meets each term of q once.
+    With p over E and h over D, the numerators Q_d of q_d over E * D**d obey
+    Q_d = P_d * D**d - sum_i H_i * Q_(d-i) * D**(i-1).
     """
-    check_int(maxdeg, -1, "series degree maxdeg")
+    check_int(maxdeg, -1, "series degree maxdeg")  # -1: the empty cut
 
     def product(factors: Sequence[GradedPoly]) -> GradedPoly:
-        total = one()
+        """The product of the factors, exact up to degree maxdeg."""
+        total = None
         for f in factors:
-            if _check_poly(f, "series factor").constant_term() != 1:
+            if _check_poly(f, "series factor").nums.get(0) != f.den:
                 raise PolyError("factors must have constant term 1")
-            total = _mul_upto(total, f, maxdeg)
-        return total
+            total = f if total is None else _mul_upto(total, f, maxdeg)
+        return one() if total is None else total
 
-    numer = product(numerator_factors)
-    return _mul_upto(numer, series_inverse(product(denominator_factors), maxdeg), maxdeg)
+    p, g = product(numerator_factors), product(denominator_factors)
+    vars_, width, a, b = _aligned(p, g, max(maxdeg, 0))
+    top, den = len(vars_) * width, g.den  # g's constant numerator is den
+    # the rows of -h by degree, each scaled by D**(i-1)
+    h: dict = {}
+    for key, c in b.items():
+        if 0 < (i := key >> top) <= maxdeg:
+            h.setdefault(i, []).append((key, -c * den ** (i - 1), None))
+    parts: list = [{} for _ in range(maxdeg + 1)]
+    for key, c in a.items():
+        if (d := key >> top) <= maxdeg:
+            parts[d][key] = c
+    q: list = []  # q[d]: the (key, Q_d numerator) rows of degree d
+    for d, acc in enumerate(parts):
+        if den != 1:
+            acc = {key: c * den ** d for key, c in acc.items()}
+        for i, rows in h.items():
+            if i <= d:
+                _mul_into(acc, rows, q[d - i])
+        q.append([(key, c) for key, c in acc.items() if c])
+    last, nums = max(maxdeg, 0), {}
+    for d, rows in enumerate(q):
+        scale = den ** (last - d)
+        nums.update(rows if scale == 1 else [(key, c * scale) for key, c in rows])
+    return _poly(vars_, width, nums, p.den * den ** last)
 
 
 def one_plus(form: GradedPoly) -> GradedPoly:

@@ -4,8 +4,11 @@ import itertools
 import json
 import copy
 import os
+import pickle
 import subprocess
 import sys
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from multising.poly import (
     IncompatibleVariables,
     NonExactDivision,
     PolyError,
+    Record,
     Var,
     chern_substitute,
     constant,
@@ -314,6 +318,26 @@ def test_record_contract(index):
         assert x.replace(**change) == changed != x
     with pytest.raises(TypeError):
         x.replace(extra=1)
+
+
+def test_record_hash_is_kept_from_first_use():
+    class Pair(Record):
+        left: object
+        right: object
+
+    loose = Pair([1], 2)  # a field that cannot be hashed
+    assert loose == Pair([1], 2) and loose.replace(right=3) == Pair([1], 3)
+    for _ in range(2):  # a failed hash is not kept
+        with pytest.raises(TypeError):
+            hash(loose)
+    x = Pair(("c", 1), 2)
+    assert hash(x) == hash((("c", 1), 2)) == hash(x) == x._hash
+    assert hash(x.replace(right=3)) == hash((("c", 1), 3))
+    v = Var("c", 2, 2)
+    assert hash(v) == hash(("c", 2, 2))
+    assert v.__reduce__() == (Var, ("c", 2, 2))
+    thawed = pickle.loads(pickle.dumps(v))
+    assert thawed == v and hash(thawed) == hash(v)
 
 
 def test_importing_the_library_skips_dataclasses_and_inspect():
@@ -755,6 +779,24 @@ def test_truncate_returns_a_plain_value():
     assert (one() + C1 + C2).truncate(1) == one() + C1
 
 
+@pytest.mark.parametrize("exponent", [-1, 1.5, True, False, 2.0, 0.0, "1", None])
+def test_coefficient_rejects_bad_exponents(exponent):
+    # the checking constructor rejects the same exponents
+    p = one() + C1 + C1 * C1
+    with pytest.raises(PolyError):
+        p.coefficient({("c", 1): exponent})
+    with pytest.raises(PolyError):
+        GradedPoly((Var("c", 1, 1),), {(exponent,): 1})
+
+
+def test_coefficient_of_a_monomial_no_term_has_is_zero():
+    p = one() + C1 + C1 * C1
+    assert p.coefficient({("c", 1): 2}) == 1 and p.coefficient({"c": 0, ("c", 1): 1}) == 1
+    assert p.coefficient({}) == p.coefficient({("c", 1): 0}) == 1
+    for monomial in ({("c", 1): 3}, {("c", 1): 1 << 70}, {("z", 3): 2}, {("c", 1): 1, "z": 1}):
+        assert p.coefficient(monomial) == 0
+
+
 # -- series ------------------------------------------------------------------
 
 
@@ -779,9 +821,59 @@ def test_series_inverse_of_geometric_series():
         assert series_inverse(one() - C1 - C2, maxdeg) == want
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: series_quotient([one_plus(C1), 2 + C2], [one_plus(ALPHA)], 3),
+        lambda: series_quotient([one_plus(C1)], [one_plus(ALPHA), rat(1, 2) + C2], 3),
+        lambda: series_quotient([], [-one() + C3], 0),
+        lambda: series_inverse(ALPHA, 2),
+        lambda: series_inverse(zero(), 2),
+        lambda: series_inverse(rat(3, 2) + rat(1, 2) * C2, 4),
+    ],
+    ids=["numerator-constant-2", "denominator-constant-1/2",
+         "denominator-constant--1", "inverse-no-constant", "inverse-zero", "inverse-constant-3/2"],
+)
+def test_series_factors_require_unit_constant_term(make):
+    with pytest.raises(PolyError):
+        make()
+
+
 def test_series_quotient_requires_unit_constant_term():
     with pytest.raises(PolyError):
         series_quotient([ALPHA], [], 3)
+
+
+def test_series_inverse_with_rational_coefficients():
+    # 1/(1 - x) = sum x^k for x = c2/2, -2 c3/3 and alpha/3 + c2/5
+    for maxdeg in range(-1, 9):
+        for x in (rat(1, 2) * C2, rat(-2, 3) * C3, rat(1, 3) * ALPHA + rat(1, 5) * C2):
+            want = sum((x ** k for k in range(maxdeg + 1)), zero()).truncate(maxdeg)
+            assert series_inverse(one() - x, maxdeg) == want
+    assert series_inverse(one_plus(rat(1, 2) * C2), 4) == one() - rat(1, 2) * C2 + rat(1, 4) * C2 * C2
+
+
+weighted_monomials = st.sampled_from([ALPHA, BETA, C2, C3, ALPHA * C2, C1 * C3])
+rational_forms = st.lists(
+    st.tuples(coeffs, weighted_monomials), min_size=1, max_size=3
+).map(lambda pairs: sum((c * m for c, m in pairs), zero()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(rational_forms, max_size=3),
+    st.lists(rational_forms, min_size=1, max_size=3),
+    st.integers(-1, 6),
+)
+def test_series_quotient_defining_identity(num, den, maxdeg):
+    # rational coefficients put the denominator over some D != 1, and the
+    # weights 2 and 3 leave degrees of the quotient without terms
+    numer, denom = [one_plus(w) for w in num], [one_plus(w) for w in den]
+    q = series_quotient(numer, denom, maxdeg)
+    assert q.weighted_degree() is None or q.weighted_degree() <= maxdeg
+    g = reduce(mul, denom)
+    assert (q * g).truncate(maxdeg) == reduce(mul, numer, one()).truncate(maxdeg)
+    assert (series_inverse(g, maxdeg) * g).truncate(maxdeg) == one().truncate(maxdeg)
 
 
 linear_forms = st.lists(
