@@ -6,8 +6,13 @@ of a point (the full box) integrates to 1.  Basis products follow the
 Littlewood-Richardson rule: the rows of the smaller partition are added as
 labelled horizontal strips inside the box, and each filling with a lattice
 reading word counts once, so the multiplicities come with no cancellation.
+The strips are placed in place in one shape list, and the walk never fails
+for lack of room: the rows below row r can take at most old[r] - old[k-1]
+cells of a strip (their rooms telescope), so row r takes at least
+left - (old[r] - old[k-1]) of the cells left.
 A product that vanishes in the box skips the enumeration: s_lam * s_mu != 0
-iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton, Young Tableaux, 9.4).
+iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton, Young Tableaux, 9.4),
+and a GrassClass product that vanishes is the ring's one shared zero class.
 GrassClass and the FiberClass below are stored as GradedPoly is: nonzero int
 numerators over one shared positive denominator in lowest terms.  Their
 private base, _SchurSum, makes +, -, ==, ** and scalar * one lcm merge and
@@ -81,6 +86,11 @@ class GrassRing(Record):
     def _basis(self) -> Dict[Partition, "GrassClass"]:
         """The shared Schur classes s_lam of this ring, filled by schur() on demand."""
         return {}
+
+    @cached_property
+    def _zero(self) -> "GrassClass":
+        """The zero class of this ring, shared by every product that vanishes."""
+        return GrassClass._make(self, {}, 1)
 
     def contains(self, lam: Partition) -> bool:
         return len(lam) <= self.k and (not lam or lam[0] <= self.cols)
@@ -156,11 +166,11 @@ class _SchurSum:
         """A class of canonical keys mapped to nonzero numerators over den > 0,
         brought to lowest terms."""
         x = object.__new__(cls)
-        nums, den = lowest_terms(nums, den)
-        put = object.__setattr__
-        put(x, "ring", ring)
-        put(x, "nums", nums)
-        put(x, "den", den)
+        if den != 1:
+            nums, den = lowest_terms(nums, den)
+        _set_ring(x, ring)
+        _set_nums(x, nums)
+        _set_den(x, den)
         return x
 
     def __setattr__(self, name: str, value) -> None:
@@ -209,6 +219,10 @@ class _SchurSum:
         if rhs is None:
             return NotImplemented
         return self.den == rhs.den and self.nums == rhs.nums
+
+
+# the slots' own setters, which __setattr__ does not block
+_set_ring, _set_nums, _set_den = (getattr(_SchurSum, s).__set__ for s in _SchurSum.__slots__)
 
 
 class GrassClass(_SchurSum):
@@ -319,7 +333,7 @@ def schur(ring: GrassRing, lam: Sequence[int]) -> GrassClass:
     if x is None:
         canon = _box_partitions(ring.k, ring.cols).get(_validate_partition(lam))
         if canon is None:
-            return GrassClass._make(ring, {}, 1)
+            return ring._zero
         x = basis.get(canon)
         if x is None:
             x = basis[canon] = GrassClass._make(ring, {canon: 1}, 1)
@@ -349,43 +363,57 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
     reading word is a lattice word, that is when the label-i cells in rows
     <= r never outnumber the label-(i-1) cells in rows < r.  No cell is
     placed outside the k x (n-k) box, which is safe because shapes only grow.
-    The last row takes every cell the strip has left, so it is checked in
-    place, with no loop and no further recursion.
+    Strips are placed in place, in one shape list and one list of the
+    previous strip's cells per row, restored on the way back.  Row r' of a
+    strip takes at most old[r'-1] - old[r'] cells, and below row r these
+    rooms telescope to old[r] - old[k-1] whatever row r takes, so row r
+    takes at least left - (old[r] - old[k-1]) cells and the last row always
+    has room for the rest.
     A product that vanishes in the box is decided before any enumeration:
     s_lam * s_mu != 0 iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton,
     Young Tableaux, 9.4), that is iff lam fits inside the dual of mu.
     """
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
-    if not mu:
-        return ((lam, 1),)
     cols = n - k
-    # vanishing criterion (Fulton, Young Tableaux, 9.4): lam must fit in mu's dual
-    if any(a + b > cols for a, b in zip(lam, reversed(mu + (0,) * (k - len(mu))))):
-        return ()
     canon = _box_partitions(k, cols)
-    acc: Dict[Partition, int] = {}
+    if not mu:
+        return ((canon[lam], 1),)
+    # vanishing criterion (Fulton, Young Tableaux, 9.4): lam must fit in mu's dual
+    last = row = k - 1
+    for b in mu:
+        if row < len(lam) and lam[row] + b > cols:
+            return ()
+        row -= 1
+    shape = list(lam) + [0] * (k - len(lam))
+    labels = [0] * k  # cells of the previous strip in each row, 0 before the first
+    hits: Dict[Tuple[int, ...], int] = {}
 
-    # old: the shape before strip i; new: its rows r' < r after the strip;
-    # limits[r]: label-(i-1) cells in rows < r; above: the same for label i
-    def strip(i: int, r: int, left: int, old: Partition, new: Partition,
-              limits: Tuple[int, ...], above: Tuple[int, ...]) -> None:
-        done = mu[i] - left
-        room = (old[r - 1] if r else cols) - old[r]
-        if r == k - 1:  # the last row takes every cell left, if it can
-            if left <= room and left + done <= limits[r]:
-                new += (old[r] + left,)
+    # strip i fills row r with left cells to go; bound is row r - 1 before
+    # the strip and limit counts the previous strip's cells in rows < r
+    def strip(i: int, r: int, left: int, bound: int, limit: int) -> None:
+        old = shape[r]
+        if r == last:  # room is left: by the bound below, or by the box test if k = 1
+            if mu[i] <= limit:
+                shape[r] = old + left
                 if i + 1 < len(mu):
-                    strip(i + 1, 0, mu[i + 1], new, (), above + (done,), ())
+                    strip(i + 1, 0, mu[i + 1], cols, 0)
                 else:
-                    nu = canon[_strip_zeros(new)]
-                    acc[nu] = acc.get(nu, 0) + 1
+                    nu = tuple(shape)
+                    hits[nu] = hits.get(nu, 0) + 1
+                shape[r] = old
             return
-        for c in range(min(room, left, limits[r] - done) + 1):
-            strip(i, r + 1, left - c, old, new + (old[r] + c,), limits, above + (done,))
+        prev = labels[r]
+        low = left - (old - shape[last])  # the rows below hold at most old - shape[last]
+        for c in range(low if low > 0 else 0, min(bound - old, left, limit - mu[i] + left) + 1):
+            shape[r] = old + c
+            labels[r] = c
+            strip(i, r + 1, left - c, old, limit + prev)
+        shape[r] = old
+        labels[r] = prev
 
-    strip(0, 0, mu[0], lam + (0,) * (k - len(lam)), (), (mu[0],) * k, ())
-    return tuple(sorted(acc.items()))
+    strip(0, 0, mu[0], cols, mu[0])
+    return tuple(sorted((canon[_strip_zeros(nu)], m) for nu, m in hits.items()))
 
 
 def _mul_into(acc: Dict[Partition, int], k: int, n: int, left, right) -> None:
@@ -403,14 +431,18 @@ def _mul_into(acc: Dict[Partition, int], k: int, n: int, left, right) -> None:
 
 def class_mul(x: GrassClass, y: GrassClass) -> GrassClass:
     """The product in the Schur basis, summed as int numerators over the
-    product of the operands' denominators."""
+    product of the operands' denominators; a product that vanishes is the
+    ring's one shared zero class."""
     if not (isinstance(x, GrassClass) and isinstance(y, GrassClass)):
         raise PolyError(f"class_mul multiplies two GrassClasses, not {x!r} and {y!r}")
     if x.ring is not y.ring and x.ring != y.ring:
         raise RingMismatch("classes live on different Grassmannians")
+    ring = x.ring
     acc: Dict[Partition, int] = {}
-    _mul_into(acc, x.ring.k, x.ring.n, x.nums.items(), y.nums.items())
-    return GrassClass._make(x.ring, {nu: c for nu, c in acc.items() if c}, x.den * y.den)
+    _mul_into(acc, ring.k, ring.n, x.nums.items(), y.nums.items())
+    if 0 in acc.values():  # a numerator cancelled
+        acc = {nu: c for nu, c in acc.items() if c}
+    return GrassClass._make(ring, acc, x.den * y.den) if acc else ring._zero
 
 
 def integrate(x: GrassClass) -> Rat:
@@ -520,7 +552,8 @@ class FiberClass(_SchurSum):
 
     def coefficient(self, w: int) -> GrassClass:
         check_int(w, None, "power of xi")
-        return self.coeffs.get(w) or GrassClass._make(self.ring, {}, 1)
+        part = {lam: c for (v, lam), c in self.nums.items() if v == w}
+        return GrassClass._make(self.ring, part, self.den) if part else self.ring._zero
 
     def _coerce(self, other) -> Optional["FiberClass"]:
         if isinstance(other, (FiberClass, GrassClass)):

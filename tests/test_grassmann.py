@@ -261,7 +261,8 @@ def test_products_match_oracle_through_degree_six():
 
 
 @pytest.mark.parametrize(
-    "k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5), (4, 9), (2, 9), (5, 8)]
+    "k, n",
+    [(3, 6), (3, 7), (3, 8), (3, 9), (2, 6), (4, 8), (1, 5), (4, 9), (2, 9), (5, 8), (6, 9)],
 )
 def test_lr_product_matches_jacobi_trudi(k, n):
     # both orders: for partitions of equal size the argument order picks the content
@@ -270,6 +271,20 @@ def test_lr_product_matches_jacobi_trudi(k, n):
         want = _jacobi_trudi_mul(k, n, lam, mu)
         assert dict(_mul_basis.__wrapped__(k, n, lam, mu)) == want, (lam, mu)
         assert dict(_mul_basis.__wrapped__(k, n, mu, lam)) == want, (mu, lam)
+
+
+@pytest.mark.parametrize("k, n", [(4, 8), (6, 9)])
+def test_product_keys_are_the_canonical_box_partitions(k, n):
+    # the kernel places strips in one mutable shape list: every key it hands
+    # out must be the ring's own partition tuple, even for operands built
+    # apart, and no call may leave state behind for the next
+    canon = grassmann._box_partitions(k, n - k)
+    basis = [tuple(list(lam)) for lam in GrassRing(k, n).partitions()]
+    for lam, mu in itertools.product(basis, repeat=2):
+        terms = _mul_basis.__wrapped__(k, n, lam, mu)
+        assert all(nu is canon[nu] for nu, _ in terms), (lam, mu)
+        assert _mul_basis.__wrapped__(k, n, lam, mu) == terms, (lam, mu)
+        assert _mul_basis(k, n, lam, mu) == _mul_basis(k, n, lam, mu) == terms, (lam, mu)
 
 
 _R313_BASIS = sorted(GrassRing(3, 13).partitions())
@@ -346,6 +361,24 @@ def test_products_keep_eq_hash_contract():
         assert len({product, checked}) == 1
         if scalar is not None:
             assert product == scalar and hash(product) == hash(scalar)
+
+
+def test_vanishing_products_share_one_zero_class_per_ring():
+    s1 = schur(R24, (1,))
+    zeros = [
+        schur(R36, (3,)) * schur(R36, (1, 1, 1)),  # leaves the 3 x 3 box
+        class_mul(schur(R36, (3,)), schur(R36, (1, 1, 1))),
+        schur(R36, (2, 2)) * schur(R36, (2, 2)),
+        schur(R36, (3,)) * GrassClass(R36, {}),
+    ]
+    assert all(z is zeros[0] for z in zeros)
+    assert zeros[0].is_zero() and zeros[0] == 0 and zeros[0].ring is R36
+    # s1 * (s2 - s11) cancels on Gr(2,4): s1 * s2 = s21 = s1 * s11 there
+    cancelled = s1 * (schur(R24, (2,)) - schur(R24, (1, 1)))
+    assert cancelled.is_zero() and cancelled is s1 * GrassClass(R24, {})
+    assert cancelled is not zeros[0]
+    other = schur(R37, (4,)) * schur(R37, (1, 1, 1))
+    assert other.is_zero() and other.ring is R37 and other is not zeros[0]
 
 
 def test_transposed_products_share_one_cache_entry():
@@ -543,6 +576,24 @@ def test_fiber_class_keeps_raw_powers():
     assert x.coefficient(5) == schur(R37, ())
     assert x.coefficient(1) == chern_S(R37, 1)
     assert x.coefficient(3).is_zero()
+
+
+def test_fiber_coefficient_matches_the_coeffs_view():
+    k1, k2 = kappa_chern(R37)
+    xi = FiberClass.xi(R37)
+    cases = [
+        k1 * k2,
+        FiberClass(R37, {0: rat(1, 2) * schur(R37, (1,)), 2: rat(1, 3) * schur(R37, (2,))}),
+        xi ** 4 - FiberClass.lift(chern_S(R37, 2)) * rat(2, 5),
+        FiberClass.lift(rat(3, 4) * schur(R37, (2, 1))),
+        FiberClass(R37, {}),
+    ]
+    for x in cases:
+        coeffs = x.coeffs
+        for w in range(-1, (x.xi_degree() or 0) + 2):
+            got, want = x.coefficient(w), coeffs.get(w) or GrassClass(R37, {})
+            assert got == want and (got.nums, got.den) == (want.nums, want.den), (x, w)
+            assert got.is_zero() == (w not in coeffs), (x, w)
 
 
 def test_kappa_chern_shapes():
