@@ -41,6 +41,15 @@ and, for a factor, solves the factor for its last variable there, so every
 residual is reported in root coordinates.  Every suite restricts on the
 genotype of a prototype (_genotype), the III_{2,2}A_0 suite included; its
 I_{2,2} genotype, which has no prototype here, is built in the same basis.
+
+Every restriction of a polynomial in the c_i goes through _Genotype.restrict,
+whose series runs up to the largest c_i that the polynomial uses: a series
+cut at a degree chosen by hand maps every c_i above it to 0, so a residue
+wrong only there would pass.  Each suite holds its equations as a table of
+rows (name, genotype, target, n_1 factor or None, detail) with the residue
+left out (_quadruple_equations, _iii22a0_equations and the rows of
+verify_divisibility and verify_tpA1); _restriction_checks evaluates a table
+at a residue.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .poly import (
     check_int,
     chern_substitute,
     constant,
+    cvar,
     dvar,
     exact_quotient,
     one,
@@ -311,12 +321,13 @@ class _Genotype:
     alpha, or for a two-alpha genotype one class per side in e_1, e_2 (see
     _in_genotype_basis).  alphas maps e_1, e_2 back to the alpha roots and is
     empty when the classes are in alpha.  betas holds the m distinct lone
-    roots, whose product series is 1 + d_1 + ... + d_m.  A plain class, not
-    a Record: a genotype is a working object that nothing compares, hashes,
+    roots, whose product series is 1 + d_1 + ... + d_m.  longest and
+    restricted hold restrict's series and values.  A plain class, not a
+    Record: a genotype is a working object that nothing compares, hashes,
     prints or rebuilds, so it needs none of a value type's methods.
     """
 
-    __slots__ = ("numer", "denom", "betas", "alphas")
+    __slots__ = ("numer", "denom", "betas", "alphas", "longest", "restricted")
 
     def __init__(
         self,
@@ -326,6 +337,7 @@ class _Genotype:
         alphas: dict,
     ):
         self.numer, self.denom, self.betas, self.alphas = numer, denom, betas, alphas
+        self.longest, self.restricted = (-1, None), {}
 
     @property
     def m(self) -> int:
@@ -340,6 +352,18 @@ class _Genotype:
     def series(self, maxdeg: int) -> GradedPoly:
         """The class in the genotype basis, truncated at maxdeg."""
         return series_quotient(*self.factors(), maxdeg)
+
+    def restrict(self, p: GradedPoly) -> GradedPoly:
+        """p at this class: each c_i -> the weight-i part of the series, built
+        up to the largest c_i that p uses, so no c_i is dropped.  Each p is
+        restricted once, keyed by identity (the entry keeps p alive), and the
+        longest series built so far serves every shorter one."""
+        if id(p) not in self.restricted:
+            degree = max((v.index for v in p.used_vars() if v.family == "c"), default=0)
+            if degree > self.longest[0]:
+                self.longest = degree, self.series(degree)
+            self.restricted[id(p)] = p, chern_substitute(p, self.longest[1])
+        return self.restricted[id(p)][1]
 
     def roots(self, p: GradedPoly) -> GradedPoly:
         """p mapped back to root coordinates through e -> alpha and d_j -> e_j(beta)."""
@@ -404,37 +428,28 @@ def _d_images(factors: Sequence[GradedPoly], m: int) -> dict:
 def _class_in_e(forms: Tuple[GradedPoly, ...], name: str) -> GradedPoly:
     """prod(1 + w) - 1 over forms in alpha_1, alpha_2, rewritten in e_1, e_2.
 
-    The product p is symmetric, and the standard leading-term reduction
-    rewrites it: the lex-leading term c alpha_1^a alpha_2^b of a symmetric
-    polynomial has a >= b and leads c e_1^(a-b) e_2^b =
-    c (alpha_1 + alpha_2)^(a-b) (alpha_1 alpha_2)^b; subtracting that and
-    repeating ends at zero.  A leading term with a < b, or any other
-    variable, raises UnsupportedPrototype.  The class is built once per
-    forms and shared, as the genotypes of one singularity at every ell have
-    the same forms: polynomials are immutable and hash by value.
+    The forms are paired by the swap alpha_1 <-> alpha_2: a (alpha_1 + alpha_2)
+    is its own image and gives 1 + a e_1, and a alpha_1 + b alpha_2 (a != b)
+    with its image gives 1 + (a+b) e_1 + ab e_1^2 + (a-b)^2 e_2.  A form with
+    no image, or with another variable, raises UnsupportedPrototype.  Built
+    once per forms and shared, as the genotypes of one singularity at every
+    ell have the same forms: polynomials are immutable and hash by value.
     """
-    p = euler_class([one_plus(w) for w in forms]).compress()
-    keys = [(v.family, v.index) for v in p.vars]
-    if not set(keys) <= set(_ALPHA_KEYS):
-        raise UnsupportedPrototype(f"{name}: {to_text(p)} is not in alpha_1, alpha_2 alone")
-    rest = {}
-    for exps, c in p.terms.items():
-        powers = dict(zip(keys, exps))
-        rest[tuple(powers.get(key, 0) for key in _ALPHA_KEYS)] = c
-    out = {}  # (exponent of e_1, exponent of e_2): coefficient
+    rest, total = list(forms), one()
     while rest:
-        a, b = lead = max(rest)
-        if a < b:
-            raise UnsupportedPrototype(f"{name}: {to_text(p)} is not symmetric in alpha_1, alpha_2")
-        c = out[a - b, b] = rest[lead]
-        for i in range(a - b + 1):
-            key = (b + i, a - i)
-            value = rest.get(key, 0) - c * math.comb(a - b, i)
-            if value:
-                rest[key] = value
-            else:
-                del rest[key]
-    return GradedPoly(_E_1.vars + _E_2.vars, out) - 1
+        w = rest.pop()
+        a, b = (w.coefficient({key: 1}) for key in _ALPHA_KEYS)
+        if w != a * _ALPHA_1 + b * _ALPHA_2:
+            raise UnsupportedPrototype(f"{name}: {to_text(w)} is not in alpha_1, alpha_2 alone")
+        if a == b:
+            total = total * (1 + a * _E_1)
+            continue
+        image = b * _ALPHA_1 + a * _ALPHA_2
+        if image not in rest:
+            raise UnsupportedPrototype(f"{name}: {to_text(w)} has no alpha_1 <-> alpha_2 image")
+        rest.remove(image)
+        total = total * (1 + (a + b) * _E_1 + a * b * _E_1 ** 2 + (a - b) ** 2 * _E_2)
+    return total - 1
 
 
 def _in_genotype_basis(
@@ -522,61 +537,69 @@ def _identity_check(name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str) ->
     return CheckResult(name, holds, None if holds else residual, detail)
 
 
+_Equation = Tuple[str, _Genotype, GradedPoly, Optional[GradedPoly], str]
+
+
+def _restriction_checks(residue: GradedPoly, equations: Sequence[_Equation]) -> List[CheckResult]:
+    """Restrict the residue on the genotype of each row (name, genotype,
+    target, n_1 factor or None, detail): without a factor the value must
+    equal the target, with one the value less the target must be divisible
+    by the factor.  Factor rows that share a genotype and a target object
+    share one difference."""
+    checks, differences = [], {}
+    for name, genotype, target, factor, detail in equations:
+        value = genotype.restrict(residue)
+        if factor is None:
+            checks.append(genotype.check(name, value, target, detail))
+            continue
+        key = id(genotype), id(target)
+        if key not in differences:
+            differences[key] = value - target
+        checks.append(genotype.divides(name, differences[key], factor, detail))
+    return checks
+
+
 # -- quadruple point suite ----------------------------------------------------------------
 
 
 def verify_quadruple(ell: int) -> Report:
     """The four defining identities of the quadruple-point residue.
 
-    Prototypes of relative dimension ell-1 are instantiated and the residue
-    is evaluated on their genotype series, in Q[alpha, d_1..d_m] for A_k and
-    Q[e_1, e_2, d_1..d_m] for III_{2,2}, with m the number of their beta
-    roots.  q1-q3 must vanish there and q4 must equal -36 alpha^3 m_4, with
-    m_4 = prod_s P(-s alpha) in the same basis; a failing check reports its
-    residual mapped back through e -> alpha and d_j -> e_j(beta).  For
-    ell = 1 the III_{2,2} identity degenerates: no prototype of relative
-    dimension 0 exists, so the residue is evaluated on the ell = 1 germ and
-    certified divisible by its n_1 factor alpha_1 + alpha_2 by the one rule
-    of _Genotype.divides: it must vanish at e_1 = 0, and a failing value is
-    mapped back to the roots with alpha_2 -> -alpha_1, where e_1 vanishes
-    too, so the residual is the same root polynomial.
+    The residue is restricted to the genotypes of the prototypes of relative
+    dimension ell-1 (_quadruple_equations).  q1-q3 must vanish there and q4
+    must equal -36 alpha^3 m_4, with m_4 = prod_s P(-s alpha) in the same
+    basis.  For ell = 1 the III_{2,2} identity degenerates: no prototype of
+    relative dimension 0 exists, so the residue on the ell = 1 germ must be
+    divisible by its n_1 factor alpha_1 + alpha_2, that is vanish at e_1 = 0.
     """
     check_int(ell, 1, "relative dimension ell of the quadruple identities")
-    residue = residue_A0r(4, ell)
-    maxdeg = 3 * ell
+    checks = _restriction_checks(residue_A0r(4, ell), _quadruple_equations(ell))
+    return Report(suite="quadruple", ell=ell, checks=tuple(checks))
 
-    def on(germ: GermPrototype, degree: int) -> Tuple[_Genotype, GradedPoly]:
-        genotype = _genotype(germ)
-        return genotype, chern_substitute(residue, genotype.series(degree))
 
-    checks = []
-    for k in (1, 2):
-        genotype, value = on(germ_A(k, ell - 1), maxdeg)
-        checks.append(genotype.check(
-            f"q{k}", value, zero(), detail=f"quadruple residue vanishes on the A{k} prototype"
-        ))
+def _quadruple_equations(ell: int) -> List[_Equation]:
+    """The rows q1-q4 of verify_quadruple."""
+    equations = [
+        (f"q{k}", _genotype(germ_A(k, ell - 1)), zero(), None,
+         f"quadruple residue vanishes on the A{k} prototype")
+        for k in (1, 2)
+    ]
     if ell >= 2:
-        genotype, q3 = on(germ_III22(ell - 1), maxdeg)
-        checks.append(genotype.check(
-            "q3", q3, zero(), detail="quadruple residue vanishes on the III22 prototype"
-        ))
+        equations.append(("q3", _genotype(germ_III22(ell - 1)), zero(), None,
+                          "quadruple residue vanishes on the III22 prototype"))
     else:
         germ = germ_III22(1)
-        genotype, q3 = on(germ, maxdeg + 1)
-        checks.append(genotype.divides(
-            "q3", q3, germ.n1_factors[0],
-            detail="degenerate case: no III22 prototype of relative dimension 0; "
+        equations.append((
+            "q3", _genotype(germ), zero(), germ.n1_factors[0],
+            "degenerate case: no III22 prototype of relative dimension 0; "
             "the residue on the ell=1 germ is divisible by alpha_1+alpha_2",
         ))
-
     germ = germ_A(3, ell - 1)
-    genotype, q4 = on(germ, maxdeg)
+    genotype = _genotype(germ)
     m4 = _multiple_point_genotype(germ, 4, genotype.m)
-    checks.append(genotype.check(
-        "q4", q4, constant(-36) * root_var("alpha") ** 3 * m4,
-        detail="quadruple residue on the A3 prototype equals -36 e(source)*m4",
-    ))
-    return Report(suite="quadruple", ell=ell, checks=tuple(checks))
+    equations.append(("q4", genotype, constant(-36) * root_var("alpha") ** 3 * m4, None,
+                      "quadruple residue on the A3 prototype equals -36 e(source)*m4"))
+    return equations
 
 
 # -- divisibility suite -------------------------------------------------------------------
@@ -586,15 +609,11 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     """Certify that the reduced r-fold class of a prototype differs from the
     substituted residue term by a multiple of n_1.
 
-    The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) is formed in the
-    genotype basis, Q[alpha, d_1..d_m] or Q[e_1, e_2, d_1..d_m], and each
-    linear factor of n_1 is certified by _Genotype.divides.  A lone root
-    beta_i is killed by d_m -> 0: the difference is symmetric in the roots,
-    so that one substitution certifies every beta_i.  The III_{2,2} factor
-    alpha_1 + alpha_2 is killed by e_1 -> 0.  Any other factor, and any
-    factor whose check fails, specializes the difference mapped back
-    through e -> alpha and d_j -> e_j(beta), so residuals stay in root
-    coordinates.  The exactness of the Euler quotient itself is reported as
+    The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) is formed once in
+    the genotype basis, and each linear factor of n_1 is certified by
+    _Genotype.divides.  A lone root beta_i is killed by d_m -> 0: the
+    difference is symmetric in the roots, so that one substitution certifies
+    every beta_i.  The exactness of the Euler quotient itself is reported as
     the first check.
     """
     _check_prototype(g)
@@ -603,32 +622,23 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     try:
         quotient = n1(g)
     except NonExactDivision as err:
-        exactness = CheckResult(
-            name="n1-exactness",
-            holds=False,
-            detail=f"Euler quotient is not polynomial: {err}",
-        )
+        detail = f"Euler quotient is not polynomial: {err}"
+        exactness = CheckResult("n1-exactness", False, None, detail)
         return Report(suite="divisibility", ell=ell, checks=(exactness,))
     expected = math.prod(g.n1_factors, start=constant(g.n1_scalar))
-    checks = [
-        _identity_check(
-            "n1-closed-form",
-            quotient,
-            expected,
-            detail="Euler quotient matches the documented closed form",
-        )
-    ]
+    checks = [_identity_check("n1-closed-form", quotient, expected,
+                              detail="Euler quotient matches the documented closed form")]
 
     genotype = _genotype(g)
     m_class = _multiple_point_genotype(g, r, genotype.m)
-    residue = residue_A0r(r, ell) * rat(1, math.factorial(r - 1))
-    difference = m_class - chern_substitute(residue, genotype.series((r - 1) * ell))
+    # m_r - R/(r-1)! is the value of -R/(r-1)! less the target -m_r
+    target, equations = -m_class, []
     for f in g.n1_factors:
         sym, image = _specialization_for(f)
-        checks.append(genotype.divides(
-            f"factor-{to_text(f)}", difference, f,
-            detail=f"difference vanishes under {sym[0]}{sym[1] or ''} -> {to_text(image)}",
-        ))
+        equations.append((f"factor-{to_text(f)}", genotype, target, f,
+                          f"difference vanishes under {sym[0]}{sym[1] or ''} -> {to_text(image)}"))
+    residue = residue_A0r(r, ell) * rat(-1, math.factorial(r - 1))
+    checks.extend(_restriction_checks(residue, equations))
     return Report(suite="divisibility", ell=ell, checks=tuple(checks))
 
 
@@ -659,13 +669,11 @@ def verify_tpA1(ell: int) -> Report:
     check_int(ell, 0, "relative dimension ell")
     germ = germ_A(1, ell)
     genotype = _genotype(germ)
-    check = genotype.check(
-        "tpA1",
-        genotype.series(ell + 1).homogeneous_part(ell + 1),
-        root_var("alpha") * _multiple_point_genotype(germ, 2, genotype.m),
-        detail="top Chern class of the A1 prototype is the source Euler class",
-    )
-    return Report(suite="tpa1", ell=ell, checks=(check,))
+    euler = root_var("alpha") * _multiple_point_genotype(germ, 2, genotype.m)
+    equation = ("tpA1", genotype, euler, None,
+                "top Chern class of the A1 prototype is the source Euler class")
+    checks = _restriction_checks(cvar(ell + 1), [equation])
+    return Report(suite="tpa1", ell=ell, checks=tuple(checks))
 
 
 # -- III_{2,2}A_0 suite ----------------------------------------------------------------------
@@ -694,39 +702,32 @@ def verify_III22A0(ell: int) -> Report:
     """
     check_int(ell, 1, "relative dimension ell of the III22A0 identities")
     residue = residue_III22A0(ell)
-    maxdeg = 2 * ell + 4
-    checks = []
-    for r in (1, 2, 3):
-        genotype = _genotype(germ_A(r, ell))
-        checks.append(genotype.check(
-            f"aichern-r{r}",
-            chern_substitute(residue, genotype.series(maxdeg)),
-            zero(),
-            detail=f"residue vanishes on the A{r} genotype",
-        ))
-
-    i22 = _i22_genotype(ell)
-    series = i22.series(maxdeg)
-    value_i22 = chern_substitute(residue, series)
-    rhs = constant(-4) * dvar(ell) * chern_substitute(schur_det(ell + 2, ell + 2), series)
-    checks.append(i22.check(
-        "i22chern",
-        value_i22,
-        rhs,
-        detail="residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype",
-    ))
-
-    iii22 = _genotype(germ_III22(ell))
+    equations = _iii22a0_equations(ell)
+    checks = _restriction_checks(residue, equations)
+    i22, iii22 = equations[-1][1], _genotype(germ_III22(ell))
     last_root = one_plus(_E_1)
     checks.append(iii22.check(
         "iii22chern",
-        chern_substitute(residue, iii22.series(maxdeg)),
-        substitute(value_i22, _d_images([last_root, _d_polynomial(ell - 1)], ell)),
+        iii22.restrict(residue),
+        substitute(i22.restrict(residue), _d_images([last_root, _d_polynomial(ell - 1)], ell)),
         detail="III22 genotype value matches the degree-capped I22 value",
     ))
-
     checks.extend(factorization_check(ell, triple) for triple in _factorization_triples(ell))
     return Report(suite="iii22a0", ell=ell, checks=tuple(checks))
+
+
+def _iii22a0_equations(ell: int) -> List[_Equation]:
+    """The rows of identities (i) and (ii) of verify_III22A0, i22chern last."""
+    equations = [
+        (f"aichern-r{r}", _genotype(germ_A(r, ell)), zero(), None,
+         f"residue vanishes on the A{r} genotype")
+        for r in (1, 2, 3)
+    ]
+    i22 = _i22_genotype(ell)
+    target = constant(-4) * dvar(ell) * i22.restrict(schur_det(ell + 2, ell + 2))
+    equations.append(("i22chern", i22, target, None,
+                      "residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype"))
+    return equations
 
 
 def _factorization_triples(ell: int):
@@ -755,12 +756,11 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
         raise PolyError(f"triple {triple} violates the factorization ranges")
     genotype = _i22_genotype(ell)
     numer, denom = genotype.factors()
-    series = genotype.series(i + 2)
-    lhs = chern_substitute(schur_det(i, j, k), series)
+    lhs = genotype.restrict(schur_det(i, j, k))
     rhs = (
         _E_2 ** (j - ell - 2)
         * series_quotient([], denom, i - j).homogeneous_part(i - j)
-        * chern_substitute(schur_det(ell + 2, ell + 2), series)
+        * genotype.restrict(schur_det(ell + 2, ell + 2))
         * series_quotient(numer, [], k).homogeneous_part(k)
     )
     return genotype.check(

@@ -1,8 +1,11 @@
 """Germ prototypes, Euler quotients, and the verification suites."""
 
+import ast
 import hashlib
 import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,7 @@ from multising.thom import (
     multisingularity_codim,
     residue,
     residue_A0r,
+    residue_III22A0,
     singularity_info,
     thom_polynomial,
 )
@@ -774,6 +778,164 @@ def test_factorization_range_validation():
         # k < 0: both sides vanish, so the check would certify 0 = 0
         with pytest.raises(PolyError):
             factorization_check(ell, triple)
+
+
+# -- restriction tables ------------------------------------------------------------------------------
+#
+# Every suite restricts its residue through _Genotype.restrict, whose series
+# runs up to the largest c_i that the residue uses.  A suite that chose the
+# series degree itself dropped every c_i above it, so a residue perturbed by
+# a c_i past that degree passed.
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_III22A0_residue_perturbed_past_the_series_degree_fails(monkeypatch, ell):
+    exact = germs.residue_III22A0
+    monkeypatch.setattr(germs, "residue_III22A0", lambda ell: exact(ell) + cvar(3 * ell + 4))
+    holds = {c.name: c.holds for c in verify_III22A0(ell).checks}
+    assert not any(holds[name] for name in ("aichern-r1", "aichern-r2", "aichern-r3", "i22chern"))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_A0r_residue_perturbed_past_the_series_degree_fails(monkeypatch, ell):
+    _perturbed(monkeypatch, lambda r, ell: cvar((r - 1) * ell + 1))
+    assert [(c.name, c.holds) for c in verify_quadruple(ell).checks] == [
+        ("q1", False), ("q2", False), ("q3", False), ("q4", False)
+    ]
+    factors = [c for c in verify_divisibility_suite(ell).checks if "-factor-" in c.name]
+    assert len(factors) == 5 * ell
+    assert not any(c.holds for c in factors)
+
+
+def test_germs_calls_chern_substitute_only_in_genotype_restrict():
+    tree = ast.parse(Path(germs.__file__).read_text())
+    calls = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "chern_substitute":
+            calls[scope] = calls.get(scope, 0) + 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    assert calls == {("_Genotype", "restrict"): 1}
+
+
+def test_suites_restrict_each_polynomial_once_per_genotype(monkeypatch):
+    calls = []
+    exact = germs.chern_substitute
+    monkeypatch.setattr(germs, "chern_substitute", lambda p, s: calls.append(p) or exact(p, s))
+    assert verify_divisibility_suite(3).ok
+    assert len(calls) == len(germs._DIVISIBILITY_CASES)  # once per germ, not per n_1 factor
+    calls.clear()
+    assert verify_III22A0(2).ok
+    # aichern-r1..r3; s(4,4) and the residue on I22, read again by iii22chern;
+    # the residue on III22; two per factorization
+    assert len(calls) == 3 + 2 + 1 + 2 * len(germs._factorization_triples(2))
+
+
+def _partitions(n, most=None):
+    """The partitions of n into parts of at most most, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _c_monomial(lam):
+    return math.prod((cvar(i) for i in lam), start=one())
+
+
+def _vector(p):
+    """p as {monomial: coefficient}, the monomial named by its variables."""
+    return {
+        tuple((v.family, v.index, e) for v, e in zip(p.vars, exps) if e): c
+        for exps, c in p.terms.items()
+    }
+
+
+def _rank(vectors):
+    """Rank over Q of dict vectors, by Fraction elimination."""
+    pivots = {}
+    for vector in vectors:
+        row = {key: Fraction(c) for key, c in vector.items() if c}
+        for key, pivot in pivots.items():
+            scale = row.get(key)
+            if scale:
+                for k, c in pivot.items():
+                    row[k] = row.get(k, 0) - scale * c
+                row = {k: c for k, c in row.items() if c}
+        if row:
+            key = next(iter(row))
+            pivots[key] = {k: c / row[key] for k, c in row.items()}
+    return len(pivots)
+
+
+def _equation_values(equation, lam):
+    """The linear part of a table row at the residue c^lam: its value on the
+    row's genotype, and for a divisibility row that value under the factor's
+    killing assignment."""
+    _, genotype, _, factor, _ = equation
+    value = genotype.restrict(_c_monomial(lam))
+    return value if factor is None else substitute(value, genotype.killing(factor))
+
+
+def _ranks(equations, degree):
+    """Per-row ranks and the stacked rank of c^lam -> the rows' values over
+    every partition lam of degree."""
+    table = [[_vector(_equation_values(eq, lam)) for eq in equations]
+             for lam in _partitions(degree)]
+    per_row = [_rank(row[i] for row in table) for i in range(len(equations))]
+    return per_row, _rank(_stacked(row) for row in table), len(table)
+
+
+def _stacked(vectors):
+    """One vector of the rows' values side by side."""
+    return {(i, key): c for i, v in enumerate(vectors) for key, c in v.items()}
+
+
+@pytest.mark.parametrize("ell,per_row,stacked,unknowns", [
+    (1, [1, 1, 0, 1], 3, 3),
+    (2, [6, 6, 4, 6], 11, 11),
+    (3, [21, 21, 24, 21], 30, 30),
+])
+def test_quadruple_equations_determine_the_residue(ell, per_row, stacked, unknowns):
+    assert _ranks(germs._quadruple_equations(ell), 3 * ell) == (per_row, stacked, unknowns)
+
+
+@pytest.mark.parametrize("ell,aichern,i22chern,stacked,unknowns", [
+    (1, 7, 13, 15, 15),
+    (2, 26, 40, 42, 42),
+])
+def test_III22A0_equations_determine_the_residue(ell, aichern, i22chern, stacked, unknowns):
+    degree = residue_III22A0(ell).weighted_degree()
+    equations = germs._iii22a0_equations(ell)
+    names = ["aichern-r1", "aichern-r2", "aichern-r3", "i22chern"]
+    assert [name for name, *_ in equations] == names
+    assert _ranks(equations, degree) == ([aichern] * 3 + [i22chern], stacked, unknowns)
+    # identity (iii) gives no equation: it holds for every residue
+    i22, iii22 = equations[-1][1], germs._genotype(germ_III22(ell))
+    images = germs._d_images([one_plus(E1), germs._d_polynomial(ell - 1)], ell)
+    for lam in _partitions(degree):
+        c_lam = _c_monomial(lam)
+        assert iii22.restrict(c_lam) == substitute(i22.restrict(c_lam), images)
+
+
+@pytest.mark.parametrize("ell,stacked", [(1, 14), (2, 40)])
+def test_III22A0_equations_lose_rank_at_a_fixed_series_degree(ell, stacked):
+    # truncated at 2 ell + 4, the series maps every c_i above it to 0
+    equations = germs._iii22a0_equations(ell)
+    table = []
+    for lam in _partitions(residue_III22A0(ell).weighted_degree()):
+        table.append(_stacked(
+            _vector(chern_substitute(_c_monomial(lam), g.series(2 * ell + 4)))
+            for _, g, *_ in equations
+        ))
+    assert _rank(table) == stacked
 
 
 # -- report serialization -----------------------------------------------------------------------------
