@@ -215,12 +215,16 @@ def _cancel_common(
     kept_n = list(numer)
     kept_d = []
     for form in denom:
-        for i, other in enumerate(kept_n):
-            if other == form:
-                kept_n.pop(i)
-                break
-        else:
+        # a prototype lists each shared weight as one instance on both sides,
+        # so the identity match comes first: == compresses both forms, and
+        # most numerator forms differ from a given denominator form
+        i = next((i for i, other in enumerate(kept_n) if other is form), None)
+        if i is None:
+            i = next((i for i, other in enumerate(kept_n) if other == form), None)
+        if i is None:
             kept_d.append(form)
+        else:
+            kept_n.pop(i)
     return kept_n, kept_d
 
 
@@ -272,18 +276,20 @@ def _multiple_point_genotype(g: GermPrototype, r: int, m: int) -> GradedPoly:
     """multiple_point_class in the genotype basis, Q[alpha, d_1..d_m] for A_k.
 
     For A_k, prod_i prod_s (beta_i - s alpha) = prod_s P(-s alpha) with
-    P(x) = prod_i (x + beta_i) = sum_j d_j x^(m-j).
+    P(x) = prod_i (x + beta_i) = sum_j d_j x^(m-j) and d_0 = 1; each factor
+    P(-s alpha) is built at once from its m + 1 terms d_j (-s)^(m-j) alpha^(m-j).
     """
     if r > g.delta:
         return zero()
     if r < g.delta or not g.name.startswith("A"):
         raise UnsupportedPrototype(f"m_{r} of {g.name} (delta {g.delta}) is not documented")
-    alpha = root_var("alpha")
-    total = one()
-    for s in range(1, g.delta):
-        x = -s * alpha
-        total = total * sum((dvar(j) * x ** (m - j) for j in range(1, m + 1)), x ** m)
-    return total
+    table = tuple(x.vars[0] for x in (root_var("alpha"), *map(dvar, range(1, m + 1))))
+    # the exponents of alpha^(m-j) d_j over the table, j = 0..m
+    exponents = [(m - j, *(int(i == j) for i in range(1, m + 1))) for j in range(m + 1)]
+    return math.prod(
+        (GradedPoly(table, {e: (-s) ** e[0] for e in exponents}) for s in range(1, g.delta)),
+        start=one(),
+    )
 
 
 # -- the genotype basis -----------------------------------------------------------------
@@ -712,7 +718,7 @@ def verify_III22A0(ell: int) -> Report:
         substitute(i22.restrict(residue), _d_images([last_root, _d_polynomial(ell - 1)], ell)),
         detail="III22 genotype value matches the degree-capped I22 value",
     ))
-    checks.extend(factorization_check(ell, triple) for triple in _factorization_triples(ell))
+    checks.extend(_factorization_check(i22, ell, triple) for triple in _factorization_triples(ell))
     return Report(suite="iii22a0", ell=ell, checks=tuple(checks))
 
 
@@ -724,10 +730,17 @@ def _iii22a0_equations(ell: int) -> List[_Equation]:
         for r in (1, 2, 3)
     ]
     i22 = _i22_genotype(ell)
-    target = constant(-4) * dvar(ell) * i22.restrict(schur_det(ell + 2, ell + 2))
+    target = constant(-4) * dvar(ell) * i22.restrict(_iii22_residue(ell))
     equations.append(("i22chern", i22, target, None,
                       "residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype"))
     return equations
+
+
+@functools.cache
+def _iii22_residue(ell: int) -> GradedPoly:
+    """s(ell+2, ell+2) as one object per ell: restrict is keyed by identity, so
+    one I_{2,2} genotype restricts it once for i22chern and every factorization."""
+    return schur_det(ell + 2, ell + 2)
 
 
 def _factorization_triples(ell: int):
@@ -754,13 +767,19 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     i, j, k = (check_int(index, 0, "factorization index") for index in triple)
     if not (i >= j >= k and j >= ell + 2 and k <= ell):
         raise PolyError(f"triple {triple} violates the factorization ranges")
-    genotype = _i22_genotype(ell)
+    return _factorization_check(_i22_genotype(ell), ell, (i, j, k))
+
+
+def _factorization_check(genotype: _Genotype, ell: int, triple: Tuple[int, int, int]) -> CheckResult:
+    """factorization_check of a valid triple on the given I_{2,2} genotype of
+    ell roots, which verify_III22A0 shares with its i22chern row."""
+    i, j, k = triple
     numer, denom = genotype.factors()
     lhs = genotype.restrict(schur_det(i, j, k))
     rhs = (
         _E_2 ** (j - ell - 2)
         * series_quotient([], denom, i - j).homogeneous_part(i - j)
-        * genotype.restrict(schur_det(ell + 2, ell + 2))
+        * genotype.restrict(_iii22_residue(ell))
         * series_quotient(numer, [], k).homogeneous_part(k)
     )
     return genotype.check(

@@ -805,7 +805,10 @@ def substitute(
 ) -> GradedPoly:
     """Ring-morphism substitution; unassigned variables map to themselves.
 
-    One sparse Horner walk in the packed int kernel.  Each term of p is a row
+    A term of p that holds a variable whose image is zero maps to zero, so
+    such terms are dropped first, before any table, bound or power is built,
+    and the zero polynomial is returned when none is left.  The rest is one
+    sparse Horner walk in the packed int kernel.  Each term of p is a row
     listing only its nonzero exponents of assigned variables, as factors
     (level, exponent), outermost first.  Rows are grouped by their next factor
     like a trie; each group is walked on and multiplied by that power of the
@@ -823,12 +826,16 @@ def substitute(
     if not isinstance(assignment, Mapping):
         raise PolyError(f"an assignment must be a mapping, got {assignment!r}")
     images = {_resolve_symbol(sym): _coerce(value) for sym, value in assignment.items()}
-    if not _check_poly(p, "substituted polynomial").nums:
-        return p
-    keys = [(v.family, v.index) for v in p.vars]
+    keys = [(v.family, v.index) for v in _check_poly(p, "substituted polynomial").vars]
     shifts = _shifts(len(keys), p.width)
     mask = (1 << p.width) - 1
-    used = reduce(or_, p.nums)
+    # the fields of the variables whose image is zero
+    dead = sum(mask << shift for shift, key in zip(shifts, keys)
+               if key in images and not images[key].nums)
+    nums = {key: c for key, c in p.nums.items() if not key & dead} if dead else p.nums
+    if not nums:
+        return zero()
+    used = reduce(or_, nums)
     occurs = [bool(used >> shift & mask) for shift in shifts]
     # the assigned variables that occur in p, outermost first
     levels = [i for i in range(len(keys) - 1, -1, -1) if occurs[i] and keys[i] in images]
@@ -836,7 +843,7 @@ def substitute(
         [v for v, key in zip(p.vars, keys) if key not in images]
         + [v for i in levels for v in images[keys[i]].vars]
     ))
-    degree = _degree(p)
+    degree = max(nums) >> _top(p)
     bound = max([degree] + [degree * _degree(images[keys[i]]) // p.vars[i].weight for i in levels])
     width = _width(bound, max([p.width] + [images[keys[i]].width for i in levels]))
     top = len(vars_) * width
@@ -859,9 +866,9 @@ def substitute(
 
     fields = [shifts[i] for i in levels]
     dens = [images[keys[i]].den for i in levels]
-    full = prod(d ** max(key >> f & mask for key in p.nums) for d, f in zip(dens, fields) if d != 1)
+    full = prod(d ** max(key >> f & mask for key in nums) for d, f in zip(dens, fields) if d != 1)
     rows = []
-    for key, c in p.nums.items():
+    for key, c in nums.items():
         factors = tuple((j, e) for j, f in enumerate(fields) if (e := key >> f & mask))
         rows.append((factors, kept(key), c * full // prod(dens[j] ** e for j, e in factors)))
     # powers[j][e - 1] is the e-th power of level j's image
@@ -887,8 +894,7 @@ def substitute(
             _mul_into(acc, inner, power(j, e))
         return acc
 
-    nums = {key: c for key, c in walk(rows).items() if c}
-    return _poly(vars_, width, nums, p.den * full)
+    return _poly(vars_, width, {key: c for key, c in walk(rows).items() if c}, p.den * full)
 
 
 def chern_substitute(p: GradedPoly, series: GradedPoly) -> GradedPoly:
@@ -979,7 +985,9 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
 
 def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly]) -> GradedPoly:
     """Divide p by the product of the linear forms in factors, exactly."""
-    result = p
+    if not isinstance(factors, Sequence):
+        raise PolyError(f"the factors must be a sequence of linear forms, got {factors!r}")
+    result = _check_poly(p, "dividend")
     for form in factors:
         result = divide_by_linear(result, form)
     return result

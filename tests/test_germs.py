@@ -29,6 +29,7 @@ from multising.germs import (
     verify_tpA1,
 )
 from multising.poly import (
+    GradedPoly,
     NonExactDivision,
     PolyError,
     chern_substitute,
@@ -191,6 +192,25 @@ def test_n1_whitney_umbrella():
 def test_n1_blowup_fails():
     with pytest.raises(NonExactDivision):
         n1(germ_blowup())
+
+
+def _copies(weights):
+    """Equal forms that are new objects, so no weight matches one of another list by identity."""
+    return tuple(GradedPoly(w.vars, dict(w.terms)) for w in weights)
+
+
+@pytest.mark.parametrize("make", [lambda: germ_A(3, 2), lambda: germ_III22(3)], ids=["A3", "III22"])
+def test_shared_weights_cancel_by_value_without_a_shared_instance(make):
+    # a prototype lists each shared weight as one instance on both sides, and
+    # _cancel_common matches by identity first; equal copies must cancel alike
+    germ = make()
+    copy = germ.replace(target_weights=_copies(germ.target_weights))
+    assert not any(w is v for w in copy.target_weights for v in germ.source_weights)
+    assert n1(copy) == n1(germ)
+    original, copied = germs._genotype(germ), germs._genotype(copy)
+    assert copied.m == original.m
+    assert copied.series(8) == original.series(8)
+    assert chern_total(copy, 6) == chern_total(germ, 6)
 
 
 def test_blowup_control_report():
@@ -595,6 +615,24 @@ def test_thom_polynomial_restricts_on_its_prototype_to_euler_class_times_m(k, el
     assert got == math.factorial(k) * ALPHA ** k * m
 
 
+def _generic_multiple_point_genotype(germ, m):
+    """m_delta of an A_k germ as prod_s P(-s alpha), each factor summed term by term."""
+    total = one()
+    for s in range(1, germ.delta):
+        x = -s * ALPHA
+        total = total * sum((dvar(j) * x ** (m - j) for j in range(1, m + 1)), x ** m)
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
+def test_multiple_point_genotype_matches_the_generic_construction(k, m):
+    germ = germ_A(k, m)
+    got = germs._multiple_point_genotype(germ, k + 1, m)
+    assert got == _generic_multiple_point_genotype(germ, m)
+    assert got.is_homogeneous() and got.weighted_degree() == k * m
+
+
 # -- A_k prototypes past k = 3 ---------------------------------------------------------------------
 
 
@@ -831,9 +869,10 @@ def test_suites_restrict_each_polynomial_once_per_genotype(monkeypatch):
     assert len(calls) == len(germs._DIVISIBILITY_CASES)  # once per germ, not per n_1 factor
     calls.clear()
     assert verify_III22A0(2).ok
-    # aichern-r1..r3; s(4,4) and the residue on I22, read again by iii22chern;
-    # the residue on III22; two per factorization
-    assert len(calls) == 3 + 2 + 1 + 2 * len(germs._factorization_triples(2))
+    # aichern-r1..r3; s(4,4) and the residue on I22, read again by iii22chern
+    # and by every factorization; the residue on III22; one s(i,j,k) per
+    # factorization
+    assert len(calls) == 3 + 2 + 1 + len(germs._factorization_triples(2))
 
 
 def _partitions(n, most=None):

@@ -105,6 +105,8 @@ def test_rat_string_with_denominator_rejected():
         lambda: divide_by_linear(3, ALPHA),
         lambda: substitute(C1, [("c", 1)]),
         lambda: substitute(C1, None),
+        lambda: exact_quotient(C1, 5),
+        lambda: exact_quotient(3, []),
     ],
     ids=["decimal-string", "zero-denominator-string", "zero-denominator",
          "float", "float-constant", "float-term", "bool", "bool-denominator",
@@ -113,7 +115,8 @@ def test_rat_string_with_denominator_rejected():
          "truncate-str", "truncate-bool", "homogeneous_part-float", "substitute-int-poly",
          "chern_substitute-int-series", "series_inverse-int", "series_quotient-int-factor",
          "divide_by_linear-int-form", "divide_by_linear-int-dividend",
-         "substitute-list-assignment", "substitute-none-assignment"],
+         "substitute-list-assignment", "substitute-none-assignment",
+         "exact_quotient-int-factors", "exact_quotient-int-dividend"],
 )
 def test_malformed_scalars_raise_poly_error(make):
     with pytest.raises(PolyError):
@@ -614,17 +617,25 @@ def sparse_images(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(sparse_exponents(5, 3), mixed_coeffs, min_size=1, max_size=5),
-       sparse_images())
-def test_sparse_substitution_matches_naive_substitution(terms, images):
+       sparse_images(), st.one_of(st.none(), st.integers(0, 7)))
+def test_sparse_substitution_matches_naive_substitution(terms, images, killed):
     # exponents up to 5 on weights up to 8 push the image powers past the
-    # narrowest field; zero and constant images end a term's walk early
+    # narrowest field; zero and constant images end a term's walk early.  With
+    # killed = i, every term is multiplied by c_(i+1), whose image is zero: the
+    # kill test of a genotype check, which must return zero() itself
+    if killed is not None:
+        images[killed] = {}
+        terms = {e[:killed] + (e[killed] + 1,) + e[killed + 1:]: c for e, c in terms.items()}
     p = GradedPoly(SPARSE, terms)
     assignment = {
         (SPARSE[i].family, SPARSE[i].index): GradedPoly(SPARSE, image)
         for i, image in images.items()
     }
     want = GradedPoly(SPARSE, naive_substitute(dict(p.terms), images, len(SPARSE)))
-    assert substitute(p, assignment) == want
+    got = substitute(p, assignment)
+    assert got == want
+    if all(any(e and not images[i] for i, e in enumerate(exps[:8])) for exps in p.terms):
+        assert got is zero()  # p itself may be zero
 
 
 def test_assigning_absent_variables_changes_nothing():
@@ -665,6 +676,22 @@ def test_substitution_multiplies_only_the_variables_a_term_uses(monkeypatch, mak
             term = term * assignment[(v.family, v.index)] ** e
         want = want + term
     assert got == want
+
+
+def test_substitution_drops_the_terms_of_a_zero_image_unmultiplied(monkeypatch):
+    # the kill test d_m -> 0 of a genotype check on a multiple of d_m, and the
+    # same with a surviving term and a nonzero image that only dropped terms use
+    d1, d2, d3 = dvar(1), dvar(2), dvar(3)
+    p = d3 * (ALPHA + d1) ** 3 - 2 * d3 ** 2 * d2
+    rest = 3 * d2 * ALPHA
+    q = p + rest
+    count = []
+    kernel = poly._mul_into
+    monkeypatch.setattr(poly, "_mul_into", lambda *args: count.append(1) or kernel(*args))
+    assert substitute(p, {("d", 3): 0}) is zero()
+    got = substitute(q, {("d", 3): 0, ("d", 1): BETA})
+    assert count == []
+    assert got == rest
 
 
 c_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda e: (0, 0) + e)
