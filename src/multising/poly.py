@@ -655,6 +655,12 @@ def _check_poly(value, what: str) -> GradedPoly:
     raise PolyError(f"{what} must be a GradedPoly, got {value!r}")
 
 
+def _check_factors(factors, what: str) -> None:
+    """Raise PolyError unless factors is a sequence; what names its items."""
+    if not isinstance(factors, Sequence):
+        raise PolyError(f"the factors must be a sequence of {what}, got {factors!r}")
+
+
 def _coerce(value) -> GradedPoly:
     if isinstance(value, GradedPoly):
         return value
@@ -759,6 +765,8 @@ def series_quotient(
     Q_d = P_d * D**d - sum_i H_i * Q_(d-i) * D**(i-1).
     """
     check_int(maxdeg, -1, "series degree maxdeg")  # -1: the empty cut
+    for factors in (numerator_factors, denominator_factors):
+        _check_factors(factors, "series factors")
 
     def product(factors: Sequence[GradedPoly]) -> GradedPoly:
         """The product of the factors, exact up to degree maxdeg."""
@@ -985,8 +993,7 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
 
 def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly]) -> GradedPoly:
     """Divide p by the product of the linear forms in factors, exactly."""
-    if not isinstance(factors, Sequence):
-        raise PolyError(f"the factors must be a sequence of linear forms, got {factors!r}")
+    _check_factors(factors, "linear forms")
     result = _check_poly(p, "dividend")
     for form in factors:
         result = divide_by_linear(result, form)

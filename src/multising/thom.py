@@ -10,9 +10,13 @@ replace d_j with the Chern variable c_{j+shift} (with c_0 = 1 and c_{<0} = 0):
   * residue polynomial of the multisingularity A_0^r at relative
     dimension ell: shift = ell, scaled by (-1)^(r-1) (r-1)!.
 
-Closed-form series are built in for A_0 through A_3.  Residues for the
-mixed multisingularities A_0A_1, III_{2,2} and III_{2,2}A_0 are given by
-closed formulas in Chern variables and Schur determinants.
+Closed-form series are built in for A_0 through A_3 as integer tables of
+(numerator, indices) pairs over one denominator per k (6 for A_3); the
+a_{i,j} of A_3 come from their integer recurrence.  Both substitutions sum
+a table's numerators as ints, fold in the scale and pack the polynomial's
+keys directly.  Residues for the mixed multisingularities A_0A_1, III_{2,2}
+and III_{2,2}A_0 are closed formulas in Chern variables and Schur
+determinants.
 """
 
 from __future__ import annotations
@@ -24,17 +28,19 @@ from collections import Counter
 from typing import Sequence, Union
 
 from .poly import (
+    _FIELD,
     GradedPoly,
     PolyError,
     Rat,
     Record,
+    _pack,
+    _poly,
+    _width,
     check_int,
     cvar,
     one,
     rat,
-    root_var,
     schur_det,
-    series_quotient,
     zero,
 )
 
@@ -45,16 +51,14 @@ class UnsupportedMultisingularity(PolyError):
 
 # -- the a_{i,j} coefficient triangle ------------------------------------------
 
-@functools.cache
-def _a_series(maxdeg: int) -> GradedPoly:
-    """Bivariate series (u(1-u)/(1-3u) + v(1-v)/(1-3v)) / (1-u-v)."""
-    if maxdeg < 1:
-        return zero()
-    u, v = root_var("u"), root_var("v")
-    return sum(
-        x * series_quotient([one() - x], [one() - 3 * x, one() - u - v], maxdeg - 1)
-        for x in (u, v)
-    )
+def _a_rows(rows: int) -> list:
+    """Rows 0..rows-1 of the triangle by a_{i,j} = a_{i-1,j} + a_{i,j-1} +
+    [j=0] f_i + [i=0] f_j, where sum f_n u^n = u(1-u)/(1-3u)."""
+    triangle = [[0]]
+    for n in range(1, rows):
+        f = 2 * 3 ** (n - 2) if n > 1 else 1
+        triangle.append([x + y for x, y in zip([f, *triangle[-1]], [*triangle[-1], f])])
+    return triangle[:rows]
 
 
 def a_coeff(i: int, j: int) -> Rat:
@@ -62,54 +66,42 @@ def a_coeff(i: int, j: int) -> Rat:
     an index is negative."""
     if min(check_int(index, None, "index of a_{i,j}") for index in (i, j)) < 0:
         return rat(0)
-    return _a_series(i + j).coefficient({("u", 0): i, ("v", 0): j})
+    return rat(_a_rows(i + j + 1)[i + j][j])
 
 
 def a_triangle(rows: int) -> list:
     """Rows 0..rows-1 of the triangle; row n lists a_{n-j,j} for j = 0..n."""
     check_int(rows, 0, "number of rows of the a triangle")
-    return [
-        [int(a_coeff(n - j, j)) for j in range(n + 1)] for n in range(rows)
-    ]
+    return _a_rows(rows)
 
 
 # -- Thom series ---------------------------------------------------------------
 
 
-def _terms_A0(shift: int):
-    return [(rat(1), ())]
+def _series_A3(shift: int) -> list:
+    """Over 6: 2^i d_{-i}d_0d_i, 2^i 3^j / 3 d_{-i}d_{-j}d_{i+j}, a_{i,j} / 2 d_{-i-j}d_id_j."""
+    rows, span = _a_rows(shift + 1), range(1, shift + 1)
+    return (
+        [(6 * 2 ** i, (-i, 0, i)) for i in range(shift + 1)]
+        + [(2 ** (i + 1) * 3 ** j, (-i, -j, i + j)) for i in span for j in span]
+        + [(3 * rows[i + j][j], (-i - j, i, j))
+           for i in range(shift + 1) for j in range(shift + 1 - i) if i or j]
+    )
 
 
-def _terms_A1(shift: int):
-    return [(rat(1), (0,))]
+# (denominator, build) of A_0..A_3: build(shift) lists the (numerator,
+# indices) pairs of the terms surviving d_j -> c_{j+shift}, in thom_terms order.
+_SERIES = (
+    (1, lambda shift: [(1, ())]),
+    (1, lambda shift: [(1, (0,))]),
+    (1, lambda shift: [(1, (0, 0))] + [(2 ** (i - 1), (-i, i)) for i in range(1, shift + 1)]),
+    (6, _series_A3),
+)
 
 
-def _terms_A2(shift: int):
-    terms = [(rat(1), (0, 0))]
-    for i in range(1, shift + 1):
-        terms.append((rat(2 ** (i - 1)), (-i, i)))
-    return terms
-
-
-def _terms_A3(shift: int):
-    terms = []
-    for i in range(0, shift + 1):
-        terms.append((rat(2 ** i), (-i, 0, i)))
-    for i in range(1, shift + 1):
-        for j in range(1, shift + 1):
-            terms.append((rat(2 ** i * 3 ** j, 3), (-i, -j, i + j)))
-    series = _a_series(shift)
-    for i in range(0, shift + 1):
-        for j in range(0, shift + 1 - i):
-            if i == 0 and j == 0:
-                continue
-            c = series.coefficient({("u", 0): i, ("v", 0): j})
-            if c != 0:
-                terms.append((c / 2, (-i - j, i, j)))
-    return terms
-
-
-_THOM_TERMS = (_terms_A0, _terms_A1, _terms_A2, _terms_A3)
+def _check_k(k: int) -> int:
+    return check_int(k, 0, "Thom series index k", most=len(_SERIES) - 1,
+                     error=UnsupportedMultisingularity)
 
 
 def thom_terms(k: int, shift: int) -> list:
@@ -118,36 +110,34 @@ def thom_terms(k: int, shift: int) -> list:
     Each term is (coeff, indices) with k indices summing to zero, every
     index >= -shift.
     """
-    check_int(k, 0, "Thom series index k", most=len(_THOM_TERMS) - 1,
-              error=UnsupportedMultisingularity)
+    den, build = _SERIES[_check_k(k)]
     check_int(shift, 0, "substitution shift")
-    return _THOM_TERMS[k](shift)
+    return [(rat(num, den), indices) for num, indices in build(shift)]
 
 
-def _substitute_shift(terms, shift: int) -> GradedPoly:
-    """Apply d_j -> c_{j+shift} to a term list; c_0 = 1, c_{<0} = 0.
+def _substitute_shift(k: int, shift: int, scale: int) -> GradedPoly:
+    """scale times the Thom series of A_k under d_j -> c_{j+shift}; c_0 = 1.
 
-    The surviving terms are summed in one dict keyed by their sorted Chern
-    indices, and one polynomial is built from it at the end.
+    The numerators are summed as ints keyed by their sorted nonzero Chern
+    indices and packed straight into one polynomial over the series'
+    denominator.  Index sums are zero, so every term has degree k * shift.
     """
+    den, build = _SERIES[k]
     sums: dict = {}
-    for coeff, indices in terms:
-        chern = sorted(idx + shift for idx in indices)
-        if chern and chern[0] < 0:
-            continue
-        key = tuple(k for k in chern if k)
-        sums[key] = sums.get(key, 0) + coeff
-    table = sorted({k for key in sums for k in key})
-    return GradedPoly(
-        tuple(cvar(k).vars[0] for k in table),
-        {tuple(key.count(k) for k in table): coeff for key, coeff in sums.items()},
-    )
+    for num, indices in build(shift):
+        key = tuple(c for c in sorted(i + shift for i in indices) if c)
+        sums[key] = sums.get(key, 0) + num
+    vars_ = tuple(cvar(c).vars[0] for c in sorted({c for key in sums for c in key}))
+    width = _width(k * shift, _FIELD)
+    nums = {_pack(vars_, width, tuple(key.count(v.index) for v in vars_)): scale * num
+            for key, num in sums.items() if num}
+    return _poly(vars_, width, nums, den)
 
 
 def thom_polynomial(k: int, ell: int) -> GradedPoly:
     """Thom polynomial of A_k (k = 0..3) at relative dimension ell >= 0."""
     check_int(ell, 0, "relative dimension ell")
-    return _substitute_shift(thom_terms(k, ell + 1), ell + 1)
+    return _substitute_shift(_check_k(k), ell + 1, 1)
 
 
 # -- residue polynomials ---------------------------------------------------------
@@ -169,8 +159,7 @@ def residue_A0r(r: int, ell: int) -> GradedPoly:
 @functools.cache
 def _residue_A0r(r: int, ell: int) -> GradedPoly:
     """residue_A0r of a checked (r, ell), so no bool or float is a key."""
-    scale = rat((-1) ** (r - 1) * math.factorial(r - 1))
-    return _substitute_shift(thom_terms(r - 1, ell), ell) * scale
+    return _substitute_shift(r - 1, ell, (-1) ** (r - 1) * math.factorial(r - 1))
 
 
 def residue_A0A1(ell: int) -> GradedPoly:

@@ -101,6 +101,8 @@ def test_rat_string_with_denominator_rejected():
         lambda: chern_substitute(C1, 3),
         lambda: series_inverse(3, 2),
         lambda: series_quotient([3], [], 2),
+        lambda: series_quotient(5, [], 2),
+        lambda: series_quotient([], 5, 2),
         lambda: divide_by_linear(C1, 2),
         lambda: divide_by_linear(3, ALPHA),
         lambda: substitute(C1, [("c", 1)]),
@@ -114,6 +116,7 @@ def test_rat_string_with_denominator_rejected():
          "symbol-1-tuple", "symbol-3-tuple", "symbol-swapped-pair", "symbol-bool-index",
          "truncate-str", "truncate-bool", "homogeneous_part-float", "substitute-int-poly",
          "chern_substitute-int-series", "series_inverse-int", "series_quotient-int-factor",
+         "series_quotient-int-numerator-factors", "series_quotient-int-denominator-factors",
          "divide_by_linear-int-form", "divide_by_linear-int-dividend",
          "substitute-list-assignment", "substitute-none-assignment",
          "exact_quotient-int-factors", "exact_quotient-int-dividend"],

@@ -1,6 +1,7 @@
 """Thom series, the a-coefficient triangle, and residue polynomials."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multising.poly import PolyError, cvar, schur_det, to_json, to_latex, zero
+from multising.poly import (
+    PolyError,
+    cvar,
+    one,
+    root_var,
+    schur_det,
+    series_quotient,
+    to_json,
+    to_latex,
+    zero,
+)
 from multising.thom import (
     MAX_EXPONENT,
     UnsupportedMultisingularity,
@@ -62,6 +73,24 @@ def test_a_coeff_against_binomial_oracle():
             assert a_coeff(i, j) == _a_oracle(i, j), (i, j)
 
 
+def _a_series(maxdeg):
+    # the generating series (u(1-u)/(1-3u) + v(1-v)/(1-3v)) / (1-u-v), the
+    # independent route to a_{i,j} through the bivariate series quotient
+    u, v = root_var("u"), root_var("v")
+    return sum(
+        x * series_quotient([one() - x], [one() - 3 * x, one() - u - v], maxdeg - 1)
+        for x in (u, v)
+    )
+
+
+def test_a_coeff_against_generating_series_and_binomial_oracle():
+    series = _a_series(14)
+    for i in range(15):
+        for j in range(15 - i):
+            expected = series.coefficient({("u", 0): i, ("v", 0): j})
+            assert a_coeff(i, j) == expected == _a_oracle(i, j), (i, j)
+
+
 def test_a_coeff_symmetry_and_edges():
     for i in range(7):
         for j in range(7):
@@ -100,7 +129,89 @@ def test_thom_terms_rejects_bad_shift(shift):
         thom_terms(2, shift)
 
 
+# sha256 of the JSON list of (str(coeff), indices) pairs of thom_terms(k, shift),
+# recorded before the series were held as integer tables.
+THOM_TERMS_DIGESTS = {
+    (0, 0): "7eaa963e1934da721c4d2b38b8c2b3cce388c0f4d4a4ed7aa88664118f124944",
+    (0, 1): "7eaa963e1934da721c4d2b38b8c2b3cce388c0f4d4a4ed7aa88664118f124944",
+    (0, 2): "7eaa963e1934da721c4d2b38b8c2b3cce388c0f4d4a4ed7aa88664118f124944",
+    (0, 3): "7eaa963e1934da721c4d2b38b8c2b3cce388c0f4d4a4ed7aa88664118f124944",
+    (0, 4): "7eaa963e1934da721c4d2b38b8c2b3cce388c0f4d4a4ed7aa88664118f124944",
+    (0, 5): "7eaa963e1934da721c4d2b38b8c2b3cce388c0f4d4a4ed7aa88664118f124944",
+    (0, 6): "7eaa963e1934da721c4d2b38b8c2b3cce388c0f4d4a4ed7aa88664118f124944",
+    (1, 0): "80cca9fea21afed20555d72704a685ce9ece3ca730c4afa81692c470eb55619d",
+    (1, 1): "80cca9fea21afed20555d72704a685ce9ece3ca730c4afa81692c470eb55619d",
+    (1, 2): "80cca9fea21afed20555d72704a685ce9ece3ca730c4afa81692c470eb55619d",
+    (1, 3): "80cca9fea21afed20555d72704a685ce9ece3ca730c4afa81692c470eb55619d",
+    (1, 4): "80cca9fea21afed20555d72704a685ce9ece3ca730c4afa81692c470eb55619d",
+    (1, 5): "80cca9fea21afed20555d72704a685ce9ece3ca730c4afa81692c470eb55619d",
+    (1, 6): "80cca9fea21afed20555d72704a685ce9ece3ca730c4afa81692c470eb55619d",
+    (2, 0): "1e970fccc7b64b6d4e252f48bbb94b168d5f44df2d37fa40900b13cc5e41380d",
+    (2, 1): "d9e0ff65d93ff77d8ae8f713139df4cc772b119853ae9ebbd4c2b200acdd1629",
+    (2, 2): "d06b61aa2b6e767c34cb915b5a140eccbc15314bfbfabb4b2fd3bfd3932d7443",
+    (2, 3): "5a11711f0f2d3117399dcfff11e19b9b438999b573b7eb5a344e06e93adb48b3",
+    (2, 4): "d0ad5c13f9fb116b6686d9a154883b48fcd6ec9a934dcabe739250ccf2f941f3",
+    (2, 5): "71fd5733c2cb8527bf9b3c405c75df1d315bb7f37ca0644d211992c967b910ae",
+    (2, 6): "87f74f7167481f6cd0713d10ed51c5f441924353e5e030724fa019d93bc8acb0",
+    (3, 0): "bbd6c588f656d4b85f6eb795d770ca2b9d55f2bcc55bae6a09a6495ea50bf454",
+    (3, 1): "c1852245ce76747b6282310b374fe896d0423c98ce9e4ff0ee7f7474be1daaf9",
+    (3, 2): "dd298a8e9c627028a7e9ac9642640050df567559f2b2d544fc5bc4ee0c5b5ac4",
+    (3, 3): "fca213c34fc863d26fcc6d95a9f23dba53e38709871aacef88d7e000717228df",
+    (3, 4): "e80dd3ec50465a86d38b116ee953454d2e735a0197e0bb83d74a737b27f8f1b8",
+    (3, 5): "22ea3611030d60682cabf56e8548fe6d9a61a7825051a2128500fe1b9d7ab131",
+    (3, 6): "435d8d6336e6194d971ffe288b066b96037eb9e7846fac49b167b80cd18ffaa6",
+}
+
+
+@pytest.mark.parametrize("k, shift", sorted(THOM_TERMS_DIGESTS))
+def test_thom_terms_match_recorded_digest(k, shift):
+    terms = [(str(coeff), list(indices)) for coeff, indices in thom_terms(k, shift)]
+    digest = hashlib.sha256(json.dumps(terms).encode()).hexdigest()
+    assert digest == THOM_TERMS_DIGESTS[(k, shift)]
+
+
 # -- Thom polynomials ---------------------------------------------------------------
+
+
+# sha256 of to_json(thom_polynomial(k, ell)), recorded before the series were
+# held as integer tables.
+THOM_POLYNOMIAL_DIGESTS = {
+    (0, 0): "974c890f2dad750a0312a5382356294f6079591c3b34d004a3ac6cdb88551258",
+    (0, 1): "974c890f2dad750a0312a5382356294f6079591c3b34d004a3ac6cdb88551258",
+    (0, 2): "974c890f2dad750a0312a5382356294f6079591c3b34d004a3ac6cdb88551258",
+    (0, 3): "974c890f2dad750a0312a5382356294f6079591c3b34d004a3ac6cdb88551258",
+    (0, 4): "974c890f2dad750a0312a5382356294f6079591c3b34d004a3ac6cdb88551258",
+    (0, 5): "974c890f2dad750a0312a5382356294f6079591c3b34d004a3ac6cdb88551258",
+    (0, 6): "974c890f2dad750a0312a5382356294f6079591c3b34d004a3ac6cdb88551258",
+    (1, 0): "41c69794bfa905092a109c2c85f7db4be4781be84b10ca3f5ed0236eac8ea73d",
+    (1, 1): "f25f11897b1edc95ca5dfbe162203de69a3368e2b9ead7a64043d02b22ce1605",
+    (1, 2): "1b1d53fe3c255a0471359bbb72f49735366048415def54c0349206e4cadeb3d9",
+    (1, 3): "b7a147f05ff2f4b77b2bc009ea3c0c3e6f091a0d0cc637e81a0ede2ed778a56e",
+    (1, 4): "e77e497a0b6c3c81b0813d40f25b6fec2a6758c33e805490d8497ce9154fae23",
+    (1, 5): "5ed7ebeb11ae5f37b5c92a646eafcf448072a11660d5af988aaad63f26f22f84",
+    (1, 6): "cbd5235b1b23e75383ace7f01bbc46ab42ef2e405c251f419cde61f466d40d32",
+    (2, 0): "2ba7765083bbd98c9b762c4edd9a006390f396fac47b46ec130a0d1c40b4833c",
+    (2, 1): "e204a3964bd74b5a10c8275e13e0f0e88a29ac7aee866e2ce3e58822da28b4ef",
+    (2, 2): "c9d95fa620ac34a330e51d492aef13e96c09d58799a010a070b8a6c134a31488",
+    (2, 3): "3bb33a69870ca6949e855180100b189fdcdde9009bd445208adf1b610ae37fe7",
+    (2, 4): "dad2f2be1053ffb80b2df30eef6cc6076744c2919615663e4006b1d1ca8e6198",
+    (2, 5): "b33b02a001af11c1f292540d564994937a8ffd62ca91ac0e0a272cc89d048442",
+    (2, 6): "8acf3967080cf156e8dd0b086b4a7467ca16b64d6bb8bd0e4d5e217e42e07c83",
+    (3, 0): "fb27f91f30c61d9b5bd284f6878e42511edba1d1c819505b8a2d88421082382d",
+    (3, 1): "1b9000bd83b9db960576ec91023e83552fbad627209b11d5598a582ab71862f9",
+    (3, 2): "5b1ef39879b3fb4017425605fb809a34d37278f9f36248334314bed195440e13",
+    (3, 3): "b3ef6fae4e18ddc04be13f67371f51f8df00d1290584dea9637def49941c6f0c",
+    (3, 4): "07852ebfaa38cf01840438ffa8055d9f66a66788ca7f551981e020928e304bbf",
+    (3, 5): "026f94bf565c0f83647fd39e2b4522c9c362ccbcbf8db6506303197f681dd467",
+    (3, 6): "52f3768e9f497897939c124891ac3aa53a790aa0bbe59f74e841fc9e8a098195",
+}
+
+
+@pytest.mark.parametrize("k, ell", sorted(THOM_POLYNOMIAL_DIGESTS))
+def test_thom_polynomial_matches_recorded_digest(k, ell):
+    digest = hashlib.sha256(to_json(thom_polynomial(k, ell)).encode()).hexdigest()
+    assert digest == THOM_POLYNOMIAL_DIGESTS[(k, ell)]
+
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
