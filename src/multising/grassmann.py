@@ -13,6 +13,8 @@ left - (old[r] - old[k-1]) of the cells left.
 A product that vanishes in the box skips the enumeration: s_lam * s_mu != 0
 iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton, Young Tableaux, 9.4),
 and a GrassClass product that vanishes is the ring's one shared zero class.
+A product of top degree k(n-k) that passes that test is the point class once:
+its k sums lam_i + mu_(k+1-i) total k(n-k), so each is n-k (lam is mu's dual).
 GrassClass and the FiberClass below are stored as GradedPoly is: nonzero int
 numerators over one shared positive denominator in lowest terms.  Their
 private base, _SchurSum, makes +, -, ==, ** and scalar * one lcm merge and
@@ -148,6 +150,13 @@ def _box_partitions(rows: int, cols: int) -> Dict[Partition, Partition]:
 
     grow([], cols, 0)
     return {p: p for p in acc}
+
+
+@lru_cache(maxsize=None)
+def _padded_partitions(rows: int, cols: int) -> Dict[Tuple[int, ...], Partition]:
+    """_box_partitions with each key also padded with zeros to rows parts."""
+    canon = _box_partitions(rows, cols)
+    return {**canon, **{p + (0,) * (rows - len(p)): p for p in canon}}
 
 
 class _SchurSum:
@@ -371,12 +380,14 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
     has room for the rest.
     A product that vanishes in the box is decided before any enumeration:
     s_lam * s_mu != 0 iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton,
-    Young Tableaux, 9.4), that is iff lam fits inside the dual of mu.
+    Young Tableaux, 9.4), that is iff lam fits inside the dual of mu.  In top
+    degree k(n-k) a product that passes it is s_box once: the k sums total
+    k(n-k), so each lam_i + mu_(k+1-i) is n-k and lam is the dual of mu.
     """
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
     cols = n - k
-    canon = _box_partitions(k, cols)
+    canon = _padded_partitions(k, cols)
     if not mu:
         return ((canon[lam], 1),)
     # vanishing criterion (Fulton, Young Tableaux, 9.4): lam must fit in mu's dual
@@ -385,6 +396,8 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
         if row < len(lam) and lam[row] + b > cols:
             return ()
         row -= 1
+    if sum(lam) + sum(mu) == k * cols:  # top degree: lam is the dual of mu
+        return ((canon[(cols,) * k], 1),)
     shape = list(lam) + [0] * (k - len(lam))
     labels = [0] * k  # cells of the previous strip in each row, 0 before the first
     hits: Dict[Tuple[int, ...], int] = {}
@@ -413,7 +426,7 @@ def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Par
         labels[r] = prev
 
     strip(0, 0, mu[0], cols, mu[0])
-    return tuple(sorted((canon[_strip_zeros(nu)], m) for nu, m in hits.items()))
+    return tuple(sorted((canon[nu], m) for nu, m in hits.items()))
 
 
 def _mul_into(acc: Dict[Partition, int], k: int, n: int, left, right) -> None:

@@ -497,21 +497,22 @@ def _is_exponent(e) -> bool:
 
 
 def power(base, exponent: int, unit):
-    """base ** exponent by square-and-multiply, starting from unit.
+    """base ** exponent by left-to-right square-and-multiply, starting from unit.
 
     The one power loop of the package: GradedPoly, GrassClass and FiberClass
-    all raise to powers through it.  A bool, a non-int or a negative
-    exponent raises PolyError.
+    all raise to powers through it.  Read from the top bit, every product
+    that is not a square has the small base as a factor, cheaper than
+    squaring ever larger powers of it (Fateman, Stud. Appl. Math. 53, 1974),
+    and x ** e still takes O(log e) products.  A bool, a non-int or a
+    negative exponent raises PolyError.
     """
     if not _is_exponent(exponent):
         raise PolyError(f"power {exponent!r} is not a nonnegative int")
     result = unit
-    while exponent:
-        if exponent & 1:
+    for bit in bin(exponent)[2:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        if exponent > 1:
-            base = base * base
-        exponent >>= 1
     return result
 
 

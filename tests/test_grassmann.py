@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from multising.grassmann import (
     pushforward_P_S,
     schur,
 )
-from multising.poly import PolyError, rat, rat_str
+from multising.poly import PolyError, cvar, one, rat, rat_str
 
 R24 = GrassRing(2, 4)
 R36 = GrassRing(3, 6)
@@ -298,7 +299,7 @@ def test_lr_product_matches_jacobi_trudi_on_gr_3_13(lam, mu):
 
 def test_complementary_products_on_gr_3_13_match_jacobi_trudi():
     # every top-degree pair: most vanish by the box criterion, the rest are
-    # dual pairs, which must still come out of the strip enumeration as s_box
+    # dual pairs, which the top-degree criterion decides as s_box unwalked
     ring = GrassRing(3, 13)
     pairs = [(lam, mu) for lam, mu in itertools.combinations_with_replacement(_R313_BASIS, 2)
              if sum(lam) + sum(mu) == ring.dim]
@@ -317,6 +318,110 @@ def test_products_vanishing_in_the_box():
     lam = (3, 1)
     assert integrate(schur(R36, lam) * schur(R36, R36.dual(lam))) == 1
     assert _mul_basis.__wrapped__(3, 6, lam, R36.dual(lam)) == (((3, 3, 3), 1),)
+
+
+_SMALL_RINGS = [(k, n) for n in range(2, 9) for k in range(1, min(n, 5))]
+
+
+def _top_degree_pairs(ring):
+    """Every ordered pair (lam, mu) of box partitions with |lam| + |mu| = dim."""
+    basis = list(ring.partitions())
+    return [(lam, mu) for lam in basis for mu in basis if sum(lam) + sum(mu) == ring.dim]
+
+
+@pytest.mark.parametrize("k, n", _SMALL_RINGS)
+def test_top_degree_products_are_decided_by_duality(k, n):
+    # the top-degree shortcut against the Pieri-chain oracle, in both orders
+    ring = GrassRing(k, n)
+    for lam, mu in _top_degree_pairs(ring):
+        got = _mul_basis.__wrapped__(k, n, lam, mu)
+        assert dict(got) == _jacobi_trudi_mul(k, n, lam, mu), (lam, mu)
+        assert bool(got) == (mu == ring.dual(lam)), (lam, mu)
+
+
+# -- independent oracle: Atiyah-Bott localisation on the torus fixed points -------------
+
+
+def _int_det(rows):
+    """Determinant of a small square int matrix by its permutation expansion."""
+    m = len(rows)
+    total = 0
+    for sigma in itertools.permutations(range(m)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(m) for j in range(i + 1, m))
+        term = (-1) ** inversions
+        for i in range(m):
+            term *= rows[i][sigma[i]]
+        total += term
+    return total
+
+
+def _elementary(weights):
+    """e_0 .. e_len of the given ints."""
+    e = [1]
+    for t in weights:
+        e = [a + t * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+class _Localisation:
+    """Integrals over Gr(k, n) by Atiyah-Bott with torus weights t_1..t_n.
+
+    The fixed points are the k-subsets I; the tangent space at I has the
+    weights t_j - t_i (i in I, j in its complement J), and sigma_lam, the
+    Giambelli determinant in c_i(Q) = s_(i), restricts to
+    det(e_(lam_i + j - i)(t_J)).
+    """
+
+    def __init__(self, ring, weights):
+        self.e, self.euler = [], []
+        for subset in itertools.combinations(range(ring.n), ring.k):
+            rest = [weights[j] for j in range(ring.n) if j not in subset]
+            self.e.append(_elementary(rest))
+            self.euler.append(math.prod(t - weights[i] for i in subset for t in rest))
+        self.restrictions = {}
+
+    def _restrict(self, lam):
+        """sigma_lam at each fixed point, computed once per partition."""
+        if lam not in self.restrictions:
+            m = len(lam)
+            self.restrictions[lam] = [
+                _int_det([[e[lam[i] + j - i] if 0 <= lam[i] + j - i < len(e) else 0
+                           for j in range(m)] for i in range(m)])
+                for e in self.e
+            ]
+        return self.restrictions[lam]
+
+    def integral(self, *lams):
+        """The integral of the product of sigma_lam over the given partitions."""
+        values = zip(*(self._restrict(lam) for lam in lams))
+        return sum((Fraction(math.prod(v), euler) for v, euler in zip(values, self.euler)),
+                   Fraction(0))
+
+
+def _localisations(ring):
+    """Two independent generic weight choices for one ring."""
+    draws = random.Random(f"weights-{ring.k}-{ring.n}")
+    return [_Localisation(ring, draws.sample(range(-60, 61), ring.n)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("k, n", _SMALL_RINGS)
+def test_top_degree_integrals_match_localisation(k, n):
+    ring = GrassRing(k, n)
+    first, second = _localisations(ring)
+    for lam, mu in _top_degree_pairs(ring):
+        want = first.integral(lam, mu)
+        assert want == second.integral(lam, mu), (lam, mu)
+        assert integrate(schur(ring, lam) * schur(ring, mu)) == want, (lam, mu)
+
+
+@pytest.mark.parametrize("k, n", _SMALL_RINGS)
+def test_sigma1_to_the_dimension_is_the_hook_count(k, n):
+    ring = GrassRing(k, n)
+    hooks = math.prod(i + j + 1 for i in range(k) for j in range(n - k))
+    want = math.factorial(ring.dim) // hooks
+    assert integrate(schur(ring, (1,)) ** ring.dim) == want
+    for oracle in _localisations(ring):
+        assert oracle.integral(*[(1,)] * ring.dim) == want
 
 
 _COEFFS = st.one_of(
@@ -814,6 +919,57 @@ def test_powers_equal_repeated_products():
         for n in range(8):
             assert base ** n == product
             product = product * base
+
+
+def _right_to_left_power(base, exponent, unit):
+    """base ** exponent by squaring the base and multiplying on each 1 bit
+    from the bottom: the classic right-to-left order, an oracle for the
+    left-to-right loop of poly.power."""
+    result = unit
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        if exponent > 1:
+            base = base * base
+        exponent >>= 1
+    return result
+
+
+def _power_cases():
+    c1, c2 = cvar(1), cvar(2)
+    fiber_unit = FiberClass.lift(schur(R37, ()))
+    return [
+        (one() + c1 + c2, one()),
+        (c1 - rat(1, 2) * c2 * c1, one()),
+        (schur(R37, (1,)), schur(R37, ())),
+        (schur(R37, (2, 1)), schur(R37, ())),
+        (schur(R37, (1,)) - rat(2, 3) * schur(R37, (2, 1)), schur(R37, ())),
+        (FiberClass.xi(R37), fiber_unit),
+        (kappa_chern(R37, DUAL_LINE)[0], fiber_unit),
+        (FiberClass.xi(R37) + rat(1, 3) * FiberClass.lift(chern_S(R37, 1)), fiber_unit),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_power_cases())))
+def test_power_matches_the_right_to_left_loop(case):
+    # GradedPoly, GrassClass and FiberClass share poly.power
+    base, unit = _power_cases()[case]
+    for e in range(13):
+        assert base ** e == _right_to_left_power(base, e, unit), e
+
+
+def test_huge_power_takes_logarithmically_many_products():
+    # repeated products would take a million steps; a few squarings reach the zero class
+    assert (schur(R37, (1,)) ** 10 ** 6).is_zero()
+    assert (schur(R37, ()) ** 10 ** 6) == 1
+
+
+@pytest.mark.parametrize("exponent", [True, False, 2.0, -1, "2", None])
+@pytest.mark.parametrize("case", [0, 2, 5])
+def test_power_rejects_non_int_exponents(case, exponent):
+    base, _ = _power_cases()[case]
+    with pytest.raises(PolyError):
+        base ** exponent
 
 
 # -- serialization ----------------------------------------------------------------------------
