@@ -31,16 +31,17 @@ symmetry swaps alpha_1 and alpha_2, so the beta-free part of their class is
 symmetric and is rewritten in e_1 = alpha_1 + alpha_2 (weight 1) and
 e_2 = alpha_1 alpha_2 (weight 2).  These are algebraically independent too,
 so an identity holds in Q[alpha, beta] exactly when it holds in
-Q[e_1, e_2, d_1..d_m].  Every genotype-basis check goes through one of two
-_Genotype methods: check compares two polynomials, and divides is the one
-rule for an n_1 factor.  A factor with a killing assignment (a lone
-beta_i: d_m -> 0; a multiple of alpha_1 + alpha_2: e_1 -> 0) is certified
-when the polynomial vanishes under it; any other factor, and any failing
-check, maps the polynomial back through e -> alpha and d_j -> e_j(beta)
-and, for a factor, solves the factor for its last variable there, so every
-residual is reported in root coordinates.  Every suite restricts on the
-genotype of a prototype (_genotype), the III_{2,2}A_0 suite included; its
-I_{2,2} genotype, which has no prototype here, is built in the same basis.
+Q[e_1, e_2, d_1..d_m].  Every check stays in this basis: _identity_check
+compares two polynomials, and _Genotype.divides is the one rule for an n_1
+factor, which certifies it when the polynomial vanishes under the factor's
+killing assignment (a lone beta_i: d_m -> 0; a beta-free form in alpha
+coordinates: that form solved for its last alpha; a multiple of
+alpha_1 + alpha_2: e_1 -> 0).  A failing check keeps its residual in the
+genotype basis, so a wrong residue fails as fast as a right one passes;
+_Genotype.roots maps back to the roots only for multiple_point_class.
+Every suite restricts on the genotype of a prototype (_genotype), the
+III_{2,2}A_0 suite included; its I_{2,2} genotype, which has no prototype
+here, is built in the same basis.
 
 Every restriction of a polynomial in the c_i goes through _Genotype.restrict,
 whose series runs up to the largest c_i that the polynomial uses: a series
@@ -108,14 +109,21 @@ class GermPrototype(Record):
     n1_factors: Tuple[GradedPoly, ...] = ()
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise PolyError(f"prototype name {self.name!r} is not a str")
         check_int(self.ell, 0, f"relative dimension ell of {self.name}")
         check_int(self.delta, 1, f"local multiplicity delta of {self.name}")
-        if len(self.target_weights) - len(self.source_weights) != self.ell:
-            raise PolyError(
-                f"{self.name}: weight counts differ by "
-                f"{len(self.target_weights) - len(self.source_weights)}, "
-                f"expected ell = {self.ell}"
-            )
+        check_int(self.n1_scalar, None, f"n_1 scalar of {self.name}")
+        for field in ("source_weights", "target_weights", "n1_factors"):
+            forms = getattr(self, field)
+            if type(forms) is not tuple or not all(isinstance(w, GradedPoly) for w in forms):
+                raise PolyError(f"{self.name}: {field} is not a tuple of polynomials")
+        if not all(f.is_homogeneous() and f.weighted_degree() == 1 for f in self.n1_factors):
+            raise PolyError(f"{self.name}: an n_1 factor is not a nonzero linear form")
+        surplus = len(self.target_weights) - len(self.source_weights)
+        if surplus != self.ell:
+            raise PolyError(f"{self.name}: weight counts differ by {surplus}, "
+                            f"expected ell = {self.ell}")
 
 
 def _betas(count: int) -> List[GradedPoly]:
@@ -375,51 +383,38 @@ class _Genotype:
         """p mapped back to root coordinates through e -> alpha and d_j -> e_j(beta)."""
         return substitute(p, {**self.alphas, **_d_images([one_plus(b) for b in self.betas], self.m)})
 
-    def killing(self, form: GradedPoly) -> Optional[dict]:
-        """An assignment of genotype coordinates under which a polynomial of
+    def killing(self, form: GradedPoly) -> dict:
+        """The assignment of genotype coordinates under which a polynomial of
         this basis vanishes exactly when its root image is divisible by the
-        linear form, or None when there is none.
+        linear form.
 
         A lone root beta_i is killed by d_m -> 0, since every polynomial in
-        the d_j is symmetric in the roots, and in e coordinates a multiple of
-        alpha_1 + alpha_2 is killed by e_1 -> 0.  Any other form, one that
-        mixes beta with alpha or a beta-free form in alpha coordinates, has
-        none here and is left to the root path of divides.
+        the d_j is symmetric in the roots.  In alpha coordinates a beta-free
+        form is killed by solving it for its last alpha, and in e coordinates
+        a multiple of alpha_1 + alpha_2 by e_1 -> 0.  Any other form, one that
+        mixes beta with alpha for instance, raises UnsupportedPrototype.
         """
         if form in self.betas:
             return {("d", self.m): 0}
-        if _involves_beta(form) or not self.alphas:
-            return None
-        scale = form.coefficient({("alpha", 1): 1})
-        return {("e", 1): 0} if scale and form == scale * _E_IN_ROOTS[("e", 1)] else None
-
-    def check(self, name: str, lhs: GradedPoly, rhs: GradedPoly, detail: str) -> CheckResult:
-        """lhs == rhs in this basis; a failing residual is mapped back to the roots."""
-        check = _identity_check(name, lhs, rhs, detail)
-        return check if check.holds else check.replace(residual=self.roots(check.residual))
+        if not _involves_beta(form):
+            if not self.alphas:
+                return dict([_specialization_for(form)])
+            scale = form.coefficient({("alpha", 1): 1})
+            if scale and form == scale * _E_IN_ROOTS[("e", 1)]:
+                return {("e", 1): 0}
+        raise UnsupportedPrototype(f"{to_text(form)} has no killing assignment in this genotype")
 
     def divides(self, name: str, p: GradedPoly, form: GradedPoly, detail: str) -> CheckResult:
-        """The root image of p is divisible by the linear form.
-
-        The check holds when the form has a killing assignment and p vanishes
-        under it.  Otherwise p is mapped back to the roots and the form is
-        solved for its last variable there; that value is the check's value
-        and, when nonzero, its residual.
-        """
-        killing = self.killing(form)
-        if killing is not None and substitute(p, killing).is_zero():
-            return CheckResult(name, True, None, detail)
-        sym, image = _specialization_for(form)
-        return _identity_check(name, substitute(self.roots(p), {sym: image}), zero(), detail)
+        """The root image of p is divisible by the linear form: p vanishes
+        under the form's killing assignment, and the value there, in the
+        genotype basis, is the residual of a failing check."""
+        return _identity_check(name, substitute(p, self.killing(form)), zero(), detail)
 
 
 def _specialization_for(form: GradedPoly):
     """Solve a linear form for its last variable: returns (symbol, image)."""
-    form = form.compress()
-    var = form.vars[-1]
-    coeff = form.terms.get(tuple(
-        1 if i == len(form.vars) - 1 else 0 for i in range(len(form.vars))
-    ))
+    var = form.compress().vars[-1]
+    coeff = form.coefficient({(var.family, var.index): 1})
     rest = form - root_var(var.family, var.index) * coeff
     return ((var.family, var.index), (-rest) * (1 / rat(coeff)))
 
@@ -556,7 +551,7 @@ def _restriction_checks(residue: GradedPoly, equations: Sequence[_Equation]) -> 
     for name, genotype, target, factor, detail in equations:
         value = genotype.restrict(residue)
         if factor is None:
-            checks.append(genotype.check(name, value, target, detail))
+            checks.append(_identity_check(name, value, target, detail))
             continue
         key = id(genotype), id(target)
         if key not in differences:
@@ -704,7 +699,7 @@ def verify_III22A0(ell: int) -> Report:
     weight-j part of (1 + e_1)(1 + d_1 + ... + d_(ell-1)).  The III_{2,2}
     genotype is that specialization of the I_{2,2} one, so (iii) holds for
     every residue and certifies nothing by itself.  Both genotypes are in
-    e_1, e_2 and every failing residual is mapped back to the roots.
+    e_1, e_2, and every failing residual stays in its genotype's basis.
     """
     check_int(ell, 1, "relative dimension ell of the III22A0 identities")
     residue = residue_III22A0(ell)
@@ -712,7 +707,7 @@ def verify_III22A0(ell: int) -> Report:
     checks = _restriction_checks(residue, equations)
     i22, iii22 = equations[-1][1], _genotype(germ_III22(ell))
     last_root = one_plus(_E_1)
-    checks.append(iii22.check(
+    checks.append(_identity_check(
         "iii22chern",
         iii22.restrict(residue),
         substitute(i22.restrict(residue), _d_images([last_root, _d_polynomial(ell - 1)], ell)),
@@ -782,7 +777,7 @@ def _factorization_check(genotype: _Genotype, ell: int, triple: Tuple[int, int, 
         * genotype.restrict(_iii22_residue(ell))
         * series_quotient(numer, [], k).homogeneous_part(k)
     )
-    return genotype.check(
+    return _identity_check(
         f"factorization-{i}{j}{k}",
         lhs,
         rhs,

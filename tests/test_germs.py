@@ -265,6 +265,17 @@ def test_blowup_control_report():
         lambda: multisingularity_codim((), 5),
         lambda: multisingularity_codim((), True),
         lambda: multisingularity_codim("A0A1", 1),
+        lambda: GermPrototype(5, 0, 2, (ALPHA,), (2 * ALPHA,)),
+        lambda: GermPrototype("A1", 0, 2, [ALPHA], [2 * ALPHA]),
+        lambda: GermPrototype("A1", 0, 2, (ALPHA,), (2 * ALPHA, 5)),
+        lambda: germ_A(1, 1).replace(n1_scalar=True),
+        lambda: germ_A(1, 1).replace(n1_scalar=2.0),
+        lambda: germ_A(1, 1).replace(n1_factors=(zero(),)),
+        lambda: germ_A(1, 1).replace(n1_factors=(one(),)),
+        lambda: germ_A(1, 1).replace(n1_factors=(5,)),
+        lambda: germ_A(1, 1).replace(n1_factors=(_beta(1) ** 2,)),
+        lambda: germ_A(1, 1).replace(n1_factors=(_beta(1) + 1,)),
+        lambda: germ_A(1, 1).replace(n1_factors=[_beta(1)]),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -280,6 +291,10 @@ def test_blowup_control_report():
         "multiple_point_class-none", "prototype-str-delta", "prototype-str-ell",
         "prototype-float-ell", "expand_m-str-multi", "expand_m-str-barred",
         "coefficient_of-int", "codim-empty", "codim-empty-bool-ell", "codim-str",
+        "prototype-int-name", "prototype-list-weights", "prototype-int-weight",
+        "prototype-bool-scalar", "prototype-float-scalar", "prototype-zero-factor",
+        "prototype-constant-factor", "prototype-int-factor", "prototype-quadratic-factor",
+        "prototype-inhomogeneous-factor", "prototype-list-factors",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -374,13 +389,13 @@ def test_divisibility_suite_aggregates():
 
 # -- the explicit-root oracle -----------------------------------------------------------------
 #
-# The suites work in the genotype basis Q[alpha, d_1..d_m].  The oracle below
-# works in the explicit beta roots instead: every prototype's Chern class is
-# the series in its roots (chern_total), m_r is the product of the weight
-# differences beta_i - s alpha, and each n_1 factor is killed by solving it
-# for its last variable.  The two paths must agree check by check, on the
-# holding flag and on every residual, which the genotype path reports in root
-# coordinates.
+# The suites work in the genotype basis Q[alpha, d_1..d_m] or Q[e_1, e_2, d_1..d_m].
+# The oracle below works in the explicit beta roots instead: every prototype's
+# Chern class is the series in its roots (chern_total), m_r is the product of
+# the weight differences beta_i - s alpha, and each n_1 factor is killed by
+# solving it for its last variable.  The two paths must agree check by check,
+# on the holding flag and on every residual, which the suites report in the
+# genotype basis and _in_roots maps back to the oracle's coordinates.
 
 
 def _explicit_m(k, count):
@@ -429,8 +444,47 @@ def _explicit_divisibility(germ, r, residue):
     return out
 
 
-def _summary(checks):
-    return [(c.name, c.holds, c.residual) for c in checks]
+def _elementary(betas):
+    """d_j -> e_j(betas) for j = 1..len(betas)."""
+    total = math.prod((one_plus(b) for b in betas), start=one())
+    return {("d", j): total.homogeneous_part(j) for j in range(1, len(betas) + 1)}
+
+
+def _in_roots(genotype, factor, residual):
+    """A suite residual in the genotype basis mapped back to the oracle's roots.
+
+    An identity row maps through genotype.roots.  A factor row's residual is
+    already killed, and e_1, e_2 map to alpha_1 + alpha_2, alpha_1 alpha_2 as
+    in a row: for a lone beta_i (d_m -> 0) the d_j become e_j of the other
+    m - 1 roots, and for alpha_1 + alpha_2 (e_1 -> 0, where the oracle sets
+    alpha_2 -> -alpha_1) e_2 becomes -alpha_1^2.
+    """
+    if residual is None:
+        return None
+    if factor is None:
+        return genotype.roots(residual)
+    images = {("e", 1): A1_ + A2_, ("e", 2): A1_ * A2_}
+    images.update(_elementary([b for b in genotype.betas if b != factor]))
+    if genotype.killing(factor) == {("e", 1): 0}:
+        images[("e", 2)] = -A1_ ** 2
+    return substitute(residual, images)
+
+
+def _summary(checks, equations):
+    """(name, holds, residual in roots) of each check against its table row."""
+    return [
+        (c.name, c.holds, _in_roots(genotype, factor, c.residual))
+        for c, (_, genotype, _, factor, _) in zip(checks, equations, strict=True)
+    ]
+
+
+def _factor_summary(germ, report):
+    """(holds, residual in roots) of each n_1 factor check of a divisibility report."""
+    genotype = germs._genotype(germ)
+    return [
+        (c.holds, _in_roots(genotype, factor, c.residual))
+        for c, factor in zip(report.checks[1:], germ.n1_factors, strict=True)
+    ]
 
 
 def _perturbed(monkeypatch, extra):
@@ -442,26 +496,30 @@ def _perturbed(monkeypatch, extra):
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
 def test_quadruple_matches_explicit_roots(ell):
     report = verify_quadruple(ell)
-    assert _summary(report.checks) == _explicit_quadruple(ell, residue_A0r(4, ell))
+    got = _summary(report.checks, germs._quadruple_equations(ell))
+    assert got == _explicit_quadruple(ell, residue_A0r(4, ell))
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
 def test_divisibility_matches_explicit_roots(ell):
     for name, r in (("A1", 2), ("A2", 3), ("A3", 4), ("A1", 4), ("III22", 4)):
         germ = stable_germ(name, ell)
-        report = verify_divisibility(germ, r)
-        got = [(c.holds, c.residual) for c in report.checks[1:]]
+        got = _factor_summary(germ, verify_divisibility(germ, r))
         assert got == _explicit_divisibility(germ, r, residue_A0r(r, ell)), (name, r)
 
 
-def test_divisibility_root_fallback_matches_explicit_roots():
-    # the difference is -9 alpha beta_1: the alpha factor holds only through the
-    # root fallback, and beta_1 - alpha fails with the oracle's residual
+def test_divisibility_refuses_a_mixed_factor_and_kills_alpha_in_alpha_coordinates():
+    # beta_1 - alpha mixes beta with alpha and has no killing assignment; a
+    # beta-free factor in alpha coordinates is solved for alpha, and the
+    # difference -9 alpha beta_1 vanishes under alpha -> 0
     germ = germ_A(2, 1).replace(n1_factors=(ALPHA, _beta(1) - ALPHA))
-    got = [(c.holds, c.residual) for c in verify_divisibility(germ, 3).checks[1:]]
+    with pytest.raises(UnsupportedPrototype):
+        verify_divisibility(germ, 3)
+    germ = germ.replace(n1_factors=(ALPHA, _beta(1)))
+    assert germs._genotype(germ).killing(ALPHA) == {("alpha", 0): 0}
     want = _explicit_divisibility(germ, 3, residue_A0r(3, 1))
-    assert [holds for holds, _ in want] == [True, False]
-    assert got == want
+    assert want == [(True, None), (True, None)]
+    assert _factor_summary(germ, verify_divisibility(germ, 3)) == want
 
 
 PERTURBATIONS = {
@@ -487,33 +545,35 @@ def test_perturbed_quadruple_residue_fails_in_both_paths(monkeypatch, kind, ell)
     # e_1 and vanishes at e_1 = 0
     q3_holds = ell == 1 and kind != "c2l"
     assert [holds for _, holds, _ in explicit] == [False, False, q3_holds, False]
-    assert _summary(report.checks) == explicit
+    assert _summary(report.checks, germs._quadruple_equations(ell)) == explicit
 
 
 @pytest.mark.parametrize("ell", [2, 3])
 def test_perturbed_divisibility_residuals_match_explicit_roots(monkeypatch, ell):
-    # every factor check fails, so each residual comes back through d_j -> e_j(beta);
-    # at ell = 1 the III22 class under alpha_2 -> -alpha_1 is even and c_3 vanishes
+    # every factor check fails with a residual in the genotype basis; at ell = 1
+    # the III22 class under alpha_2 -> -alpha_1 is even and c_3 vanishes
     extra = lambda r, ell: cvar((r - 1) * ell)  # noqa: E731
     _perturbed(monkeypatch, extra)
     for name, r in (("A1", 2), ("A2", 3), ("A3", 4), ("A1", 4), ("III22", 4)):
         germ = stable_germ(name, ell)
         want = _explicit_divisibility(germ, r, residue_A0r(r, ell) + extra(r, ell))
         assert not any(holds for holds, _ in want), (name, r)
-        got = [(c.holds, c.residual) for c in verify_divisibility(germ, r).checks[1:]]
-        assert got == want, (name, r)
+        assert _factor_summary(germ, verify_divisibility(germ, r)) == want, (name, r)
 
 
 def test_lone_root_check_kills_one_root_only(monkeypatch):
     # on the A1 genotype at ell = 2, c1^2 + c2 is 3 alpha d1 + d1^2 + d2: it
-    # vanishes when both roots do but not when one does, so both checks fail
+    # vanishes when both roots do but not when one does, so both checks fail;
+    # d_2 -> 0 kills either root, and the one residual maps back to each
+    # check's own root through the other root
     extra = lambda r, ell: cvar(1) ** 2 + cvar(2)  # noqa: E731
     germ = germ_A(1, 2)
     want = _explicit_divisibility(germ, 2, residue_A0r(2, 2) + extra(2, 2))
     _perturbed(monkeypatch, extra)
-    got = [(c.holds, c.residual) for c in verify_divisibility(germ, 2).checks[1:]]
+    report = verify_divisibility(germ, 2)
     assert [holds for holds, _ in want] == [False, False]
-    assert got == want
+    assert report.checks[1].residual == report.checks[2].residual
+    assert _factor_summary(germ, report) == want
 
 
 def test_suites_read_residue_A0r_through_the_germs_module(monkeypatch):
@@ -558,6 +618,32 @@ def test_divisibility_battery_holds_at_ell_10():
 def test_III22A0_and_divisibility_hold_at_ell_8():
     assert verify_III22A0(8).ok
     assert verify_divisibility_suite(8).ok
+
+
+def _in_genotype_basis(p):
+    """p uses only genotype coordinates: alpha, e_1, e_2 and the d_j."""
+    return all(
+        (v.family, v.index) == ("alpha", 0) or v.family in ("e", "d") for v in p.used_vars()
+    )
+
+
+def test_wrong_residues_fail_without_mapping_back(monkeypatch):
+    # a residual mapped back to the roots has exponentially many terms in ell,
+    # so a wrong residue must fail in the genotype basis, as fast as a right
+    # one passes
+    def refuse(genotype, p):
+        raise AssertionError("a suite mapped a residual back to the roots")
+
+    monkeypatch.setattr(germs._Genotype, "roots", refuse)
+    _perturbed(monkeypatch, lambda r, ell: cvar((r - 1) * ell))
+    exact = germs.residue_III22A0
+    monkeypatch.setattr(germs, "residue_III22A0", lambda ell: exact(ell) + cvar(ell + 2) ** 2)
+    quadruple = verify_quadruple(12)
+    assert not any(c.holds for c in quadruple.checks)
+    for report in (quadruple, verify_divisibility_suite(9), verify_III22A0(3)):
+        failing = [c for c in report.checks if not c.holds]
+        assert failing, report.suite
+        assert all(_in_genotype_basis(c.residual) for c in failing), report.suite
 
 
 # -- shared variables and memoised alignment ----------------------------------------------------
@@ -656,10 +742,19 @@ def test_A_germ_beyond_three_against_closed_forms(k, ell):
 
 def _e_to_roots(p, m):
     """p under e_1 -> alpha_1 + alpha_2, e_2 -> alpha_1 alpha_2, d_j -> e_j(beta_1..beta_m)."""
-    betas = math.prod((one_plus(_beta(i)) for i in range(1, m + 1)), start=one())
     images = {("e", 1): A1_ + A2_, ("e", 2): A1_ * A2_}
-    images.update({("d", j): betas.homogeneous_part(j) for j in range(1, m + 1)})
+    images.update(_elementary([_beta(i) for i in range(1, m + 1)]))
     return substitute(p, images)
+
+
+def _explicit_i22(ell, maxdeg):
+    """The I22 class (1+2 alpha_1)(1+2 alpha_2) prod_i (1+beta_i) / ((1+alpha_1)(1+alpha_2))
+    over ell explicit roots, truncated at maxdeg."""
+    return series_quotient(
+        [one_plus(2 * A1_), one_plus(2 * A2_)] + [one_plus(_beta(i)) for i in range(1, ell + 1)],
+        [one_plus(A1_), one_plus(A2_)],
+        maxdeg,
+    )
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
@@ -675,12 +770,7 @@ def test_two_alpha_genotypes_in_e_map_to_the_explicit_roots(ell):
     )
     assert (i22.numer, i22.denom, i22.m) == ([2 * E1 + 4 * E2], [E1 + E2], ell)
     assert _e_to_roots(iii22.series(maxdeg), ell - 1) == chern_total(germ_III22(ell), maxdeg)
-    explicit_i22 = series_quotient(
-        [one_plus(2 * A1_), one_plus(2 * A2_)] + [one_plus(_beta(i)) for i in range(1, ell + 1)],
-        [one_plus(A1_), one_plus(A2_)],
-        maxdeg,
-    )
-    assert _e_to_roots(i22.series(maxdeg), ell) == explicit_i22
+    assert _e_to_roots(i22.series(maxdeg), ell) == _explicit_i22(ell, maxdeg)
     for genotype in (iii22, i22):
         assert genotype.roots(genotype.series(maxdeg)) == _e_to_roots(
             genotype.series(maxdeg), genotype.m
@@ -703,11 +793,14 @@ def test_two_alpha_genotype_kills_alpha_1_plus_alpha_2_by_e1_zero():
     genotype = germs._genotype(germ_III22(2))
     for form in (A1_ + A2_, -3 * A1_ - 3 * A2_):
         assert genotype.killing(form) == {("e", 1): 0}
-    for form in (A1_, A1_ - A2_, _beta(1) - A1_):
-        assert genotype.killing(form) is None
+    for form in (A1_, A1_ - A2_, _beta(1) - A1_, _beta(2)):
+        with pytest.raises(UnsupportedPrototype):
+            genotype.killing(form)
     assert genotype.killing(_beta(1)) == {("d", 1): 0}
-    # in alpha coordinates a beta-free form has no killing; divides solves it in the roots
-    assert germs._genotype(germ_A(1, 1)).killing(2 * ALPHA) is None
+    # in alpha coordinates a beta-free form is solved for its last alpha
+    assert germs._genotype(germ_A(1, 1)).killing(2 * ALPHA) == {("alpha", 0): 0}
+    with pytest.raises(UnsupportedPrototype):
+        germs._genotype(germ_A(1, 1)).killing(_beta(1) - ALPHA)
 
 
 def test_aichern_tail_relation():
@@ -775,20 +868,30 @@ def test_iii22chern_matches_plug_in_at_ell1():
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
-def test_perturbed_III22A0_residuals_are_in_root_coordinates(monkeypatch, ell):
+def test_perturbed_III22A0_residuals_match_explicit_roots(monkeypatch, ell):
     exact = germs.residue_III22A0
-    monkeypatch.setattr(
-        germs,
-        "residue_III22A0",
-        lambda ell: exact(ell) + cvar(2 * ell + 4) + cvar(ell + 2) ** 2,
-    )
-    checks = verify_III22A0(ell).checks
-    failing = [c for c in checks if not c.holds]
-    assert {c.name for c in failing} >= {"aichern-r1", "aichern-r2", "aichern-r3", "i22chern"}
+    residue = exact(ell) + cvar(2 * ell + 4) + cvar(ell + 2) ** 2
+    monkeypatch.setattr(germs, "residue_III22A0", lambda ell: residue)
+    checks = {c.name: c for c in verify_III22A0(ell).checks}
     # identity (iii) holds for every residue, the perturbed one included
-    assert [c.holds for c in checks if c.name == "iii22chern"] == [True]
-    for c in failing:
-        assert {v.family for v in c.residual.used_vars()} <= {"alpha", "beta"}, c.name
+    assert checks["iii22chern"].holds
+    # the oracle restricts on the prototypes' and the I22 class's own roots
+    maxdeg = max(v.index for p in (residue, germs._iii22_residue(ell)) for v in p.used_vars())
+    want = {
+        f"aichern-r{r}": chern_substitute(residue, chern_total(germ_A(r, ell), maxdeg))
+        for r in (1, 2, 3)
+    }
+    i22 = _explicit_i22(ell, maxdeg)
+    want["i22chern"] = chern_substitute(residue, i22) + 4 * math.prod(
+        (_beta(i) for i in range(1, ell + 1)), start=one()
+    ) * chern_substitute(germs._iii22_residue(ell), i22)
+    equations = germs._iii22a0_equations(ell)
+    assert [name for name, *_ in equations] == list(want)
+    for name, genotype, *_ in equations:
+        check = checks[name]
+        assert not check.holds and not want[name].is_zero(), name
+        assert _in_genotype_basis(check.residual), name
+        assert genotype.roots(check.residual) == want[name], name
 
 
 @pytest.mark.parametrize(
@@ -996,19 +1099,24 @@ def test_report_records_residual_on_failure():
 
 
 def test_failing_divisibility_report_matches_golden_digest():
-    # beta1 - alpha is not a factor of n1(A2), so the closed form and its
-    # factor check fail with residuals while the alpha check holds; the digest
-    # was recorded before the suites shared one identity-check path
-    germ = germ_A(2, 2).replace(n1_factors=(ALPHA, _beta(1) - ALPHA))
-    report = verify_divisibility(germ, 3)
+    # alpha is not a factor of n1(A1) = 2 beta1 beta2, so the closed form and
+    # the alpha check fail with residuals while the beta1 check holds; the
+    # alpha residual 2 d_2 is in the genotype basis and maps back to the
+    # oracle's 2 beta1 beta2
+    germ = germ_A(1, 2).replace(n1_factors=(ALPHA, _beta(1)))
+    report = verify_divisibility(germ, 2)
     assert [(c.name, c.holds, c.residual is not None) for c in report.checks] == [
         ("n1-closed-form", False, True),
-        ("factor-alpha", True, False),
-        ("factor--alpha + beta1", False, True),
+        ("factor-alpha", False, True),
+        ("factor-beta1", True, False),
     ]
+    assert report.checks[1].residual == 2 * dvar(2)
+    want = _explicit_divisibility(germ, 2, residue_A0r(2, 2))
+    assert want == [(False, 2 * _beta(1) * _beta(2)), (True, None)]
+    assert _factor_summary(germ, report) == want
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a9b21dc2fbed03b735cfc434ae7e4cce1655e7b1d66af004b2d720caefb6b8f3"
+        "170a890df60e826475fbc1458b7549266eaac7b32a192ba25578011438dcaaba"
     )
 
 
