@@ -1,9 +1,9 @@
 """Stable germ prototypes and the interpolation-method verification suites.
 
-A germ prototype is stored purely as torus weight data: two lists of
-weight-1 linear forms in root symbols, one for the source representation
-and one for the target.  Everything the verification needs derives from
-those lists:
+A germ prototype is stored purely as the torus weights of its normal
+bundle nu: the target weights over the source weights, linear forms in
+root symbols with no weight on both sides.  Everything the verification
+needs derives from those two lists:
 
   * the total Chern class of the virtual normal bundle is the series
     quotient prod(1 + target) / prod(1 + source);
@@ -20,9 +20,9 @@ through _identity_check, which keeps the residual lhs - rhs of a failing
 check.
 
 The suites work in the genotype basis (Rimanyi's restriction method).
-After cancelling common weights, the beta roots of an A_k or III_{2,2}
-prototype enter its Chern class only as the factor prod_i (1 + beta_i) =
-1 + d_1 + ... + d_m, with d_j = e_j(beta) the Chern classes of the U(m)
+The beta roots of an A_k or III_{2,2} prototype enter its Chern class only
+as the factor prod_i (1 + beta_i) = 1 + d_1 + ... + d_m, with
+d_j = e_j(beta) the Chern classes of the U(m)
 factor of the symmetry group (_Genotype).  The d_j of m independent roots
 are algebraically independent, so an identity holds in Q[alpha, beta]
 exactly when it holds in Q[alpha, d_1..d_m], where it is far cheaper to
@@ -93,11 +93,13 @@ class UnsupportedPrototype(PolyError):
 
 
 class GermPrototype(Record):
-    """Weight data of a stable germ prototype.
+    """The normal-bundle weights of a stable germ prototype.
 
-    n1_factors lists the linear factors of n_1 together with its scalar,
-    used to drive factor-wise divisibility checks; the product is verified
-    against the exact Euler quotient, not assumed.
+    target_weights over source_weights are the torus weights of nu, nonzero
+    linear forms with no weight on both sides.  n1_factors lists the linear
+    factors of n_1 together with its scalar, used to drive factor-wise
+    divisibility checks; the product is verified against the exact Euler
+    quotient, not assumed.
     """
 
     name: str
@@ -118,8 +120,10 @@ class GermPrototype(Record):
             forms = getattr(self, field)
             if type(forms) is not tuple or not all(isinstance(w, GradedPoly) for w in forms):
                 raise PolyError(f"{self.name}: {field} is not a tuple of polynomials")
-        if not all(f.is_homogeneous() and f.weighted_degree() == 1 for f in self.n1_factors):
-            raise PolyError(f"{self.name}: an n_1 factor is not a nonzero linear form")
+            if not all(f.is_homogeneous() and f.weighted_degree() == 1 for f in forms):
+                raise PolyError(f"{self.name}: a form of {field} is not a nonzero linear form")
+        if any(w in self.source_weights for w in self.target_weights):
+            raise PolyError(f"{self.name}: a weight is on both sides")
         surplus = len(self.target_weights) - len(self.source_weights)
         if surplus != self.ell:
             raise PolyError(f"{self.name}: weight counts differ by {surplus}, "
@@ -136,21 +140,12 @@ def germ_A(k: int, ell: int) -> GermPrototype:
     check_int(ell, 0, "relative dimension ell")
     alpha = root_var("alpha")
     betas = _betas(ell)
-    multiples = [s * alpha for s in range(1, k + 1)]
-    source = list(multiples)
-    target = [(k + 1) * alpha] + multiples[1:]
-    for b in betas:
-        # one instance per weight that source and target share
-        shifted = [b - m for m in multiples]
-        source.extend(shifted)
-        target.append(b)
-        target.extend(shifted)
     return GermPrototype(
         name=f"A{k}",
         ell=ell,
         delta=k + 1,
-        source_weights=tuple(source),
-        target_weights=tuple(target),
+        source_weights=(alpha,),
+        target_weights=((k + 1) * alpha, *betas),
         n1_scalar=k + 1,
         n1_factors=tuple(betas),
     )
@@ -162,37 +157,28 @@ def germ_III22(ell: int) -> GermPrototype:
     a1 = root_var("alpha", 1)
     a2 = root_var("alpha", 2)
     betas = _betas(ell - 1)
-    mixed = [2 * a1 - a2, 2 * a2 - a1]
-    source = [a1, a2, *mixed, a1, a2]
-    target = [a1 + a2, 2 * a1, 2 * a2, *mixed, a1, a2]
-    for b in betas:
-        # one instance per weight that source and target share, as in germ_A
-        shifted = [b - a1, b - a2]
-        source.extend(shifted)
-        target.append(b)
-        target.extend(shifted)
     return GermPrototype(
         name="III22",
         ell=ell,
         delta=3,
-        source_weights=tuple(source),
-        target_weights=tuple(target),
+        source_weights=(a1, a2),
+        target_weights=(a1 + a2, 2 * a1, 2 * a2, *betas),
         n1_scalar=4,
         n1_factors=(a1 + a2,) + tuple(betas),
     )
 
 
 def germ_blowup() -> GermPrototype:
-    """Blow-up of a surface point: immersion-like weight data whose Euler
-    quotient is NOT polynomial; kept as the negative control."""
-    alpha = root_var("alpha")
+    """Blow-up of a surface point: nu has source weight beta_1 and target
+    weight alpha + beta_1, so its Euler quotient is NOT polynomial; kept as
+    the negative control."""
     beta = root_var("beta", 1)
     return GermPrototype(
         name="blowup",
         ell=0,
         delta=1,
-        source_weights=(alpha, beta),
-        target_weights=(alpha, alpha + beta),
+        source_weights=(beta,),
+        target_weights=(root_var("alpha") + beta,),
     )
 
 
@@ -217,25 +203,6 @@ def stable_germ(name: str, ell: int) -> GermPrototype:
 # -- derived classes -----------------------------------------------------------------
 
 
-def _cancel_common(
-    numer: Sequence[GradedPoly], denom: Sequence[GradedPoly]
-) -> Tuple[List[GradedPoly], List[GradedPoly]]:
-    kept_n = list(numer)
-    kept_d = []
-    for form in denom:
-        # a prototype lists each shared weight as one instance on both sides,
-        # so the identity match comes first: == compresses both forms, and
-        # most numerator forms differ from a given denominator form
-        i = next((i for i, other in enumerate(kept_n) if other is form), None)
-        if i is None:
-            i = next((i for i, other in enumerate(kept_n) if other == form), None)
-        if i is None:
-            kept_d.append(form)
-        else:
-            kept_n.pop(i)
-    return kept_n, kept_d
-
-
 def _check_prototype(g: GermPrototype) -> None:
     if not isinstance(g, GermPrototype):
         raise PolyError(f"{g!r} is not a germ prototype")
@@ -244,9 +211,8 @@ def _check_prototype(g: GermPrototype) -> None:
 def chern_total(g: GermPrototype, maxdeg: int) -> GradedPoly:
     """Total Chern class of the virtual normal bundle, truncated."""
     _check_prototype(g)
-    numer, denom = _cancel_common(g.target_weights, g.source_weights)
     return series_quotient(
-        [one_plus(w) for w in numer], [one_plus(w) for w in denom], maxdeg
+        [one_plus(w) for w in g.target_weights], [one_plus(v) for v in g.source_weights], maxdeg
     )
 
 
@@ -261,8 +227,7 @@ def n1(g: GermPrototype) -> GradedPoly:
     a malformed prototype.
     """
     _check_prototype(g)
-    numer, denom = _cancel_common(g.target_weights, g.source_weights)
-    return exact_quotient(euler_class(numer), denom)
+    return exact_quotient(euler_class(g.target_weights), g.source_weights)
 
 
 def multiple_point_class(g: GermPrototype, r: int) -> GradedPoly:
@@ -473,24 +438,23 @@ def _in_genotype_basis(
 
 
 def _genotype(g: GermPrototype) -> _Genotype:
-    """The genotype of a prototype's weight data after cancellation.
+    """The genotype of a prototype's normal-bundle weights.
 
-    Every surviving form that involves a beta must be a lone beta_i of the
-    numerator, each at most once; any other shape raises UnsupportedPrototype.
+    Every weight that involves a beta must be a lone beta_i among the target
+    weights, each at most once; any other shape raises UnsupportedPrototype.
     """
-    numer, denom = _cancel_common(g.target_weights, g.source_weights)
     free, betas = [], []
-    for w in numer:
+    for w in g.target_weights:
         if not _involves_beta(w):
             free.append(w)
         elif _is_lone_beta(w) and w not in betas:
             betas.append(w)
         else:
             raise UnsupportedPrototype(f"{g.name}: weight {to_text(w)} is not a lone beta root")
-    for v in denom:
+    for v in g.source_weights:
         if _involves_beta(v):
             raise UnsupportedPrototype(f"{g.name}: source weight {to_text(v)} involves a beta root")
-    return _in_genotype_basis(g.name, free, denom, betas)
+    return _in_genotype_basis(g.name, free, list(g.source_weights), betas)
 
 
 # -- verification reports ---------------------------------------------------------------

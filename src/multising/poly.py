@@ -53,6 +53,7 @@ anything else.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, reduce
@@ -65,6 +66,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 Rat = Fraction
 
 _ZERO = Rat(0)
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # Bits of the narrowest exponent field of a packed key; wider fields double it.
 _FIELD = 8
@@ -83,18 +86,19 @@ class NonExactDivision(PolyError):
 
 
 def rat(numerator: Union[int, str, Rat], denominator: Union[int, Rat] = 1) -> Rat:
-    """Exact rational from ints, a "p/q" string, or an existing rational.
+    """Exact rational from ints, a "p" or "p/q" string, or an existing rational.
 
-    Anything else (a float, a bool, a malformed string, a zero denominator)
-    raises PolyError.
+    A string must match -?[0-9]+(/[0-9]+)?: no spaces, "+", underscores,
+    non-ASCII digits or sign in q.  Anything else (a float, a bool, a
+    malformed string, a zero denominator) raises PolyError.
     """
     if isinstance(numerator, str):
         if denominator != 1:
             raise PolyError("string rationals carry their own denominator")
-        p, _, q = numerator.partition("/")
+        match = _RATIONAL.fullmatch(numerator)
         try:
-            numerator, denominator = int(p), int(q or 1)
-        except ValueError:
+            numerator, denominator = int(match[1]), int(match[2] or 1)
+        except (TypeError, ValueError):  # no match, or more digits than int() reads
             raise PolyError(f"malformed rational {numerator!r}") from None
     if not is_scalar(numerator) or not is_scalar(denominator):
         raise PolyError(f"not an exact rational: {numerator!r}/{denominator!r}")

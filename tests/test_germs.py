@@ -200,23 +200,35 @@ def _copies(weights):
 
 
 @pytest.mark.parametrize("make", [lambda: germ_A(3, 2), lambda: germ_III22(3)], ids=["A3", "III22"])
-def test_shared_weights_cancel_by_value_without_a_shared_instance(make):
-    # a prototype lists each shared weight as one instance on both sides, and
-    # _cancel_common matches by identity first; equal copies must cancel alike
+def test_a_weight_on_both_sides_is_refused(make):
+    # a prototype holds the weights of its normal bundle, so no weight is on
+    # both sides, neither as one shared instance nor as an equal copy
     germ = make()
-    copy = germ.replace(target_weights=_copies(germ.target_weights))
-    assert not any(w is v for w in copy.target_weights for v in germ.source_weights)
-    assert n1(copy) == n1(germ)
-    original, copied = germs._genotype(germ), germs._genotype(copy)
-    assert copied.m == original.m
-    assert copied.series(8) == original.series(8)
-    assert chern_total(copy, 6) == chern_total(germ, 6)
+    shared = germ.source_weights[0]
+    for twin in (shared, *_copies((shared,))):
+        with pytest.raises(PolyError, match="on both sides"):
+            germ.replace(source_weights=germ.source_weights + (twin,),
+                         target_weights=germ.target_weights + (twin,))
+
+
+def test_prototypes_list_no_weight_on_both_sides():
+    for germ in (germ_A(1, 0), germ_A(3, 4), germ_III22(1), germ_III22(4), germ_blowup()):
+        assert not any(w == v for w in germ.target_weights for v in germ.source_weights)
+    assert germ_blowup().source_weights == (_beta(1),)
+    assert germ_blowup().target_weights == (ALPHA + _beta(1),)
 
 
 def test_blowup_control_report():
     report = blowup_control_report()
     assert report.ok
     assert "fails as required" in report.checks[0].detail
+
+
+def test_blowup_control_fails_when_the_euler_quotient_is_polynomial(monkeypatch):
+    monkeypatch.setattr(germs, "germ_blowup", lambda: germ_A(1, 1))
+    report = blowup_control_report()
+    assert not report.ok
+    assert report.checks[0].detail == "Euler quotient unexpectedly polynomial"
 
 
 @pytest.mark.parametrize(
@@ -276,6 +288,11 @@ def test_blowup_control_report():
         lambda: germ_A(1, 1).replace(n1_factors=(_beta(1) ** 2,)),
         lambda: germ_A(1, 1).replace(n1_factors=(_beta(1) + 1,)),
         lambda: germ_A(1, 1).replace(n1_factors=[_beta(1)]),
+        lambda: GermPrototype("A1", 1, 2, (ALPHA,), (2 * ALPHA ** 2, _beta(1))),
+        lambda: GermPrototype("A1", 1, 2, (ALPHA,), (zero(), _beta(1))),
+        lambda: GermPrototype("A1", 1, 2, (one(),), (2 * ALPHA, _beta(1))),
+        lambda: GermPrototype("A1", 1, 2, (ALPHA,), (2 * ALPHA, _beta(1) + 1)),
+        lambda: GermPrototype("A1", 1, 2, (ALPHA,), (2 * ALPHA, cvar(2))),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -295,6 +312,8 @@ def test_blowup_control_report():
         "prototype-bool-scalar", "prototype-float-scalar", "prototype-zero-factor",
         "prototype-constant-factor", "prototype-int-factor", "prototype-quadratic-factor",
         "prototype-inhomogeneous-factor", "prototype-list-factors",
+        "prototype-quadratic-weight", "prototype-zero-weight", "prototype-constant-weight",
+        "prototype-inhomogeneous-weight", "prototype-weight-2-variable",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -602,6 +621,18 @@ def test_genotype_refuses_weights_that_mix_beta_with_alpha():
         verify_divisibility(germ, 2)
     with pytest.raises(UnsupportedPrototype):
         multiple_point_class(germ, 2)
+
+
+def test_genotype_refuses_a_source_weight_with_a_beta():
+    germ = GermPrototype(
+        name="A1",
+        ell=1,
+        delta=2,
+        source_weights=(_beta(1) - ALPHA,),
+        target_weights=(2 * ALPHA, _beta(1)),
+    )
+    with pytest.raises(UnsupportedPrototype, match=r"source weight -alpha \+ beta1 involves a beta"):
+        germs._genotype(germ)
 
 
 # -- beyond the explicit-root frontier ----------------------------------------------------------

@@ -1007,8 +1007,47 @@ def test_json_folds_duplicates():
         None,
         {"partition": [1], "coeff": "1/1"},
         "s1",
+        # coefficients that int() or Fraction() would read, but that are not canonical
+        *([{"partition": [1], "coeff": c}]
+          for c in ("1_000", " 1 / 2 ", "\u0661/\u0662", "3/-4", "+3", "3_0/1_0")),
     ],
 )
 def test_json_rejects_malformed_entries(payload):
     with pytest.raises(PolyError):
         class_from_json(R24, payload)
+
+
+# -- small public branches -------------------------------------------------------
+
+
+def test_schur_outside_the_box_is_the_shared_zero():
+    for lam in ((3,), (1, 1, 1), (2, 2, 1)):
+        assert schur(R24, lam) is R24._zero
+    assert R24._zero.is_zero() and repr(R24._zero) == "0"
+
+
+def test_class_coefficients_and_homogeneity():
+    x = schur(R36, (2, 1)) * 3 - schur(R36, (1, 1, 1)) * rat(1, 2)
+    assert x.coefficient((2, 1)) == 3 and x.coefficient([2, 1, 0]) == 3
+    assert x.coefficient((1, 1, 1)) == rat(-1, 2)
+    assert x.coefficient((3,)) == 0
+    assert x.is_homogeneous() and R36._zero.is_homogeneous()
+    assert not (x + schur(R36, (1,))).is_homogeneous()
+    with pytest.raises(PolyError):
+        x.coefficient((1, 2))
+
+
+def test_classes_on_different_rings_are_unequal():
+    assert schur(R24, (1,)) != schur(R36, (1,))
+    assert not schur(R24, ()) == schur(R36, ())
+    assert FiberClass.xi(R24) != FiberClass.xi(R36)
+
+
+def test_fiber_class_refuses_foreign_coefficients_and_lifts():
+    with pytest.raises(RingMismatch):
+        FiberClass(R24, {0: schur(R36, (1,))})
+    for value in (3, None, FiberClass.xi(R24)):
+        with pytest.raises(PolyError):
+            FiberClass.lift(value)
+    assert repr(FiberClass(R24, {})) == "0"
+    assert repr(FiberClass(R24, {1: R24._zero})) == "0"

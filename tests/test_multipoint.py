@@ -194,6 +194,22 @@ def test_expand_m_mixed_with_table():
     assert exp2.coefficient_of(("A1",)) == one()
 
 
+def test_expand_m_renders_a_pullback_of_a_non_A0_class():
+    pure = "4*c1*c2*c4 - 4*c1*c3^2 + 4*c2*c5 - 4*c3*c4"
+    pure_latex = "4c_1c_2c_4 - 4c_1c_3^2 + 4c_2c_5 - 4c_3c_4"
+    barred = expand_m(MultiSingularity(("A0", "III22")), 1)
+    assert barred.to_text() == f"f^(nbar_III22) + ({pure})"
+    assert barred.to_latex() == rf"f^*(\bar n_{{III_{{2,2}}}}) + ({pure_latex})"
+    unbarred = expand_m(MultiSingularity(("A0", "III22")), 1, barred=False)
+    assert unbarred.to_text() == f"f^(n_III22) + ({pure})"
+    assert unbarred.to_latex() == f"f^*(n_{{III_{{2,2}}}}) + ({pure_latex})"
+    for expansion in (barred, unbarred):
+        assert expansion.coefficient_of(()) == residue_III22A0(1)
+        assert expansion.coefficient_of(("III22",)) == one()
+        assert expansion.coefficient_of(("A1",)).is_zero()
+        assert expansion.coefficient_of(["A0", "III22"]).is_zero()
+
+
 def test_missing_residue_raises():
     with pytest.raises(UnsupportedMultisingularity):
         expand_m(MultiSingularity(("A1", "A1")), 1)

@@ -68,11 +68,26 @@ def test_rat_normalization():
     assert rat_str(rat(3, -6)) == "-1/2"
     assert rat_str(rat(0, 7)) == "0/1"
     assert rat_str(rat(5)) == "5/1"
+    assert rat("0") == 0 and rat("-0/5") == 0 and rat("007/014") == rat(1, 2)
 
 
 def test_rat_string_with_denominator_rejected():
     with pytest.raises(PolyError):
         rat("1/2", 3)
+
+
+# strings outside -?[0-9]+(/[0-9]+)?; int() reads most of their parts
+_NONCANONICAL_RATIONALS = ["1_000", " 1 / 2 ", "1/ 2", " 3", "3\n", "\u0661/\u0662", "3/-4",
+                           "+3", "+3/4", "3/+4", "3_0/1_0", "", "/2", "3/", "-", "--3", "0x10"]
+
+
+@pytest.mark.parametrize("text", _NONCANONICAL_RATIONALS)
+def test_rat_accepts_only_canonical_strings(text):
+    with pytest.raises(PolyError):
+        rat(text)
+    payload = {"vars": _JSON_VARS, "terms": [{"coeff": text, "exps": [[0, 1]]}]}
+    with pytest.raises(PolyError):
+        from_json(json.dumps(payload))
 
 
 @pytest.mark.parametrize(
@@ -263,9 +278,9 @@ def test_strings_are_not_polynomial_scalars():
 RECORDS = [
     (Var("c", 1, 1), "Var(family='c', index=1, weight=1)", {"weight": 0}, PolyError),
     (germ_blowup(),
-     "GermPrototype(name='blowup', ell=0, delta=1, source_weights=(GradedPoly(alpha), "
-     "GradedPoly(beta1)), target_weights=(GradedPoly(alpha), GradedPoly(alpha + beta1)), "
-     "n1_scalar=1, n1_factors=())", {"ell": -1}, PolyError),
+     "GermPrototype(name='blowup', ell=0, delta=1, source_weights=(GradedPoly(beta1),), "
+     "target_weights=(GradedPoly(alpha + beta1),), n1_scalar=1, n1_factors=())",
+     {"ell": -1}, PolyError),
     (CheckResult("q3", False, cvar(1), "odd"),
      "CheckResult(name='q3', holds=False, residual=GradedPoly(c1), detail='odd')",
      {"holds": True}, CheckResult("q3", True, cvar(1), "odd")),
