@@ -82,7 +82,8 @@ from .poly import (
     variable,
     zero,
 )
-from .thom import UnsupportedMultisingularity, residue_A0r, residue_III22A0, singularity_info
+from .thom import (UnsupportedMultisingularity, residue_A0r, residue_III22, residue_III22A0,
+                   singularity_info)
 
 
 class UnsupportedPrototype(PolyError):
@@ -689,17 +690,10 @@ def _iii22a0_equations(ell: int) -> List[_Equation]:
         for r in (1, 2, 3)
     ]
     i22 = _i22_genotype(ell)
-    target = constant(-4) * dvar(ell) * i22.restrict(_iii22_residue(ell))
+    target = constant(-4) * dvar(ell) * i22.restrict(residue_III22(ell))
     equations.append(("i22chern", i22, target, None,
                       "residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype"))
     return equations
-
-
-@functools.cache
-def _iii22_residue(ell: int) -> GradedPoly:
-    """s(ell+2, ell+2) as one object per ell: restrict is keyed by identity, so
-    one I_{2,2} genotype restricts it once for i22chern and every factorization."""
-    return schur_det(ell + 2, ell + 2)
 
 
 def _factorization_triples(ell: int):
@@ -738,7 +732,7 @@ def _factorization_check(genotype: _Genotype, ell: int, triple: Tuple[int, int, 
     rhs = (
         _E_2 ** (j - ell - 2)
         * series_quotient([], denom, i - j).homogeneous_part(i - j)
-        * genotype.restrict(_iii22_residue(ell))
+        * genotype.restrict(residue_III22(ell))
         * series_quotient(numer, [], k).homogeneous_part(k)
     )
     return _identity_check(

@@ -30,15 +30,14 @@ hyperplane class xi with Schur-class coefficients, kept in raw powers of xi.
 In Grothendieck's convention zeta = c_1(O(1)) satisfies
 sum_i c_i(S) zeta^{k-i} = 0, pushes forward by pi_* zeta^{k-1+i} = c_i(Q),
 and the relative tangent bundle kappa = T_{P(S)/G} has
-c(kappa) = sum_i c_i(S) (1 + zeta)^{k-i}.  An orientation writes all three
-in xi = sigma * zeta and scales the pushforward of xi^w by push_sign^w:
-
-  * dual-line is Grothendieck's convention itself: sigma = +1, sign +1;
-  * signed-push is the same calculus written in xi = -zeta, so it gives the
-    same integrals as dual-line and no enumerative count can separate them;
-  * tautological-line, still the default argument, pairs signed-push's
-    relation with dual-line's pushforward signs and contradicts its own
-    relation; it stays only as a negative control.
+c(kappa) = sum_i c_i(S) (1 + zeta)^{k-i}.  reduce() and kappa_chern() write
+the relation and kappa in xi = sigma * zeta; pushforward_P_S pushes xi^w to
+c_{w-k+1}(Q) for either sign.  DUAL_LINE, sigma = +1, is Grothendieck's
+convention.  TAUTOLOGICAL_LINE, sigma = -1 and still kappa_chern's default,
+contradicts its own relation under that pushforward and stays only as a
+negative control.  The calculus wholly in xi = -zeta is sigma = -1 with xi^w
+pushed to (-1)^w c_{w-k+1}(Q), dual-line's change of variable xi -> -xi, so
+it gives the same integrals and needs no convention of its own.
 """
 
 from __future__ import annotations
@@ -485,31 +484,15 @@ def chern_S(ring: GrassRing, i: int) -> GrassClass:
 # -- the fibration of lines in S -----------------------------------------------------
 
 
-class Orientation(Record):
-    """One choice of signs for the xi-calculus.
-
-    xi = kappa_xi_sign * zeta fixes the relation and kappa; push_sign**w
-    scales the pushforward of xi^w.
-    """
-
-    name: str
-    kappa_xi_sign: int
-    push_sign: int
+# sigma, the sign of xi = sigma * zeta
+DUAL_LINE = 1
+TAUTOLOGICAL_LINE = -1
 
 
-TAUTOLOGICAL_LINE = Orientation("tautological-line", -1, +1)
-SIGNED_PUSH = Orientation("signed-push", -1, -1)
-DUAL_LINE = Orientation("dual-line", +1, +1)
-
-ORIENTATIONS: Dict[str, Orientation] = {
-    o.name: o for o in (TAUTOLOGICAL_LINE, SIGNED_PUSH, DUAL_LINE)
-}
-
-
-def _check_orientation(orientation) -> None:
-    if not isinstance(orientation, Orientation):
-        raise PolyError(f"an orientation is one of the Orientations in ORIENTATIONS "
-                        f"{sorted(ORIENTATIONS)}, not {orientation!r}")
+def _check_sigma(sigma) -> None:
+    if type(sigma) is not int or sigma not in (1, -1):
+        raise PolyError(f"sigma, the sign of xi = sigma * zeta, is the int 1 or -1, "
+                        f"not {sigma!r}")
 
 
 class FiberClass(_SchurSum):
@@ -517,8 +500,8 @@ class FiberClass(_SchurSum):
 
     nums is keyed by (power of xi, partition): the numerator of s_lam xi^w
     sits at (w, lam).  coeffs is the read-only view {w: GrassClass}.  Powers
-    are kept raw; reduce() rewrites into xi-degree < k using the relation of
-    a chosen orientation.
+    are kept raw; reduce() rewrites into xi-degree < k using the relation in
+    xi = sigma * zeta.
     """
 
     __slots__ = ()
@@ -609,12 +592,11 @@ class FiberClass(_SchurSum):
             bits.append(f"({coeffs[w]!r})*{head}" if w else f"({coeffs[w]!r})")
         return " + ".join(bits)
 
-    def reduce(self, orientation: Orientation) -> "FiberClass":
+    def reduce(self, sigma: int) -> "FiberClass":
         """Rewrite into xi-degree < k by xi^k = -sum_i sigma^i c_i(S) xi^{k-i},
         top power first, with c_i(S) = (-1)^i s_{1^i}."""
-        _check_orientation(orientation)
+        _check_sigma(sigma)
         k, n = self.ring.k, self.ring.n
-        sigma = orientation.kappa_xi_sign
         relation = [(i, [((1,) * i, -(-sigma) ** i)]) for i in range(1, k + 1)]
         parts = _by_power(self.nums)
         for w in range(max(parts, default=0), k - 1, -1):
@@ -638,30 +620,23 @@ def _flat(parts: Dict[int, Dict[Partition, int]]) -> Dict[Tuple[int, Partition],
     return {(w, lam): c for w, part in parts.items() for lam, c in part.items() if c}
 
 
-def pushforward_P_S(
-    x: FiberClass, orientation: Orientation = TAUTOLOGICAL_LINE
-) -> GrassClass:
-    """Integrate over the fibers: xi^w contributes c_{w-k+1}(Q) times its sign."""
+def pushforward_P_S(x: FiberClass) -> GrassClass:
+    """Integrate over the fibers: xi^w contributes c_{w-k+1}(Q)."""
     if not isinstance(x, FiberClass):
         raise PolyError(f"only a FiberClass pushes forward from P(S), not {x!r}")
-    _check_orientation(orientation)
     ring = x.ring
     acc: Dict[Partition, int] = {}
     for w, part in _by_power(x.nums).items():
         i = w - ring.k + 1
         if 0 <= i <= ring.cols:  # c_i(Q) is the one-row class s_(i)
-            row = [((i,) if i else (), orientation.push_sign ** w)]
-            _mul_into(acc, ring.k, ring.n, part.items(), row)
+            _mul_into(acc, ring.k, ring.n, part.items(), [((i,) if i else (), 1)])
     return GrassClass._make(ring, {nu: c for nu, c in acc.items() if c}, x.den)
 
 
-def kappa_chern(
-    ring: GrassRing, orientation: Orientation = TAUTOLOGICAL_LINE
-) -> Tuple[FiberClass, ...]:
+def kappa_chern(ring: GrassRing, sigma: int = TAUTOLOGICAL_LINE) -> Tuple[FiberClass, ...]:
     """c_1..c_{k-1} of kappa, the graded parts of sum_i c_i(S) (1 + sigma xi)^{k-i}."""
     _check_ring(ring)
-    _check_orientation(orientation)
-    sigma = orientation.kappa_xi_sign
+    _check_sigma(sigma)
     k = ring.k
     return tuple(
         FiberClass(ring, {

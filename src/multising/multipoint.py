@@ -11,8 +11,8 @@ first element.  Two formal expansions drive everything downstream:
     points containing the distinguished one.
 
 Every residue R comes from thom.residue.  Reduced (barred) classes divide
-by the automorphism counts; the source expansions are stated internally in
-barred form with exact rational prefactors and converted at the boundary.
+by the automorphism counts: expand_m sums the unbarred residues and, only
+when barred=True, rescales each term by exact rational prefactors.
 """
 
 from __future__ import annotations

@@ -172,8 +172,15 @@ def residue_A0A1(ell: int) -> GradedPoly:
 
 
 def residue_III22(ell: int) -> GradedPoly:
-    """Residue polynomial of the monosingularity III_{2,2} (ell >= 1)."""
+    """Residue polynomial s(ell+2, ell+2) of the monosingularity III_{2,2}
+    (ell >= 1), built once per ell and shared as residue_A0r's is."""
     check_int(ell, 1, "relative dimension ell of III_{2,2}")
+    return _residue_III22(ell)
+
+
+@functools.cache
+def _residue_III22(ell: int) -> GradedPoly:
+    """residue_III22 of a checked ell."""
     return schur_det(ell + 2, ell + 2)
 
 

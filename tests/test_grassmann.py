@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from multising import grassmann
 from multising.grassmann import (
     DUAL_LINE,
-    ORIENTATIONS,
-    SIGNED_PUSH,
     TAUTOLOGICAL_LINE,
     FiberClass,
     GrassClass,
@@ -188,7 +186,7 @@ def test_arithmetic_leaves_the_shared_basis_class_unchanged():
         s1 * rat(1, 2), s1 * 0, s1 * s1, s1 * schur(R37, ()), class_mul(s1, s1),
         s1 ** 0, s1 ** 1, s1 ** 3, s1.homogeneous_part(1), s1.homogeneous_part(2),
         lifted, lifted + s1, lifted * s1, s1 * lifted, (xi ** 4 * s1).reduce(DUAL_LINE),
-        pushforward_P_S(xi ** 2 * s1, DUAL_LINE), pushforward_P_S(lifted * xi ** 3, DUAL_LINE),
+        pushforward_P_S(xi ** 2 * s1), pushforward_P_S(lifted * xi ** 3),
     ]
     assert all(r.nums is not s1.nums for r in results)
     assert s1.nums == {(1,): 1} and s1.den == 1
@@ -656,13 +654,31 @@ def test_poincare_pairing_exhaustive(ring):
 # -- the fibration ------------------------------------------------------------------------
 
 
+def _flip(x):
+    """x after the change of variable xi -> -xi."""
+    return FiberClass(x.ring, {w: g * (-1) ** w for w, g in x.coeffs.items()})
+
+
+def _signed_push(x):
+    """The pushforward of the calculus written wholly in xi = -zeta."""
+    return pushforward_P_S(_flip(x))
+
+
+# each sign convention: its sigma for reduce and kappa_chern, and its pushforward
+CONVENTIONS = {
+    "dual-line": (DUAL_LINE, pushforward_P_S),
+    "signed-push": (TAUTOLOGICAL_LINE, _signed_push),
+    "tautological-line": (TAUTOLOGICAL_LINE, pushforward_P_S),
+}
+
+
 def test_pushforward_low_powers():
     xi = FiberClass.xi(R37)
     assert pushforward_P_S(xi ** 0).is_zero()
     assert pushforward_P_S(xi).is_zero()
     assert pushforward_P_S(xi ** 2) == schur(R37, ())
     assert pushforward_P_S(xi ** 3) == chern_Q(R37, 1)
-    assert pushforward_P_S(xi ** 3, SIGNED_PUSH) == -chern_Q(R37, 1)
+    assert _signed_push(xi ** 3) == -chern_Q(R37, 1)
 
 
 def test_pushforward_projection_formula():
@@ -721,11 +737,11 @@ def test_kappa_chern_shapes():
 def test_fibre_euler_characteristic(k, orientation):
     # the fibre is P^{k-1}, whose Euler characteristic is k, and kappa is its
     # tangent bundle: pi_* c_{k-1}(kappa) = k
-    orient = ORIENTATIONS[orientation]
+    sigma, push = CONVENTIONS[orientation]
     ring = GrassRing(k, k + 2)
-    kappa = kappa_chern(ring, orient)
+    kappa = kappa_chern(ring, sigma)
     assert len(kappa) == k - 1
-    assert pushforward_P_S(kappa[-1], orient) == k * schur(ring, ())
+    assert push(kappa[-1]) == k * schur(ring, ())
 
 
 def _probes(ring):
@@ -741,30 +757,28 @@ def _probes(ring):
 @pytest.mark.parametrize("ring", [GrassRing(1, 4), GrassRing(2, 5), GrassRing(4, 7)],
                          ids=["k1", "k2", "k4"])
 def test_reduce_is_pushforward_consistent_for_every_k(ring):
-    for orient in (SIGNED_PUSH, DUAL_LINE):
+    for sigma, push in (CONVENTIONS["signed-push"], CONVENTIONS["dual-line"]):
         for x in _probes(ring):
-            assert pushforward_P_S(x, orient) == pushforward_P_S(x.reduce(orient), orient)
-    taut = TAUTOLOGICAL_LINE
-    assert any(
-        pushforward_P_S(x, taut) != pushforward_P_S(x.reduce(taut), taut) for x in _probes(ring)
-    )
+            assert push(x) == push(x.reduce(sigma))
+    assert any(pushforward_P_S(x) != pushforward_P_S(x.reduce(TAUTOLOGICAL_LINE))
+               for x in _probes(ring))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+@pytest.mark.parametrize("orientation", sorted(CONVENTIONS))
 def test_top_chern_class_of_quotient_vanishes_for_every_k(k, orientation):
     # c(pi*S/l) = pi*c(S)/(1 + c1(l)) with c1(l) = -zeta; the rank is k - 1,
     # so its degree-k slice must die modulo the relation
-    orient = ORIENTATIONS[orientation]
+    sigma, _ = CONVENTIONS[orientation]
     ring = GrassRing(k, k + 2)
     one = FiberClass.lift(schur(ring, ()))
-    c1l = -orient.kappa_xi_sign * FiberClass.xi(ring)
+    c1l = -sigma * FiberClass.xi(ring)
     total_S = sum((FiberClass.lift(chern_S(ring, i)) for i in range(k + 1)), FiberClass(ring, {}))
     inv = sum(((-c1l) ** j for j in range(k + 1)), FiberClass(ring, {}))
     product = total_S * inv
     ck = FiberClass(ring, {w: product.coefficient(w).homogeneous_part(k - w) for w in range(k + 1)})
     assert not ck.is_zero()
-    assert ck.reduce(orient).is_zero()
+    assert ck.reduce(sigma).is_zero()
 
 
 def test_projective_space_is_the_k1_case():
@@ -774,17 +788,17 @@ def test_projective_space_is_the_k1_case():
     assert kappa_chern(ring) == ()
     assert kappa_chern(ring, DUAL_LINE) == ()
     for w in range(ring.dim + 2):
-        assert pushforward_P_S(FiberClass.xi(ring) ** w, DUAL_LINE) == schur(ring, (1,)) ** w
+        assert pushforward_P_S(FiberClass.xi(ring) ** w) == schur(ring, (1,)) ** w
 
 
-@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+@pytest.mark.parametrize("orientation", sorted(CONVENTIONS))
 def test_rank_check_c3_of_quotient_vanishes(orientation):
     # c(pi*S/l) = pi*c(S)/(1 + c1(l)); its degree-3 slice must die modulo the
     # cubic relation of the matching orientation
-    orient = ORIENTATIONS[orientation]
+    sigma, _ = CONVENTIONS[orientation]
     xi = FiberClass.xi(R37)
     one = FiberClass.lift(schur(R37, ()))
-    c1l = -orient.kappa_xi_sign * xi
+    c1l = -sigma * xi
     total_S = one + sum(
         (FiberClass.lift(chern_S(R37, i)) for i in (1, 2, 3)),
         FiberClass(R37, {}),
@@ -794,7 +808,7 @@ def test_rank_check_c3_of_quotient_vanishes(orientation):
     c3 = FiberClass(
         R37, {w: product.coefficient(w).homogeneous_part(3 - w) for w in range(4)}
     )
-    assert c3.reduce(orient).is_zero()
+    assert c3.reduce(sigma).is_zero()
 
 
 def _probe_classes():
@@ -808,33 +822,32 @@ def _probe_classes():
 
 @pytest.mark.parametrize("orientation", ["signed-push", "dual-line"])
 def test_pushforward_reduction_consistency(orientation):
-    orient = ORIENTATIONS[orientation]
+    sigma, push = CONVENTIONS[orientation]
     for x in _probe_classes():
-        assert pushforward_P_S(x, orient) == pushforward_P_S(x.reduce(orient), orient)
+        assert push(x) == push(x.reduce(sigma))
 
 
-@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+@pytest.mark.parametrize("orientation", sorted(CONVENTIONS))
 def test_reduce_and_pushforward_carry_the_denominator(orientation):
-    orient = ORIENTATIONS[orientation]
+    sigma, push = CONVENTIONS[orientation]
     third = rat(1, 3)
     for x in _probes(R24) + _probe_classes():
-        assert (x * third).reduce(orient) == x.reduce(orient) * third
-        assert pushforward_P_S(x * third, orient) == pushforward_P_S(x, orient) * third
+        assert (x * third).reduce(sigma) == x.reduce(sigma) * third
+        assert push(x * third) == push(x) * third
 
 
 def test_tautological_line_is_reduction_inconsistent():
     # the verbatim sign combination contradicts its own cubic relation; it is
     # kept as a raw-power-only recipe and must fail this consistency probe
-    orient = TAUTOLOGICAL_LINE
     xi3 = FiberClass.xi(R37) ** 3
-    assert pushforward_P_S(xi3, orient) != pushforward_P_S(xi3.reduce(orient), orient)
+    assert pushforward_P_S(xi3) != pushforward_P_S(xi3.reduce(TAUTOLOGICAL_LINE))
 
 
 def test_signed_push_and_dual_line_give_equal_top_integrals():
     # the two conventions differ only by xi -> -xi, so no integral of
     # kappa classes against base classes can tell them apart
-    def integrals(orient):
-        k1, k2 = kappa_chern(R37, orient)
+    def integrals(sigma, push):
+        k1, k2 = kappa_chern(R37, sigma)
         out = {}
         for b in range(R37.dim // 2 + 2):
             k2b = k2 ** b
@@ -842,13 +855,30 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
                 x = k1 ** a * k2b
                 for mu in R37.partitions(R37.dim + 2 - a - 2 * b):
                     lifted = x * FiberClass.lift(schur(R37, mu))
-                    out[a, b, mu] = integrate(pushforward_P_S(lifted, orient))
+                    out[a, b, mu] = integrate(push(lifted))
         return out
 
-    signed = integrals(SIGNED_PUSH)
+    signed = integrals(*CONVENTIONS["signed-push"])
     assert len(signed) == 167
-    assert signed == integrals(DUAL_LINE)
+    assert signed == integrals(*CONVENTIONS["dual-line"])
     assert any(signed.values())
+
+
+@pytest.mark.parametrize("k, n", [(1, 4), (2, 5), (3, 7), (4, 7)])
+def test_sigma_is_the_change_of_variable_xi_to_minus_xi(k, n):
+    # sigma = -1 writes kappa and the relation of sigma = +1 in xi = -zeta
+    ring = GrassRing(k, n)
+    assert kappa_chern(ring, TAUTOLOGICAL_LINE) == tuple(map(_flip, kappa_chern(ring, DUAL_LINE)))
+    for x in _probes(ring):
+        assert _flip(x.reduce(TAUTOLOGICAL_LINE)) == _flip(x).reduce(DUAL_LINE)
+
+
+@pytest.mark.parametrize("sigma", [0, 2, True, 1.0, "dual-line"], ids=repr)
+def test_sigma_is_the_int_1_or_minus_1(sigma):
+    with pytest.raises(PolyError):
+        FiberClass.xi(R37).reduce(sigma)
+    with pytest.raises(PolyError):
+        kappa_chern(R37, sigma)
 
 
 @pytest.mark.parametrize(
@@ -880,7 +910,6 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
         lambda: FiberClass(R37, [(1, schur(R37, ()))]),
         lambda: FiberClass.xi(R37).reduce("dual-line"),
         lambda: kappa_chern(R37, "dual-line"),
-        lambda: pushforward_P_S(FiberClass.xi(R37), "dual-line"),
         lambda: schur("R", (1,)),
         lambda: GrassClass(None, {}),
         lambda: FiberClass(None, {}),
@@ -900,7 +929,7 @@ def test_signed_push_and_dual_line_give_equal_top_integrals():
          "float-coefficient", "bool-partitions", "bool-schur", "float-schur", "string-schur",
          "increasing-schur", "push-grass-class", "integrate-fiber-class", "list-grass-class",
          "list-fiber-class", "string-orientation-reduce", "string-orientation-kappa",
-         "string-orientation-push", "string-ring-schur", "no-ring-grass-class",
+         "string-ring-schur", "no-ring-grass-class",
          "no-ring-fiber-class", "no-ring-xi", "string-ring-chern-Q", "string-ring-chern-S",
          "string-ring-kappa", "class-mul-int", "class-mul-fiber-class", "none-partition-schur",
          "int-partition-key", "none-partition-coefficient"],

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multising.germs import CheckResult, Report, germ_blowup
-from multising.grassmann import DUAL_LINE, GrassRing
+from multising.grassmann import GrassRing
 from multising.multipoint import MultiSingularity, SourceExpansion, SourceTerm
 from multising.thom import SingularityInfo, singularity_info
 from multising.poly import (
@@ -289,8 +289,6 @@ RECORDS = [
      "residual=None, detail=''),))",
      {"ell": 2}, Report("quadruple", 2, (CheckResult("q1", True),))),
     (GrassRing(3, 7), "GrassRing(k=3, n=7)", {"n": 2}, PolyError),
-    (DUAL_LINE, "Orientation(name='dual-line', kappa_xi_sign=1, push_sign=1)",
-     {"push_sign": -1}, type(DUAL_LINE)("dual-line", 1, -1)),
     (MultiSingularity(("A1", "A0", "A0", "A1")), "MultiSingularity(parts=('A1', 'A0', 'A0', 'A1'))",
      {"parts": ("A1", "A2", "A0")}, MultiSingularity(("A1", "A0", "A2"))),
     (SourceTerm(cvar(2), ("A0",)), "SourceTerm(coefficient=GradedPoly(c2), complement=('A0',))",

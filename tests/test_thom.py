@@ -358,6 +358,15 @@ def test_residue_III22():
         residue_III22(0)
 
 
+def test_residue_III22_is_built_once_per_ell():
+    # germs restricts it by identity, so one instance per ell is its contract
+    assert residue_III22(2) is residue_III22(2) is residue("III22", 2)
+    assert residue_III22(1) is not residue_III22(2)
+    for bad in (True, 1.0):
+        with pytest.raises(PolyError):
+            residue_III22(bad)
+
+
 def test_residue_III22A0_ell1():
     assert residue_III22A0(1) == -4 * schur_det(3, 3, 1) - 8 * schur_det(4, 3, 0)
 
