@@ -214,7 +214,8 @@ class _SchurSum:
         return self._merged(other, -1)
 
     def __rsub__(self, other):
-        return -(self - other)
+        diff = self._merged(other, -1)
+        return diff if diff is NotImplemented else -diff
 
     def __pow__(self, exponent: int):
         return power(self, exponent, self._constant(1))

@@ -10,9 +10,8 @@ first element.  Two formal expansions drive everything downstream:
     f*(n) of target classes of complements, one term per subset of the
     points containing the distinguished one.
 
-Every residue R comes from thom.residue.  Reduced (barred) classes divide
-by the automorphism counts: expand_m sums the unbarred residues and, only
-when barred=True, rescales each term by exact rational prefactors.
+Every residue R comes from thom.residue, and every class is unreduced: no
+term is divided by an automorphism count.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ from .thom import (
     residue,
     singularity_info,
 )
-
-
-def _multiset_aut(names: Sequence[str]) -> int:
-    return math.prod(math.factorial(k) for k in Counter(names).values())
 
 
 def _splits(tokens: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
@@ -84,11 +79,7 @@ class MultiSingularity(Record):
         return multisingularity_codim(self.parts, ell)
 
     def aut_count(self) -> int:
-        return _multiset_aut(self.parts)
-
-    def rest_aut_count(self) -> int:
-        """Automorphisms fixing the distinguished element."""
-        return _multiset_aut(self.parts[1:])
+        return math.prod(math.factorial(k) for k in Counter(self.parts).values())
 
     def label(self) -> str:
         return "".join(self.parts)
@@ -159,7 +150,6 @@ class SourceTerm(Record):
 class SourceExpansion(Record):
     multi: MultiSingularity
     ell: int
-    barred: bool
     terms: Tuple[SourceTerm, ...]
 
     def coefficient_of(self, complement: Sequence[str]) -> GradedPoly:
@@ -179,39 +169,25 @@ class SourceExpansion(Record):
         return _render_source(self, latex=False)
 
 
-def expand_m(
-    multi: MultiSingularity,
-    ell: int,
-    barred: bool = True,
-) -> SourceExpansion:
+def expand_m(multi: MultiSingularity, ell: int) -> SourceExpansion:
     """Source class of a multisingularity with residues resolved.
 
-    Unbarred form: m = R + sum over proper subsets J containing the
-    distinguished point of R_J f*(n_complement); exactly 2^(r-1) terms
-    before merging.  Barred form divides by the automorphisms fixing the
-    distinguished point and rewrites pullbacks in reduced classes.
+    m = R + sum over proper subsets J containing the distinguished point of
+    R_J f*(n_complement); exactly 2^(r-1) terms before merging.
     """
     if not isinstance(multi, MultiSingularity):
         raise UnsupportedMultisingularity(f"{multi!r} is not a MultiSingularity")
-    if type(barred) is not bool:
-        raise PolyError(f"barred must be a bool, got {barred!r}")
     merged: Dict[Tuple[str, ...], GradedPoly] = {}
     for picked, complement in _splits(multi.parts):
         poly = residue(picked, ell)
         merged[complement] = merged[complement] + poly if complement in merged else poly
-    if barred:
-        scale = rat(1, multi.rest_aut_count())
-        merged = {
-            comp: poly * (scale * _multiset_aut(comp))
-            for comp, poly in merged.items()
-        }
     terms = tuple(
         SourceTerm(coefficient=poly, complement=comp)
         for comp, poly in sorted(
             merged.items(), key=lambda kv: (-len(kv[0]), kv[0])
         )
     )
-    return SourceExpansion(multi=multi, ell=ell, barred=barred, terms=terms)
+    return SourceExpansion(multi=multi, ell=ell, terms=terms)
 
 
 def emit_quadruple_formula(ell: int) -> SourceExpansion:
@@ -221,7 +197,7 @@ def emit_quadruple_formula(ell: int) -> SourceExpansion:
     in unreduced classes (m_4 = 3! reduced).
     """
     check_int(ell, 1, "relative dimension ell of the quadruple point formula")
-    return expand_m(MultiSingularity(("A0",) * 4), ell, barred=False)
+    return expand_m(MultiSingularity(("A0",) * 4), ell)
 
 
 # -- rendering ----------------------------------------------------------------------
@@ -277,7 +253,6 @@ def _render_expansion(expansion, namer) -> str:
 def _render_source(expansion: SourceExpansion, latex: bool) -> str:
     poly_renderer = to_latex if latex else to_text
     pieces = []
-    bar = r"\bar n" if latex else "nbar"
     for term in expansion.terms:
         coeff = poly_renderer(term.coefficient)
         if term.complement:
@@ -290,12 +265,7 @@ def _render_source(expansion: SourceExpansion, latex: bool) -> str:
                     if latex
                     else ",".join(term.complement)
                 )
-            if expansion.barred:
-                fn = (
-                    rf"f^*({bar}_{{{sub}}})" if latex else f"f^(nbar_{sub})"
-                )
-            else:
-                fn = rf"f^*(n_{{{sub}}})" if latex else f"f^(n_{sub})"
+            fn = rf"f^*(n_{{{sub}}})" if latex else f"f^(n_{sub})"
             if coeff == "1":
                 pieces.append(fn)
             else:
@@ -310,7 +280,6 @@ def source_expansion_json(expansion: SourceExpansion) -> dict:
     return {
         "multisingularity": expansion.multi.label(),
         "ell": expansion.ell,
-        "barred": expansion.barred,
         "terms": [
             {
                 "pullback": list(term.complement) or None,

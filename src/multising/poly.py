@@ -607,6 +607,10 @@ def _aligned(p: GradedPoly, q: GradedPoly, bound: int = 0):
 
 def _combine(p: GradedPoly, q: GradedPoly, sign: int) -> GradedPoly:
     """p + sign * q, merged on int numerators over the lcm of the denominators."""
+    if not q.nums:
+        return p
+    if not p.nums:
+        return q if sign == 1 else -q
     vars_, width, a, b = _aligned(p, q)
     return _poly(vars_, width, *lcm_merge(a, p.den, b, q.den, sign))
 
@@ -727,7 +731,7 @@ def variable(family: str, index: int = 0, weight: int = 1) -> GradedPoly:
 
 def cvar(i: int) -> GradedPoly:
     """Chern variable c_i with the convention c_0 = 1, c_{<0} = 0."""
-    if i < 0:
+    if check_int(i, None, "Chern index i") < 0:
         return zero()
     if i == 0:
         return one()
@@ -937,6 +941,8 @@ def schur_det(*parts: int) -> GradedPoly:
     schur_det() is 1, schur_det(i) is c_i and schur_det(i, j) is
     c_i c_j - c_{i+1} c_{j-1}; larger determinants expand along the first row.
     """
+    for part in parts:
+        check_int(part, None, "Schur determinant part")
     if not parts:
         return one()
 

@@ -273,7 +273,6 @@ def test_blowup_control_fails_when_the_euler_quotient_is_polynomial(monkeypatch)
         lambda: GermPrototype("A1", "1", 2, (ALPHA,), (2 * ALPHA, _beta(1))),
         lambda: GermPrototype("A1", 1.0, 2, (ALPHA,), (2 * ALPHA, _beta(1))),
         lambda: expand_m("A0^4", 1),
-        lambda: expand_m(MultiSingularity(("A0",) * 2), 1, barred="no"),
         lambda: expand_m(MultiSingularity(("A0",) * 2), 1).coefficient_of(5),
         lambda: multisingularity_codim((), 5),
         lambda: multisingularity_codim((), True),
@@ -307,7 +306,7 @@ def test_blowup_control_fails_when_the_euler_quotient_is_polynomial(monkeypatch)
         "a_coeff-bool", "a_coeff-negative-and-float", "multisingularity-int",
         "divisibility-str-germ", "n1-none", "n1-str", "chern_total-none",
         "multiple_point_class-none", "prototype-str-delta", "prototype-str-ell",
-        "prototype-float-ell", "expand_m-str-multi", "expand_m-str-barred",
+        "prototype-float-ell", "expand_m-str-multi",
         "coefficient_of-int", "codim-empty", "codim-empty-bool-ell", "codim-str",
         "prototype-int-name", "prototype-list-weights", "prototype-int-weight",
         "prototype-bool-scalar", "prototype-float-scalar", "prototype-zero-factor",

@@ -193,6 +193,15 @@ def test_arithmetic_leaves_the_shared_basis_class_unchanged():
     assert s1 is schur(R37, (1,))
 
 
+def test_reflected_subtraction_names_the_operands_in_order():
+    # a - b with an operand no class takes must blame (a, b), not (b, a)
+    with pytest.raises(TypeError, match="'NoneType' and 'GrassClass'"):
+        None - schur(R36, (1,))
+    with pytest.raises(TypeError, match="'NoneType' and 'FiberClass'"):
+        None - FiberClass.xi(R36)
+    assert 2 - schur(R36, (1,)) == -(schur(R36, (1,)) - 2)
+
+
 def test_dual_partition():
     assert R24.dual(()) == (2, 2)
     assert R24.dual((2, 1)) == (1,)

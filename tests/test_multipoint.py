@@ -1,5 +1,7 @@
 """Multisingularity combinatorics: codimension, expansions, residue dispatch."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,8 +57,6 @@ def test_aut_counts():
     assert A0(4).aut_count() == 24
     assert MultiSingularity.from_name("A1A0^2").aut_count() == 2
     assert MultiSingularity(("A1",)).aut_count() == 1
-    assert A0(4).rest_aut_count() == 6
-    assert MultiSingularity(("A1",)).rest_aut_count() == 1
 
 
 # -- target expansion ------------------------------------------------------------------
@@ -141,26 +141,21 @@ def test_expansion_rendering_signs_units_and_fractions():
 # -- source expansion -------------------------------------------------------------------
 
 
-def test_expand_m_barred_chain():
-    b2 = expand_m(A0(2), 1)
-    assert b2.coefficient_of(("A0",)) == one()
-    assert b2.coefficient_of(()) == residue_A0r(2, 1)
-
-    b3 = expand_m(A0(3), 2)
-    assert b3.coefficient_of(("A0", "A0")) == one()
-    assert b3.coefficient_of(("A0",)) == residue_A0r(2, 2)
-    assert b3.coefficient_of(()) == residue_A0r(3, 2) * rat(1, 2)
-
-    b4 = expand_m(A0(4), 1)
-    assert b4.coefficient_of(("A0", "A0", "A0")) == one()
-    assert b4.coefficient_of(("A0", "A0")) == residue_A0r(2, 1)
-    assert b4.coefficient_of(("A0",)) == residue_A0r(3, 1) * rat(1, 2)
-    assert b4.coefficient_of(()) == residue_A0r(4, 1) * rat(1, 6)
+def test_expand_m_chain():
+    # the j-point subsets holding the distinguished point number C(r-1, j-1),
+    # and each contributes R_{A0^j} f*(n_{r-j})
+    for r in (2, 3, 4):
+        for ell in (1, 2, 3):
+            m = expand_m(A0(r), ell)
+            assert len(m.terms) == r
+            for j in range(1, r + 1):
+                expected = math.comb(r - 1, j - 1) * residue(("A0",) * j, ell)
+                assert m.coefficient_of(("A0",) * (r - j)) == expected
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_expand_m_unbarred_quadruple(ell):
-    m4 = expand_m(A0(4), ell, barred=False)
+    m4 = expand_m(A0(4), ell)
     assert m4.coefficient_of(("A0", "A0", "A0")) == one()
     assert m4.coefficient_of(("A0", "A0")) == -3 * C(ell)
     assert m4.coefficient_of(("A0",)) == 3 * residue_A0r(3, ell)
@@ -170,7 +165,7 @@ def test_expand_m_unbarred_quadruple(ell):
 def test_expand_m_term_count():
     # 2^(r-1) subsets merge into r distinct complements for identical points
     for r in (2, 3, 4):
-        exp = expand_m(A0(r), 1, barred=False)
+        exp = expand_m(A0(r), 1)
         assert len(exp.terms) == r
 
 
@@ -178,18 +173,18 @@ def test_expand_m_term_count():
 def test_expand_m_homogeneity(ell):
     for multi in (A0(2), A0(3), A0(4)):
         target = multi.codim(ell)
-        for term in expand_m(multi, ell, barred=False).terms:
+        for term in expand_m(multi, ell).terms:
             assert term.coefficient.is_homogeneous()
             deg = term.coefficient.weighted_degree() or 0
             assert deg + term.fn_degree(ell) == target
 
 
 def test_expand_m_mixed_with_table():
-    exp = expand_m(MultiSingularity(("III22", "A0")), 1, barred=False)
+    exp = expand_m(MultiSingularity(("III22", "A0")), 1)
     assert exp.coefficient_of(()) == residue_III22A0(1)
     assert exp.coefficient_of(("A0",)) == residue_III22(1)
 
-    exp2 = expand_m(MultiSingularity(("A0", "A1")), 2, barred=False)
+    exp2 = expand_m(MultiSingularity(("A0", "A1")), 2)
     assert exp2.coefficient_of(()) == residue_A0A1(2)
     assert exp2.coefficient_of(("A1",)) == one()
 
@@ -197,17 +192,13 @@ def test_expand_m_mixed_with_table():
 def test_expand_m_renders_a_pullback_of_a_non_A0_class():
     pure = "4*c1*c2*c4 - 4*c1*c3^2 + 4*c2*c5 - 4*c3*c4"
     pure_latex = "4c_1c_2c_4 - 4c_1c_3^2 + 4c_2c_5 - 4c_3c_4"
-    barred = expand_m(MultiSingularity(("A0", "III22")), 1)
-    assert barred.to_text() == f"f^(nbar_III22) + ({pure})"
-    assert barred.to_latex() == rf"f^*(\bar n_{{III_{{2,2}}}}) + ({pure_latex})"
-    unbarred = expand_m(MultiSingularity(("A0", "III22")), 1, barred=False)
-    assert unbarred.to_text() == f"f^(n_III22) + ({pure})"
-    assert unbarred.to_latex() == f"f^*(n_{{III_{{2,2}}}}) + ({pure_latex})"
-    for expansion in (barred, unbarred):
-        assert expansion.coefficient_of(()) == residue_III22A0(1)
-        assert expansion.coefficient_of(("III22",)) == one()
-        assert expansion.coefficient_of(("A1",)).is_zero()
-        assert expansion.coefficient_of(["A0", "III22"]).is_zero()
+    expansion = expand_m(MultiSingularity(("A0", "III22")), 1)
+    assert expansion.to_text() == f"f^(n_III22) + ({pure})"
+    assert expansion.to_latex() == f"f^*(n_{{III_{{2,2}}}}) + ({pure_latex})"
+    assert expansion.coefficient_of(()) == residue_III22A0(1)
+    assert expansion.coefficient_of(("III22",)) == one()
+    assert expansion.coefficient_of(("A1",)).is_zero()
+    assert expansion.coefficient_of(["A0", "III22"]).is_zero()
 
 
 def test_missing_residue_raises():
@@ -250,17 +241,8 @@ def test_quadruple_formula_requires_positive_ell():
         emit_quadruple_formula(0)
 
 
-def test_quadruple_formula_is_unbarred_times_aut():
-    # m_4 = 3! reduced: every coefficient of the barred expansion scales
-    q = emit_quadruple_formula(2)
-    b = expand_m(A0(4), 2, barred=True)
-    assert q.coefficient_of(()) == 6 * b.coefficient_of(())
-    assert q.coefficient_of(("A0",)) == 6 * rat(1, 1) * b.coefficient_of(("A0",))
-
-
 def test_source_expansion_json_shape():
     payload = source_expansion_json(expand_m(A0(2), 1))
     assert payload["multisingularity"] == "A0A0"
-    assert payload["barred"] is True
     assert payload["terms"][0]["pullback"] == ["A0"]
     assert payload["terms"][-1]["pullback"] is None

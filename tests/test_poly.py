@@ -124,6 +124,11 @@ def test_rat_accepts_only_canonical_strings(text):
         lambda: substitute(C1, None),
         lambda: exact_quotient(C1, 5),
         lambda: exact_quotient(3, []),
+        lambda: cvar(False),
+        lambda: cvar(0.0),
+        lambda: cvar(-1.5),
+        lambda: schur_det(True, False),
+        lambda: schur_det("a"),
     ],
     ids=["decimal-string", "zero-denominator-string", "zero-denominator",
          "float", "float-constant", "float-term", "bool", "bool-denominator",
@@ -134,7 +139,9 @@ def test_rat_accepts_only_canonical_strings(text):
          "series_quotient-int-numerator-factors", "series_quotient-int-denominator-factors",
          "divide_by_linear-int-form", "divide_by_linear-int-dividend",
          "substitute-list-assignment", "substitute-none-assignment",
-         "exact_quotient-int-factors", "exact_quotient-int-dividend"],
+         "exact_quotient-int-factors", "exact_quotient-int-dividend",
+         "cvar-bool", "cvar-float-zero", "cvar-negative-float", "schur_det-bools",
+         "schur_det-str"],
 )
 def test_malformed_scalars_raise_poly_error(make):
     with pytest.raises(PolyError):
@@ -293,11 +300,10 @@ RECORDS = [
      {"parts": ("A1", "A2", "A0")}, MultiSingularity(("A1", "A0", "A2"))),
     (SourceTerm(cvar(2), ("A0",)), "SourceTerm(coefficient=GradedPoly(c2), complement=('A0',))",
      {"complement": ()}, SourceTerm(cvar(2), ())),
-    (SourceExpansion(MultiSingularity(("A0", "A0")), 1, True, (SourceTerm(-cvar(1), ()),)),
-     "SourceExpansion(multi=MultiSingularity(parts=('A0', 'A0')), ell=1, barred=True, "
+    (SourceExpansion(MultiSingularity(("A0", "A0")), 1, (SourceTerm(-cvar(1), ()),)),
+     "SourceExpansion(multi=MultiSingularity(parts=('A0', 'A0')), ell=1, "
      "terms=(SourceTerm(coefficient=GradedPoly(-c1), complement=()),))",
-     {"barred": False}, SourceExpansion(MultiSingularity(("A0", "A0")), 1, False,
-                                        (SourceTerm(-cvar(1), ()),))),
+     {"ell": 2}, SourceExpansion(MultiSingularity(("A0", "A0")), 2, (SourceTerm(-cvar(1), ()),))),
     (singularity_info("A3"),
      "SingularityInfo(name='A3', delta=4, corank=1, slope=3, offset=3, min_ell=0)",
      {"slope": 0}, SingularityInfo("A3", 4, 1, 0, 3, 0)),
