@@ -20,13 +20,12 @@ through _identity_check, which keeps the residual lhs - rhs of a failing
 check.
 
 The suites work in the genotype basis (Rimanyi's restriction method).
-The beta roots of an A_k or III_{2,2} prototype enter its Chern class only
-as the factor prod_i (1 + beta_i) = 1 + d_1 + ... + d_m, with
-d_j = e_j(beta) the Chern classes of the U(m)
-factor of the symmetry group (_Genotype).  The d_j of m independent roots
-are algebraically independent, so an identity holds in Q[alpha, beta]
-exactly when it holds in Q[alpha, d_1..d_m], where it is far cheaper to
-check.  The III_{2,2} and I_{2,2} genotypes have two alpha roots, and their
+The beta roots of a prototype enter its Chern class only as the factor
+prod_i (1 + beta_i) = 1 + d_1 + ... + d_m, with d_j = e_j(beta) the Chern
+classes of the U(m) factor of the symmetry group (_Genotype).  The d_j of
+m independent roots are algebraically independent, so an identity holds in
+Q[alpha, beta] exactly when it holds in Q[alpha, d_1..d_m], where it is far
+cheaper to check.  The III_{2,2} and I_{2,2} genotypes have two alpha roots, and their
 symmetry swaps alpha_1 and alpha_2, so the beta-free part of their class is
 symmetric and is rewritten in e_1 = alpha_1 + alpha_2 (weight 1) and
 e_2 = alpha_1 alpha_2 (weight 2).  These are algebraically independent too,
@@ -40,8 +39,7 @@ alpha_1 + alpha_2: e_1 -> 0).  A failing check keeps its residual in the
 genotype basis, so a wrong residue fails as fast as a right one passes;
 _Genotype.roots maps back to the roots only for multiple_point_class.
 Every suite restricts on the genotype of a prototype (_genotype), the
-III_{2,2}A_0 suite included; its I_{2,2} genotype, which has no prototype
-here, is built in the same basis.
+III_{2,2}A_0 suite on those of III_{2,2} and I_{2,2} included.
 
 Every restriction of a polynomial in the c_i goes through _Genotype.restrict,
 whose series runs up to the largest c_i that the polynomial uses: a series
@@ -131,42 +129,41 @@ class GermPrototype(Record):
                             f"expected ell = {self.ell}")
 
 
-def _betas(count: int) -> List[GradedPoly]:
-    return [root_var("beta", i) for i in range(1, count + 1)]
+_ALPHA_KEYS = (("alpha", 1), ("alpha", 2))
+_ALPHA_1, _ALPHA_2 = (root_var(*key) for key in _ALPHA_KEYS)
+
+
+def _prototype(name: str, ell: int, delta: int, source: Tuple[GradedPoly, ...],
+               target: Tuple[GradedPoly, ...], n1_scalar: int,
+               n1_free: Tuple[GradedPoly, ...]) -> GermPrototype:
+    """The prototype with the beta-free weights source -> target, brought to
+    relative dimension ell by the lone roots beta_i, each also an n_1 factor
+    after the beta-free ones n1_free."""
+    surplus = len(target) - len(source)
+    check_int(ell, surplus, f"relative dimension ell of {name}")
+    betas = tuple(root_var("beta", i) for i in range(1, ell - surplus + 1))
+    return GermPrototype(name=name, ell=ell, delta=delta, source_weights=source,
+                         target_weights=target + betas, n1_scalar=n1_scalar,
+                         n1_factors=n1_free + betas)
 
 
 def germ_A(k: int, ell: int) -> GermPrototype:
     """Stable A_k germ of relative dimension ell (k >= 1, ell >= 0)."""
     check_int(k, 1, "A_k prototype index k", error=UnsupportedPrototype)
-    check_int(ell, 0, "relative dimension ell")
     alpha = root_var("alpha")
-    betas = _betas(ell)
-    return GermPrototype(
-        name=f"A{k}",
-        ell=ell,
-        delta=k + 1,
-        source_weights=(alpha,),
-        target_weights=((k + 1) * alpha, *betas),
-        n1_scalar=k + 1,
-        n1_factors=tuple(betas),
-    )
+    return _prototype(f"A{k}", ell, k + 1, (alpha,), ((k + 1) * alpha,), k + 1, ())
 
 
 def germ_III22(ell: int) -> GermPrototype:
     """Stable III_{2,2} germ of relative dimension ell (ell >= 1)."""
-    check_int(ell, 1, "relative dimension ell of III_{2,2}")
-    a1 = root_var("alpha", 1)
-    a2 = root_var("alpha", 2)
-    betas = _betas(ell - 1)
-    return GermPrototype(
-        name="III22",
-        ell=ell,
-        delta=3,
-        source_weights=(a1, a2),
-        target_weights=(a1 + a2, 2 * a1, 2 * a2, *betas),
-        n1_scalar=4,
-        n1_factors=(a1 + a2,) + tuple(betas),
-    )
+    a1, a2 = _ALPHA_1, _ALPHA_2
+    return _prototype("III22", ell, 3, (a1, a2), (a1 + a2, 2 * a1, 2 * a2), 4, (a1 + a2,))
+
+
+def germ_I22(ell: int) -> GermPrototype:
+    """Stable I_{2,2} germ (x, y) -> (x^2, y^2) of relative dimension ell (ell >= 0)."""
+    a1, a2 = _ALPHA_1, _ALPHA_2
+    return _prototype("I22", ell, 4, (a1, a2), (2 * a1, 2 * a2), 4, ())
 
 
 def germ_blowup() -> GermPrototype:
@@ -184,8 +181,8 @@ def germ_blowup() -> GermPrototype:
 
 
 def stable_germ(name: str, ell: int) -> GermPrototype:
-    """The prototype of A<k> (k >= 1) or III22 from thom.singularity_info, or
-    the negative control "blowup" (ell = 0 only); any other name raises
+    """The prototype of A<k> (k >= 1), III22 or I22 from thom.singularity_info,
+    or the negative control "blowup" (ell = 0 only); any other name raises
     UnsupportedPrototype."""
     if name == "blowup":
         check_int(ell, 0, "relative dimension ell of the blow-up", most=0)
@@ -196,9 +193,9 @@ def stable_germ(name: str, ell: int) -> GermPrototype:
         raise UnsupportedPrototype(f"unknown prototype {name!r}") from None
     if info.name == "III22":
         return germ_III22(ell)
-    if info.corank == 1:
-        return germ_A(info.delta - 1, ell)
-    raise UnsupportedPrototype(f"no prototype for {name!r}")
+    if info.name == "I22":
+        return germ_I22(ell)
+    return germ_A(info.delta - 1, ell)
 
 
 # -- derived classes -----------------------------------------------------------------
@@ -287,8 +284,6 @@ def _d_polynomial(cap: int) -> GradedPoly:
     return sum((dvar(i) for i in range(1, cap + 1)), one())
 
 
-_ALPHA_KEYS = (("alpha", 1), ("alpha", 2))
-_ALPHA_1, _ALPHA_2 = (root_var(*key) for key in _ALPHA_KEYS)
 _E_1, _E_2 = variable("e", 1, weight=1), variable("e", 2, weight=2)
 # e_1 and e_2 of a two-alpha genotype mapped back to its roots
 _E_IN_ROOTS = {("e", 1): _ALPHA_1 + _ALPHA_2, ("e", 2): _ALPHA_1 * _ALPHA_2}
@@ -299,7 +294,7 @@ class _Genotype:
 
     numer and denom hold the beta-free classes w and v: linear forms in
     alpha, or for a two-alpha genotype one class per side in e_1, e_2 (see
-    _in_genotype_basis).  alphas maps e_1, e_2 back to the alpha roots and is
+    _genotype).  alphas maps e_1, e_2 back to the alpha roots and is
     empty when the classes are in alpha.  betas holds the m distinct lone
     roots, whose product series is 1 + d_1 + ... + d_m.  longest and
     restricted hold restrict's series and values.  A plain class, not a
@@ -419,30 +414,14 @@ def _class_in_e(forms: Tuple[GradedPoly, ...], name: str) -> GradedPoly:
     return total - 1
 
 
-def _in_genotype_basis(
-    name: str,
-    numer: Sequence[GradedPoly],
-    denom: Sequence[GradedPoly],
-    betas: Sequence[GradedPoly],
-) -> _Genotype:
-    """The genotype prod(1 + w) / prod(1 + v) of beta-free forms, over the lone roots betas.
-
-    When the forms use alpha_1 and alpha_2, each side becomes one class in
-    e_1, e_2 (_class_in_e), and a side that is not symmetric raises
-    UnsupportedPrototype.
-    """
-    used = {(v.family, v.index) for w in (*numer, *denom) for v in w.used_vars()}
-    if not used >= set(_ALPHA_KEYS):
-        return _Genotype(numer, denom, betas, {})
-    sides = ([_class_in_e(tuple(forms), name)] for forms in (numer, denom))
-    return _Genotype(*sides, betas, _E_IN_ROOTS)
-
-
 def _genotype(g: GermPrototype) -> _Genotype:
     """The genotype of a prototype's normal-bundle weights.
 
     Every weight that involves a beta must be a lone beta_i among the target
     weights, each at most once; any other shape raises UnsupportedPrototype.
+    When the beta-free forms use alpha_1 and alpha_2, each side becomes one
+    class in e_1, e_2 (_class_in_e), and a side that is not symmetric raises
+    UnsupportedPrototype.
     """
     free, betas = [], []
     for w in g.target_weights:
@@ -455,7 +434,11 @@ def _genotype(g: GermPrototype) -> _Genotype:
     for v in g.source_weights:
         if _involves_beta(v):
             raise UnsupportedPrototype(f"{g.name}: source weight {to_text(v)} involves a beta root")
-    return _in_genotype_basis(g.name, free, list(g.source_weights), betas)
+    used = {(v.family, v.index) for w in (*free, *g.source_weights) for v in w.used_vars()}
+    if not used >= set(_ALPHA_KEYS):
+        return _Genotype(free, list(g.source_weights), betas, {})
+    sides = ([_class_in_e(tuple(forms), g.name)] for forms in (free, g.source_weights))
+    return _Genotype(*sides, betas, _E_IN_ROOTS)
 
 
 # -- verification reports ---------------------------------------------------------------
@@ -579,8 +562,9 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     the genotype basis, and each linear factor of n_1 is certified by
     _Genotype.divides.  A lone root beta_i is killed by d_m -> 0: the
     difference is symmetric in the roots, so that one substitution certifies
-    every beta_i.  The exactness of the Euler quotient itself is reported as
-    the first check.
+    every beta_i, and its detail reads beta_i -> 0 with nothing solved; any
+    other factor's detail is the factor solved for its last variable.  The
+    exactness of the Euler quotient itself is reported as the first check.
     """
     _check_prototype(g)
     check_int(r, 1, "multiplicity r of the divisibility identity")
@@ -600,9 +584,14 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     # m_r - R/(r-1)! is the value of -R/(r-1)! less the target -m_r
     target, equations = -m_class, []
     for f in g.n1_factors:
-        sym, image = _specialization_for(f)
-        equations.append((f"factor-{to_text(f)}", genotype, target, f,
-                          f"difference vanishes under {sym[0]}{sym[1] or ''} -> {to_text(image)}"))
+        text = to_text(f)
+        if f in genotype.betas:
+            solved = f"{text} -> 0"
+        else:
+            (family, index), image = _specialization_for(f)
+            solved = f"{family}{index or ''} -> {to_text(image)}"
+        equations.append((f"factor-{text}", genotype, target, f,
+                          f"difference vanishes under {solved}"))
     residue = residue_A0r(r, ell) * rat(-1, math.factorial(r - 1))
     checks.extend(_restriction_checks(residue, equations))
     return Report(suite="divisibility", ell=ell, checks=tuple(checks))
@@ -645,20 +634,12 @@ def verify_tpA1(ell: int) -> Report:
 # -- III_{2,2}A_0 suite ----------------------------------------------------------------------
 
 
-def _i22_genotype(ell: int) -> _Genotype:
-    """The I_{2,2} genotype (1+2 alpha_1)(1+2 alpha_2) / ((1+alpha_1)(1+alpha_2))
-    times prod_i (1 + beta_i) over ell roots, in e_1, e_2 that is
-    (1+2 e_1+4 e_2)/(1+e_1+e_2); there is no I_{2,2} prototype."""
-    a1, a2 = _ALPHA_1, _ALPHA_2
-    return _in_genotype_basis("I22", (2 * a1, 2 * a2), (a1, a2), _betas(ell))
-
-
 def verify_III22A0(ell: int) -> Report:
     """Three exact identities certifying the III_{2,2}A_0 residue.
 
     (i) the residue vanishes on the A_r prototype genotypes for r = 1..3;
-    (ii) on the I_{2,2} genotype it collapses to -4 d_ell times the
-    substituted Schur determinant of the III_{2,2} residue; (iii) its value
+    (ii) on the I_{2,2} prototype genotype it collapses to -4 d_ell times
+    the substituted Schur determinant of the III_{2,2} residue; (iii) its value
     on the III_{2,2} prototype genotype is the (ii) value with the last
     I_{2,2} root set to alpha_1 + alpha_2 = e_1, that is under d_j -> the
     weight-j part of (1 + e_1)(1 + d_1 + ... + d_(ell-1)).  The III_{2,2}
@@ -689,7 +670,7 @@ def _iii22a0_equations(ell: int) -> List[_Equation]:
          f"residue vanishes on the A{r} genotype")
         for r in (1, 2, 3)
     ]
-    i22 = _i22_genotype(ell)
+    i22 = _genotype(germ_I22(ell))
     target = constant(-4) * dvar(ell) * i22.restrict(residue_III22(ell))
     equations.append(("i22chern", i22, target, None,
                       "residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype"))
@@ -705,22 +686,23 @@ def _factorization_triples(ell: int):
 
 
 def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
-    """Schur factorization on the I_{2,2} genotype.
+    """Schur factorization on the I_{2,2} prototype genotype.
 
-    For i >= j >= k >= 0 with j >= ell+2 and k <= ell the substituted 3x3
-    Schur determinant factors as e_2^(j-ell-2) = (alpha_1 alpha_2)^(j-ell-2)
-    times the weight-(i-j) part of the genotype's denominator
-    1/((1+alpha_1)(1+alpha_2)), the substituted residue determinant
-    s(ell+2, ell+2), and the weight-k part of its numerator
-    (1+2 alpha_1)(1+2 alpha_2)(1 + d_1 + ... + d_ell), all in e_1, e_2.
+    For ell >= 1, where the III_{2,2} residue exists, and i >= j >= k >= 0
+    with j >= ell+2 and k <= ell the substituted 3x3 Schur determinant
+    factors as e_2^(j-ell-2) = (alpha_1 alpha_2)^(j-ell-2) times the
+    weight-(i-j) part of the genotype's denominator 1/((1+alpha_1)(1+alpha_2)),
+    the substituted residue determinant s(ell+2, ell+2), and the weight-k
+    part of its numerator (1+2 alpha_1)(1+2 alpha_2)(1 + d_1 + ... + d_ell),
+    all in e_1, e_2.
     """
-    check_int(ell, 0, "relative dimension ell of a factorization")
+    check_int(ell, 1, "relative dimension ell of a factorization")
     if not isinstance(triple, tuple) or len(triple) != 3:
         raise PolyError(f"{triple!r} is not a triple of indices")
     i, j, k = (check_int(index, 0, "factorization index") for index in triple)
     if not (i >= j >= k and j >= ell + 2 and k <= ell):
         raise PolyError(f"triple {triple} violates the factorization ranges")
-    return _factorization_check(_i22_genotype(ell), ell, (i, j, k))
+    return _factorization_check(_genotype(germ_I22(ell)), ell, (i, j, k))
 
 
 def _factorization_check(genotype: _Genotype, ell: int, triple: Tuple[int, int, int]) -> CheckResult:

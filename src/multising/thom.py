@@ -228,7 +228,7 @@ class SingularityInfo(Record):
 
 _SIGMA2 = {
     "III22": SingularityInfo("III22", delta=3, corank=2, slope=2, offset=4, min_ell=1),
-    "I22": SingularityInfo("I22", delta=4, corank=2, slope=3, offset=4, min_ell=1),
+    "I22": SingularityInfo("I22", delta=4, corank=2, slope=3, offset=4, min_ell=0),
 }
 
 _A_K = re.compile(r"A(0|[1-9][0-9]{0,639})")  # int() may refuse more than 640 digits

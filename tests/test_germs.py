@@ -17,6 +17,7 @@ from multising.germs import (
     chern_total,
     factorization_check,
     germ_A,
+    germ_I22,
     germ_III22,
     germ_blowup,
     multiple_point_class,
@@ -155,8 +156,10 @@ def test_stable_germ_factory():
     assert stable_germ("A2", 3).name == "A2"
     assert stable_germ("A5", 1) == germ_A(5, 1)
     assert stable_germ("III22", 1).delta == 3
+    for ell in (0, 1, 3):
+        assert stable_germ("I22", ell) == germ_I22(ell)
     assert stable_germ("blowup", 0).name == "blowup"
-    for name in ("A0", "I22", "D4", "A01", ["A1"]):
+    for name in ("A0", "D4", "A01", ["A1"]):
         with pytest.raises(UnsupportedPrototype):
             stable_germ(name, 1)
     for ell in (5, "x"):
@@ -186,6 +189,14 @@ def test_n1_III22(ell):
     assert got.is_homogeneous() and got.weighted_degree() == ell
 
 
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_n1_I22(ell):
+    # n_1 = 4 beta_1 ... beta_ell: dividing out every beta_i leaves exactly 4
+    betas = [_beta(i) for i in range(1, ell + 1)]
+    assert poly.exact_quotient(n1(germ_I22(ell)), betas) == 4 * one()
+    assert germ_I22(ell).n1_factors == tuple(betas)
+
+
 def test_n1_whitney_umbrella():
     assert n1(germ_A(1, 1)) == 2 * _beta(1)
 
@@ -213,7 +224,8 @@ def test_a_weight_on_both_sides_is_refused(make):
 
 
 def test_prototypes_list_no_weight_on_both_sides():
-    for germ in (germ_A(1, 0), germ_A(3, 4), germ_III22(1), germ_III22(4), germ_blowup()):
+    for germ in (germ_A(1, 0), germ_A(3, 4), germ_III22(1), germ_III22(4), germ_I22(0),
+                 germ_I22(3), germ_blowup()):
         assert not any(w == v for w in germ.target_weights for v in germ.source_weights)
     assert germ_blowup().source_weights == (_beta(1),)
     assert germ_blowup().target_weights == (ALPHA + _beta(1),)
@@ -293,6 +305,10 @@ def test_blowup_control_fails_when_the_euler_quotient_is_polynomial(monkeypatch)
         lambda: GermPrototype("A1", 1, 2, (one(),), (2 * ALPHA, _beta(1))),
         lambda: GermPrototype("A1", 1, 2, (ALPHA,), (2 * ALPHA, _beta(1) + 1)),
         lambda: GermPrototype("A1", 1, 2, (ALPHA,), (2 * ALPHA, cvar(2))),
+        lambda: germ_I22(True),
+        lambda: germ_I22(2.0),
+        lambda: germ_I22(-1),
+        lambda: factorization_check(0, (2, 2, 0)),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -314,6 +330,7 @@ def test_blowup_control_fails_when_the_euler_quotient_is_polynomial(monkeypatch)
         "prototype-inhomogeneous-factor", "prototype-list-factors",
         "prototype-quadratic-weight", "prototype-zero-weight", "prototype-constant-weight",
         "prototype-inhomogeneous-weight", "prototype-weight-2-variable",
+        "germ_I22-bool", "germ_I22-float", "germ_I22-negative", "factorization-ell-0",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -788,21 +805,25 @@ def _explicit_i22(ell, maxdeg):
     )
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ell", [0, 1, 2, 3, 4, 5])
 def test_two_alpha_genotypes_in_e_map_to_the_explicit_roots(ell):
     """The III22 genotype is (1+e1)(1+2e1+4e2)/(1+e1+e2) over ell-1 roots and
     the I22 genotype (1+2e1+4e2)/(1+e1+e2) over ell roots; mapped back to
-    the roots, their series are the explicit-root Chern classes."""
+    the roots, their series are the explicit-root Chern classes.  III22
+    starts at ell = 1, I22 at ell = 0."""
     maxdeg = 2 * ell + 4
-    iii22 = germs._genotype(germ_III22(ell))
-    i22 = germs._i22_genotype(ell)
-    assert (iii22.numer, iii22.denom, iii22.m) == (
-        [(1 + E1) * (1 + 2 * E1 + 4 * E2) - 1], [E1 + E2], ell - 1
-    )
+    i22 = germs._genotype(germ_I22(ell))
     assert (i22.numer, i22.denom, i22.m) == ([2 * E1 + 4 * E2], [E1 + E2], ell)
-    assert _e_to_roots(iii22.series(maxdeg), ell - 1) == chern_total(germ_III22(ell), maxdeg)
     assert _e_to_roots(i22.series(maxdeg), ell) == _explicit_i22(ell, maxdeg)
-    for genotype in (iii22, i22):
+    genotypes = [i22]
+    if ell >= 1:
+        iii22 = germs._genotype(germ_III22(ell))
+        assert (iii22.numer, iii22.denom, iii22.m) == (
+            [(1 + E1) * (1 + 2 * E1 + 4 * E2) - 1], [E1 + E2], ell - 1
+        )
+        assert _e_to_roots(iii22.series(maxdeg), ell - 1) == chern_total(germ_III22(ell), maxdeg)
+        genotypes.append(iii22)
+    for genotype in genotypes:
         assert genotype.roots(genotype.series(maxdeg)) == _e_to_roots(
             genotype.series(maxdeg), genotype.m
         )
@@ -856,7 +877,7 @@ def _alpha_series(genotype, maxdeg):
 
 def test_genotype_series_d_caps():
     ell, maxdeg = 2, 6
-    i22 = _alpha_series(germs._i22_genotype(ell), maxdeg)
+    i22 = _alpha_series(germs._genotype(germ_I22(ell)), maxdeg)
     iii22 = _alpha_series(germs._genotype(germ_III22(ell)), maxdeg)
     # the I22 series involves d_1..d_ell, the III22 series only d_1..d_ell-1,
     # both, through e -> alpha, in the prototypes' own roots alpha_1, alpha_2
@@ -891,7 +912,7 @@ def test_iii22chern_matches_plug_in_at_ell1():
     from multising.thom import residue_III22A0
 
     maxdeg = 6
-    i22 = _alpha_series(germs._i22_genotype(1), maxdeg)
+    i22 = _alpha_series(germs._genotype(germ_I22(1)), maxdeg)
     iii22 = _alpha_series(germs._genotype(germ_III22(1)), maxdeg)
     value_i22 = chern_substitute(residue_III22A0(1), i22)
     value_iii22 = chern_substitute(residue_III22A0(1), iii22)
@@ -946,6 +967,9 @@ def test_factorization_range_validation():
         factorization_check(1, (3, 2, 0))  # j < ell+2
     with pytest.raises(PolyError):
         factorization_check(1, (3, 3, 2))  # k > ell
+    # ell = 0 meets the index ranges but has no III22 residue: refused at the boundary
+    with pytest.raises(PolyError, match="relative dimension ell of a factorization"):
+        factorization_check(0, (2, 2, 0))
     for ell, triple in ((1, (3, 3, -1)), (1, (4, 3, -2)), (2, (4, 4, -2))):
         # k < 0: both sides vanish, so the check would certify 0 = 0
         with pytest.raises(PolyError):
@@ -993,6 +1017,23 @@ def test_germs_calls_chern_substitute_only_in_genotype_restrict():
 
     visit(tree, ())
     assert calls == {("_Genotype", "restrict"): 1}
+
+
+def test_germs_builds_genotypes_only_in_genotype():
+    # every genotype comes from a prototype: _Genotype( is called in _genotype alone
+    tree = ast.parse(Path(germs.__file__).read_text())
+    scopes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Genotype":
+            scopes.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    assert scopes and set(scopes) == {("_genotype",)}
 
 
 def test_suites_restrict_each_polynomial_once_per_genotype(monkeypatch):

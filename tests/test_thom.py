@@ -471,6 +471,8 @@ def test_singularity_info():
     i22 = singularity_info("I22")
     assert i22.delta == 4
     assert i22.codim(2) == 10
+    # (x, y) -> (x^2, y^2) is stable at ell = 0, of codimension 3*0 + 4
+    assert (i22.min_ell, i22.codim(0)) == (0, 4)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 8, 9, 12, 40])
