@@ -80,8 +80,8 @@ from .poly import (
     variable,
     zero,
 )
-from .thom import (UnsupportedMultisingularity, residue_A0r, residue_III22, residue_III22A0,
-                   singularity_info)
+from .thom import (UnsupportedMultisingularity, multisingularity_codim, residue_A0r,
+                   residue_III22, residue_III22A0, singularity_info)
 
 
 class UnsupportedPrototype(PolyError):
@@ -296,10 +296,11 @@ class _Genotype:
     alpha, or for a two-alpha genotype one class per side in e_1, e_2 (see
     _genotype).  alphas maps e_1, e_2 back to the alpha roots and is
     empty when the classes are in alpha.  betas holds the m distinct lone
-    roots, whose product series is 1 + d_1 + ... + d_m.  longest and
-    restricted hold restrict's series and values.  A plain class, not a
-    Record: a genotype is a working object that nothing compares, hashes,
-    prints or rebuilds, so it needs none of a value type's methods.
+    roots, whose product series is 1 + d_1 + ... + d_m.  longest holds the
+    longest series built so far (see reserve) and restricted restrict's
+    values.  A plain class, not a Record: a genotype is a working object
+    that nothing compares, hashes, prints or rebuilds, so it needs none of
+    a value type's methods.
     """
 
     __slots__ = ("numer", "denom", "betas", "alphas", "longest", "restricted")
@@ -334,11 +335,15 @@ class _Genotype:
         restricted once, keyed by identity (the entry keeps p alive), and the
         longest series built so far serves every shorter one."""
         if id(p) not in self.restricted:
-            degree = max((v.index for v in p.used_vars() if v.family == "c"), default=0)
-            if degree > self.longest[0]:
-                self.longest = degree, self.series(degree)
+            self.reserve(max((v.index for v in p.used_vars() if v.family == "c"), default=0))
             self.restricted[id(p)] = p, chern_substitute(p, self.longest[1])
         return self.restricted[id(p)][1]
+
+    def reserve(self, degree: int) -> None:
+        """Build the series up to degree now, unless one as long is built, so
+        that restricting a p with no c_i above degree builds none."""
+        if degree > self.longest[0]:
+            self.longest = degree, self.series(degree)
 
     def roots(self, p: GradedPoly) -> GradedPoly:
         """p mapped back to root coordinates through e -> alpha and d_j -> e_j(beta)."""
@@ -671,6 +676,9 @@ def _iii22a0_equations(ell: int) -> List[_Equation]:
         for r in (1, 2, 3)
     ]
     i22 = _genotype(germ_I22(ell))
+    # one series for the target and for every residue of the suite's degree,
+    # which uses no c_i above that degree: the solver's unknowns as well
+    i22.reserve(multisingularity_codim(("III22", "A0"), ell))
     target = constant(-4) * dvar(ell) * i22.restrict(residue_III22(ell))
     equations.append(("i22chern", i22, target, None,
                       "residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype"))

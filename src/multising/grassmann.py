@@ -6,20 +6,23 @@ of a point (the full box) integrates to 1.  Basis products follow the
 Littlewood-Richardson rule: the rows of the smaller partition are added as
 labelled horizontal strips inside the box, and each filling with a lattice
 reading word counts once, so the multiplicities come with no cancellation.
-The strips are placed in place in one shape list, and the walk never fails
-for lack of room: the rows below row r can take at most old[r] - old[k-1]
-cells of a strip (their rooms telescope), so row r takes at least
-left - (old[r] - old[k-1]) of the cells left.
-A product that vanishes in the box skips the enumeration: s_lam * s_mu != 0
-iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton, Young Tableaux, 9.4),
-and a GrassClass product that vanishes is the ring's one shared zero class.
-A product of top degree k(n-k) that passes that test is the point class once:
-its k sums lam_i + mu_(k+1-i) total k(n-k), so each is n-k (lam is mu's dual).
+Three rules decide a product before any table or walk (_mul_terms): a unit
+factor gives the other factor; s_lam * s_mu != 0 iff lam_i + mu_(k+1-i)
+<= n-k for every i (Fulton, Young Tableaux, 9.4), the box test; and a
+product of top degree k(n-k) that passes the box test is the point class
+once.  A GrassClass product that vanishes is the ring's one shared zero
+class.  Only the pairs the rules leave open are walked, and only walks are
+cached (_mul_basis).  The walk places the strips in place in one shape
+list and never fails for lack of room: the rows below row r can take at
+most old[r] - old[k-1] cells of a strip (their rooms telescope), so row r
+takes at least left - (old[r] - old[k-1]) of the cells left.  For k = 1
+nothing but the box test bounds the one row, so passing it is the walk's
+precondition.
 GrassClass and the FiberClass below are stored as GradedPoly is: nonzero int
 numerators over one shared positive denominator in lowest terms.  Their
 private base, _SchurSum, makes +, -, ==, ** and scalar * one lcm merge and
 one gcd step, every product sums a * b * mult into one int dict through
-_mul_basis, and coeffs is a read-only view.  Only the public constructors
+_mul_terms, and coeffs is a read-only view.  Only the public constructors
 check their input; results are built unchecked.  schur() builds each basis
 class s_lam once per ring and hands out that one instance, which is safe
 because no operation changes a class or its numerators in place.
@@ -363,41 +366,57 @@ def class_from_json(ring: GrassRing, payload: Iterable[Mapping]) -> GrassClass:
 # -- products ------------------------------------------------------------------
 
 
+def _mul_terms(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
+    """Boxed expansion of s_lam * s_mu with integer multiplicities, for box
+    partitions lam and mu, keyed by canonical partitions.
+
+    Three rules decide a product unwalked and uncached: a unit factor s_()
+    gives the other factor; the product vanishes unless lam_i + mu_(k+1-i)
+    <= n-k for every i (Fulton, Young Tableaux, 9.4), that is unless lam fits
+    inside the dual of mu; and in top degree k(n-k) a product that passes
+    that test is s_box once, since the k sums total k(n-k), so each
+    lam_i + mu_(k+1-i) is n-k and lam is the dual of mu.  Every other pair
+    goes to the walk, one cache entry per unordered pair.
+    """
+    cols = n - k
+    if not (lam and mu):
+        return ((_box_partitions(k, cols)[lam or mu], 1),)
+    row = k - 1
+    for b in mu:
+        if row < len(lam) and lam[row] + b > cols:
+            return ()
+        row -= 1
+    if sum(lam) + sum(mu) == k * cols:
+        return ((_box_partitions(k, cols)[(cols,) * k], 1),)
+    return _mul_basis(k, n, lam, mu) if lam >= mu else _mul_basis(k, n, mu, lam)
+
+
 @lru_cache(maxsize=None)
 def _mul_basis(k: int, n: int, lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
-    """Boxed expansion of s_lam * s_mu with integer multiplicities.
+    """The Littlewood-Richardson walk of _mul_terms, cached: s_lam * s_mu for
+    nonempty box partitions lam and mu that pass the box test.  _mul_terms
+    decides the unit, vanishing and top-degree products before it, so the
+    table holds walks only and cache_info() counts walks.
 
-    Littlewood-Richardson rule: row i of the smaller partition is added as a
-    horizontal strip of cells labelled i, and a filling counts once when its
-    reading word is a lattice word, that is when the label-i cells in rows
-    <= r never outnumber the label-(i-1) cells in rows < r.  No cell is
-    placed outside the k x (n-k) box, which is safe because shapes only grow.
-    Strips are placed in place, in one shape list and one list of the
-    previous strip's cells per row, restored on the way back.  Row r' of a
-    strip takes at most old[r'-1] - old[r'] cells, and below row r these
-    rooms telescope to old[r] - old[k-1] whatever row r takes, so row r
-    takes at least left - (old[r] - old[k-1]) cells and the last row always
-    has room for the rest.
-    A product that vanishes in the box is decided before any enumeration:
-    s_lam * s_mu != 0 iff lam_i + mu_(k+1-i) <= n-k for every i (Fulton,
-    Young Tableaux, 9.4), that is iff lam fits inside the dual of mu.  In top
-    degree k(n-k) a product that passes it is s_box once: the k sums total
-    k(n-k), so each lam_i + mu_(k+1-i) is n-k and lam is the dual of mu.
+    Row i of the smaller partition is added as a horizontal strip of cells
+    labelled i, and a filling counts once when its reading word is a lattice
+    word, that is when the label-i cells in rows <= r never outnumber the
+    label-(i-1) cells in rows < r.  No cell is placed outside the k x (n-k)
+    box, which is safe because shapes only grow.  Strips are placed in
+    place, in one shape list and one list of the previous strip's cells per
+    row, restored on the way back.  Row r' of a strip takes at most
+    old[r'-1] - old[r'] cells, and below row r these rooms telescope to
+    old[r] - old[k-1] whatever row r takes, so row r takes at least
+    left - (old[r] - old[k-1]) cells and the last row always has room for
+    the rest.  For k = 1 the last row is the first, which nothing bounds
+    but the box test: that test is the walk's precondition, and without it
+    the walk would look up the shape (5,) for (3,) * (2,) on Gr(1,5).
     """
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
     cols = n - k
     canon = _padded_partitions(k, cols)
-    if not mu:
-        return ((canon[lam], 1),)
-    # vanishing criterion (Fulton, Young Tableaux, 9.4): lam must fit in mu's dual
-    last = row = k - 1
-    for b in mu:
-        if row < len(lam) and lam[row] + b > cols:
-            return ()
-        row -= 1
-    if sum(lam) + sum(mu) == k * cols:  # top degree: lam is the dual of mu
-        return ((canon[(cols,) * k], 1),)
+    last = k - 1
     shape = list(lam) + [0] * (k - len(lam))
     labels = [0] * k  # cells of the previous strip in each row, 0 before the first
     hits: Dict[Tuple[int, ...], int] = {}
@@ -436,9 +455,7 @@ def _mul_into(acc: Dict[Partition, int], k: int, n: int, left, right) -> None:
     for lam, a in left:
         for mu, b in right:
             ab = a * b
-            # one cache entry per unordered pair: s_lam * s_mu = s_mu * s_lam
-            terms = _mul_basis(k, n, lam, mu) if lam >= mu else _mul_basis(k, n, mu, lam)
-            for nu, mult in terms:
+            for nu, mult in _mul_terms(k, n, lam, mu):
                 acc[nu] = get(nu, 0) + ab * mult
 
 

@@ -99,6 +99,8 @@ def expand_n(multi: MultiSingularity) -> FormalExpansion:
     terms merge into the familiar coefficients, e.g. for four ordinary
     points s_4 + 4 s_1 s_3 + 6 s_1^2 s_2 + 3 s_2^2 + s_1^4.
     """
+    if not isinstance(multi, MultiSingularity):
+        raise UnsupportedMultisingularity(f"{multi!r} is not a MultiSingularity")
     return dict(_expansion(tuple(sorted(multi.parts))))
 
 

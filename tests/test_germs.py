@@ -906,6 +906,18 @@ def test_verify_III22A0(ell):
     assert any(n.startswith("factorization") for n in names)
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_verify_III22A0_builds_one_series_per_genotype(monkeypatch, ell):
+    # the table sizes the I22 series for the residue before it restricts its
+    # own target, so neither the residue nor a factorization rebuilds it
+    built = []
+    series = germs._Genotype.series
+    monkeypatch.setattr(germs._Genotype, "series",
+                        lambda g, maxdeg: built.append(id(g)) or series(g, maxdeg))
+    assert verify_III22A0(ell).ok
+    assert len(built) == len(set(built)) == 5  # A1, A2, A3, I22 and III22
+
+
 def test_iii22chern_matches_plug_in_at_ell1():
     # at ell=1 the III22 genotype has no beta root, and its value is the I22
     # value with the one I22 root plugged as d_1 = alpha_1 + alpha_2

@@ -201,6 +201,14 @@ def test_expand_m_renders_a_pullback_of_a_non_A0_class():
     assert expansion.coefficient_of(["A0", "III22"]).is_zero()
 
 
+@pytest.mark.parametrize("multi", ["A0^4", 0, None], ids=repr)
+def test_expansions_refuse_anything_but_a_multisingularity(multi):
+    with pytest.raises(UnsupportedMultisingularity, match="is not a MultiSingularity"):
+        expand_n(multi)
+    with pytest.raises(UnsupportedMultisingularity, match="is not a MultiSingularity"):
+        expand_m(multi, 1)
+
+
 def test_missing_residue_raises():
     with pytest.raises(UnsupportedMultisingularity):
         expand_m(MultiSingularity(("A1", "A1")), 1)
