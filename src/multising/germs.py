@@ -31,13 +31,14 @@ symmetric and is rewritten in e_1 = alpha_1 + alpha_2 (weight 1) and
 e_2 = alpha_1 alpha_2 (weight 2).  These are algebraically independent too,
 so an identity holds in Q[alpha, beta] exactly when it holds in
 Q[e_1, e_2, d_1..d_m].  Every check stays in this basis: _identity_check
-compares two polynomials, and _Genotype.divides is the one rule for an n_1
-factor, which certifies it when the polynomial vanishes under the factor's
-killing assignment (a lone beta_i: d_m -> 0; a beta-free form in alpha
-coordinates: that form solved for its last alpha; a multiple of
-alpha_1 + alpha_2: e_1 -> 0).  A failing check keeps its residual in the
-genotype basis, so a wrong residue fails as fast as a right one passes;
-_Genotype.roots maps back to the roots only for multiple_point_class.
+compares two polynomials, and _restriction_checks holds the one rule for an
+n_1 factor, which certifies it when the polynomial vanishes under the
+factor's killing assignment, _Genotype.killing (a lone beta_i: d_m -> 0; a
+beta-free form in alpha coordinates: that form solved for its last alpha; a
+multiple of alpha_1 + alpha_2: e_1 -> 0).  A failing check keeps its
+residual in the genotype basis, so a wrong residue fails as fast as a right
+one passes; _Genotype.roots maps back to the roots only for
+multiple_point_class.
 Every suite restricts on the genotype of a prototype (_genotype), the
 III_{2,2}A_0 suite on those of III_{2,2} and I_{2,2} included.
 
@@ -349,6 +350,12 @@ class _Genotype:
         """p mapped back to root coordinates through e -> alpha and d_j -> e_j(beta)."""
         return substitute(p, {**self.alphas, **_d_images([one_plus(b) for b in self.betas], self.m)})
 
+    def has_root(self, form: GradedPoly) -> bool:
+        """form is one of the lone roots.  A prototype's n_1 factors are its
+        weight objects, so identity finds a root before any comparison by
+        value, which compresses both sides of every distinct root."""
+        return any(form is b for b in self.betas) or form in self.betas
+
     def killing(self, form: GradedPoly) -> dict:
         """The assignment of genotype coordinates under which a polynomial of
         this basis vanishes exactly when its root image is divisible by the
@@ -360,7 +367,7 @@ class _Genotype:
         a multiple of alpha_1 + alpha_2 by e_1 -> 0.  Any other form, one that
         mixes beta with alpha for instance, raises UnsupportedPrototype.
         """
-        if form in self.betas:
+        if self.has_root(form):
             return {("d", self.m): 0}
         if not _involves_beta(form):
             if not self.alphas:
@@ -369,12 +376,6 @@ class _Genotype:
             if scale and form == scale * _E_IN_ROOTS[("e", 1)]:
                 return {("e", 1): 0}
         raise UnsupportedPrototype(f"{to_text(form)} has no killing assignment in this genotype")
-
-    def divides(self, name: str, p: GradedPoly, form: GradedPoly, detail: str) -> CheckResult:
-        """The root image of p is divisible by the linear form: p vanishes
-        under the form's killing assignment, and the value there, in the
-        genotype basis, is the residual of a failing check."""
-        return _identity_check(name, substitute(p, self.killing(form)), zero(), detail)
 
 
 def _specialization_for(form: GradedPoly):
@@ -498,18 +499,23 @@ def _restriction_checks(residue: GradedPoly, equations: Sequence[_Equation]) -> 
     """Restrict the residue on the genotype of each row (name, genotype,
     target, n_1 factor or None, detail): without a factor the value must
     equal the target, with one the value less the target must be divisible
-    by the factor.  Factor rows that share a genotype and a target object
-    share one difference."""
-    checks, differences = [], {}
+    by the factor, that is vanish under the factor's killing assignment
+    (_Genotype.killing), and the value there, in the genotype basis, is the
+    residual of a failing check.  Factor rows that share a genotype, a
+    target object and a killing assignment share one killed value: every
+    lone beta_i of a genotype is killed by d_m -> 0, so its m rows make one
+    substitution, and each keeps its own name, detail and check."""
+    checks, killed = [], {}
     for name, genotype, target, factor, detail in equations:
         value = genotype.restrict(residue)
         if factor is None:
             checks.append(_identity_check(name, value, target, detail))
             continue
-        key = id(genotype), id(target)
-        if key not in differences:
-            differences[key] = value - target
-        checks.append(genotype.divides(name, differences[key], factor, detail))
+        assignment = genotype.killing(factor)
+        key = id(genotype), id(target), tuple(assignment.items())
+        if key not in killed:
+            killed[key] = substitute(value - target, assignment)
+        checks.append(_identity_check(name, killed[key], zero(), detail))
     return checks
 
 
@@ -563,57 +569,94 @@ def verify_divisibility(g: GermPrototype, r: int) -> Report:
     """Certify that the reduced r-fold class of a prototype differs from the
     substituted residue term by a multiple of n_1.
 
-    The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) is formed once in
-    the genotype basis, and each linear factor of n_1 is certified by
-    _Genotype.divides.  A lone root beta_i is killed by d_m -> 0: the
-    difference is symmetric in the roots, so that one substitution certifies
-    every beta_i, and its detail reads beta_i -> 0 with nothing solved; any
-    other factor's detail is the factor solved for its last variable.  The
+    The difference m_r(g) - R_{A_0^r}(ell)/(r-1)! at c(g) is formed in the
+    genotype basis, and each linear factor of n_1 is certified by its
+    killing assignment in _restriction_checks.  A lone root beta_i is killed
+    by d_m -> 0: the difference is symmetric in the roots, so one
+    substitution, shared by all the beta_i rows, certifies every beta_i, and
+    each beta_i's detail reads beta_i -> 0 with nothing solved; any other
+    factor's detail is the factor solved for its last variable.  The
     exactness of the Euler quotient itself is reported as the first check.
+    verify_divisibility_suite runs each of its cases through the same
+    _divisibility_checks, on pieces it builds once per germ.
     """
     _check_prototype(g)
     check_int(r, 1, "multiplicity r of the divisibility identity")
-    ell = g.ell
+    checks = _divisibility_checks(_divisibility_pieces(g), r)
+    return Report(suite="divisibility", ell=g.ell, checks=tuple(checks))
+
+
+# a prototype, its n_1 checks, its genotype and its (name, factor, detail) rows
+_Pieces = Tuple[GermPrototype, List[CheckResult], Optional[_Genotype],
+                List[Tuple[str, GradedPoly, str]]]
+
+
+def _divisibility_pieces(g: GermPrototype) -> _Pieces:
+    """What every r of the divisibility identity on a prototype shares: the
+    checks of its n_1 quotient, its genotype and one row per factor of n_1,
+    named and detailed.  A quotient that is not polynomial gives the one
+    failing exactness check and no genotype."""
     try:
         quotient = n1(g)
     except NonExactDivision as err:
         detail = f"Euler quotient is not polynomial: {err}"
-        exactness = CheckResult("n1-exactness", False, None, detail)
-        return Report(suite="divisibility", ell=ell, checks=(exactness,))
+        return g, [CheckResult("n1-exactness", False, None, detail)], None, []
     expected = math.prod(g.n1_factors, start=constant(g.n1_scalar))
-    checks = [_identity_check("n1-closed-form", quotient, expected,
-                              detail="Euler quotient matches the documented closed form")]
-
-    genotype = _genotype(g)
-    m_class = _multiple_point_genotype(g, r, genotype.m)
-    # m_r - R/(r-1)! is the value of -R/(r-1)! less the target -m_r
-    target, equations = -m_class, []
+    closed_form = _identity_check("n1-closed-form", quotient, expected,
+                                  detail="Euler quotient matches the documented closed form")
+    genotype, rows = _genotype(g), []
     for f in g.n1_factors:
         text = to_text(f)
-        if f in genotype.betas:
+        if genotype.has_root(f):
             solved = f"{text} -> 0"
         else:
             (family, index), image = _specialization_for(f)
             solved = f"{family}{index or ''} -> {to_text(image)}"
-        equations.append((f"factor-{text}", genotype, target, f,
-                          f"difference vanishes under {solved}"))
-    residue = residue_A0r(r, ell) * rat(-1, math.factorial(r - 1))
-    checks.extend(_restriction_checks(residue, equations))
-    return Report(suite="divisibility", ell=ell, checks=tuple(checks))
+        rows.append((f"factor-{text}", f, f"difference vanishes under {solved}"))
+    return g, [closed_form], genotype, rows
+
+
+def _divisibility_checks(pieces: _Pieces, r: int) -> List[CheckResult]:
+    """The checks of verify_divisibility(g, r) on g's pieces: the n_1
+    checks, then the factor rows at r."""
+    g, head, genotype, rows = pieces
+    if genotype is None:
+        return head
+    # m_r - R/(r-1)! is the value of -R/(r-1)! less the target -m_r
+    target = -_multiple_point_genotype(g, r, genotype.m)
+    equations = [(name, genotype, target, f, detail) for name, f, detail in rows]
+    residue = residue_A0r(r, g.ell) * rat(-1, math.factorial(r - 1))
+    return head + _restriction_checks(residue, equations)
 
 
 _DIVISIBILITY_CASES = (("A1", 2), ("A2", 3), ("A3", 4), ("A1", 4), ("III22", 4))
 
 
 def verify_divisibility_suite(ell: int) -> Report:
-    """The documented divisibility battery at one relative dimension."""
-    checks = []
+    """The documented divisibility battery at one relative dimension.
+
+    Each distinct germ of _DIVISIBILITY_CASES is built once per call with
+    its n_1 checks and its genotype (_divisibility_pieces).  The genotype's
+    series is reserved at once up to the largest degree that its cases'
+    residues use, (r - 1) ell for its largest r, so no case builds a second
+    series.  Every (germ, r) case then runs _divisibility_checks on those
+    pieces and reports what verify_divisibility(germ, r) reports, each check
+    named after its case.  Nothing is kept after the call.
+    """
+    largest = {}
     for name, r in _DIVISIBILITY_CASES:
-        germ = stable_germ(name, ell)
-        sub = verify_divisibility(germ, r)
-        checks.extend(
-            c.replace(name=f"{name}-r{r}-{c.name}") for c in sub.checks
-        )
+        largest[name] = max(largest.get(name, r), r)
+    pieces = {}
+    for name, r in largest.items():
+        pieces[name] = _divisibility_pieces(stable_germ(name, ell))
+        genotype = pieces[name][2]
+        if genotype is not None:
+            genotype.reserve(multisingularity_codim(("A0",) * r, ell))
+    checks = [
+        c.replace(name=f"{name}-r{r}-{c.name}")
+        for name, r in _DIVISIBILITY_CASES
+        for c in _divisibility_checks(pieces[name], r)
+    ]
     return Report(suite="divisibility", ell=ell, checks=tuple(checks))
 
 
@@ -664,7 +707,7 @@ def verify_III22A0(ell: int) -> Report:
         substitute(i22.restrict(residue), _d_images([last_root, _d_polynomial(ell - 1)], ell)),
         detail="III22 genotype value matches the degree-capped I22 value",
     ))
-    checks.extend(_factorization_check(i22, ell, triple) for triple in _factorization_triples(ell))
+    checks.extend(_factorization_checks(i22, ell, _factorization_triples(ell)))
     return Report(suite="iii22a0", ell=ell, checks=tuple(checks))
 
 
@@ -710,27 +753,30 @@ def factorization_check(ell: int, triple: Tuple[int, int, int]) -> CheckResult:
     i, j, k = (check_int(index, 0, "factorization index") for index in triple)
     if not (i >= j >= k and j >= ell + 2 and k <= ell):
         raise PolyError(f"triple {triple} violates the factorization ranges")
-    return _factorization_check(_genotype(germ_I22(ell)), ell, (i, j, k))
+    return _factorization_checks(_genotype(germ_I22(ell)), ell, [(i, j, k)])[0]
 
 
-def _factorization_check(genotype: _Genotype, ell: int, triple: Tuple[int, int, int]) -> CheckResult:
-    """factorization_check of a valid triple on the given I_{2,2} genotype of
-    ell roots, which verify_III22A0 shares with its i22chern row."""
-    i, j, k = triple
+def _factorization_checks(genotype: _Genotype, ell: int,
+                          triples: Sequence[Tuple[int, int, int]]) -> List[CheckResult]:
+    """factorization_check of each valid triple on the given I_{2,2} genotype
+    of ell roots, which verify_III22A0 shares with its i22chern row.  The
+    genotype's denominator and numerator series are built once, up to the
+    largest i - j and the largest k, and every triple takes its homogeneous
+    parts from them."""
     numer, denom = genotype.factors()
-    lhs = genotype.restrict(schur_det(i, j, k))
-    rhs = (
-        _E_2 ** (j - ell - 2)
-        * series_quotient([], denom, i - j).homogeneous_part(i - j)
-        * genotype.restrict(residue_III22(ell))
-        * series_quotient(numer, [], k).homogeneous_part(k)
-    )
-    return _identity_check(
-        f"factorization-{i}{j}{k}",
-        lhs,
-        rhs,
-        detail=f"Schur factorization at (i,j,k)=({i},{j},{k})",
-    )
+    inverse = series_quotient([], denom, max(i - j for i, j, _ in triples))
+    product = series_quotient(numer, [], max(k for *_, k in triples))
+    residue = genotype.restrict(residue_III22(ell))
+    return [
+        _identity_check(
+            f"factorization-{i}{j}{k}",
+            genotype.restrict(schur_det(i, j, k)),
+            _E_2 ** (j - ell - 2) * inverse.homogeneous_part(i - j) * residue
+            * product.homogeneous_part(k),
+            detail=f"Schur factorization at (i,j,k)=({i},{j},{k})",
+        )
+        for i, j, k in triples
+    ]
 
 
 # -- negative control -------------------------------------------------------------------------

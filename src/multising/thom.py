@@ -14,9 +14,9 @@ Closed-form series are built in for A_0 through A_3 as integer tables of
 (numerator, indices) pairs over one denominator per k (6 for A_3); the
 a_{i,j} of A_3 come from their integer recurrence.  Both substitutions sum
 a table's numerators as ints, fold in the scale and pack the polynomial's
-keys directly.  Residues for the mixed multisingularities A_0A_1, III_{2,2}
-and III_{2,2}A_0 are closed formulas in Chern variables and Schur
-determinants.
+keys directly.  The residue of a lone A_k is its Thom polynomial.  Residues
+for the mixed multisingularities A_0A_1, III_{2,2} and III_{2,2}A_0 are
+closed formulas in Chern variables and Schur determinants.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .poly import (
     _width,
     check_int,
     cvar,
-    one,
     rat,
     schur_det,
     zero,
@@ -291,7 +290,9 @@ def residue(multi: Union[str, Sequence[str]], ell: int) -> GradedPoly:
     """Residue polynomial of a multisingularity at relative dimension ell.
 
     multi is a name such as A0^4 or a tuple or list of tokens.  Residues do
-    not depend on which point is distinguished; a lone A0 has residue 1.
+    not depend on which point is distinguished.  The residue of a lone A_k
+    (k = 0..3) is its Thom polynomial, as III_{2,2}'s is s(ell+2, ell+2):
+    1 for A0 and c_{ell+1} for A1.
     """
     if isinstance(multi, str):
         tokens = parse_multisingularity(multi)
@@ -299,11 +300,11 @@ def residue(multi: Union[str, Sequence[str]], ell: int) -> GradedPoly:
         tokens = tuple(multi)
     else:
         raise UnsupportedMultisingularity(f"{multi!r} is not a multisingularity")
+    if len(tokens) == 1 and tokens[0] in ("A0", "A1", "A2", "A3"):
+        check_int(ell, 1, "relative dimension ell of a residue")
+        return thom_polynomial(int(tokens[0][1:]), ell)
     counts = Counter(tokens)
     if set(counts) == {"A0"}:
-        if counts["A0"] == 1:
-            check_int(ell, 1, "relative dimension ell of a residue")
-            return one()
         return residue_A0r(counts["A0"], ell)
     if counts == {"A0": 1, "A1": 1}:
         return residue_A0A1(ell)

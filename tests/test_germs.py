@@ -417,10 +417,51 @@ def test_divisibility_battery(name, r, ell):
     assert report.ok, report.to_json_dict()
 
 
-def test_divisibility_suite_aggregates():
+def _case_checks(ell):
+    """The checks of verify_divisibility on each case of the battery, named
+    as the suite names them."""
+    return tuple(
+        c.replace(name=f"{name}-r{r}-{c.name}")
+        for name, r in germs._DIVISIBILITY_CASES
+        for c in verify_divisibility(stable_germ(name, ell), r).checks
+    )
+
+
+def test_divisibility_suite_aggregates(monkeypatch):
+    # the suite shares each germ's pieces and each killed value among its
+    # cases, and reports the per-case checks name for name, with every
+    # failing residual of a wrong residue too
     report = verify_divisibility_suite(1)
     assert report.ok
     assert any(c.name.startswith("III22-r4") for c in report.checks)
+    for ell in range(1, 7):
+        assert verify_divisibility_suite(ell).checks == _case_checks(ell), ell
+    _perturbed(monkeypatch, lambda r, ell: cvar((r - 1) * ell))
+    for ell in range(1, 7):
+        checks = verify_divisibility_suite(ell).checks
+        # each of the 5 ell factor checks fails but III22's at ell = 1 (see
+        # test_perturbed_divisibility_residuals_match_explicit_roots)
+        assert sum(not c.holds for c in checks) == 5 * ell - (ell == 1), ell
+        assert checks == _case_checks(ell), ell
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_divisibility_suite_builds_each_germ_once(monkeypatch, ell):
+    # one prototype, n_1, genotype and series per distinct germ: A1 serves
+    # r = 2 and r = 4 on a series reserved at 3 ell.  One substitution per
+    # killing assignment: d_m -> 0 on each genotype, whatever its m roots,
+    # and e_1 -> 0 on III22, which has no beta root at ell = 1
+    calls = dict.fromkeys(("stable_germ", "n1", "_genotype", "series_quotient", "substitute"), 0)
+
+    def counting(name, fn):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+    for name in calls:
+        monkeypatch.setattr(germs, name, counting(name, getattr(germs, name)))
+    assert verify_divisibility_suite(ell).ok
+    kills = 6 if ell >= 2 else 5
+    assert calls == {"stable_germ": 4, "n1": 4, "_genotype": 4, "series_quotient": 4,
+                     "substitute": kills}
 
 
 # -- the explicit-root oracle -----------------------------------------------------------------
@@ -556,6 +597,17 @@ def test_divisibility_refuses_a_mixed_factor_and_kills_alpha_in_alpha_coordinate
     want = _explicit_divisibility(germ, 3, residue_A0r(3, 1))
     assert want == [(True, None), (True, None)]
     assert _factor_summary(germ, verify_divisibility(germ, 3)) == want
+
+
+def test_genotype_finds_roots_by_value_as_well_as_identity():
+    # a factor equal to a root but not the same object is that root
+    germ = germ_A(1, 3)
+    genotype, copies = germs._genotype(germ), _copies(germ.n1_factors)
+    assert not any(c is b for c in copies for b in genotype.betas)
+    assert all(genotype.has_root(c) and genotype.killing(c) == {("d", 3): 0} for c in copies)
+    assert not genotype.has_root(_beta(4))
+    report = verify_divisibility(germ.replace(n1_factors=copies), 2)
+    assert report == verify_divisibility(germ, 2)
 
 
 PERTURBATIONS = {
@@ -909,13 +961,17 @@ def test_verify_III22A0(ell):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_verify_III22A0_builds_one_series_per_genotype(monkeypatch, ell):
     # the table sizes the I22 series for the residue before it restricts its
-    # own target, so neither the residue nor a factorization rebuilds it
-    built = []
-    series = germs._Genotype.series
+    # own target, so neither the residue nor a factorization rebuilds it; the
+    # factorizations build the I22 denominator and numerator series once
+    built, quotients = [], []
+    series, quotient = germs._Genotype.series, germs.series_quotient
     monkeypatch.setattr(germs._Genotype, "series",
                         lambda g, maxdeg: built.append(id(g)) or series(g, maxdeg))
+    monkeypatch.setattr(germs, "series_quotient",
+                        lambda *args: quotients.append(args) or quotient(*args))
     assert verify_III22A0(ell).ok
     assert len(built) == len(set(built)) == 5  # A1, A2, A3, I22 and III22
+    assert len(quotients) == 5 + 2
 
 
 def test_iii22chern_matches_plug_in_at_ell1():

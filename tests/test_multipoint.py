@@ -214,6 +214,15 @@ def test_missing_residue_raises():
         expand_m(MultiSingularity(("A1", "A1")), 1)
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_expand_m_serves_A1A0(ell):
+    # the distinguished A1 point alone has residue c_{ell+1}, its Thom polynomial
+    expansion = expand_m(MultiSingularity(("A1", "A0")), ell)
+    assert [term.complement for term in expansion.terms] == [("A0",), ()]
+    assert expansion.coefficient_of(("A0",)) == C(ell + 1)
+    assert expansion.coefficient_of(()) == residue_A0A1(ell)
+
+
 def test_residue_table_order_insensitive():
     assert residue(("A0", "III22"), 1) == residue(("III22", "A0"), 1)
     assert residue(("A1", "A0"), 1) == residue_A0A1(1)

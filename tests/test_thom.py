@@ -454,9 +454,19 @@ def test_residue_dispatch():
     for multi in ("A1^2", 5, None, ("A0", 5), b"A0^2"):
         with pytest.raises(UnsupportedMultisingularity):
             residue(multi, 1)
-    for multi, ell in (("A0", -5), ("A0", 1.5), (("A0",), "2"), (("A0",), True)):
-        with pytest.raises(PolyError):
+    for multi, ell in (("A0", -5), ("A0", 1.5), (("A0",), "2"), (("A0",), True),
+                       ("A1", 0), ("A2", -1), ("A3", 1.0), (("A1",), True)):
+        with pytest.raises(PolyError, match="relative dimension ell of a residue"):
             residue(multi, ell)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_residue_of_a_lone_A_k_is_its_thom_polynomial(ell):
+    assert residue(("A1",), ell) == cvar(ell + 1)
+    for k in (0, 1, 2, 3):
+        assert residue(f"A{k}", ell) == thom_polynomial(k, ell)
+    with pytest.raises(UnsupportedMultisingularity):
+        residue(("A4",), ell)
 
 
 def test_singularity_info():
