@@ -81,8 +81,8 @@ from .poly import (
     variable,
     zero,
 )
-from .thom import (UnsupportedMultisingularity, multisingularity_codim, residue_A0r,
-                   residue_III22, residue_III22A0, singularity_info)
+from .thom import (UnsupportedMultisingularity, multisingularity_codim, residue,
+                   residue_A0r, residue_III22A0, singularity_info)
 
 
 class UnsupportedPrototype(PolyError):
@@ -722,7 +722,7 @@ def _iii22a0_equations(ell: int) -> List[_Equation]:
     # one series for the target and for every residue of the suite's degree,
     # which uses no c_i above that degree: the solver's unknowns as well
     i22.reserve(multisingularity_codim(("III22", "A0"), ell))
-    target = constant(-4) * dvar(ell) * i22.restrict(residue_III22(ell))
+    target = constant(-4) * dvar(ell) * i22.restrict(residue(("III22",), ell))
     equations.append(("i22chern", i22, target, None,
                       "residue collapses to -4 d_ell s(l+2,l+2) on the I22 genotype"))
     return equations
@@ -766,12 +766,12 @@ def _factorization_checks(genotype: _Genotype, ell: int,
     numer, denom = genotype.factors()
     inverse = series_quotient([], denom, max(i - j for i, j, _ in triples))
     product = series_quotient(numer, [], max(k for *_, k in triples))
-    residue = genotype.restrict(residue_III22(ell))
+    s22 = genotype.restrict(residue(("III22",), ell))
     return [
         _identity_check(
             f"factorization-{i}{j}{k}",
             genotype.restrict(schur_det(i, j, k)),
-            _E_2 ** (j - ell - 2) * inverse.homogeneous_part(i - j) * residue
+            _E_2 ** (j - ell - 2) * inverse.homogeneous_part(i - j) * s22
             * product.homogeneous_part(k),
             detail=f"Schur factorization at (i,j,k)=({i},{j},{k})",
         )

@@ -57,7 +57,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import islice
+from itertools import combinations, islice, permutations
 from math import gcd, lcm, prod
 from operator import attrgetter, or_
 from types import MappingProxyType
@@ -935,27 +935,47 @@ def chern_substitute(p: GradedPoly, series: GradedPoly) -> GradedPoly:
     return substitute(p, assignment)
 
 
+def chern_poly(terms: Iterable[tuple], shift: int, den: int) -> GradedPoly:
+    """The sum over (num, indices) of num/den times the product of the c_{i+shift}.
+
+    This is the one packer of polynomials in Chern variables: c_0 = 1, a term
+    with an index i + shift below 0 is dropped, and the int numerators are
+    summed by sorted nonzero index and packed once over den.
+    """
+    sums: dict = {}
+    for num, indices in terms:
+        key = sorted(i + shift for i in indices)
+        if min(key, default=0) >= 0:
+            key = tuple(filter(None, key))
+            sums[key] = sums.get(key, 0) + num
+    sums = {key: num for key, num in sums.items() if num}
+    vars_ = tuple(cvar(c).vars[0] for c in sorted({c for key in sums for c in key}))
+    width = _width(max(map(sum, sums), default=0), _FIELD)
+    return _poly(vars_, width, {
+        _pack(vars_, width, tuple(key.count(v.index) for v in vars_)): num
+        for key, num in sums.items()
+    }, den)
+
+
+def schur_terms(parts: Sequence[int]) -> list:
+    """The Jacobi-Trudi expansion of det[c_{parts[r]+s-r}] over rows r and
+    columns s: one (sign, indices) pair per column permutation."""
+    terms = []
+    for perm in permutations(range(len(parts))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        terms.append(((-1) ** inversions, tuple(parts[r] + s - r for r, s in enumerate(perm))))
+    return terms
+
+
 def schur_det(*parts: int) -> GradedPoly:
     """Schur determinant det[c_{parts[r]+s-r}] over rows r and columns s.
 
     schur_det() is 1, schur_det(i) is c_i and schur_det(i, j) is
-    c_i c_j - c_{i+1} c_{j-1}; larger determinants expand along the first row.
+    c_i c_j - c_{i+1} c_{j-1}; every size is chern_poly of schur_terms.
     """
     for part in parts:
         check_int(part, None, "Schur determinant part")
-    if not parts:
-        return one()
-
-    def minor(row: int, cols: tuple) -> GradedPoly:
-        if len(cols) == 1:
-            return cvar(parts[row] + cols[0] - row)
-        total = zero()
-        for pos, col in enumerate(cols):
-            term = cvar(parts[row] + col - row) * minor(row + 1, cols[:pos] + cols[pos + 1:])
-            total = total - term if pos % 2 else total + term
-        return total
-
-    return minor(0, tuple(range(len(parts))))
+    return chern_poly(schur_terms(parts), 0, 1)
 
 
 def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
@@ -1062,7 +1082,8 @@ def json_loads(text: str):
     """json.loads at the package's boundary: text that does not parse raises PolyError."""
     try:
         return json.loads(text)
-    except ValueError as err:  # json.JSONDecodeError and undecodable bytes
+    # json.JSONDecodeError, undecodable bytes and arrays nested past the stack
+    except (ValueError, RecursionError) as err:
         raise PolyError(f"JSON: {err}") from None
 
 

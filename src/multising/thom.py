@@ -1,46 +1,39 @@
 """Thom series of Morin singularities and residue polynomials.
 
 A Thom series for a singularity of local multiplicity delta is a formal sum
-of terms coeff * d_{i_1} ... d_{i_{delta-1}} whose index sum is zero.  The
-two substitutions used downstream shift every index by a fixed amount and
-replace d_j with the Chern variable c_{j+shift} (with c_0 = 1 and c_{<0} = 0):
+of terms coeff * d_{i_1} ... d_{i_{delta-1}} whose index sum is zero.
+Substituting d_j -> c_{j+shift} (with c_0 = 1 and c_{<0} = 0) at
+shift = ell + 1 gives the Thom polynomial of the monosingularity at relative
+dimension ell, and every residue polynomial is such a series at shift = ell.
 
-  * Thom polynomial of the monosingularity at relative dimension ell:
-    shift = ell + 1;
-  * residue polynomial of the multisingularity A_0^r at relative
-    dimension ell: shift = ell, scaled by (-1)^(r-1) (r-1)!.
-
-Closed-form series are built in for A_0 through A_3 as integer tables of
-(numerator, indices) pairs over one denominator per k (6 for A_3); the
-a_{i,j} of A_3 come from their integer recurrence.  Both substitutions sum
-a table's numerators as ints, fold in the scale and pack the polynomial's
-keys directly.  The residue of a lone A_k is its Thom polynomial.  Residues
-for the mixed multisingularities A_0A_1, III_{2,2} and III_{2,2}A_0 are
-closed formulas in Chern variables and Schur determinants.
+One table, _SERIES, keyed by the sorted tokens of each served
+multisingularity, holds (den, build, scale, lift): build(shift) lists
+(numerator, indices) pairs over den, and the residue at ell is scale times
+that series at shift = ell + lift.  The integer tables of A_0 through A_3
+(the a_{i,j} of A_3 from their integer recurrence) serve a lone A_k (lift 1,
+its Thom polynomial) and A_0^{k+1} (scale (-1)^k k!).  III_{2,2} is the
+Jacobi-Trudi expansion of s(2, 2), A_0A_1 a two-index series and
+III_{2,2}A_0 a sum of Jacobi-Trudi expansions.  poly.chern_poly packs every
+entry and drops each term with an index below 0 after the shift, which is
+why the III_{2,2}A_0 sum stops at i = ell + 1: beyond it the third part
+1 - i + ell is negative.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
-from collections import Counter
 from typing import Sequence, Union
 
 from .poly import (
-    _FIELD,
     GradedPoly,
     PolyError,
     Rat,
     Record,
-    _pack,
-    _poly,
-    _width,
     check_int,
-    cvar,
+    chern_poly,
     rat,
-    schur_det,
-    zero,
+    schur_terms,
 )
 
 
@@ -77,6 +70,11 @@ def a_triangle(rows: int) -> list:
 # -- Thom series ---------------------------------------------------------------
 
 
+def _series_A2(shift: int) -> list:
+    """d_0^2 + sum_{i=1}^{shift} 2^(i-1) d_{-i}d_i."""
+    return [(1, (0, 0))] + [(2 ** (i - 1), (-i, i)) for i in range(1, shift + 1)]
+
+
 def _series_A3(shift: int) -> list:
     """Over 6: 2^i d_{-i}d_0d_i, 2^i 3^j / 3 d_{-i}d_{-j}d_{i+j}, a_{i,j} / 2 d_{-i-j}d_id_j."""
     rows, span = _a_rows(shift + 1), range(1, shift + 1)
@@ -88,19 +86,36 @@ def _series_A3(shift: int) -> list:
     )
 
 
-# (denominator, build) of A_0..A_3: build(shift) lists the (numerator,
-# indices) pairs of the terms surviving d_j -> c_{j+shift}, in thom_terms order.
-_SERIES = (
-    (1, lambda shift: [(1, ())]),
-    (1, lambda shift: [(1, (0,))]),
-    (1, lambda shift: [(1, (0, 0))] + [(2 ** (i - 1), (-i, i)) for i in range(1, shift + 1)]),
-    (6, _series_A3),
-)
+def _series_A0A1(shift: int) -> list:
+    """d_0d_1 + sum_{i<shift} 2^i d_{-1-i}d_{2+i}."""
+    return [(1, (0, 1))] + [(2 ** i, (-1 - i, 2 + i)) for i in range(shift)]
+
+
+def _series_III22A0(shift: int) -> list:
+    """sum_{i=1}^{shift+1} 2^(i+1) s(1+i, 2, 1-i)."""
+    return [(2 ** (i + 1) * sign, indices) for i in range(1, shift + 2)
+            for sign, indices in schur_terms((1 + i, 2, 1 - i))]
+
+
+# (den, build, scale, lift) of each served multisingularity, keyed by its
+# sorted tokens, as the module docstring sets out; the lone A_k entries list
+# the terms of thom_terms in order.
+_SERIES = {
+    ("A0",): (1, lambda shift: [(1, ())], 1, 1),
+    ("A1",): (1, lambda shift: [(1, (0,))], 1, 1),
+    ("A2",): (1, _series_A2, 1, 1),
+    ("A3",): (6, _series_A3, 1, 1),
+    ("A0", "A0"): (1, lambda shift: [(1, (0,))], -1, 0),
+    ("A0", "A0", "A0"): (1, _series_A2, 2, 0),
+    ("A0", "A0", "A0", "A0"): (6, _series_A3, -6, 0),
+    ("III22",): (1, lambda shift: schur_terms((2, 2)), 1, 0),
+    ("A0", "A1"): (1, _series_A0A1, -2, 0),
+    ("A0", "III22"): (1, _series_III22A0, -1, 0),
+}
 
 
 def _check_k(k: int) -> int:
-    return check_int(k, 0, "Thom series index k", most=len(_SERIES) - 1,
-                     error=UnsupportedMultisingularity)
+    return check_int(k, 0, "Thom series index k", most=3, error=UnsupportedMultisingularity)
 
 
 def thom_terms(k: int, shift: int) -> list:
@@ -109,34 +124,24 @@ def thom_terms(k: int, shift: int) -> list:
     Each term is (coeff, indices) with k indices summing to zero, every
     index >= -shift.
     """
-    den, build = _SERIES[_check_k(k)]
+    den, build, _, _ = _SERIES[(f"A{_check_k(k)}",)]
     check_int(shift, 0, "substitution shift")
     return [(rat(num, den), indices) for num, indices in build(shift)]
 
 
-def _substitute_shift(k: int, shift: int, scale: int) -> GradedPoly:
-    """scale times the Thom series of A_k under d_j -> c_{j+shift}; c_0 = 1.
-
-    The numerators are summed as ints keyed by their sorted nonzero Chern
-    indices and packed straight into one polynomial over the series'
-    denominator.  Index sums are zero, so every term has degree k * shift.
-    """
-    den, build = _SERIES[k]
-    sums: dict = {}
-    for num, indices in build(shift):
-        key = tuple(c for c in sorted(i + shift for i in indices) if c)
-        sums[key] = sums.get(key, 0) + num
-    vars_ = tuple(cvar(c).vars[0] for c in sorted({c for key in sums for c in key}))
-    width = _width(k * shift, _FIELD)
-    nums = {_pack(vars_, width, tuple(key.count(v.index) for v in vars_)): scale * num
-            for key, num in sums.items() if num}
-    return _poly(vars_, width, nums, den)
+@functools.cache
+def _residue(key: tuple, ell: int) -> GradedPoly:
+    """The _SERIES entry of key at a checked ell, so no bool or float is a
+    key.  It is built once per (key, ell) and every later call returns that
+    one instance: polynomials are immutable, so sharing it is safe."""
+    den, build, scale, lift = _SERIES[key]
+    shift = ell + lift
+    return chern_poly([(scale * num, indices) for num, indices in build(shift)], shift, den)
 
 
 def thom_polynomial(k: int, ell: int) -> GradedPoly:
     """Thom polynomial of A_k (k = 0..3) at relative dimension ell >= 0."""
-    check_int(ell, 0, "relative dimension ell")
-    return _substitute_shift(_check_k(k), ell + 1, 1)
+    return _residue((f"A{_check_k(k)}",), check_int(ell, 0, "relative dimension ell"))
 
 
 # -- residue polynomials ---------------------------------------------------------
@@ -146,54 +151,15 @@ def residue_A0r(r: int, ell: int) -> GradedPoly:
     """Residue polynomial of the r-fold point multisingularity A_0^r, r = 2..4.
 
     It is the shifted Thom series of A_{r-1}; any other r raises
-    UnsupportedMultisingularity.  It is built once per (r, ell) and every
-    later call returns that one instance: polynomials are immutable, so
-    sharing it is safe.
+    UnsupportedMultisingularity.
     """
     check_int(r, 2, "A_0^r multiplicity r", most=4, error=UnsupportedMultisingularity)
-    check_int(ell, 1, "relative dimension ell of a residue")
-    return _residue_A0r(r, ell)
-
-
-@functools.cache
-def _residue_A0r(r: int, ell: int) -> GradedPoly:
-    """residue_A0r of a checked (r, ell), so no bool or float is a key."""
-    return _substitute_shift(r - 1, ell, (-1) ** (r - 1) * math.factorial(r - 1))
-
-
-def residue_A0A1(ell: int) -> GradedPoly:
-    """Residue polynomial of the multisingularity A_0A_1."""
-    check_int(ell, 1, "relative dimension ell of a residue")
-    total = cvar(ell) * cvar(ell + 1)
-    for i in range(ell):
-        total = total + rat(2 ** i) * cvar(ell - 1 - i) * cvar(ell + 2 + i)
-    return total * rat(-2)
-
-
-def residue_III22(ell: int) -> GradedPoly:
-    """Residue polynomial s(ell+2, ell+2) of the monosingularity III_{2,2}
-    (ell >= 1), built once per ell and shared as residue_A0r's is."""
-    check_int(ell, 1, "relative dimension ell of III_{2,2}")
-    return _residue_III22(ell)
-
-
-@functools.cache
-def _residue_III22(ell: int) -> GradedPoly:
-    """residue_III22 of a checked ell."""
-    return schur_det(ell + 2, ell + 2)
+    return _residue(("A0",) * r, check_int(ell, 1, "relative dimension ell of a residue"))
 
 
 def residue_III22A0(ell: int) -> GradedPoly:
-    """Residue polynomial of the multisingularity III_{2,2}A_0 (ell >= 1).
-
-    The defining sum is infinite but terminates because the third Schur
-    index drops below zero; only i = 1 .. ell+1 contribute.
-    """
-    check_int(ell, 1, "relative dimension ell of III_{2,2}A_0")
-    total = zero()
-    for i in range(1, ell + 2):
-        total = total + rat(2 ** (i + 1)) * schur_det(ell + 1 + i, ell + 2, ell + 1 - i)
-    return -total
+    """Residue polynomial of the multisingularity III_{2,2}A_0 (ell >= 1)."""
+    return _residue(("A0", "III22"), check_int(ell, 1, "relative dimension ell of III_{2,2}A_0"))
 
 
 # -- singularity bookkeeping ------------------------------------------------------
@@ -300,21 +266,12 @@ def residue(multi: Union[str, Sequence[str]], ell: int) -> GradedPoly:
         tokens = tuple(multi)
     else:
         raise UnsupportedMultisingularity(f"{multi!r} is not a multisingularity")
-    if len(tokens) == 1 and tokens[0] in ("A0", "A1", "A2", "A3"):
-        check_int(ell, 1, "relative dimension ell of a residue")
-        return thom_polynomial(int(tokens[0][1:]), ell)
-    counts = Counter(tokens)
-    if set(counts) == {"A0"}:
-        return residue_A0r(counts["A0"], ell)
-    if counts == {"A0": 1, "A1": 1}:
-        return residue_A0A1(ell)
-    if counts == {"III22": 1}:
-        return residue_III22(ell)
-    if counts == {"III22": 1, "A0": 1}:
-        return residue_III22A0(ell)
-    raise UnsupportedMultisingularity(
-        f"no residue formula for multisingularity {''.join(tokens)!r}"
-    )
+    key = tuple(sorted(tokens))
+    if key not in _SERIES:
+        raise UnsupportedMultisingularity(
+            f"no residue formula for multisingularity {''.join(tokens)!r}"
+        )
+    return _residue(key, check_int(ell, 1, "relative dimension ell of a residue"))
 
 
 def multisingularity_codim(tokens: Sequence[str], ell: int) -> int:

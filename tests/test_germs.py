@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multising import germs, poly
+from multising import germs, poly, thom
 from multising.germs import (
     GermPrototype,
     UnsupportedPrototype,
@@ -57,7 +57,6 @@ from multising.thom import (
     multisingularity_codim,
     residue,
     residue_A0r,
-    residue_III22,
     residue_III22A0,
     singularity_info,
     thom_polynomial,
@@ -996,7 +995,7 @@ def test_perturbed_III22A0_residuals_match_explicit_roots(monkeypatch, ell):
     # identity (iii) holds for every residue, the perturbed one included
     assert checks["iii22chern"].holds
     # the oracle restricts on the prototypes' and the I22 class's own roots
-    maxdeg = max(v.index for p in (residue, residue_III22(ell)) for v in p.used_vars())
+    maxdeg = max(v.index for p in (residue, thom.residue("III22", ell)) for v in p.used_vars())
     want = {
         f"aichern-r{r}": chern_substitute(residue, chern_total(germ_A(r, ell), maxdeg))
         for r in (1, 2, 3)
@@ -1004,7 +1003,7 @@ def test_perturbed_III22A0_residuals_match_explicit_roots(monkeypatch, ell):
     i22 = _explicit_i22(ell, maxdeg)
     want["i22chern"] = chern_substitute(residue, i22) + 4 * math.prod(
         (_beta(i) for i in range(1, ell + 1)), start=one()
-    ) * chern_substitute(residue_III22(ell), i22)
+    ) * chern_substitute(thom.residue("III22", ell), i22)
     equations = germs._iii22a0_equations(ell)
     assert [name for name, *_ in equations] == list(want)
     for name, genotype, *_ in equations:

@@ -1,5 +1,6 @@
 """Core polynomial layer: exact arithmetic, grading, series, substitution."""
 
+import ast
 import itertools
 import json
 import copy
@@ -375,6 +376,20 @@ def test_importing_the_library_skips_dataclasses_and_inspect():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]"]
+
+
+def test_only_poly_imports_its_private_names():
+    # the packed format stays inside poly.py: no other module of the package
+    # imports a _-prefixed name from it
+    private = [
+        (path.name, alias.name)
+        for path in sorted(Path(poly.__file__).parent.glob("*.py")) if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "poly"), (0, "multising.poly"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # -- hypothesis strategies ------------------------------------------------------
@@ -1035,10 +1050,14 @@ def _as_sympy(p):
     return sympy.expand(total)
 
 
-def test_schur_det_four_rows_match_sympy_determinant():
-    # rows r, columns s: entry c_{parts[r]+s-r}, with c_0 = 1 and c_{<0} = 0
-    for parts in itertools.product(range(-1, 3), repeat=4):
-        matrix = sympy.Matrix(4, 4, lambda r, s: _c_symbol(parts[r] + s - r))
+def test_schur_det_matches_sympy_determinant():
+    # rows r, columns s: entry c_{parts[r]+s-r}, with c_0 = 1 and c_{<0} = 0;
+    # two and three rows in -2..7 cover the parts s(1+i, 2, 1-i) of the
+    # III_{2,2}A_0 residue after its shift
+    rows = [itertools.product(range(-2, 8), repeat=n) for n in (2, 3)]
+    for parts in itertools.chain(*rows, itertools.product(range(-1, 3), repeat=4)):
+        n = len(parts)
+        matrix = sympy.Matrix(n, n, lambda r, s: _c_symbol(parts[r] + s - r))
         assert _as_sympy(schur_det(*parts)) == sympy.expand(matrix.det()), parts
 
 
@@ -1153,11 +1172,11 @@ _JSON_VARS = [{"family": "c", "index": 1, "weight": 1}, {"family": "c", "index":
         {"vars": [{"family": "c", "index": 1, "weight": 0}], "terms": []},
         {"vars": [{"family": "c", "index": 1, "weight": -2}], "terms": []},
         {"vars": _JSON_VARS, "terms": [{"coeff": True, "exps": [[0, 1]]}]},
-    ]] + ['{"vars": '],
+    ]] + ['{"vars": ', "[" * 100000 + "]" * 100000],
     ids=["list", "string", "no-vars", "no-terms", "string-weight", "float-weight",
          "no-weight", "negative-exponent", "float-exponent", "repeated-ref",
          "repeated-monomial", "short-pair", "no-coeff", "zero-weight",
-         "negative-weight", "bool-coeff", "unparsable"],
+         "negative-weight", "bool-coeff", "unparsable", "too-deep"],
 )
 def test_json_rejects_malformed_payload(text):
     with pytest.raises(PolyError):

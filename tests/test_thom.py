@@ -28,9 +28,7 @@ from multising.thom import (
     multisingularity_codim,
     parse_multisingularity,
     residue,
-    residue_A0A1,
     residue_A0r,
-    residue_III22,
     residue_III22A0,
     singularity_info,
     thom_polynomial,
@@ -281,34 +279,66 @@ def test_residue_consistency_with_thom_polynomials(ell):
     assert residue_A0r(3, ell) == 2 * thom_polynomial(2, ell - 1)
 
 
-# sha256 of to_json(residue_A0r(r, ell)), recorded before residues were
-# built in one pass from the Thom terms.
+# sha256 of to_json(residue(name, ell)).  The A_0^r rows were recorded
+# before residues were built in one pass from the Thom terms, the other rows
+# before every residue was read from one series table.
 RESIDUE_DIGESTS = {
-    (2, 1): "8abdb70af6013354d9116249a97cdfbf4131ddb0d2fe6ebfb5f5910df65797aa",
-    (2, 2): "c727e9f8ab84d562113c0899dc7d0d97c30d0bee145c5c07c68bf60051ad3574",
-    (2, 3): "3cfa85b6a0df3f4d336417b62ee0c94dbddd2ee20639e3378062d9a96a94ed32",
-    (2, 4): "b8d9224dced3cb74c3818bd044b293ea563230e0f9bba010a6e41f49086bb837",
-    (2, 5): "f1b00d232556f53e14b7354f3abebe594ce917c5a69ada5b80c689506be16654",
-    (2, 6): "a51955d5abd89c3bac044844de326ce655bfdbbc1312fe0591be89e42df09e3e",
-    (3, 1): "02fdc6e63679dff5a7f8ce9d1bc1e8c1f5a30d201f7d3d09536b10702b50ca56",
-    (3, 2): "c361b7ba1204766d578f435555b022621a9f16ed069163c0936a4a540556da9d",
-    (3, 3): "1ea6885bd89b2a4338254d11e9a40b5f4721fca30b38f3db7eb321bf44a465ec",
-    (3, 4): "ac1315ab810eff333ce9d17854068d3b063b3bf3068ead4a8d4082795adbc2c3",
-    (3, 5): "1a68d61a2fd043d81d7d70dafdd8c6daa112550a1931d3d47474d14b41701b00",
-    (3, 6): "82d535f257bdc212adac0c0ef8da7917f9f238d10a7fed871758f510e7be8962",
-    (4, 1): "947423cf014c83dff01115a582bb0ad5a89a88eb2fd06d70cf14efaf95f290f2",
-    (4, 2): "0244202af9c9d118e66d15c17102236e2164d4ead6d9115faea3cc15c8afd84f",
-    (4, 3): "0d75ddd85ff3e1aede6128dbc21e19a6bef90062845918bcb059a386362f4fec",
-    (4, 4): "12bbcb9a857219ce4bb2b83b3e27c6d3bedc57992cd5177a2f078ccb952b10c7",
-    (4, 5): "1e1fcae77bc1cf7bfc8b7c431b261bccf474b408ab1b6ef4b868bc28b024a362",
-    (4, 6): "9cfa667636bd1bfdba41b2e5e787fc8bb902388dbab86a8d96e8d64000886339",
+    ("A0^2", 1): "8abdb70af6013354d9116249a97cdfbf4131ddb0d2fe6ebfb5f5910df65797aa",
+    ("A0^2", 2): "c727e9f8ab84d562113c0899dc7d0d97c30d0bee145c5c07c68bf60051ad3574",
+    ("A0^2", 3): "3cfa85b6a0df3f4d336417b62ee0c94dbddd2ee20639e3378062d9a96a94ed32",
+    ("A0^2", 4): "b8d9224dced3cb74c3818bd044b293ea563230e0f9bba010a6e41f49086bb837",
+    ("A0^2", 5): "f1b00d232556f53e14b7354f3abebe594ce917c5a69ada5b80c689506be16654",
+    ("A0^2", 6): "a51955d5abd89c3bac044844de326ce655bfdbbc1312fe0591be89e42df09e3e",
+    ("A0^3", 1): "02fdc6e63679dff5a7f8ce9d1bc1e8c1f5a30d201f7d3d09536b10702b50ca56",
+    ("A0^3", 2): "c361b7ba1204766d578f435555b022621a9f16ed069163c0936a4a540556da9d",
+    ("A0^3", 3): "1ea6885bd89b2a4338254d11e9a40b5f4721fca30b38f3db7eb321bf44a465ec",
+    ("A0^3", 4): "ac1315ab810eff333ce9d17854068d3b063b3bf3068ead4a8d4082795adbc2c3",
+    ("A0^3", 5): "1a68d61a2fd043d81d7d70dafdd8c6daa112550a1931d3d47474d14b41701b00",
+    ("A0^3", 6): "82d535f257bdc212adac0c0ef8da7917f9f238d10a7fed871758f510e7be8962",
+    ("A0^4", 1): "947423cf014c83dff01115a582bb0ad5a89a88eb2fd06d70cf14efaf95f290f2",
+    ("A0^4", 2): "0244202af9c9d118e66d15c17102236e2164d4ead6d9115faea3cc15c8afd84f",
+    ("A0^4", 3): "0d75ddd85ff3e1aede6128dbc21e19a6bef90062845918bcb059a386362f4fec",
+    ("A0^4", 4): "12bbcb9a857219ce4bb2b83b3e27c6d3bedc57992cd5177a2f078ccb952b10c7",
+    ("A0^4", 5): "1e1fcae77bc1cf7bfc8b7c431b261bccf474b408ab1b6ef4b868bc28b024a362",
+    ("A0^4", 6): "9cfa667636bd1bfdba41b2e5e787fc8bb902388dbab86a8d96e8d64000886339",
+    ("III22", 1): "01a91c4211717e83bf00803bd02f19adbced15a30d961dac0522729669381e80",
+    ("III22", 2): "ec620321f09a3b5e753af37fca349cc75146f3870b64f95ea3c8180104619bb4",
+    ("III22", 3): "b32422450378a686b899df209a08141abdbe4c33fb1229974816646d993d4141",
+    ("III22", 4): "62e35783d62c38e2a1fef2735fe3b18d70ae8bcfc9e375aa867ad35cd0d0dbb3",
+    ("III22", 5): "45e6913abe2b381e156598cbde183e2e60bed44520ab12afa27a278789dab6db",
+    ("III22", 6): "a47cb7a1cd870e38c649fedf4706c3b14d089cbd90e6cd253ba574092fcac81e",
+    ("A0A1", 1): "f19ebe04eff42ad81cc4dc86e430ea6d836bfe213b93ad79dac58fb46b0b8b9d",
+    ("A0A1", 2): "0ef62c8a24a0bba60ae49d498aea790fb47bcafbaab8c1302d55014bf1e3b96a",
+    ("A0A1", 3): "2db3e7fcc33564465961b579f2ae15097041db8a10b6d4d592a68c147c684954",
+    ("A0A1", 4): "9d833111cc8557573901caedf679325c53e1d1c75cfe91b05cd4a3948038fb3e",
+    ("A0A1", 5): "e1d693610c0388c347f8a9362183812e386952089e99c547a99fd0782b176af0",
+    ("A0A1", 6): "6dce14e3936aa3b4fd3ded0157a0a90759d8d0b1fee3872d4d4117c07d4388db",
+    ("III22A0", 1): "e112e3580026d47c537ad86760a83598c0e533c71d81e917921f8c93e6fd8b95",
+    ("III22A0", 2): "dca25e2151053ce741b5bfa399d0135c50aee97297ee4250e16550e449cc9f54",
+    ("III22A0", 3): "09bacb8e748e9019c660fa968932c9abde41958a37427b1c9bb14272c11c5316",
+    ("III22A0", 4): "414ee5857ae49cbd38258ebc08f813e95345044cc1fd5ed816d0a3162e2114b7",
+    ("III22A0", 5): "5c4787305b22a352385e3adebe305008950a17a9f25259f01d8ac5c74f7e476d",
+    ("III22A0", 6): "984a1d2a4b00d634875d915803d0fc90ae6a8ecbfa847dc3b560c8b587124815",
 }
 
+# each mixed name spelled with its points in the other order
+_REORDERED = {"III22": "III22", "A0A1": "A1A0", "III22A0": "A0III22"}
 
-@pytest.mark.parametrize("r, ell", sorted(RESIDUE_DIGESTS))
+
+def _residue_digest(name, ell):
+    return hashlib.sha256(to_json(residue(name, ell)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("r, ell", [(r, ell) for r in (2, 3, 4) for ell in range(1, 7)])
 def test_residue_A0r_matches_recorded_digest(r, ell):
-    digest = hashlib.sha256(to_json(residue_A0r(r, ell)).encode()).hexdigest()
-    assert digest == RESIDUE_DIGESTS[(r, ell)]
+    assert _residue_digest(f"A0^{r}", ell) == RESIDUE_DIGESTS[(f"A0^{r}", ell)]
+
+
+@pytest.mark.parametrize("name, ell", [key for key in RESIDUE_DIGESTS if key[0] in _REORDERED])
+def test_mixed_residue_matches_recorded_digest(name, ell):
+    # residues do not depend on which point is distinguished
+    for spelling in (name, _REORDERED[name]):
+        assert _residue_digest(spelling, ell) == RESIDUE_DIGESTS[(name, ell)], spelling
 
 
 def test_residue_requires_positive_ell():
@@ -340,31 +370,31 @@ def test_residue_A0r_refuses_bad_arguments_before_its_cache(r, ell, error):
 
 
 def test_residue_A0A1_examples():
-    assert residue_A0A1(1) == -2 * (C(1) * C(2) + C(3))
-    assert residue_A0A1(2) == -2 * (C(2) * C(3) + C(1) * C(4) + 2 * C(5))
+    assert residue("A0A1", 1) == -2 * (C(1) * C(2) + C(3))
+    assert residue("A0A1", 2) == -2 * (C(2) * C(3) + C(1) * C(4) + 2 * C(5))
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_residue_A0A1_degree(ell):
-    p = residue_A0A1(ell)
+    p = residue("A0A1", ell)
     assert p.is_homogeneous()
     assert p.weighted_degree() == 2 * ell + 1
 
 
 def test_residue_III22():
-    assert residue_III22(1) == schur_det(3, 3) == C(3) ** 2 - C(2) * C(4)
-    assert residue_III22(2) == schur_det(4, 4)
+    assert residue("III22", 1) == schur_det(3, 3) == C(3) ** 2 - C(2) * C(4)
+    assert residue("III22", 2) == schur_det(4, 4)
     with pytest.raises(PolyError):
-        residue_III22(0)
+        residue("III22", 0)
 
 
 def test_residue_III22_is_built_once_per_ell():
     # germs restricts it by identity, so one instance per ell is its contract
-    assert residue_III22(2) is residue_III22(2) is residue("III22", 2)
-    assert residue_III22(1) is not residue_III22(2)
+    assert residue(("III22",), 2) is residue(("III22",), 2) is residue("III22", 2)
+    assert residue("III22", 1) is not residue("III22", 2)
     for bad in (True, 1.0):
         with pytest.raises(PolyError):
-            residue_III22(bad)
+            residue("III22", bad)
 
 
 def test_residue_III22A0_ell1():
@@ -445,9 +475,9 @@ def test_parse_multisingularity_refuses_a_large_exponent_before_building_tokens(
 def test_residue_dispatch():
     assert residue("A0^4", 1) == residue_A0r(4, 1)
     assert residue("A0^2", 3) == residue_A0r(2, 3)
-    assert residue("A0A1", 2) == residue_A0A1(2)
-    assert residue("A1A0", 2) == residue_A0A1(2)
-    assert residue("III22", 1) == residue_III22(1)
+    assert residue("A0A1", 2) == residue(("A0", "A1"), 2)
+    assert residue("A1A0", 2) == residue("A0A1", 2)
+    assert residue("III22", 1) == residue(("III22",), 1)
     assert residue("III22A0", 2) == residue_III22A0(2)
     for ell in (1, 2, 3):
         assert residue(("A0",), ell) == 1
