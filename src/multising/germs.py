@@ -643,6 +643,7 @@ def verify_divisibility_suite(ell: int) -> Report:
     pieces and reports what verify_divisibility(germ, r) reports, each check
     named after its case.  Nothing is kept after the call.
     """
+    check_int(ell, 1, "relative dimension ell of the divisibility battery")
     largest = {}
     for name, r in _DIVISIBILITY_CASES:
         largest[name] = max(largest.get(name, r), r)

@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from math import gcd, lcm, prod
-from operator import attrgetter, or_
+from operator import attrgetter, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -374,7 +373,7 @@ class GradedPoly:
             factor = scalar.numerator
             nums = {k: c * factor for k, c in self.nums.items()} if factor else {}
             return _poly(self.vars, self.width, nums, self.den * scalar.denominator)
-        return _mul_upto(self, _coerce(other), None)
+        return _mul(self, _coerce(other))
 
     __rmul__ = __mul__
 
@@ -597,7 +596,7 @@ def _moves(src: tuple, src_width: int, dst: tuple, dst_width: int) -> tuple:
     )
 
 
-def _aligned(p: GradedPoly, q: GradedPoly, bound: int = 0):
+def _aligned(p: GradedPoly, q: GradedPoly, bound: int):
     """(table, width, p's numerators, q's numerators) over a merged table and
     a width that holds both operands and every degree up to bound."""
     vars_ = p.vars if p.vars == q.vars else _merged_table(p.vars + q.vars)
@@ -611,50 +610,26 @@ def _combine(p: GradedPoly, q: GradedPoly, sign: int) -> GradedPoly:
         return p
     if not p.nums:
         return q if sign == 1 else -q
-    vars_, width, a, b = _aligned(p, q)
+    vars_, width, a, b = _aligned(p, q, 0)
     return _poly(vars_, width, *lcm_merge(a, p.den, b, q.den, sign))
 
 
 def _mul_into(acc: dict, left: Iterable[tuple], right: list) -> None:
-    """acc += left * right on packed keys and int numerators.
-
-    Left rows are (key, numerator, stop): a row meets only right[:stop]
-    (stop None: all of right), which cuts a product at a degree when right
-    is sorted by key.  Right rows are (key, numerator).
-    """
+    """acc += left * right, exactly, on (key, numerator) rows of packed keys
+    and int numerators; the fields must hold the product's degree."""
     get = acc.get
-    for key_a, c_a, stop in left:
-        for key_b, c_b in right if stop is None else islice(right, stop):
+    for key_a, c_a in left:
+        for key_b, c_b in right:
             key = key_a + key_b
             acc[key] = get(key, 0) + c_a * c_b
 
 
-def _mul_upto(p: GradedPoly, q: GradedPoly, maxdeg) -> GradedPoly:
-    """p * q without the terms above weighted degree maxdeg (None: none cut).
-
-    The fields must hold the product's degree bound, which maxdeg cuts too:
-    with a maxdeg, q's keys are sorted, hence sorted by degree, and the
-    pairs above maxdeg are never formed.
-    """
-    bound = _degree(p) + _degree(q)
-    if maxdeg is not None:
-        bound = max(min(bound, maxdeg), 0)
-    vars_, width, a, b = _aligned(p, q, bound)
-    if maxdeg is None:
-        rows = [(key, c, None) for key, c in a.items()]
-        right = list(b.items())
-    else:
-        top = len(vars_) * width
-        right = sorted(b.items())
-        keys = [key for key, _ in right]
-        rows = [
-            (key, c, bisect_left(keys, maxdeg + 1 - (key >> top) << top))
-            for key, c in a.items()
-        ]
+def _mul(p: GradedPoly, q: GradedPoly) -> GradedPoly:
+    """p * q over fields that hold its degree bound, deg p + deg q."""
+    vars_, width, a, b = _aligned(p, q, _degree(p) + _degree(q))
     acc: dict = {}
-    _mul_into(acc, rows, right)
-    nums = {key: c for key, c in acc.items() if c}
-    return _poly(vars_, width, nums, p.den * q.den)
+    _mul_into(acc, a.items(), list(b.items()))
+    return _poly(vars_, width, {key: c for key, c in acc.items() if c}, p.den * q.den)
 
 
 def _check_poly(value, what: str) -> GradedPoly:
@@ -767,33 +742,29 @@ def series_quotient(
     """prod(numerator) / prod(denominator) as a series truncated at maxdeg.
 
     Every factor must have constant term 1 (a total-Chern-class factor 1 + w).
-    Each side is multiplied out to p and g = 1 + h, and the quotient q is
-    built degree by degree: q_d = p_d - sum_i h_i * q_(d-i) over the
-    degree-i parts h_i of h, so each term of h meets each term of q once.
-    With p over E and h over D, the numerators Q_d of q_d over E * D**d obey
-    Q_d = P_d * D**d - sum_i H_i * Q_(d-i) * D**(i-1).
+    Each side is multiplied out exactly to p and g = 1 + h (one() for no
+    factors), and the quotient q is built degree by degree:
+    q_d = p_d - sum_i h_i * q_(d-i) over the degree-i parts h_i of h, so each
+    term of h meets each term of q once.  The recurrence reads only the
+    parts of p and h of degree at most maxdeg; that is where the degrees
+    above maxdeg are dropped.  With p over E and h over D, the numerators
+    Q_d of q_d over E * D**d obey Q_d = P_d * D**d - sum_i H_i * Q_(d-i) * D**(i-1).
     """
     check_int(maxdeg, -1, "series degree maxdeg")  # -1: the empty cut
-    for factors in (numerator_factors, denominator_factors):
+    sides = (numerator_factors, denominator_factors)
+    for factors in sides:
         _check_factors(factors, "series factors")
-
-    def product(factors: Sequence[GradedPoly]) -> GradedPoly:
-        """The product of the factors, exact up to degree maxdeg."""
-        total = None
         for f in factors:
             if _check_poly(f, "series factor").nums.get(0) != f.den:
                 raise PolyError("factors must have constant term 1")
-            total = f if total is None else _mul_upto(total, f, maxdeg)
-        return one() if total is None else total
-
-    p, g = product(numerator_factors), product(denominator_factors)
+    p, g = (reduce(mul, factors) if factors else one() for factors in sides)
     vars_, width, a, b = _aligned(p, g, max(maxdeg, 0))
     top, den = len(vars_) * width, g.den  # g's constant numerator is den
     # the rows of -h by degree, each scaled by D**(i-1)
     h: dict = {}
     for key, c in b.items():
         if 0 < (i := key >> top) <= maxdeg:
-            h.setdefault(i, []).append((key, -c * den ** (i - 1), None))
+            h.setdefault(i, []).append((key, -c * den ** (i - 1)))
     parts: list = [{} for _ in range(maxdeg + 1)]
     for key, c in a.items():
         if (d := key >> top) <= maxdeg:
@@ -895,7 +866,7 @@ def substitute(
         chain = powers[j]
         while len(chain) < e:
             acc: dict = {}
-            _mul_into(acc, [(key, c, None) for key, c in chain[-1]], chain[0])
+            _mul_into(acc, chain[-1], chain[0])
             chain.append([(key, c) for key, c in acc.items() if c])
         return chain[e - 1]
 
@@ -907,7 +878,7 @@ def substitute(
             else:
                 acc[out] = acc.get(out, 0) + c
         for (j, e), part in groups.items():
-            inner = [(key, c, None) for key, c in walk(part).items() if c]
+            inner = [(key, c) for key, c in walk(part).items() if c]
             _mul_into(acc, inner, power(j, e))
         return acc
 
@@ -994,7 +965,7 @@ def divide_by_linear(p: GradedPoly, form: GradedPoly) -> GradedPoly:
     if form.is_zero() or any(key >> _top(form) != 1 for key in form.nums):
         raise PolyError("divisor must be a nonzero homogeneous linear form")
     lead = form.vars[0]
-    vars_, width, a, f = _aligned(p, form)
+    vars_, width, a, f = _aligned(p, form, 0)
     shift = _shifts(len(vars_), width)[vars_.index(lead)]
     unit = 1 << len(vars_) * width | 1 << shift  # the key of lead itself
     inv_lead = Rat(form.den, f[unit])
@@ -1079,11 +1050,12 @@ def json_field(payload, key: str, kind=object):
 
 
 def json_loads(text: str):
-    """json.loads at the package's boundary: text that does not parse raises PolyError."""
+    """json.loads at the package's boundary: anything that is not a JSON text raises PolyError."""
     try:
         return json.loads(text)
-    # json.JSONDecodeError, undecodable bytes and arrays nested past the stack
-    except (ValueError, RecursionError) as err:
+    # json.JSONDecodeError, undecodable bytes, arrays nested past the stack
+    # and a value that is not str, bytes or bytearray
+    except (ValueError, RecursionError, TypeError) as err:
         raise PolyError(f"JSON: {err}") from None
 
 

@@ -279,5 +279,6 @@ def multisingularity_codim(tokens: Sequence[str], ell: int) -> int:
     or list of names."""
     if not isinstance(tokens, (tuple, list)) or not tokens:
         raise UnsupportedMultisingularity(f"{tokens!r} is not a nonempty tuple of names")
+    check_int(ell, 0, "relative dimension ell of a multisingularity")
     r = len(tokens)
     return (r - 1) * ell + sum(singularity_info(t).codim(ell) for t in tokens)

@@ -47,6 +47,7 @@ from multising.poly import (
 )
 from multising.multipoint import (
     MultiSingularity,
+    SourceTerm,
     a0_partition_coefficients,
     emit_quadruple_formula,
     expand_m,
@@ -308,6 +309,9 @@ def test_blowup_control_fails_when_the_euler_quotient_is_polynomial(monkeypatch)
         lambda: germ_I22(2.0),
         lambda: germ_I22(-1),
         lambda: factorization_check(0, (2, 2, 0)),
+        lambda: multisingularity_codim(("A0",), None),
+        lambda: MultiSingularity(("A0", "A1")).codim(None),
+        lambda: SourceTerm(one(), ("A0",)).fn_degree(None),
     ],
     ids=[
         "verify_quadruple-bool", "verify_quadruple-float", "divisibility-float",
@@ -330,6 +334,7 @@ def test_blowup_control_fails_when_the_euler_quotient_is_polynomial(monkeypatch)
         "prototype-quadratic-weight", "prototype-zero-weight", "prototype-constant-weight",
         "prototype-inhomogeneous-weight", "prototype-weight-2-variable",
         "germ_I22-bool", "germ_I22-float", "germ_I22-negative", "factorization-ell-0",
+        "codim-none", "multisingularity-codim-none", "fn_degree-none",
     ],
 )
 def test_non_int_arguments_raise_poly_error(call):
@@ -1027,6 +1032,12 @@ def test_perturbed_III22A0_residuals_match_explicit_roots(monkeypatch, ell):
 def test_factorization_spot_checks(ell, triple):
     check = factorization_check(ell, triple)
     assert check.holds, check.to_json_dict()
+
+
+def test_divisibility_suite_checks_ell_first():
+    # ell = 0 is refused by name before any piece of the battery is built
+    with pytest.raises(PolyError, match="relative dimension ell of the divisibility battery"):
+        verify_divisibility_suite(0)
 
 
 def test_factorization_range_validation():

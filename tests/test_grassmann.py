@@ -401,20 +401,27 @@ def _elementary(weights):
 
 
 class _Localisation:
-    """Integrals over Gr(k, n) by Atiyah-Bott with torus weights t_1..t_n.
+    """Integrals over Gr(k, n) and P(S) by Atiyah-Bott with torus weights t_1..t_n.
 
-    The fixed points are the k-subsets I; the tangent space at I has the
-    weights t_j - t_i (i in I, j in its complement J), and sigma_lam, the
-    Giambelli determinant in c_i(Q) = s_(i), restricts to
-    det(e_(lam_i + j - i)(t_J)).
+    The fixed points of Gr(k, n) are the k-subsets I; the tangent space at I
+    has the weights t_j - t_i (i in I, j in its complement J), and sigma_lam,
+    the Giambelli determinant in c_i(Q) = s_(i), restricts to
+    det(e_(lam_i + j - i)(t_J)).  The fixed points of P(S) are the pairs
+    (I, i) with i in I: the line is the weight-t_i line of S, so
+    zeta = c_1(O(1)) = -t_i, and the fibre's tangent weights t_m - t_i
+    (m in I - i) are the Chern roots of kappa.  The Euler class at (I, i) is
+    the one at I times their product.
     """
 
     def __init__(self, ring, weights):
-        self.e, self.euler = [], []
+        self.e, self.euler, self.fibre_points = [], [], []
         for subset in itertools.combinations(range(ring.n), ring.k):
             rest = [weights[j] for j in range(ring.n) if j not in subset]
             self.e.append(_elementary(rest))
             self.euler.append(math.prod(t - weights[i] for i in subset for t in rest))
+            for i in subset:
+                roots = [weights[m] - weights[i] for m in subset if m != i]
+                self.fibre_points.append((len(self.e) - 1, weights[i], roots))
         self.restrictions = {}
 
     def _restrict(self, lam):
@@ -434,6 +441,19 @@ class _Localisation:
         return sum((Fraction(math.prod(v), euler) for v, euler in zip(values, self.euler)),
                    Fraction(0))
 
+    def fibre_integral(self, sigma, a, mu, kappa=()):
+        """The integral over P(S) of xi^a kappa_1^b_1 kappa_2^b_2 ... s_mu, with
+        xi = sigma * zeta and (b_1, b_2, ...) = kappa; c(kappa) is read off the
+        fixed points' weights, c(kappa) = prod over m in I - i of (1 + t_m - t_i)."""
+        base = self._restrict(mu)
+        total = Fraction(0)
+        for at, t, roots in self.fibre_points:
+            c = _elementary(roots)
+            kappa_value = math.prod(c[j] ** b for j, b in enumerate(kappa, 1))
+            value = (-sigma * t) ** a * base[at] * kappa_value
+            total += Fraction(value, self.euler[at] * math.prod(roots))
+        return total
+
 
 def _localisations(ring):
     """Two independent generic weight choices for one ring."""
@@ -449,6 +469,43 @@ def test_top_degree_integrals_match_localisation(k, n):
         want = first.integral(lam, mu)
         assert want == second.integral(lam, mu), (lam, mu)
         assert integrate(schur(ring, lam) * schur(ring, mu)) == want, (lam, mu)
+
+
+@pytest.mark.parametrize("k, n", _SMALL_RINGS)
+def test_top_degree_fibre_integrals_match_localisation(k, n):
+    # every top-degree xi^a s_mu on P(S): dual-line's xi = zeta matches the
+    # fixed-point sum, and tautological-line's xi = -zeta, the negative
+    # control, does not under the same pushforward
+    ring = GrassRing(k, n)
+    xi = FiberClass.xi(ring)
+    cases = [(ring.dim + k - 1 - sum(mu), mu) for mu in ring.partitions()]
+    oracles = _localisations(ring)
+    wrong = 0
+    for a, mu in cases:
+        got = integrate(pushforward_P_S(xi ** a * FiberClass.lift(schur(ring, mu))))
+        for oracle in oracles:
+            assert got == oracle.fibre_integral(DUAL_LINE, a, mu), (a, mu)
+        wrong += got != oracles[0].fibre_integral(TAUTOLOGICAL_LINE, a, mu)
+    assert wrong > 0
+
+
+def test_kappa_monomials_on_gr37_match_localisation():
+    # all 167 top-degree kappa_1^a kappa_2^b s_mu on P(S) over Gr(3, 7), kappa
+    # from kappa_chern; the fixed-point sums read kappa off the weights, so
+    # they hold for either sigma, and only dual-line's kappa matches them
+    top = R37.dim + R37.k - 1
+    cases = [(a, (top - a - sum(mu)) // 2, mu) for mu in R37.partitions()
+             for a in range(top - sum(mu) + 1) if (top - a - sum(mu)) % 2 == 0]
+    assert len(cases) == 167
+    first, second = _localisations(R37)
+    wants = [first.fibre_integral(DUAL_LINE, 0, mu, (a, b)) for a, b, mu in cases]
+    assert wants == [second.fibre_integral(DUAL_LINE, 0, mu, (a, b)) for a, b, mu in cases]
+    for sigma in (DUAL_LINE, TAUTOLOGICAL_LINE):
+        k1, k2 = kappa_chern(R37, sigma)
+        got = [integrate(pushforward_P_S(k1 ** a * k2 ** b * FiberClass.lift(schur(R37, mu))))
+               for a, b, mu in cases]
+        wrong = [case for case, value, want in zip(cases, got, wants) if value != want]
+        assert (not wrong) == (sigma == DUAL_LINE), (sigma, wrong[:3])
 
 
 @pytest.mark.parametrize("k, n", _SMALL_RINGS)

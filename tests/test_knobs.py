@@ -6,7 +6,7 @@ from pathlib import Path
 import multising
 
 # raise it only together with a caller that sets the new default
-MOST_DEFAULTS = 10
+MOST_DEFAULTS = 9
 
 
 def _count_defaults(source: str) -> int:
