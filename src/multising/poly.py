@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, permutations
 from math import gcd, lcm, prod
-from operator import attrgetter, mul, or_
+from operator import attrgetter, itemgetter, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -793,117 +793,117 @@ def substitute(
 ) -> GradedPoly:
     """Ring-morphism substitution; unassigned variables map to themselves.
 
-    A term of p that holds a variable whose image is zero maps to zero, so
-    such terms are dropped first, before any table, bound or power is built,
-    and the zero polynomial is returned when none is left.  The rest is one
-    sparse Horner walk in the packed int kernel.  Each term of p is a row
-    listing only its nonzero exponents of assigned variables, as factors
-    (level, exponent), outermost first.  Rows are grouped by their next factor
-    like a trie; each group is walked on and multiplied by that power of the
-    level's image, and a row with no factors left is added straight into the
-    sum.  So an assigned variable that a term lacks costs it nothing, and
-    unassigned variables are never multiplied.  Each power of an image is
-    built on first use from the one below it.  Every output term of a term of
-    p of degree D has degree at most D * max(1, deg(image_i) / weight_i) over
-    the assigned variables i, and so has every partial product; the fields
-    are widened if that bound does not fit them.  Image i is over D_i and E_i
-    is the largest exponent of i in p: a row with exponents e_i has its
-    numerator scaled by prod(D_i**(E_i - e_i)) once, up front, so every
-    partial sum is over the one denominator D_p * prod(D_i**E_i).
+    One sorted sparse Horner walk (_horner): a term that a zero image kills
+    is dropped unmultiplied, and each distinct prefix of the terms' assigned
+    factors costs one product.  Two keys naming one variable raise
+    PolyError, a Var key whose weight differs from that variable's in p
+    raises IncompatibleVariables, and a key for a variable p lacks is ignored.
     """
     if not isinstance(assignment, Mapping):
         raise PolyError(f"an assignment must be a mapping, got {assignment!r}")
-    images = {_resolve_symbol(sym): _coerce(value) for sym, value in assignment.items()}
-    keys = [(v.family, v.index) for v in _check_poly(p, "substituted polynomial").vars]
-    shifts = _shifts(len(keys), p.width)
-    mask = (1 << p.width) - 1
-    # the fields of the variables whose image is zero
-    dead = sum(mask << shift for shift, key in zip(shifts, keys)
-               if key in images and not images[key].nums)
+    weights = {(v.family, v.index): v.weight for v in _check_poly(p, "substituted polynomial").vars}
+    images: dict = {}
+    for sym, value in assignment.items():
+        key = _resolve_symbol(sym)
+        if key in images:
+            raise PolyError(f"the assignment names {key} twice")
+        if isinstance(sym, Var) and weights.get(key, sym.weight) != sym.weight:
+            raise IncompatibleVariables(f"conflicting weights for {key}")
+        images[key] = _coerce(value)
+    return _horner(p, list(map(images.get, weights)))
+
+
+def _horner(p: GradedPoly, images: list) -> GradedPoly:
+    """p with its variable i sent to images[i], or kept where that is None.
+
+    Terms holding a variable whose image is zero are dropped before any
+    table, bound or power is built; zero() is returned if none is left.
+    Each term is a row of (level, exponent) factors, one per nonzero field
+    of an assigned variable, the last in p's table outermost.  Sorted, the
+    rows under each distinct prefix of factors (a trie node) are one run.  A
+    stack holds the open sum of each node on the current path; when the
+    prefix changes, each deeper sum is multiplied by its level's image power
+    into its parent.  So a term pays only for the assigned variables it
+    uses.  Powers are built on first use, each from the one below.  A term
+    of degree D has partial products of degree at most D * max(1,
+    deg(image_i) / weight_i) over the assigned i; the fields hold that bound.
+    With image i over D_i (in lowest terms or not) and E_i the largest
+    exponent of i in p, a row with exponents e_i is scaled by
+    prod(D_i**(E_i - e_i)): every sum is over D_p * prod(D_i**E_i).
+    """
+    n, w, mask = len(p.vars), p.width, (1 << p.width) - 1
+    fields = list(zip(_shifts(n, w), p.vars, images))
+    dead = sum(mask << f for f, _, q in fields if q is not None and not q.nums)
     nums = {key: c for key, c in p.nums.items() if not key & dead} if dead else p.nums
     if not nums:
         return zero()
     used = reduce(or_, nums)
-    occurs = [bool(used >> shift & mask) for shift in shifts]
-    # the assigned variables that occur in p, outermost first
-    levels = [i for i in range(len(keys) - 1, -1, -1) if occurs[i] and keys[i] in images]
-    vars_ = _merged_table(tuple(
-        [v for v, key in zip(p.vars, keys) if key not in images]
-        + [v for i in levels for v in images[keys[i]].vars]
-    ))
-    degree = max(nums) >> _top(p)
-    bound = max([degree] + [degree * _degree(images[keys[i]]) // p.vars[i].weight for i in levels])
-    width = _width(bound, max([p.width] + [images[keys[i]].width for i in levels]))
-    top = len(vars_) * width
+    # (field, variable, image) of each assigned variable occurring in p, outermost first
+    levels = [t for t in reversed(fields) if t[2] is not None and used >> t[0] & mask]
+    tables = {id(q.vars): q.vars for _, _, q in levels}  # each distinct image table once
+    vars_ = _merged_table(tuple(v for _, v, q in fields if q is None) + sum(tables.values(), ()))
+    degree = max(nums) >> n * w
+    bound = max([degree] + [degree * _degree(q) // v.weight for _, v, q in levels])
+    width = _width(bound, max([w] + [q.width for _, _, q in levels]))
     out_shift = dict(zip(((v.family, v.index) for v in vars_), _shifts(len(vars_), width)))
-    # (field in p, field in the output, weight) of each unassigned variable occurring in p
-    moves = [
-        (shifts[i], out_shift[key], p.vars[i].weight)
-        for i, key in enumerate(keys)
-        if occurs[i] and key not in images
-    ]
-
-    def kept(key: int) -> int:
-        """The output key of the unassigned part of a key of p."""
-        out = deg = 0
-        for field, dst, weight in moves:
-            e = key >> field & mask
-            out |= e << dst
-            deg += e * weight
-        return deg << top | out
-
-    fields = [shifts[i] for i in levels]
-    dens = [images[keys[i]].den for i in levels]
-    full = prod(d ** max(key >> f & mask for key in nums) for d, f in zip(dens, fields) if d != 1)
-    rows = []
+    # by field in p: the output field and weight of each unassigned variable
+    moves = {f: (out_shift[(v.family, v.index)], v.weight) for f, v, q in fields if q is None}
+    full = prod(q.den ** max(key >> f & mask for key in nums) for f, _, q in levels if q.den != 1)
+    rows, low, top = [], (1 << n * w) - 1, len(vars_) * width
     for key, c in nums.items():
-        factors = tuple((j, e) for j, f in enumerate(fields) if (e := key >> f & mask))
-        rows.append((factors, kept(key), c * full // prod(dens[j] ** e for j, e in factors)))
-    # powers[j][e - 1] is the e-th power of level j's image
-    powers = [[list(_repack(images[keys[i]], vars_, width).items())] for i in levels]
-
-    def power(j: int, e: int) -> list:
-        chain = powers[j]
-        while len(chain) < e:
-            acc: dict = {}
-            _mul_into(acc, chain[-1], chain[0])
-            chain.append([(key, c) for key, c in acc.items() if c])
-        return chain[e - 1]
-
-    def walk(rows: list) -> dict:
-        acc, groups = {}, {}
-        for factors, out, c in rows:
-            if factors:
-                groups.setdefault(factors[0], []).append((factors[1:], out, c))
+        factors, out, deg, rest = [], 0, 0, key & low
+        while rest:  # over the nonzero fields, lowest (outermost) first
+            f = ((rest & -rest).bit_length() - 1) // w * w
+            e = rest >> f & mask
+            rest ^= e << f
+            move = moves.get(f)
+            if move is None:  # an assigned variable's level is its field
+                factors.append((f, e))
             else:
-                acc[out] = acc.get(out, 0) + c
-        for (j, e), part in groups.items():
-            inner = [(key, c) for key, c in walk(part).items() if c]
-            _mul_into(acc, inner, power(j, e))
-        return acc
-
-    return _poly(vars_, width, {key: c for key, c in walk(rows).items() if c}, p.den * full)
+                out, deg = out | e << move[0], deg + e * move[1]
+        if full != 1:
+            c = c * full // prod(images[n - 1 - f // w].den ** e for f, e in factors)
+        rows.append((tuple(factors), deg << top | out, c))
+    rows.sort()
+    # powers[f][e - 1] is the e-th power of the image of level f
+    powers = {f: [list(_repack(q, vars_, width).items())] for f, _, q in levels}
+    nonzero = itemgetter(1)  # filter(nonzero, rows) drops the rows of numerator 0
+    sums, path = [{}], ()  # sums[k] is the open sum of the node path[:k]
+    for factors, out, c in rows + [((), 0, 0)]:  # the empty last row closes every sum
+        depth = 0  # of the prefix that this row shares with the last
+        for a, b in zip(path, factors):
+            if a != b:
+                break
+            depth += 1
+        for f, e in reversed(path[depth:]):
+            chain = powers[f]
+            while len(chain) < e:
+                acc: dict = {}
+                _mul_into(acc, chain[-1], chain[0])
+                chain.append(list(filter(nonzero, acc.items())))
+            inner = sums.pop()
+            _mul_into(sums[-1], filter(nonzero, inner.items()), chain[e - 1])
+        sums += [{} for _ in factors[depth:]]
+        path = factors
+        sums[-1][out] = sums[-1].get(out, 0) + c
+    return _poly(vars_, width, dict(filter(nonzero, sums[0].items())), p.den * full)
 
 
 def chern_substitute(p: GradedPoly, series: GradedPoly) -> GradedPoly:
     """Substitute each Chern variable c_i by the weight-i part of series.
 
     This is the "p evaluated at a total Chern class" operation: the degree-i
-    part of the series plays the role of c_i.  The series is bucketed by
-    the degree field of its keys in one pass.
+    part of the series plays the role of c_i.  The series is bucketed by the
+    degree field of its keys in one pass, and _horner reads each bucket as an
+    image over the series' table and denominator, not brought to lowest terms.
     """
-    _check_poly(series, "Chern series")
-    parts = {v.index: {} for v in _check_poly(p, "polynomial").used_vars() if v.family == "c"}
-    top = _top(series)
+    top = _top(_check_poly(series, "Chern series"))
+    parts = {v.index: {} for v in _check_poly(p, "polynomial").vars if v.family == "c"}
     for key, c in series.nums.items():
-        part = parts.get(key >> top)
-        if part is not None:
+        if (part := parts.get(key >> top)) is not None:
             part[key] = c
-    assignment = {
-        ("c", i): _poly(series.vars, series.width, parts[i], series.den)
-        for i in sorted(parts)
-    }
-    return substitute(p, assignment)
+    return _horner(p, [_make(series.vars, series.width, parts[v.index], series.den)
+                       if v.family == "c" else None for v in p.vars])
 
 
 def chern_poly(terms: Iterable[tuple], shift: int, den: int) -> GradedPoly:

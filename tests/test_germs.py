@@ -1097,6 +1097,24 @@ def test_germs_calls_chern_substitute_only_in_genotype_restrict():
     assert calls == {("_Genotype", "restrict"): 1}
 
 
+def test_restricting_the_quadruple_residue_on_A3_keeps_its_work(monkeypatch):
+    # the largest A row of verify_quadruple(5): the walk, highest c index
+    # outermost, makes 58 products over 1049 term pairs; lowest index
+    # outermost would make 3372 pairs against 3127 over the A1..A3 rows
+    series = germs._genotype(germ_A(3, 4)).series(15)
+    pairs = []
+    kernel = poly._mul_into
+
+    def counted(acc, left, right):
+        left = list(left)
+        pairs.append(len(left) * len(right))
+        kernel(acc, left, right)
+
+    monkeypatch.setattr(poly, "_mul_into", counted)
+    chern_substitute(residue_A0r(4, 5), series)
+    assert (len(pairs), sum(pairs)) == (58, 1049)
+
+
 def test_germs_builds_genotypes_only_in_genotype():
     # every genotype comes from a prototype: _Genotype( is called in _genotype alone
     tree = ast.parse(Path(germs.__file__).read_text())

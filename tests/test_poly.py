@@ -676,6 +676,33 @@ def test_assigning_absent_variables_changes_nothing():
 
 
 @pytest.mark.parametrize(
+    "assignment",
+    [
+        {"alpha": 1, ("alpha", 0): 2},
+        {("alpha", 0): 2, Var("alpha", 0, 1): 2},
+        {"gamma": 1, ("gamma", 0): 1},
+    ],
+    ids=["family-and-pair", "pair-and-var", "absent-variable"],
+)
+def test_substitute_rejects_two_keys_for_one_variable(assignment):
+    # the last key would win silently: alpha^2 + beta1 would become 4 + beta1;
+    # two keys are ambiguous even for a variable that p lacks
+    with pytest.raises(PolyError, match="twice"):
+        substitute(ALPHA ** 2 + BETA, assignment)
+
+
+def test_substitute_checks_the_weight_of_a_var_key():
+    # a Var key names a weight, which must be that of the variable of p it
+    # assigns, as in the checking constructor; a key for a variable that p
+    # lacks is ignored, whatever its weight
+    p = ALPHA ** 2 + BETA
+    with pytest.raises(IncompatibleVariables):
+        substitute(p, {Var("alpha", 0, 2): 3})
+    assert substitute(p, {Var("alpha", 0, 1): 3}) == 9 + BETA
+    assert substitute(p, {Var("gamma", 0, 5): 3}) == p
+
+
+@pytest.mark.parametrize(
     "make, calls",
     [
         (lambda: cvar(15), 1),
@@ -721,15 +748,19 @@ def test_substitution_drops_the_terms_of_a_zero_image_unmultiplied(monkeypatch):
     assert got == rest
 
 
-c_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda e: (0, 0) + e)
-
-
 @settings(max_examples=40)
-@given(st.dictionaries(c_monomials, mixed_coeffs, max_size=6), term_dicts(2, max_terms=8))
-def test_chern_substitute_matches_naive_graded_parts(terms, series_terms):
-    # c1 -> the weight-1 part of the series, c2 -> its weight-2 part
+@given(term_dicts(3), st.dictionaries(st.tuples(*[st.integers(0, 2) for _ in VARS]),
+                                      st.integers(-9, 9).filter(bool), max_size=8),
+       st.integers(2, 12))
+def test_chern_substitute_matches_naive_graded_parts(terms, numerators, den):
+    # c1 -> the weight-1 part of the series, c2 -> its weight-2 part; alpha
+    # and beta, which p uses as well, pass through the walk unchanged.  The
+    # series holds alpha / den, so it is over a multiple of den > 1 and the
+    # walk scales each term's numerator to the one output denominator
     p = GradedPoly(VARS, terms)
-    series = GradedPoly(VARS, series_terms)
+    numerators[(1, 0, 0, 0)] = 1
+    series = GradedPoly(VARS, {e: rat(c, den) for e, c in numerators.items()})
+    assert series.den % den == 0
     parts = {
         pos: {e: c for e, c in series.terms.items() if _wdeg_ref(e) == weight}
         for pos, weight in ((2, 1), (3, 2))
