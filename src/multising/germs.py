@@ -69,6 +69,7 @@ from .poly import (
     cvar,
     dvar,
     exact_quotient,
+    int_product,
     one,
     one_plus,
     rat,
@@ -248,8 +249,11 @@ def _multiple_point_genotype(g: GermPrototype, r: int, m: int) -> GradedPoly:
     """multiple_point_class in the genotype basis, Q[alpha, d_1..d_m] for A_k.
 
     For A_k, prod_i prod_s (beta_i - s alpha) = prod_s P(-s alpha) with
-    P(x) = prod_i (x + beta_i) = sum_j d_j x^(m-j) and d_0 = 1; each factor
-    P(-s alpha) is built at once from its m + 1 terms d_j (-s)^(m-j) alpha^(m-j).
+    P(x) = prod_i (x + beta_i) = sum_j d_j x^(m-j) and d_0 = 1.  Each factor
+    P(-s alpha) is the coefficients (-s)^(m-j) of the m + 1 monomials
+    alpha^(m-j) d_j, so int_product multiplies the k factors out in one pass
+    of the int kernel, with no checking constructor and no intermediate
+    polynomial.
     """
     if r > g.delta:
         return zero()
@@ -258,10 +262,8 @@ def _multiple_point_genotype(g: GermPrototype, r: int, m: int) -> GradedPoly:
     table = tuple(x.vars[0] for x in (root_var("alpha"), *map(dvar, range(1, m + 1))))
     # the exponents of alpha^(m-j) d_j over the table, j = 0..m
     exponents = [(m - j, *(int(i == j) for i in range(1, m + 1))) for j in range(m + 1)]
-    return math.prod(
-        (GradedPoly(table, {e: (-s) ** e[0] for e in exponents}) for s in range(1, g.delta)),
-        start=one(),
-    )
+    return int_product(table, exponents, [[(-s) ** (m - j) for j in range(m + 1)]
+                                          for s in range(1, g.delta)])
 
 
 # -- the genotype basis -----------------------------------------------------------------
@@ -280,9 +282,15 @@ def _is_lone_beta(form: GradedPoly) -> bool:
     return form.used_vars()[0].family == "beta"
 
 
-def _d_polynomial(cap: int) -> GradedPoly:
-    """1 + d_1 + ... + d_cap with d_i of weight i."""
-    return sum((dvar(i) for i in range(1, cap + 1)), one())
+@functools.cache
+def _d_polynomial(m: int) -> GradedPoly:
+    """1 + d_1 + ... + d_m with d_i of weight i, the factor prod_i (1 + beta_i)
+    of m lone roots in the genotype basis.  Built in one construction
+    (int_product of one factor) once per m, and shared by every genotype with
+    m lone roots: polynomials are immutable."""
+    table = tuple(dvar(i).vars[0] for i in range(1, m + 1))
+    monomials = [tuple(int(i == j) for i in range(1, m + 1)) for j in range(m + 1)]
+    return int_product(table, monomials, [[1] * (m + 1)])
 
 
 _E_1, _E_2 = variable("e", 1, weight=1), variable("e", 2, weight=2)
@@ -424,16 +432,18 @@ def _genotype(g: GermPrototype) -> _Genotype:
     """The genotype of a prototype's normal-bundle weights.
 
     Every weight that involves a beta must be a lone beta_i among the target
-    weights, each at most once; any other shape raises UnsupportedPrototype.
+    weights, each at most once (found by its variable, not by comparing
+    polynomials); any other shape raises UnsupportedPrototype.
     When the beta-free forms use alpha_1 and alpha_2, each side becomes one
     class in e_1, e_2 (_class_in_e), and a side that is not symmetric raises
     UnsupportedPrototype.
     """
-    free, betas = [], []
+    free, betas, seen = [], [], set()  # seen: the variables of the lone roots so far
     for w in g.target_weights:
         if not _involves_beta(w):
             free.append(w)
-        elif _is_lone_beta(w) and w not in betas:
+        elif _is_lone_beta(w) and (v := w.used_vars()[0]) not in seen:
+            seen.add(v)
             betas.append(w)
         else:
             raise UnsupportedPrototype(f"{g.name}: weight {to_text(w)} is not a lone beta root")

@@ -248,7 +248,7 @@ def _render_expansion(expansion, namer) -> str:
             namer(label) + (f"^{e}" if e > 1 else "")
             for label, e in sorted(powers.items(), key=lambda kv: len(kv[0]))
         )
-        pieces.append((coeff, body))
+        pieces.append((coeff.numerator, coeff.denominator, body))
     return render_sum(pieces, "")
 
 

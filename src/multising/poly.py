@@ -42,12 +42,12 @@ for its own degree.  A monomial product is then one int addition, which
 cannot carry while the product's degree bound fits the field; the product
 and substitution kernels check that bound before they run and repack to a
 wider field when it does not fit.  Operands over different tables or
-widths go through the same single repack.  Sums, equality, truncation and
-the graded order work on the ints too, and a Fraction is built only when a
-coefficient is read (terms, coefficient, sorted_terms).  Packing is only
-sound because every exponent is a nonnegative int, so the checking
-constructor and from_json_dict, the only ways in from outside, reject
-anything else.
+widths go through the same single repack.  Sums, equality, truncation,
+the graded order, rendering and JSON work on the ints too, and a Fraction
+is built only when a coefficient is read (terms, coefficient,
+sorted_terms).  Packing is only sound because every exponent is a
+nonnegative int, so int_product, the packer that the checking constructor
+and from_json_dict go through, rejects anything else.
 """
 
 from __future__ import annotations
@@ -249,31 +249,11 @@ class GradedPoly:
 
     def __init__(self, vars: tuple, terms: Mapping[Exponents, object]):
         """The checking constructor: terms maps exponent tuples aligned with vars to scalars."""
-        seen = {}
-        for v in vars:
-            key = (v.family, v.index)
-            if key in seen:
-                if seen[key] != v.weight:
-                    raise IncompatibleVariables(f"conflicting weights for {key}")
-                raise PolyError(f"variable {key} repeats in the table")
-            seen[key] = v.weight
-        for exps in terms:
-            if not isinstance(exps, tuple) or len(exps) != len(vars):
-                raise PolyError(f"exponent vector {exps!r} does not match {len(vars)} variables")
-            if not all(map(_is_exponent, exps)):
-                raise PolyError(f"exponents {exps!r} must be nonnegative ints")
-        order = sorted(range(len(vars)), key=lambda i: vars[i].sort_key())
-        vars = tuple(vars[i] for i in order)
-        coeffs = {}
-        for exps, c in terms.items():
-            if c != 0 and (c := rat(c)):
-                coeffs[tuple(exps[i] for i in order)] = c
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        width = _width(max((_wdeg(vars, e) for e in coeffs), default=0), _FIELD)
+        coeffs = [rat(c) if c != 0 else _ZERO for c in terms.values()]
+        den = lcm(*(c.denominator for c in coeffs))
         # over the lcm of lowest-terms denominators the numerators share no factor with den
-        _fill(self, vars, width, {
-            _pack(vars, width, e): c.numerator * (den // c.denominator) for e, c in coeffs.items()
-        }, den)
+        p = int_product(vars, list(terms), [[c.numerator * (den // c.denominator) for c in coeffs]])
+        _fill(self, p.vars, p.width, p.nums, den)
 
     def __setattr__(self, *args):
         raise AttributeError("GradedPoly is immutable")
@@ -285,7 +265,7 @@ class GradedPoly:
         """Read-only view {exponent tuple: coefficient}, built on each access."""
         den = self.den
         return MappingProxyType(
-            {exps: Rat(c, den) for exps, c in zip(_exponents(self), self.nums.values())}
+            {exps: Rat(c, den) for exps, c in zip(_exponents(self, self.nums), self.nums.values())}
         )
 
     def is_zero(self) -> bool:
@@ -406,18 +386,23 @@ class GradedPoly:
         if not p.vars:
             return hash(p.constant_term())  # equal scalars hash alike
         # exponent tuples, not keys: the hash must not depend on the width
-        return hash((p.vars, p.den, frozenset(zip(_exponents(p), p.nums.values()))))
+        return hash((p.vars, p.den, frozenset(zip(_exponents(p, p.nums), p.nums.values()))))
 
     def __repr__(self) -> str:
         return f"GradedPoly({to_text(self)})"
 
 
+# the slot descriptors' setters bypass the immutable __setattr__
+_set_vars, _set_width, _set_nums, _set_den = (
+    getattr(GradedPoly, name).__set__ for name in ("vars", "width", "nums", "den")
+)
+
+
 def _fill(p: GradedPoly, vars_: tuple, width: int, nums: dict, den: int) -> None:
-    put = object.__setattr__
-    put(p, "vars", vars_)
-    put(p, "width", width)
-    put(p, "nums", nums)
-    put(p, "den", den)
+    _set_vars(p, vars_)
+    _set_width(p, width)
+    _set_nums(p, nums)
+    _set_den(p, den)
 
 
 def _make(vars_: tuple, width: int, nums: dict, den: int) -> GradedPoly:
@@ -557,11 +542,11 @@ def _pack(vars_: tuple, width: int, exps: Exponents) -> int:
     return key
 
 
-def _exponents(p: GradedPoly) -> list:
-    """The exponent tuple of each key of p, in p.nums order."""
+def _exponents(p: GradedPoly, keys: Iterable[int]) -> list:
+    """The exponent tuple of each of p's keys."""
     mask = (1 << p.width) - 1
     shifts = _shifts(len(p.vars), p.width)
-    return [tuple([key >> shift & mask for shift in shifts]) for key in p.nums]
+    return [tuple([key >> shift & mask for shift in shifts]) for key in keys]
 
 
 def _repack(p: GradedPoly, vars_: tuple, width: int) -> dict:
@@ -721,6 +706,53 @@ def dvar(i: int) -> GradedPoly:
 def root_var(family: str, index: int = 0) -> GradedPoly:
     """Weight-1 root symbol such as alpha, alpha_i or beta_i."""
     return variable(family, index, weight=1)
+
+
+def int_product(vars_: tuple, monomials: Sequence[Exponents],
+                factors: Iterable[Sequence[int]]) -> GradedPoly:
+    """The product of factors over the table vars_, each factor the sum of
+    its int coefficients times the monomials, multiplied out in one pass of
+    the int kernel; with one factor, the packer of an int polynomial.
+
+    The checking constructor packs its terms through it.  A variable twice
+    in vars_ (with two weights: IncompatibleVariables), a monomial that is
+    not a tuple of len(vars_) nonnegative ints, or a factor that is not one
+    int per monomial (0 where it lacks it) raises PolyError.  The table is
+    sorted by (family, index), the monomials are packed once, over fields
+    that hold the product's degree bound, and the running product stays on
+    packed rows: no Fraction and no intermediate polynomial is built.  No
+    factors give 1.
+    """
+    seen = {}
+    for v in vars_:
+        key = (v.family, v.index)
+        if key in seen:
+            if seen[key] != v.weight:
+                raise IncompatibleVariables(f"conflicting weights for {key}")
+            raise PolyError(f"variable {key} repeats in the table")
+        seen[key] = v.weight
+    for exps in monomials:
+        if not isinstance(exps, tuple) or len(exps) != len(vars_):
+            raise PolyError(f"exponent vector {exps!r} does not match {len(vars_)} variables")
+        if not all(map(_is_exponent, exps)):
+            raise PolyError(f"exponents {exps!r} must be nonnegative ints")
+    factors = list(factors)
+    for f in factors:
+        if len(f) != len(monomials) or not all(map(_is_int, f)):
+            raise PolyError(f"factor {f!r} is not one int per monomial")
+    order = sorted(range(len(vars_)), key=lambda i: vars_[i].sort_key())
+    vars_ = tuple(vars_[i] for i in order)
+    monomials = [[exps[i] for i in order] for exps in monomials]
+    degrees = [_wdeg(vars_, exps) for exps in monomials]
+    bound = sum(max((d for d, c in zip(degrees, f) if c), default=0) for f in factors)
+    width = _width(bound, _FIELD)
+    packed = [_pack(vars_, width, exps) for exps in monomials]
+    rows = [(0, 1)]
+    for f in factors:
+        acc: dict = {}
+        _mul_into(acc, rows, [(key, c) for key, c in zip(packed, f) if c])
+        rows = [(key, c) for key, c in acc.items() if c]
+    return _make(vars_, width, dict(rows), 1)
 
 
 # -- spec-named operations ----------------------------------------------------
@@ -1005,18 +1037,22 @@ def exact_quotient(p: GradedPoly, factors: Sequence[GradedPoly]) -> GradedPoly:
 # -- canonical ordering and serialization -------------------------------------
 
 
+def _sorted_rows(p: GradedPoly) -> list:
+    """(exponent tuple, numerator, denominator) of each term of p in canonical
+    graded-lex order, its int numerator over den divided by their gcd."""
+    # flipping the exponent fields reverses their lex order
+    keys, den = sorted(p.nums, key=((1 << _top(p)) - 1).__xor__), p.den
+    return [(exps, c // (g := gcd(c, den)), den // g)
+            for exps, c in zip(_exponents(p, keys), map(p.nums.__getitem__, keys))]
+
+
 def sorted_terms(p: GradedPoly):
     """Terms in canonical graded-lex order.
 
     Ascending weighted degree; within a degree, descending lexicographic on
     the exponent vector (variables already sorted by family, index).
     """
-    low = (1 << _top(p)) - 1  # flipping the exponent fields reverses their lex order
-    den = p.den
-    return [
-        (exps, Rat(c, den))
-        for _, exps, c in sorted(zip([key ^ low for key in p.nums], _exponents(p), p.nums.values()))
-    ]
+    return [(exps, Rat(c, d)) for exps, c, d in _sorted_rows(p)]
 
 
 def to_json_dict(p: GradedPoly) -> dict:
@@ -1024,10 +1060,8 @@ def to_json_dict(p: GradedPoly) -> dict:
     vars_payload = [
         {"family": v.family, "index": v.index, "weight": v.weight} for v in p.vars
     ]
-    terms_payload = []
-    for exps, coeff in sorted_terms(p):
-        pairs = [[i, e] for i, e in enumerate(exps) if e]
-        terms_payload.append({"coeff": rat_str(coeff), "exps": pairs})
+    terms_payload = [{"coeff": f"{c}/{d}", "exps": [[i, e] for i, e in enumerate(exps) if e]}
+                     for exps, c, d in _sorted_rows(p)]
     return {"vars": vars_payload, "terms": terms_payload}
 
 
@@ -1104,37 +1138,38 @@ def _var_text(v: Var) -> str:
     return f"{v.family}{v.index}" if v.index else v.family
 
 
-def render_sum(terms: Iterable[Tuple[Rat, str]], times: str) -> str:
-    """Signed sum of (coefficient, monomial text) pairs in the given order.
+def render_sum(terms: Iterable[Tuple[int, int, str]], times: str) -> str:
+    """Signed sum of (numerator, denominator, monomial text) triples in the
+    given order, each coefficient in lowest terms over a positive denominator.
 
     A unit coefficient is elided before a nonempty monomial, a fractional one
     prints as p/q, times separates coefficient and monomial, and the empty
-    sum is "0".  Polynomials and formal expansions both render through it.
+    sum is "0".  Polynomials, from their int numerators, and formal
+    expansions, from their rational coefficients, both render through it.
     """
     out = []
-    for coeff, body in terms:
-        mag = abs(coeff)
-        mag_s = "" if mag == 1 and body else str(mag)
+    for num, den, body in terms:
+        mag = abs(num)
+        if den != 1:
+            mag_s = f"{mag}/{den}"
+        else:
+            mag_s = "" if mag == 1 and body else str(mag)
         piece = f"{mag_s}{times}{body}" if mag_s and body else mag_s or body
         if out:
-            out.append(f" {'-' if coeff < 0 else '+'} {piece}")
+            out.append(f" {'-' if num < 0 else '+'} {piece}")
         else:
-            out.append(f"-{piece}" if coeff < 0 else piece)
+            out.append(f"-{piece}" if num < 0 else piece)
     return "".join(out) or "0"
 
 
 def _render(p: GradedPoly, var_namer: Callable[[Var], str], times: str) -> str:
     p = p.compress()
-    pieces = []
-    for exps, coeff in sorted_terms(p):
-        factors = []
-        for v, e in zip(p.vars, exps):
-            if not e:
-                continue
-            name = var_namer(v)
-            factors.append(name if e == 1 else f"{name}^{e}" if e < 10 else f"{name}^{{{e}}}")
-        pieces.append((coeff, times.join(factors)))
-    return render_sum(pieces, times)
+    names = list(map(var_namer, p.vars))  # each variable named once
+    return render_sum([
+        (c, d, times.join([name if e == 1 else f"{name}^{e}" if e < 10 else f"{name}^{{{e}}}"
+                           for name, e in zip(names, exps) if e]))
+        for exps, c, d in _sorted_rows(p)
+    ], times)
 
 
 def to_latex(p: GradedPoly) -> str:

@@ -42,6 +42,7 @@ from multising.poly import (
     root_var,
     series_quotient,
     substitute,
+    to_json_dict,
     variable,
     zero,
 )
@@ -708,6 +709,13 @@ def test_genotype_refuses_a_source_weight_with_a_beta():
         germs._genotype(germ)
 
 
+def test_genotype_refuses_a_lone_root_twice():
+    # the second beta_1 is a different object with the same variable
+    germ = GermPrototype("A1", 2, 2, (ALPHA,), (2 * ALPHA, _beta(1), _beta(1) + ALPHA - ALPHA))
+    with pytest.raises(UnsupportedPrototype, match="weight beta1 is not a lone beta root"):
+        germs._genotype(germ)
+
+
 # -- beyond the explicit-root frontier ----------------------------------------------------------
 
 
@@ -779,6 +787,26 @@ def test_repeated_suites_build_no_variables_and_no_alignments(monkeypatch):
     assert [f.cache_info().currsize for f in caches] == sizes
 
 
+def test_suites_build_no_checked_polynomial_and_one_root_factor_per_m(monkeypatch):
+    # m_r goes through int_product and 1 + d_1 + ... + d_m is built once per
+    # m: ell = 1..5 restricts on genotypes of m = 0..5 lone roots
+    built = []
+    check = poly.GradedPoly.__init__
+    monkeypatch.setattr(poly.GradedPoly, "__init__",
+                        lambda p, *args: built.append(args) or check(p, *args))
+    germs._d_polynomial.cache_clear()
+    for ell in range(1, 6):
+        assert verify_quadruple(ell).ok
+        assert verify_divisibility_suite(ell).ok
+    assert built == []
+    info = germs._d_polynomial.cache_info()
+    assert info.misses == info.currsize == 6 and info.hits > 0
+    # every genotype with m lone roots holds the one shared factor
+    germs_with_three_roots = (germ_A(1, 3), germ_A(3, 3), germ_III22(4))
+    shared = [germs._genotype(g).factors()[0][-1] for g in germs_with_three_roots]
+    assert shared[0] is shared[1] is shared[2] is germs._d_polynomial(3)
+
+
 # -- Thom polynomial of A1 -------------------------------------------------------------------------
 
 
@@ -821,6 +849,25 @@ def test_multiple_point_genotype_matches_the_generic_construction(k, m):
     got = germs._multiple_point_genotype(germ, k + 1, m)
     assert got == _generic_multiple_point_genotype(germ, m)
     assert got.is_homogeneous() and got.weighted_degree() == k * m
+
+
+def _checked_multiple_point_genotype(germ, m):
+    """m_delta of an A_k germ as the product of its factors P(-s alpha), each
+    built by the checking constructor from its m + 1 terms."""
+    table = tuple(x.vars[0] for x in (ALPHA, *map(dvar, range(1, m + 1))))
+    exponents = [(m - j, *(int(i == j) for i in range(1, m + 1))) for j in range(m + 1)]
+    factors = (GradedPoly(table, {e: (-s) ** e[0] for e in exponents}) for s in range(1, germ.delta))
+    return math.prod(factors, start=one())
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
+def test_packed_multiple_point_genotype_matches_the_checked_factors(delta, m):
+    germ = germ_A(delta - 1, m)
+    got = germs._multiple_point_genotype(germ, delta, m)
+    expected = _checked_multiple_point_genotype(germ, m)
+    assert got == expected
+    assert to_json_dict(got) == to_json_dict(expected)
 
 
 # -- A_k prototypes past k = 3 ---------------------------------------------------------------------

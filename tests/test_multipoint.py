@@ -100,6 +100,16 @@ def test_expand_n_latex():
     )
 
 
+@pytest.mark.parametrize("r, rendered", [
+    (1, "s_1"),
+    (2, "s_2 + s_1^2"),
+    (3, "s_3 + 3s_1s_2 + s_1^3"),
+    (5, "s_5 + 5s_1s_4 + 10s_2s_3 + 10s_1^2s_3 + 15s_1s_2^2 + 10s_1^3s_2 + s_1^5"),
+])
+def test_expand_n_latex_up_to_five_points(r, rendered):
+    assert expansion_to_latex(expand_n(A0(r))) == rendered
+
+
 @pytest.mark.parametrize(
     "name, rendered",
     [

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multising.germs import CheckResult, Report, germ_blowup
@@ -35,6 +35,7 @@ from multising.poly import (
     dvar,
     exact_quotient,
     from_json,
+    int_product,
     one,
     one_plus,
     rat,
@@ -1239,3 +1240,125 @@ def test_rendering_signs_units_and_fractions():
     assert to_text(constant(rat(-1, 3))) == "-1/3"
     assert to_latex(beta12 - ALPHA) == r"-\alpha + \beta_{12}"
     assert to_text(rat(2, 5) * C2) == "2/5*c2"
+
+
+# A Fraction-based reference for to_text, to_latex and to_json_dict: each
+# coefficient a Fraction read from the terms view, the canonical order taken
+# from the exponent tuples, and the signed sum rendered on the Fractions.
+
+RENDER_VARS = (
+    Var("alpha", 0, 1), Var("beta", 12, 1), Var("c", 1, 1), Var("c", 2, 2), Var("d", 3, 3)
+)
+
+
+def _reference_terms(p):
+    p = p.compress()
+
+    def order(term):
+        exps = term[0]
+        return sum(e * v.weight for e, v in zip(exps, p.vars)), [-e for e in exps]
+
+    return p.vars, sorted(p.terms.items(), key=order)
+
+
+def _reference_render(p, namer, times):
+    vars_, order = _reference_terms(p)
+    out = []
+    for exps, coeff in order:
+        factors = []
+        for v, e in zip(vars_, exps):
+            if e:
+                name = namer(v)
+                factors.append(name if e == 1 else f"{name}^{e}" if e < 10 else f"{name}^{{{e}}}")
+        body = times.join(factors)
+        mag = abs(coeff)
+        mag_s = "" if mag == 1 and body else str(mag)
+        piece = f"{mag_s}{times}{body}" if mag_s and body else mag_s or body
+        if out:
+            out.append(f" {'-' if coeff < 0 else '+'} {piece}")
+        else:
+            out.append(f"-{piece}" if coeff < 0 else piece)
+    return "".join(out) or "0"
+
+
+def _reference_json(p):
+    vars_, order = _reference_terms(p)
+    return {
+        "vars": [{"family": v.family, "index": v.index, "weight": v.weight} for v in vars_],
+        "terms": [{"coeff": f"{c.numerator}/{c.denominator}",
+                   "exps": [[i, e] for i, e in enumerate(exps) if e]} for exps, c in order],
+    }
+
+
+@st.composite
+def rendered_polys(draw):
+    """Polynomials whose terms are numerators over one den in 1..12, some of
+    them multiples of den (terms that reduce to +-1 or an integer while the
+    polynomial keeps a den above 1), with exponents up to 12."""
+    den = draw(st.integers(1, 12))
+    numerator = st.one_of(st.integers(-30, 30), st.sampled_from([-2, -1, 1, 2]).map(den.__mul__))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 12) for _ in RENDER_VARS]), numerator, max_size=6))
+    return GradedPoly(RENDER_VARS, {exps: rat(c, den) for exps, c in terms.items()})
+
+
+@settings(max_examples=150)
+@given(rendered_polys())
+@example(zero())
+@example(one())
+@example(-rat(1, 2) * C1 + C1 * C2 - 3 * C3)  # a unit and an integer over den 2
+@example(rat(5, 6) - root_var("beta", 12) ** 11 * ALPHA + 2 * C2 ** 10)
+def test_rendering_on_int_numerators_matches_the_fraction_reference(p):
+    assert to_text(p) == _reference_render(p, poly._var_text, "*")
+    assert to_latex(p) == _reference_render(p, poly._var_latex, "")
+    assert to_json_dict(p) == _reference_json(p)
+
+
+def test_rendering_elides_units_that_reduce_over_a_larger_den():
+    p = C1 * C2 + rat(1, 2) * C3 - 4 * C1
+    assert p.den == 2
+    assert to_text(p) == "-4*c1 + c1*c2 + 1/2*c3"
+    assert to_latex(p) == "-4c_1 + c_1c_2 + 1/2c_3"
+    assert [t["coeff"] for t in to_json_dict(p)["terms"]] == ["-4/1", "1/1", "1/2"]
+
+
+# -- one-pass products of int factors --------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), max_size=4),
+       st.lists(exponent_vectors, min_size=4, max_size=4, unique=True))
+def test_int_product_matches_the_product_of_checked_factors(factors, monomials):
+    got = int_product(VARS, monomials, factors)
+    expected = reduce(mul, (GradedPoly(VARS, dict(zip(monomials, f))) for f in factors), one())
+    assert got == expected
+    assert got.den == 1 and all(got.nums.values())
+
+
+def test_int_product_of_nothing_is_one_and_of_a_zero_factor_zero():
+    assert int_product(VARS, [], []) == one()
+    assert int_product(VARS, [(1, 0, 0, 0)], [[2], [0]]).is_zero()
+
+
+def test_int_product_sorts_its_table_as_the_checking_constructor_does():
+    table = (VARS[3], VARS[0])  # c2 before alpha
+    got = int_product(table, [(1, 2), (0, 1)], [[3, -1], [1, 1]])
+    assert got.vars == (VARS[0], VARS[3])
+    left, right = GradedPoly(table, {(1, 2): 3, (0, 1): -1}), GradedPoly(table, {(1, 2): 1, (0, 1): 1})
+    assert got == left * right
+
+
+@pytest.mark.parametrize("vars_, monomials, factors", [
+    ((VARS[0], VARS[0]), [(1, 0)], [[1]]),  # a repeated variable
+    ((VARS[0], Var("alpha", 0, 2)), [(1, 0)], [[1]]),  # one variable with two weights
+    (VARS, [(1, 0, 0)], [[1]]),  # a monomial of the wrong length
+    (VARS, [(1, 0, -1, 0)], [[1]]),  # a negative exponent
+    (VARS, [(1, 0, True, 0)], [[1]]),  # a bool exponent
+    (VARS, [[1, 0, 0, 0]], [[1]]),  # a monomial that is not a tuple
+    (VARS, [(1, 0, 0, 0)], [[1, 2]]),  # a factor of the wrong length
+    (VARS, [(1, 0, 0, 0)], [[rat(1, 2)]]),  # a coefficient that is not an int
+    (VARS, [(1, 0, 0, 0)], [[True]]),  # a bool coefficient
+])
+def test_int_product_rejects_malformed_input(vars_, monomials, factors):
+    with pytest.raises(PolyError):
+        int_product(vars_, monomials, factors)
